@@ -30,7 +30,7 @@ from .geometry import (BGEvidence, bounded_geometry_evidence, default_sample_pai
 from .numbers import INF, Dist, as_dist, dist_to_jsonable, is_finite, parse_dist
 from .paths import (DeltaPath, OrbitSet, concat, delta_component, enumerate_orbits,
                     hop_metric, orbit_distance, pad_path, reverse, step_ball,
-                    validate_path, validate_pseudoorbit)
+                    step_shells, validate_path, validate_pseudoorbit)
 from .serialize import (SCHEMA_VERSION, envelope, load_edge_list,
                         orbits_from_json_lines, orbits_to_json_lines,
                         point_from_jsonable, point_to_jsonable, to_csv, to_json,
@@ -62,7 +62,7 @@ __all__ = [
     # paths
     "DeltaPath", "OrbitSet", "validate_path", "validate_pseudoorbit",
     "concat", "reverse", "pad_path", "orbit_distance", "hop_metric",
-    "enumerate_orbits", "step_ball", "delta_component",
+    "enumerate_orbits", "step_shells", "step_ball", "delta_component",
     # extremal
     "MetricItems", "ExtremalResult", "max_separated", "min_dense",
     "verify_separated", "verify_dense", "greedy_net", "max_band_clique",

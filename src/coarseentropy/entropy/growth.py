@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from ..errors import InvalidInputError
 from ..numbers import Dist, dist_to_jsonable
-from ..paths import step_ball
+from ..paths import step_shells
 from ..spaces.base import MeasuredSpace, MetricSpace, PointRef
 
 __all__ = ["GrowthSeries", "growth_series", "fit_log_slope"]
@@ -56,13 +56,6 @@ class GrowthSeries:
         }
 
 
-def _ball_value(space: MetricSpace, x: PointRef, l: int, delta: Dist, measured: bool) -> Value:
-    pts = step_ball(space, x, l, delta)
-    if measured:
-        return space.mass_of(pts)
-    return len(pts)
-
-
 def growth_series(space: MetricSpace, x: Optional[PointRef] = None, delta: Dist = 1,
                   l_max: int = 8, window: Optional[Sequence[PointRef]] = None,
                   measured: Optional[bool] = None) -> GrowthSeries:
@@ -89,9 +82,16 @@ def growth_series(space: MetricSpace, x: Optional[PointRef] = None, delta: Dist 
         sup_mode = "window-lower-bound"
         for p in bases:
             space.check_point(p)
+    # one breadth-first pass per base; levels run in the outer loop, so a
+    # window's BudgetExceededError fires at the first (level, base) needing it
+    shells = [step_shells(space, b, l_max, delta) for b in bases]
+    totals: List[Value] = [Fraction(0) if measured else 0] * len(bases)
     values = []
-    for l in levels:
-        values.append(max(_ball_value(space, b, l, delta, measured) for b in bases))
+    for _ in levels:
+        for i, base_shells in enumerate(shells):
+            shell = next(base_shells, ())  # () once the ball stops growing
+            totals[i] += space.mass_of(shell) if measured else len(shell)
+        values.append(max(totals))
     return GrowthSeries(space=space.name, delta=delta, basepoint=x, levels=levels,
                         values=tuple(values), measure="measured" if measured else "counting",
                         sup_mode=sup_mode, window_size=len(bases))

@@ -64,11 +64,6 @@ class MetricItems:
             self._cache[key] = got
         return got
 
-    def row_dist(self, i: int) -> np.ndarray:
-        """Vector of distances from item i to every item (needs vectors)."""
-        rows = self.vectors
-        return self.dmat[rows, rows[i][None, :]].max(axis=1)
-
     @classmethod
     def from_points(cls, points: Sequence[PointRef], space_or_fn, tol: Optional[float] = None):
         """Items are points of a space (or a plain symmetric distance function)."""

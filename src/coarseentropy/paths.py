@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceededError, CapExceededError, InvalidInputError
 from .numbers import Dist
@@ -27,6 +28,7 @@ __all__ = [
     "pad_path",
     "orbit_distance",
     "enumerate_orbits",
+    "step_shells",
     "step_ball",
     "delta_component",
     "hop_metric",
@@ -206,28 +208,42 @@ def enumerate_orbits(space: MetricSpace, x0: PointRef, n: int, delta: Dist,
     return OrbitSet(paths=tuple(out), x0=x0, n=n, delta=delta, exhaustive=True)
 
 
-def step_ball(space: MetricSpace, x: PointRef, n: int, delta: Dist) -> List[PointRef]:
-    """Endpoints of length-n delta-paths from x (sorted).
+def step_shells(space: MetricSpace, x: PointRef, n: int,
+                delta: Dist) -> Iterator[List[PointRef]]:
+    """Breadth-first shells of the delta-hop metric around x.
 
-    Because paths may stand still, this is the radius-n ball of the
-    delta-hop metric, computed by iterated neighbor expansion.
+    Yields ``[x]`` and then, for each of up to n steps, the points first
+    reached at that step, in discovery order.  It stops after the first
+    empty shell, since nothing new can follow.  ``neighbors`` is called
+    lazily: advancing to shell k only queries shell k-1, so every level of
+    a step ball comes from one pass.
     """
     if n < 0:
         raise InvalidInputError("step count must be >= 0")
     space.check_point(x)
     seen: Set[PointRef] = {x}
     frontier: List[PointRef] = [x]
+    yield frontier
     for _ in range(n):
         if not frontier:
-            break
+            return
         nxt: List[PointRef] = []
         for y in frontier:
             for z in space.neighbors(y, delta):
                 if z not in seen:
                     seen.add(z)
                     nxt.append(z)
+        yield nxt
         frontier = nxt
-    return sorted(seen)
+
+
+def step_ball(space: MetricSpace, x: PointRef, n: int, delta: Dist) -> List[PointRef]:
+    """Endpoints of length-n delta-paths from x (sorted).
+
+    Because paths may stand still, this is the radius-n ball of the
+    delta-hop metric: the union of the first n + 1 step shells.
+    """
+    return sorted(chain.from_iterable(step_shells(space, x, n, delta)))
 
 
 def delta_component(space: MetricSpace, x: PointRef, delta: Dist, hop_cap: int = 64,
@@ -238,23 +254,16 @@ def delta_component(space: MetricSpace, x: PointRef, delta: Dist, hop_cap: int =
     point of expansion was reached within the cap.  ``max_points`` turns a
     runaway component into a BudgetExceededError instead of a long walk.
     """
-    space.check_point(x)
-    seen: Set[PointRef] = {x}
-    frontier: List[PointRef] = [x]
-    for _ in range(hop_cap):
-        nxt: List[PointRef] = []
-        for y in frontier:
-            for z in space.neighbors(y, delta):
-                if z not in seen:
-                    seen.add(z)
-                    nxt.append(z)
-        if max_points is not None and len(seen) > max_points:
+    shells = step_shells(space, x, max(hop_cap, 0), delta)
+    points = next(shells)[:]
+    for shell in shells:
+        points.extend(shell)
+        if max_points is not None and len(points) > max_points:
             raise BudgetExceededError(
                 f"delta-component of {x!r} exceeded {max_points} points")
-        if not nxt:
-            return sorted(seen), True
-        frontier = nxt
-    return sorted(seen), False
+        if not shell:
+            return sorted(points), True
+    return sorted(points), False
 
 
 def hop_metric(space: MetricSpace, a: PointRef, b: PointRef, delta: Dist,

@@ -302,12 +302,23 @@ class MeasuredSpace(MetricSpace):
 
     Delegates every metric query to the wrapped space; adds ``mass`` for a
     single point and ``mass_of`` for a finite point set.
+
+    ``mass_key``, when given, declares that ``mass_fn(x)`` depends only on
+    ``mass_key(x)`` (a hashable class label, e.g. the depth of a tree
+    vertex).  The validated mass is then computed once per key and reused,
+    and ``mass_of`` counts its points by key, calling ``mass`` once per key
+    it meets.  Every point is still checked with ``check_point``.  A key
+    that lumps points of different mass gives wrong totals, so leave it out
+    unless the mass is a function of the key.
     """
 
     def __init__(self, space: MetricSpace, mass_fn: Callable[[PointRef], Fraction],
-                 name: Optional[str] = None, annotations: Iterable[str] = ()):
+                 name: Optional[str] = None, annotations: Iterable[str] = (),
+                 mass_key: Optional[Callable[[PointRef], Hashable]] = None):
         self.space = space
         self._mass_fn = mass_fn
+        self._mass_key = mass_key
+        self._mass_by_key: Dict[Hashable, Fraction] = {}
         self.kind = "measured:" + space.kind
         self.name = name or (space.name + "/measured")
         self.tol = space.tol
@@ -337,14 +348,36 @@ class MeasuredSpace(MetricSpace):
     def bg_evidence_defaults(self):
         return self.space.bg_evidence_defaults()
 
-    def mass(self, x) -> Fraction:
-        self.check_point(x)
+    def _checked_mass(self, x) -> Fraction:
         value = self._mass_fn(x)
         if value < 0:
             raise InvalidInputError(f"negative mass at {x!r}")
         return Fraction(value)
 
+    def mass(self, x) -> Fraction:
+        self.check_point(x)
+        if self._mass_key is None:
+            return self._checked_mass(x)
+        key = self._mass_key(x)
+        got = self._mass_by_key.get(key)
+        if got is None:
+            got = self._checked_mass(x)
+            self._mass_by_key[key] = got
+        return got
+
     def mass_of(self, points: Iterable[PointRef]) -> Fraction:
+        if self._mass_key is not None:
+            check, key_of = self.check_point, self._mass_key
+            by_key: Dict[Hashable, List] = {}  # key -> [mass, count]
+            for p in points:
+                check(p)
+                key = key_of(p)
+                entry = by_key.get(key)
+                if entry is None:
+                    by_key[key] = [self.mass(p), 1]
+                else:
+                    entry[1] += 1
+            return sum((mass * count for mass, count in by_key.values()), Fraction(0))
         # group identical masses so large balls do not pay one Fraction
         # addition per point
         counts: Dict[Fraction, int] = {}

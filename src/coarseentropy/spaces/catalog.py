@@ -548,15 +548,6 @@ class BranchTree(MetricSpace):
     def bg_evidence_defaults(self):
         return 2, 2, list(range(1, min(8, self.max_depth - 1) + 1))
 
-    def children_arms(self, v) -> List[DeltaPath]:
-        """Single-step arms from v to each of its children (delta = 1)."""
-        return [DeltaPath((v, c), 1) for c in self.children(v)]
-
-    def spine_path(self, v) -> DeltaPath:
-        """The geodesic from the root to v as a 1-path."""
-        self.check_point(v)
-        return DeltaPath(tuple(v[:j] for j in range(len(v) + 1)), 1)
-
 
 def _branch_mass(v) -> Fraction:
     n = len(v)
@@ -572,8 +563,9 @@ def branch_tree_measured(max_depth: int = 10) -> MeasuredSpace:
     finite with exponential volume growth.
     """
     tree = BranchTree(max_depth=max_depth)
+    # the mass depends only on the depth, so it is computed once per depth
     measured = MeasuredSpace(tree, _branch_mass, name=f"branch_tree_measured[depth<={max_depth}]",
-                             annotations={"vol-finite"})
+                             annotations={"vol-finite"}, mass_key=len)
     measured.growth_tag = "exponential"
     return measured
 

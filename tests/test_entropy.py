@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from coarseentropy import (
+    BudgetExceededError,
     GrowthSeries,
     IntLine,
     InvalidInputError,
@@ -17,6 +18,7 @@ from coarseentropy import (
     UltrametricProduct,
     branch_tree_measured,
     build_coding,
+    build_graph,
     code_paths,
     coding_injectivity_check,
     covering_bound,
@@ -25,6 +27,7 @@ from coarseentropy import (
     fit_log_slope,
     growth_series,
     orbit_distance,
+    path_graph,
     rate_series,
     separated_count,
     step_ball,
@@ -222,6 +225,24 @@ class TestCoding:
 # growth series
 
 
+def per_level_series(space, bases, l_max, delta, measured):
+    """Growth values rebuilt ball by ball: level l, then each base."""
+    values = []
+    for l in range(l_max + 1):
+        balls = [step_ball(space, b, l, delta) for b in bases]
+        values.append(max(space.mass_of(ball) if measured else len(ball) for ball in balls))
+    return tuple(values)
+
+
+def tree_vertices(tree):
+    """Every vertex of a depth-windowed regular tree, level by level."""
+    levels = [[()]]
+    for _ in range(tree.max_depth):
+        levels.append([v + (c,) for v in levels[-1]
+                       for c in range(tree.degree if not v else tree.degree - 1)])
+    return [v for level in levels for v in level]
+
+
 class TestGrowth:
     def test_int_line_counting_growth(self):
         sp = IntLine(max_abs=100)
@@ -268,6 +289,41 @@ class TestGrowth:
                            for b in [sp.basepoint, deep_root, ("line", 1)])
             assert windowed.values[l] == per_base
         assert windowed.values[3] >= base_only.values[3]
+
+    def test_one_pass_series_matches_per_level_balls(self):
+        tree = RegularTree(degree=3, max_depth=5)
+        finite_tree = build_graph([(v[:-1], v) for v in tree_vertices(tree) if v])
+        cases = [
+            (IntLine(max_abs=30), None, 7, 2, None),
+            # transitive: the window is ignored, the basepoint is exact
+            (RegularTree(degree=3, max_depth=12), [(0,), (1, 2)], 6, 1, None),
+            (finite_tree, [(0,), (1, 0, 1), (2, 1, 0, 1)], 6, 1, None),
+            # every ball fills the graph before l_max
+            (path_graph(5), [2], 8, 1, None),
+            (branch_tree_measured(max_depth=8), [(1,), (0, 2)], 6, 1, None),
+            (branch_tree_measured(max_depth=8), [(1, 2)], 5, 1, False),
+        ]
+        for space, window, l_max, delta, measured in cases:
+            series = growth_series(space, delta=delta, l_max=l_max, window=window,
+                                   measured=measured)
+            bases = [space.basepoint] + ([] if space.vertex_transitive else window or [])
+            assert series.window_size == len(bases)
+            assert series.values == per_level_series(space, bases, l_max, delta,
+                                                     series.measure == "measured")
+
+    def test_window_budget_error_matches_per_level_rebuild(self):
+        class WindowedLine(IntLine):
+            vertex_transitive = False  # so that growth_series uses the window
+
+        sp = WindowedLine(max_abs=10)
+        bases = [0, 7, -8]
+        # base 7 leaves the window at level 4, base -8 already at level 3
+        with pytest.raises(BudgetExceededError) as expected:
+            per_level_series(sp, bases, 6, 1, False)
+        with pytest.raises(BudgetExceededError) as got:
+            growth_series(sp, 0, delta=1, l_max=6, window=bases[1:])
+        assert str(got.value) == str(expected.value)
+        assert "around -10 " in str(got.value)
 
     def test_fit_log_slope_recovers_exact_exponent(self):
         series = GrowthSeries(space="synthetic", delta=1, basepoint=0,

@@ -26,9 +26,12 @@ from coarseentropy import (
     path_graph,
     reverse,
     step_ball,
+    step_shells,
     validate_path,
     validate_pseudoorbit,
 )
+
+from conftest import bfs_oracle
 
 
 class TestDeltaPath:
@@ -205,6 +208,38 @@ class TestStepBall:
         assert step_ball(g, 0, 50, 1) == [0, 1, 2]
 
 
+class TestStepShells:
+    def test_shells_are_bfs_levels(self):
+        g = cycle_graph(9)
+        hops = bfs_oracle(lambda v: g.neighbors(v, 1), 0)
+        shells = list(step_shells(g, 0, 8, 1))
+        for k, shell in enumerate(shells[:-1]):
+            assert sorted(shell) == sorted(v for v, d in hops.items() if d == k)
+        # one empty shell past the far side of the cycle, then nothing
+        assert len(shells) == 6 and shells[-1] == []
+        assert len(list(step_shells(g, 0, 3, 1))) == 4
+
+    def test_union_of_first_shells_is_the_step_ball(self):
+        sp = IntLine(max_abs=100)
+        shells = list(step_shells(sp, 0, 4, 2))
+        for n in range(5):
+            assert sorted(itertools.chain(*shells[:n + 1])) == step_ball(sp, 0, n, 2)
+
+    def test_neighbors_are_queried_lazily(self):
+        sp = IntLine(max_abs=5)
+        shells = step_shells(sp, 0, 10, 1)
+        # shells 0..5 only query points inside the window
+        assert [sorted(next(shells)) for _ in range(6)][-1] == [-5, 5]
+        with pytest.raises(BudgetExceededError):
+            next(shells)
+
+    def test_negative_step_count(self):
+        with pytest.raises(InvalidInputError):
+            list(step_shells(IntLine(max_abs=5), 0, -1, 1))
+        with pytest.raises(InvalidInputError):
+            step_ball(IntLine(max_abs=5), 0, -1, 1)
+
+
 class TestDeltaComponent:
     def test_finite_component_is_complete(self):
         g = cycle_graph(6)
@@ -225,6 +260,16 @@ class TestDeltaComponent:
         sp = IntLine(max_abs=10 ** 6)
         with pytest.raises(BudgetExceededError):
             delta_component(sp, 0, 1, hop_cap=64, max_points=20)
+
+    def test_caps_count_rounds_and_points(self):
+        g = path_graph(6)
+        # the fixed point is seen in the round after the last new point
+        assert delta_component(g, 0, 1, hop_cap=5) == ([0, 1, 2, 3, 4, 5], False)
+        assert delta_component(g, 0, 1, hop_cap=6) == ([0, 1, 2, 3, 4, 5], True)
+        assert delta_component(g, 0, 1, hop_cap=0) == ([0], False)
+        assert delta_component(g, 0, 1, max_points=6) == ([0, 1, 2, 3, 4, 5], True)
+        with pytest.raises(BudgetExceededError, match=r"delta-component of 0 exceeded 5 points"):
+            delta_component(g, 0, 1, max_points=5)
 
 
 class TestHopMetric:

@@ -394,6 +394,68 @@ class TestBranchTree:
         assert "measured" in ms.annotations and "vol-finite" in ms.annotations
         assert ms.growth_tag == "exponential"
 
+    @pytest.mark.parametrize("bad, step", [
+        ((2,), 1), ((0, -1), 2), ((0, 1.0), 2), ((0, "a"), 2), (((),), 1)])
+    def test_bad_child_index_names_its_step(self, bad, step):
+        with pytest.raises(UnknownPointError) as err:
+            BranchTree(max_depth=4).check_point(bad)
+        assert str(err.value) == f"bad child index at step {step}: {bad!r}"
+
+    @pytest.mark.parametrize("bad", [[0], (0, 0, 0, 0, 0)])
+    def test_non_tuple_or_too_deep_point(self, bad):
+        with pytest.raises(UnknownPointError) as err:
+            BranchTree(max_depth=4).check_point(bad)
+        assert str(err.value) == f"point must be a child-index tuple within depth 4: {bad!r}"
+
+
+def depth_mass(v):
+    return Fraction(2 ** len(v), math.factorial(len(v) + 1))
+
+
+class TestMassKey:
+    def test_keyed_and_unkeyed_masses_agree_to_depth_8(self):
+        keyed = branch_tree_measured(max_depth=8)
+        unkeyed = MeasuredSpace(BranchTree(max_depth=8), depth_mass)
+        for depth in range(9):
+            steps = range(1, depth + 1)
+            for v in [(0,) * depth, tuple(steps), tuple(j // 2 for j in steps)]:
+                assert keyed.mass(v) == unkeyed.mass(v) == depth_mass(v)
+                if depth <= 6:
+                    pts = ball(keyed, v, 2)
+                    assert keyed.mass_of(pts) == unkeyed.mass_of(pts)
+                    assert isinstance(keyed.mass_of(pts), Fraction)
+
+    def test_mass_is_computed_once_per_key(self):
+        calls = []
+
+        def mass_fn(v):
+            calls.append(v)
+            return depth_mass(v)
+
+        ms = MeasuredSpace(BranchTree(max_depth=6), mass_fn, mass_key=len)
+        pts = ball(ms, (), 4)
+        assert ms.mass_of(pts) == 2 ** 5 - 1
+        assert sorted(len(v) for v in calls) == [0, 1, 2, 3, 4]
+        assert ms.mass((1, 2, 3)) == Fraction(8, 24) and len(calls) == 5
+
+    @pytest.mark.parametrize("key", [None, abs])
+    def test_negative_mass_raises(self, key):
+        ms = MeasuredSpace(IntLine(max_abs=5), lambda x: Fraction(-1), mass_key=key)
+        for _ in range(2):  # a failed key is not memoised
+            with pytest.raises(InvalidInputError, match="negative mass at 3"):
+                ms.mass(3)
+        with pytest.raises(InvalidInputError, match="negative mass at 1"):
+            ms.mass_of([1, 2, -1])
+
+    @pytest.mark.parametrize("key", [None, len])
+    def test_invalid_point_inside_mass_of(self, key):
+        ms = MeasuredSpace(BranchTree(max_depth=4), depth_mass, mass_key=key)
+        # (5,) has the depth of a valid point, so its key alone proves nothing
+        with pytest.raises(UnknownPointError):
+            ms.mass_of([(), (0,), (5,), (1,)])
+        assert ms.mass_of([]) == Fraction(0)
+        assert isinstance(ms.mass_of([]), Fraction)
+
 
 # ---------------------------------------------------------------------------
 # prime-decorated half line

@@ -28,9 +28,9 @@ from .extremal import (ExtremalResult, MetricItems, greedy_net, max_band_clique,
 from .geometry import (BGEvidence, bounded_geometry_evidence, default_sample_pairs,
                        net_retraction, quasi_geodesic_check, rips_graph)
 from .numbers import INF, Dist, as_dist, dist_to_jsonable, is_finite, parse_dist
-from .paths import (DeltaPath, OrbitSet, concat, delta_component, enumerate_orbits,
-                    hop_metric, orbit_distance, pad_path, reverse, step_ball,
-                    step_shells, validate_path, validate_pseudoorbit)
+from .paths import (DeltaPath, OrbitSet, PathFamily, concat, delta_component,
+                    enumerate_orbits, hop_metric, orbit_distance, pad_path, reverse,
+                    step_ball, step_shells, validate_path, validate_pseudoorbit)
 from .serialize import (SCHEMA_VERSION, envelope, load_edge_list,
                         orbits_from_json_lines, orbits_to_json_lines,
                         point_from_jsonable, point_to_jsonable, to_csv, to_json,
@@ -60,7 +60,7 @@ __all__ = [
     "BranchTree", "PrimeCycle", "CoarseUnion", "branch_tree_measured",
     "path_graph", "cycle_graph", "complete_graph", "make_example", "CATALOG_TAGS",
     # paths
-    "DeltaPath", "OrbitSet", "validate_path", "validate_pseudoorbit",
+    "DeltaPath", "PathFamily", "OrbitSet", "validate_path", "validate_pseudoorbit",
     "concat", "reverse", "pad_path", "orbit_distance", "hop_metric",
     "enumerate_orbits", "step_shells", "step_ball", "delta_component",
     # extremal

@@ -29,6 +29,8 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .entropy.classify import ClassifyConfig, classify, obstruction
 from .entropy.counts import rate_series
 from .entropy.growth import fit_log_slope, growth_series
@@ -238,11 +240,11 @@ def _cmd_orbits(args) -> Tuple[str, Dict[str, Any], int]:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     orbits = enumerate_orbits(space, space.basepoint, args.n, delta, cap=args.cap)
-    endpoints = sorted({repr(p.end) for p in orbits.paths})
     payload = {
         "config": {**cfg, "n": args.n, "delta": dist_to_jsonable(delta), "cap": args.cap},
         "count": len(orbits.paths),
-        "distinct_endpoints": len(endpoints),
+        # ids number distinct points, so distinct endpoint ids are distinct endpoints
+        "distinct_endpoints": len(np.unique(orbits.paths.ids[:, -1])),
         "exhaustive": orbits.exhaustive,
         "x0": repr(space.basepoint),
     }

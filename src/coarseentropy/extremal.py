@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .numbers import Dist
+from .paths import PathFamily, point_table
 from .spaces.base import MetricSpace, PointRef
 
 __all__ = [
@@ -44,7 +45,7 @@ class MetricItems:
 
     def __init__(self, items: Sequence, dist_fn: Callable[[int, int], Dist], tol: float = 0.0,
                  vectors: Optional[np.ndarray] = None, dmat: Optional[np.ndarray] = None):
-        self.items = tuple(items)
+        self.items = items if isinstance(items, PathFamily) else tuple(items)
         self._dist_fn = dist_fn
         self._cache: Dict[Tuple[int, int], Dist] = {}
         self.tol = tol
@@ -80,29 +81,30 @@ class MetricItems:
     def from_orbits(cls, space: MetricSpace, orbits, point_limit: int = 4096):
         """Items are paths under the orbit (sup) distance.
 
-        Builds the vectorized representation when the paths touch at most
-        ``point_limit`` distinct points and all point distances are exact
-        in float64 (integers below 2**52, or the float metric itself).
+        ``orbits`` is a :class:`PathFamily`, whose id matrix is used as it
+        stands, or any sequence of DeltaPaths or point sequences, which is
+        indexed into a point table once.  The vectorized representation is
+        kept when the paths touch at most ``point_limit`` distinct points
+        and all point distances are exact in float64 (integers below 2**52,
+        or the float metric itself).
         """
-        rows = [p.points if hasattr(p, "points") else tuple(p) for p in orbits]
-        if not rows:
-            raise InvalidInputError("empty orbit family")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise InvalidInputError("orbit families need equal path lengths")
+        support, ids = point_table(orbits)
+        items = orbits if isinstance(orbits, PathFamily) else \
+            tuple(tuple(support[k] for k in row) for row in ids.tolist())
+        rows: List[List[int]] = []
 
         def dist(i: int, j: int) -> Dist:
+            if not rows:
+                rows.extend(ids.tolist())
             best: Dist = 0
             for a, b in zip(rows[i], rows[j]):
-                d = space.distance(a, b)
+                d = space.distance(support[a], support[b])
                 if d > best:
                     best = d
             return best
 
         vectors = dmat = None
-        support = sorted({p for r in rows for p in r})
         if len(support) <= point_limit:
-            index = {p: k for k, p in enumerate(support)}
             table = np.zeros((len(support), len(support)))
             exact = True
             for a_i, a in enumerate(support):
@@ -118,9 +120,9 @@ class MetricItems:
                 if not exact:
                     break
             if exact:
-                vectors = np.array([[index[p] for p in r] for r in rows], dtype=np.int32)
+                vectors = ids
                 dmat = table
-        return cls(rows, dist, tol=space.tol, vectors=vectors, dmat=dmat)
+        return cls(items, dist, tol=space.tol, vectors=vectors, dmat=dmat)
 
 
 @dataclass(frozen=True)
@@ -376,33 +378,53 @@ def _greedy_cover_masks(n: int, cov: List[int]) -> List[int]:
     return chosen
 
 
-def _greedy_net_cover(items: MetricItems, R: Dist) -> List[int]:
+def _mask_assignment(n: int, cov: List[int], selected: Sequence[int]) -> List[int]:
+    """For each item, the lowest-index selected center whose mask covers it
+    (-1 where none does, which the verifier then rejects)."""
+    assignment = [-1] * n
+    open_items = (1 << n) - 1
+    for c in sorted(selected):
+        m = cov[c] & open_items
+        open_items &= ~m
+        while m:
+            e = (m & -m).bit_length() - 1
+            m &= m - 1
+            assignment[e] = c
+    return assignment
+
+
+def _greedy_net_cover(items: MetricItems, R: Dist) -> Tuple[List[int], List[int]]:
     """First-uncovered greedy: centers form a maximal R-separated set,
-    hence an R-dense one; scales to large families."""
+    hence an R-dense one; scales to large families.
+
+    Centers are picked in increasing index order, so the center that first
+    covers an item is the lowest-index one covering it; that is the item's
+    entry in the returned assignment.
+    """
     n = len(items)
     threshold_lt = float(R) - items.tol
     if items.vectors is not None:
-        covered = np.zeros(n, dtype=bool)
+        assignment = np.full(n, -1, dtype=np.int64)
         chosen: List[int] = []
         while True:
-            rest = np.flatnonzero(~covered)
+            rest = np.flatnonzero(assignment < 0)
             if rest.size == 0:
                 break
             pick = int(rest[0])
             chosen.append(pick)
             dists = items.dmat[items.vectors[rest], items.vectors[pick][None, :]].max(axis=1)
-            covered[rest] = dists < threshold_lt
-            covered[pick] = True
-        return chosen
-    covered = [False] * n
+            assignment[rest[dists < threshold_lt]] = pick
+            assignment[pick] = pick
+        return chosen, assignment.tolist()
+    assigned = [-1] * n
     chosen = []
     for i in range(n):
-        if not covered[i]:
+        if assigned[i] < 0:
             chosen.append(i)
             for j in range(i, n):
-                if not covered[j] and items.dist(i, j) < R - items.tol:
-                    covered[j] = True
-    return chosen
+                if assigned[j] < 0 and items.dist(i, j) < R - items.tol:
+                    assigned[j] = i
+    return chosen, assigned
 
 
 def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25,
@@ -412,7 +434,9 @@ def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25,
     Exact set cover up to ``exact_limit`` items (cover sizes tried in
     ascending order); max-coverage greedy up to ``greedy_limit``; beyond
     that a first-uncovered pass whose centers are both R-separated and
-    R-dense.  Non-exact certificates are "upper-bound".
+    R-dense.  Non-exact certificates are "upper-bound".  Every solver also
+    assigns each item its lowest-index covering center, and the verifier
+    checks that assignment.
     """
     if not R > 0:
         raise InvalidInputError("R must be positive")
@@ -422,28 +446,41 @@ def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25,
     if n <= exact_limit:
         cov = _cover_masks(items, R)
         sel, nodes = _exact_cover(n, cov)
+        assignment = _mask_assignment(n, cov, sel)
         result = ExtremalResult("dense", R, len(sel), tuple(sel), "exact", {"nodes": nodes})
     elif n <= greedy_limit and (items.vectors is not None or n <= 400):
         cov = _cover_masks(items, R)
         sel = sorted(_greedy_cover_masks(n, cov))
+        assignment = _mask_assignment(n, cov, sel)
         result = ExtremalResult("dense", R, len(sel), tuple(sel), "upper-bound",
                                 {"strategy_max_coverage": 1})
     else:
-        sel = _greedy_net_cover(items, R)
+        sel, assignment = _greedy_net_cover(items, R)
         result = ExtremalResult("dense", R, len(sel), tuple(sel), "upper-bound",
                                 {"strategy_first_uncovered": 1})
-    verify_dense(items, R, result.selected)
+    verify_dense(items, R, result.selected, assignment)
     return result
 
 
 def verify_dense(items: MetricItems, R: Dist, selected: Sequence[int],
+                 assignment: Optional[Sequence[int]] = None,
                  work_cap: int = 8_000_000) -> None:
-    """Independent check that the selection is R-dense (raises on failure)."""
+    """Independent check that the selection is R-dense (raises on failure).
+
+    With an ``assignment`` (item i's center is ``assignment[i]``), the
+    check is complete and costs one distance per item: every assigned
+    center must be selected and each item strictly within R of it.
+    Without one, every item is compared with every center (the scalar
+    check spot-checks a prefix past ``work_cap`` comparisons).
+    """
     sel = list(selected)
     n = len(items)
     if not sel:
         if n:
             raise InvalidInputError("empty selection cannot cover a nonempty family")
+        return
+    if assignment is not None:
+        _verify_assignment(items, R, sel, assignment)
         return
     if items.vectors is not None:
         threshold = float(R) - items.tol
@@ -462,6 +499,37 @@ def verify_dense(items: MetricItems, R: Dist, selected: Sequence[int],
     for i in range(n):
         if not any(items.dist(i, c) < R - items.tol for c in sel):
             raise InvalidInputError(f"covering check failed: item {i} is not within {R} of the cover")
+
+
+def _verify_assignment(items: MetricItems, R: Dist, sel: List[int],
+                       assignment: Sequence[int]) -> None:
+    n = len(items)
+    if len(assignment) != n:
+        raise InvalidInputError(
+            f"cover assignment has {len(assignment)} entries for {n} items")
+    chosen = set(sel)
+    stray = next((i for i, c in enumerate(assignment) if c not in chosen), None)
+    if stray is not None:
+        raise InvalidInputError(
+            f"covering check failed: item {stray} is assigned to {assignment[stray]}, "
+            f"which is not in the cover")
+    if items.vectors is not None:
+        rows = items.vectors
+        centers = rows[np.asarray(assignment, dtype=np.int64)]
+        worst = np.zeros(n)
+        for k in range(rows.shape[1]):
+            np.maximum(worst, items.dmat[rows[:, k], centers[:, k]], out=worst)
+        far = np.flatnonzero(worst >= float(R) - items.tol)
+        if far.size:
+            i = int(far[0])
+            raise InvalidInputError(
+                f"covering check failed: item {i} is not within {R} of its center "
+                f"{assignment[i]}")
+        return
+    for i, c in enumerate(assignment):
+        if not items.dist(i, c) < R - items.tol:
+            raise InvalidInputError(
+                f"covering check failed: item {i} is not within {R} of its center {c}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ stand still, which is what makes padding-by-repetition work downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .errors import BudgetExceededError, CapExceededError, InvalidInputError
 from .numbers import Dist
@@ -20,6 +23,8 @@ if TYPE_CHECKING:  # circular at runtime: spaces.catalog builds DeltaPath object
 
 __all__ = [
     "DeltaPath",
+    "PathFamily",
+    "point_table",
     "OrbitSet",
     "validate_path",
     "validate_pseudoorbit",
@@ -67,6 +72,58 @@ class DeltaPath:
         return len(self.points)
 
 
+class PathFamily(SequenceABC):
+    """A read-only sequence of same-length delta-paths held as one array.
+
+    ``ids`` is an ``(N, n+1)`` int32 matrix whose row i lists path i as
+    indices into the point table ``support``; every path honours ``delta``.
+    A :class:`DeltaPath` is built only when a member is indexed or iterated;
+    slicing returns a family over the selected rows.
+    """
+
+    __slots__ = ("support", "ids", "delta")
+
+    def __init__(self, support: Sequence[PointRef], ids: np.ndarray, delta: Dist):
+        ids = np.asarray(ids, dtype=np.int32)
+        if ids.ndim != 2 or ids.shape[1] == 0:
+            raise InvalidInputError("a path family needs an (N, n+1) id matrix with n >= 0")
+        ids.setflags(write=False)
+        self.support = tuple(support)
+        self.ids = ids
+        self.delta = delta
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PathFamily(self.support, self.ids[i], self.delta)
+        return DeltaPath(tuple(map(self.support.__getitem__, self.ids[i].tolist())), self.delta)
+
+    def __iter__(self) -> Iterator[DeltaPath]:
+        point = self.support.__getitem__
+        for row in self.ids.tolist():
+            yield DeltaPath(tuple(map(point, row)), self.delta)
+
+
+def point_table(paths) -> Tuple[Tuple[PointRef, ...], np.ndarray]:
+    """``(support, ids)`` of a family of same-length paths.
+
+    A :class:`PathFamily` is returned as it stands.  Any other iterable of
+    DeltaPaths or point sequences is indexed once, points numbered in order
+    of first appearance.
+    """
+    if isinstance(paths, PathFamily):
+        return paths.support, paths.ids
+    index: Dict[PointRef, int] = {}
+    rows = [[index.setdefault(x, len(index)) for x in p] for p in paths]
+    if not rows:
+        raise InvalidInputError("empty orbit family")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise InvalidInputError("orbit families need equal path lengths")
+    return tuple(index), np.array(rows, dtype=np.int32)
+
+
 @dataclass(frozen=True)
 class OrbitSet:
     """A finite set of same-length paths from a common start point.
@@ -74,10 +131,11 @@ class OrbitSet:
     ``map_label`` records which map the members are pseudoorbits of
     ("identity" for plain delta-paths; transfer maps produce sets labelled
     by the mapped dynamics).  ``exhaustive`` is True only when the set is
-    known to be all of P(n, delta, x0).
+    known to be all of P(n, delta, x0).  ``paths`` is any sequence of
+    DeltaPaths: a tuple, or a :class:`PathFamily` for enumerated sets.
     """
 
-    paths: Tuple[DeltaPath, ...]
+    paths: Sequence[DeltaPath]
     x0: PointRef
     n: int
     delta: Dist
@@ -161,51 +219,67 @@ def orbit_distance(u, v, space: MetricSpace) -> Dist:
     return best
 
 
-def _successor_cache(space: MetricSpace, delta: Dist):
-    cache: Dict[PointRef, Tuple[PointRef, ...]] = {}
-
-    def successors(x: PointRef) -> Tuple[PointRef, ...]:
-        got = cache.get(x)
-        if got is None:
-            # a point is always its own successor: d(x, x) = 0 <= delta
-            got = tuple(sorted(space.neighbors(x, delta) + [x]))
-            cache[x] = got
-        return got
-
-    return successors
-
-
 def enumerate_orbits(space: MetricSpace, x0: PointRef, n: int, delta: Dist,
                      cap: int = 10 ** 6) -> OrbitSet:
-    """All delta-paths of length n starting at x0, in depth-first order.
+    """All delta-paths of length n starting at x0, in lexicographic order.
 
-    Successors are visited in sorted point order, so the output order is
-    deterministic.  Raises CapExceededError (with the partial count) as
-    soon as the cap is crossed; never returns a silently truncated set.
+    Successors are ordered by sorting points, and the family is built
+    level by level: each path of length k is followed by its successors in
+    that order, so the output is the depth-first order over sorted
+    successors.  ``neighbors`` is called once per point reached in fewer
+    than n steps.  Raises CapExceededError (with the partial count) as soon
+    as a level holds more than ``cap`` paths; never returns a silently
+    truncated set.
     """
     if n < 0:
         raise InvalidInputError("path length must be >= 0")
     space.check_point(x0)
     if delta < 0:
         raise InvalidInputError("delta must be >= 0")
-    successors = _successor_cache(space, delta)
-    out: List[DeltaPath] = []
-    prefix: List[PointRef] = [x0]
 
-    def rec():
-        if len(prefix) == n + 1:
-            if len(out) >= cap:
-                raise CapExceededError(
-                    f"enumeration cap {cap} exceeded for n={n}, delta={delta}", partial=len(out))
-            out.append(DeltaPath(tuple(prefix), delta))
-            return
-        for s in successors(prefix[-1]):
-            prefix.append(s)
-            rec()
-            prefix.pop()
+    def check_cap(rows: int) -> None:
+        if rows > cap:
+            raise CapExceededError(
+                f"enumeration cap {cap} exceeded for n={n}, delta={delta}", partial=max(cap, 0))
 
-    rec()
-    return OrbitSet(paths=tuple(out), x0=x0, n=n, delta=delta, exhaustive=True)
+    support: List[PointRef] = [x0]
+    index: Dict[PointRef, int] = {x0: 0}
+    successors: List[List[int]] = []
+
+    def point_id(p: PointRef) -> int:
+        k = index.get(p)
+        if k is None:
+            k = index[p] = len(support)
+            support.append(p)
+        return k
+
+    check_cap(1)
+    ids = np.zeros((1, 1), dtype=np.int32)
+    for _ in range(n):
+        # paths may stand still, so the last column holds every point found
+        # so far; expand the ones first reached at the previous step
+        for k in range(len(successors), len(support)):
+            x = support[k]
+            # a point is always its own successor: d(x, x) = 0 <= delta
+            successors.append([point_id(s) for s in sorted(space.neighbors(x, delta) + [x])])
+        sizes = np.fromiter(map(len, successors), dtype=np.int64, count=len(successors))
+        last = ids[:, -1]
+        counts = sizes[last]
+        total = int(counts.sum())
+        check_cap(total)
+        # point k's successors are flat[starts[k]:starts[k] + sizes[k]]; each
+        # row is repeated once per successor of its last point, and copy j
+        # of a row takes successor j
+        flat = np.fromiter(chain.from_iterable(successors), dtype=np.int32,
+                           count=int(sizes.sum()))
+        starts = np.cumsum(sizes) - sizes
+        rank = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        grown = np.empty((total, ids.shape[1] + 1), dtype=np.int32)
+        grown[:, :-1] = np.repeat(ids, counts, axis=0)
+        grown[:, -1] = flat[np.repeat(starts[last], counts) + rank]
+        ids = grown
+    return OrbitSet(paths=PathFamily(support, ids, delta), x0=x0, n=n, delta=delta,
+                    exhaustive=True)
 
 
 def step_shells(space: MetricSpace, x: PointRef, n: int,

@@ -21,7 +21,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError
 from .numbers import Dist, dist_to_jsonable, parse_dist
-from .paths import DeltaPath, OrbitSet
+from .paths import DeltaPath, OrbitSet, point_table
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -183,9 +183,13 @@ def orbits_to_json_lines(orbits: OrbitSet) -> str:
         "map_label": orbits.map_label,
     }
     lines = [json.dumps(header, sort_keys=True, ensure_ascii=False)]
-    for path in orbits.paths:
-        lines.append(json.dumps([point_to_jsonable(p) for p in path.points],
-                                sort_keys=True, ensure_ascii=False))
+    if orbits.paths:
+        # each point is encoded once; a path's line joins its points' texts
+        # exactly as json.dumps lays out a list
+        support, ids = point_table(orbits.paths)
+        text = [json.dumps(point_to_jsonable(p), sort_keys=True, ensure_ascii=False)
+                for p in support]
+        lines.extend("[" + ", ".join(map(text.__getitem__, row)) + "]" for row in ids.tolist())
     return "\n".join(lines) + "\n"
 
 

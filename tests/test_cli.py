@@ -112,6 +112,13 @@ class TestOrbitsCommand:
         assert code == 1 and out == ""
         assert err.startswith("budget exceeded:")
 
+    def test_long_single_path(self, capsys):
+        code, doc = run_json(
+            ["orbits", "--space", "int_line", "--n", "5000", "--delta", "0.5"], capsys)
+        assert code == 0
+        assert doc["report"]["count"] == 1
+        assert doc["report"]["distinct_endpoints"] == 1
+
     def test_negative_n_rejected(self, capsys):
         code, _, err = run(
             ["orbits", "--space", "int_line", "--n", "-1"], capsys)

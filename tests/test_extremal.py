@@ -1,6 +1,7 @@
 """Packing/covering solvers against exhaustive subset-enumeration oracles,
 plus the combinatorial identities that relate them."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -14,6 +15,7 @@ from coarseentropy import (
     cycle_graph,
     enumerate_orbits,
     greedy_net,
+    make_example,
     max_band_clique,
     max_separated,
     min_dense,
@@ -21,6 +23,7 @@ from coarseentropy import (
     verify_dense,
     verify_separated,
 )
+from coarseentropy import extremal
 
 from conftest import (
     brute_max_band_clique,
@@ -161,6 +164,128 @@ class TestVerifiers:
         dense = min_dense(items, 3)
         verify_dense(items, 3, dense.selected)
         verify_dense(plain, 3, dense.selected)
+
+
+def orbit_items(name, n):
+    sp = make_example(name)
+    return MetricItems.from_orbits(sp, enumerate_orbits(sp, sp.basepoint, n, 1).paths)
+
+
+def scalar_twin(items):
+    return MetricItems(list(range(len(items))), lambda i, j: items.dist(i, j))
+
+
+class TestCoverCertificates:
+    """verify_dense with an assignment: one center per item, all checked."""
+
+    @pytest.fixture(params=["vectorized", "scalar"])
+    def cover(self, request):
+        items = orbit_items("int_line", 4)
+        assert items.vectors is not None
+        if request.param == "scalar":
+            items = scalar_twin(items)
+        res = min_dense(items, 3)
+        assignment = [min(c for c in res.selected if items.dist(i, c) < 3)
+                      for i in range(len(items))]
+        return items, res.selected, assignment
+
+    def test_accepts_the_lowest_index_assignment(self, cover):
+        items, sel, assignment = cover
+        verify_dense(items, 3, sel, assignment)
+
+    def test_rejects_an_entry_outside_the_selection(self, cover):
+        items, sel, assignment = cover
+        bad = list(assignment)
+        i = len(items) - 1
+        bad[i] = next(c for c in range(len(items)) if c not in sel and items.dist(i, c) < 3)
+        with pytest.raises(InvalidInputError, match="not in the cover"):
+            verify_dense(items, 3, sel, bad)
+
+    def test_rejects_a_center_at_distance_R_or_more(self, cover):
+        items, sel, assignment = cover
+        i, far = next((i, c) for i in reversed(range(len(items))) for c in sel
+                      if items.dist(i, c) == 3)
+        bad = list(assignment)
+        bad[i] = far
+        with pytest.raises(InvalidInputError, match=f"item {i} is not within 3"):
+            verify_dense(items, 3, sel, bad)
+        # the assignment is checked in full, whatever the work cap
+        with pytest.raises(InvalidInputError, match=f"item {i} is not within 3"):
+            verify_dense(items, 3, sel, bad, work_cap=1)
+
+    def test_rejects_a_wrong_length(self, cover):
+        items, sel, assignment = cover
+        for bad in (assignment[:-1], assignment + [sel[0]], []):
+            with pytest.raises(InvalidInputError, match="entries for"):
+                verify_dense(items, 3, sel, bad)
+
+    @pytest.mark.parametrize("name, n, R, strategy", [
+        ("int_line", 2, 3, "nodes"),
+        ("int_line", 4, 3, "strategy_max_coverage"),
+        ("int_line", 4, 2, "strategy_max_coverage"),
+        ("int_line", 7, 4, "strategy_first_uncovered"),
+        ("regular_tree", 2, 2, "nodes"),
+        ("regular_tree", 4, 2, "strategy_max_coverage"),
+    ])
+    @pytest.mark.parametrize("form", ["vectorized", "scalar"])
+    def test_solvers_assign_the_lowest_index_covering_center(self, monkeypatch, name, n, R,
+                                                             strategy, form):
+        items = orbit_items(name, n)
+        if form == "scalar":
+            items = scalar_twin(items)
+        seen = []
+        real = extremal.verify_dense
+
+        def spy(items_, R_, selected, assignment=None):
+            seen.append(list(assignment))
+            return real(items_, R_, selected, assignment)
+
+        monkeypatch.setattr(extremal, "verify_dense", spy)
+        greedy_limit = 1500 if form == "vectorized" else 400
+        if strategy == "strategy_first_uncovered":
+            greedy_limit = 0
+        res = min_dense(items, R, greedy_limit=greedy_limit)
+        assert strategy in res.stats
+        assert seen == [[min(c for c in res.selected if items.dist(i, c) < R)
+                         for i in range(len(items))]]
+
+
+def _selection_digest(selected):
+    return hashlib.sha256(",".join(map(str, selected)).encode()).hexdigest()
+
+
+# (space, n, R, solver, size, certificate, sha256 of the comma-joined selection):
+# a change to the enumeration order or to a solver's choices shows here
+PINNED_SELECTIONS = [
+    ("int_line", 3, 4, "min_dense", 1, "upper-bound",
+     "ef2d127de37b942baad06145e54b0c619a1f22327b2ebbcfbec78f5564afe39d"),
+    ("int_line", 3, 4, "max_separated", 2, "exact",
+     "870832a6e38931f23a57956d831088219bc8ffeb8e92666132c67793f3b18749"),
+    ("int_line", 6, 4, "min_dense", 3, "upper-bound",
+     "8956355714193c0b8bf6ed7bc455e3d412bf8c1f6d9c7810e6ba7a8ce847b57d"),
+    ("int_line", 6, 4, "max_separated", 8, "lower-bound",
+     "7bb0e2de9c98f8c5c1bc2635dd022c313f2694282df32c3580d917c93962d579"),
+    ("int_line", 9, 4, "min_dense", 16, "upper-bound",
+     "e90cf0624963e7d052bc369b062c97f50c41e1c1dfcd223fa79ed9b98020ffe8"),
+    ("int_line", 9, 4, "max_separated", 16, "lower-bound",
+     "e90cf0624963e7d052bc369b062c97f50c41e1c1dfcd223fa79ed9b98020ffe8"),
+    ("regular_tree", 2, 2, "min_dense", 3, "exact",
+     "8a6ae15122001229edb8866f56e342af12ae8187203c3e3b33931743e7c0c48d"),
+    ("regular_tree", 2, 2, "max_separated", 9, "exact",
+     "75e4b2dd23b6852aa1535f34cf2fac9f4fceae1c7be347674ba116c8eca9814e"),
+    ("regular_tree", 4, 2, "min_dense", 22, "upper-bound",
+     "e523dc51f75927e0f660db9b4179312900b5760848a1485b2996621f65aced41"),
+    ("regular_tree", 4, 2, "max_separated", 61, "lower-bound",
+     "ef09605f3be6e5ac038be63438d8338f02f90087fd02c49bf38309192a50af53"),
+]
+
+
+@pytest.mark.parametrize("name, n, R, solver, size, certificate, digest", PINNED_SELECTIONS)
+def test_pinned_selections(name, n, R, solver, size, certificate, digest):
+    solve = {"min_dense": min_dense, "max_separated": max_separated}[solver]
+    res = solve(orbit_items(name, n), R)
+    assert (res.size, res.certificate, _selection_digest(res.selected)) == \
+        (size, certificate, digest)
 
 
 class TestFromOrbits:

@@ -3,7 +3,9 @@ against brute-force enumeration and BFS oracles."""
 
 import itertools
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,12 +17,15 @@ from coarseentropy import (
     IntLine,
     InvalidInputError,
     OrbitSet,
+    PathFamily,
     build_graph,
+    build_weighted_graph,
     concat,
     cycle_graph,
     delta_component,
     enumerate_orbits,
     hop_metric,
+    make_example,
     orbit_distance,
     pad_path,
     path_graph,
@@ -189,6 +194,113 @@ class TestEnumerateOrbits:
         orbits = enumerate_orbits(sp, 3, 4, 0)
         assert len(orbits) == 1
         assert orbits.paths[0].points == (3, 3, 3, 3, 3)
+
+
+def dfs_paths(space, x0, n, delta):
+    """All delta-paths from x0 by recursive depth-first search over sorted
+    successors (order oracle)."""
+    out = []
+
+    def rec(prefix):
+        if len(prefix) == n + 1:
+            out.append(tuple(prefix))
+            return
+        x = prefix[-1]
+        for s in sorted(space.neighbors(x, delta) + [x]):
+            rec(prefix + [s])
+
+    rec([x0])
+    return out
+
+
+def fraction_weighted_graph():
+    return build_weighted_graph([(0, 1, Fraction(1, 2)), (1, 2, Fraction(3, 4)),
+                                 (2, 0, Fraction(1, 3)), (2, 3, Fraction(2, 3)),
+                                 (3, 4, Fraction(5, 4))])
+
+
+class TestEnumerationOrder:
+    @pytest.mark.parametrize("space, x0, n, delta", [
+        (IntLine(max_abs=50), 0, 5, 1),
+        (IntLine(max_abs=50), 3, 3, 2),
+        (make_example("regular_tree"), (), 4, 1),
+        (cycle_graph(5), 0, 5, 1),
+        (cycle_graph(5), 2, 3, 2),
+        (fraction_weighted_graph(), 0, 5, Fraction(3, 4)),
+        (fraction_weighted_graph(), 3, 4, Fraction(5, 4)),
+    ])
+    def test_order_matches_depth_first_oracle(self, space, x0, n, delta):
+        orbits = enumerate_orbits(space, x0, n, delta)
+        assert [p.points for p in orbits.paths] == dfs_paths(space, x0, n, delta)
+        assert all(p.delta == delta for p in orbits.paths)
+
+    def test_cap_equal_to_family_size_passes(self):
+        sp = IntLine(max_abs=50)
+        assert len(enumerate_orbits(sp, 0, 4, 1, cap=81)) == 81
+
+    @pytest.mark.parametrize("n, cap", [(4, 80), (4, 2), (0, 0)])
+    def test_cap_one_below_raises_with_partial_count(self, n, cap):
+        sp = IntLine(max_abs=50)
+        with pytest.raises(CapExceededError) as exc:
+            enumerate_orbits(sp, 0, n, 1, cap=cap)
+        assert exc.value.partial == cap
+        assert str(exc.value) == f"enumeration cap {cap} exceeded for n={n}, delta=1"
+
+    def test_window_still_raises_budget_error(self):
+        with pytest.raises(BudgetExceededError, match="around -3"):
+            enumerate_orbits(IntLine(max_abs=3), 0, 5, 1)
+
+    def test_length_zero_is_the_base_point(self):
+        orbits = enumerate_orbits(make_example("regular_tree"), (), 0, 1)
+        assert [p.points for p in orbits.paths] == [((),)]
+        assert orbits.paths.ids.shape == (1, 1)
+
+    def test_long_single_path_has_no_recursion_limit(self):
+        orbits = enumerate_orbits(make_example("int_line"), 0, 5000, Fraction(1, 2))
+        assert len(orbits) == 1
+        assert orbits.paths[0].points == (0,) * 5001
+
+    def test_neighbors_only_on_points_reached_before_the_last_step(self):
+        calls = []
+
+        class Recording(IntLine):
+            def neighbors(self, x, delta):
+                calls.append(x)
+                return super().neighbors(x, delta)
+
+        enumerate_orbits(Recording(max_abs=50), 0, 3, 1)
+        assert sorted(calls) == [-2, -1, 0, 1, 2]
+
+
+class TestPathFamily:
+    def _family(self):
+        return enumerate_orbits(IntLine(max_abs=50), 0, 3, 1).paths
+
+    def test_members_are_built_on_access(self):
+        fam = self._family()
+        assert isinstance(fam, PathFamily)
+        assert len(fam) == 27 and fam.ids.shape == (27, 4)
+        rows = [tuple(fam.support[k] for k in r) for r in fam.ids.tolist()]
+        assert [p.points for p in fam] == rows
+        assert [fam[i].points for i in range(-27, 27)] == rows + rows
+        assert fam[5] == DeltaPath(rows[5], 1)
+        with pytest.raises(IndexError):
+            fam[27]
+
+    def test_slices_are_families(self):
+        fam = self._family()
+        part = fam[3:9:2]
+        assert isinstance(part, PathFamily)
+        assert [p.points for p in part] == [p.points for p in list(fam)[3:9:2]]
+
+    def test_id_matrix_is_read_only(self):
+        fam = self._family()
+        with pytest.raises(ValueError):
+            fam.ids[0, 0] = 1
+
+    def test_rejects_a_non_matrix(self):
+        with pytest.raises(InvalidInputError):
+            PathFamily((0,), np.zeros(3, dtype=np.int32), 1)
 
 
 class TestStepBall:

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from coarseentropy.errors import InvalidInputError
+from coarseentropy.numbers import dist_to_jsonable
 from coarseentropy.paths import DeltaPath, OrbitSet, enumerate_orbits
 from coarseentropy.serialize import (
     SCHEMA_VERSION,
@@ -283,6 +284,54 @@ class TestOrbitJsonLines:
         truncated = "\n".join(lines[:-1]) + "\n"
         with pytest.raises(InvalidInputError, match="announces"):
             orbits_from_json_lines(truncated)
+
+
+def reference_json_lines(orbits):
+    """The orbit file rendered path by path, one json.dumps per path."""
+    header = {
+        "schema": SCHEMA_VERSION, "kind": "orbit-set", "x0": point_to_jsonable(orbits.x0),
+        "n": orbits.n, "delta": dist_to_jsonable(orbits.delta), "count": len(orbits.paths),
+        "exhaustive": orbits.exhaustive, "map_label": orbits.map_label,
+    }
+    lines = [json.dumps(header, sort_keys=True, ensure_ascii=False)]
+    for path in orbits.paths:
+        lines.append(json.dumps([point_to_jsonable(p) for p in path.points],
+                                sort_keys=True, ensure_ascii=False))
+    return "\n".join(lines) + "\n"
+
+
+def assert_matches_reference(orbits):
+    got, want = orbits_to_json_lines(orbits), reference_json_lines(orbits)
+    # compare as one bool: pytest's diff of two long texts can take minutes
+    same = got == want
+    assert same, next(((k, a, b) for k, (a, b) in enumerate(
+        zip(got.splitlines(), want.splitlines())) if a != b), "line counts differ")
+
+
+class TestOrbitJsonLinesBytes:
+    def test_int_points(self):
+        assert_matches_reference(enumerate_orbits(make_example("int_line"), 0, n=5, delta=2))
+
+    def test_tuple_points(self):
+        space = make_example("regular_tree")
+        assert_matches_reference(enumerate_orbits(space, space.basepoint, n=4, delta=1))
+
+    def test_fraction_token_points(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        paths = (DeltaPath((0, half, 1, Fraction(3, 2)), half),
+                 DeltaPath((0, third, (half, third), "x"), half),
+                 DeltaPath((0, 0, Fraction(4, 2), -half), half))
+        orbits = OrbitSet(paths, x0=0, n=3, delta=half)
+        assert_matches_reference(orbits)
+        assert '["1/2", "1/3"]' in orbits_to_json_lines(orbits)
+
+    def test_mixed_delta_family(self):
+        paths = (DeltaPath((0, 0), 1), DeltaPath((0, 3), 3), DeltaPath((0, -1), 1))
+        assert_matches_reference(OrbitSet(paths, x0=0, n=1, delta=3, exhaustive=False,
+                                          map_label="pseudo-orbit-of-map"))
+
+    def test_empty_family(self):
+        assert_matches_reference(OrbitSet((), x0=0, n=1, delta=1))
 
 
 class TestLoadEdgeList:

@@ -31,8 +31,7 @@ from .numbers import INF, Dist, as_dist, dist_to_jsonable, is_finite, parse_dist
 from .paths import (DeltaPath, OrbitSet, PathFamily, concat, delta_component,
                     enumerate_orbits, hop_metric, orbit_distance, pad_path, reverse,
                     step_ball, step_shells, validate_path, validate_pseudoorbit)
-from .serialize import (SCHEMA_VERSION, envelope, load_edge_list,
-                        orbits_from_json_lines, orbits_to_json_lines,
+from .serialize import (SCHEMA_VERSION, envelope, orbits_from_json_lines, orbits_to_json_lines,
                         point_from_jsonable, point_to_jsonable, to_csv, to_json,
                         write_report)
 from .spaces import (CATALOG_TAGS, BranchTree, CoarseUnion, FiniteMetricSpace, Graph,
@@ -80,5 +79,5 @@ __all__ = [
     # serialization
     "SCHEMA_VERSION", "envelope", "to_json", "to_csv", "write_report",
     "point_to_jsonable", "point_from_jsonable", "orbits_to_json_lines",
-    "orbits_from_json_lines", "load_edge_list",
+    "orbits_from_json_lines",
 ]

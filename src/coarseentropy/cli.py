@@ -40,8 +40,8 @@ from .errors import (BudgetExceededError, CapExceededError, CoarseEntropyError,
 from .geometry import bounded_geometry_evidence, quasi_geodesic_check
 from .numbers import dist_to_jsonable, parse_dist
 from .paths import enumerate_orbits
-from .serialize import envelope, load_edge_list, orbits_to_json_lines, write_report
-from .spaces.base import MetricSpace, build_graph, build_weighted_graph
+from .serialize import envelope, orbits_to_json_lines, write_report
+from .spaces.base import MetricSpace, build_graph, build_weighted_graph, load_edges_csv
 from .spaces.catalog import CATALOG_TAGS, make_example
 
 __all__ = ["main", "entry", "build_parser"]
@@ -171,12 +171,11 @@ def _resolve_space(args, prefix: str = "") -> Tuple[MetricSpace, Dict[str, Any]]
     if edges_path is not None:
         if params_text:
             raise UsageError(f"--{prefix}params only applies to catalog spaces")
-        edges, weighted = load_edge_list(edges_path)
+        edges, weighted = load_edges_csv(edges_path)
+        if not edges:
+            raise InvalidInputError(f"edge file {edges_path!r} contains no edges")
         name = os.path.basename(edges_path)
-        if weighted:
-            space = build_weighted_graph(edges, name=name)
-        else:
-            space = build_graph([(a, b) for a, b, _w in edges], name=name)
+        space = (build_weighted_graph if weighted else build_graph)(edges, name=name)
         return space, {"edges": name, "weighted": weighted}
     params: Dict[str, Any] = {}
     if params_text:

@@ -1,23 +1,23 @@
 """Exact and greedy solvers for packing (R-separated) and covering (R-dense).
 
-The solvers work on :class:`MetricItems`, an indexed finite family with a
-pairwise distance.  Exact solving happens below ``exact_limit`` (maximum
-independent set in the conflict graph for packing, minimum set cover over
-open R-balls for covering); above the limit deterministic greedy versions
-return certified one-sided bounds instead of silently pretending to be
-exact.  Tie-breaking everywhere: lowest index first.
+The solvers work on :class:`MetricItems`, an indexed finite family over a
+table of points.  Each scale R is compared once, in exact arithmetic, into
+a boolean table that every solver and verifier reads.  Exact solving
+happens below ``exact_limit`` (maximum independent set in the conflict
+graph for packing, minimum set cover over open R-balls for covering);
+above the limit deterministic greedy versions return certified one-sided
+bounds instead of silently pretending to be exact.  Tie-breaking
+everywhere: lowest index first.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import BudgetExceededError, InvalidInputError
 from .numbers import Dist
 from .paths import PathFamily, point_table
 from .spaces.base import MetricSpace, PointRef
@@ -34,36 +34,82 @@ __all__ = [
 ]
 
 
-class MetricItems:
-    """A finite indexed family of items with a cached pairwise distance.
+# largest point table a family may use: its distance table has this many
+# squared entries, and every boolean table per scale as many bytes
+POINT_LIMIT = 4096
 
-    When the item family embeds into a small point table with integer (or
-    float) distances, ``vectors``/``dmat`` hold a row-of-point-ids matrix
-    and the point-pair distance table; greedy passes then run vectorized.
-    Exact comparisons always go through the exact ``dist`` callable.
+
+def _distance_table(size: int, dist: Callable[[int, int], Dist]) -> np.ndarray:
+    """Symmetric object table of the exact distances ``dist(a, b)``, one
+    call per pair ``a < b``; zero on the diagonal."""
+    if size > POINT_LIMIT:
+        raise BudgetExceededError(
+            f"the family spans {size} points; its distance table is capped at "
+            f"{POINT_LIMIT} points")
+    table = np.zeros((size, size), dtype=object)
+    for a in range(size - 1):
+        row = [dist(a, b) for b in range(a + 1, size)]
+        table[a, a + 1:] = row
+        table[a + 1:, a] = row
+    return table
+
+
+class MetricItems:
+    """A finite indexed family of items over a table of points.
+
+    ``vectors`` is an ``(N, w)`` matrix of point ids: item i is the point
+    sequence ``vectors[i]``, and two items are as far apart as their
+    farthest aligned points (the orbit sup distance).  For the plain
+    constructor and :meth:`from_points`, w = 1 and the points are the
+    items.  ``dmat`` is the exact point-distance table (ints, Fractions or
+    floats), built on first use for plain families, and ``close(R)`` the
+    boolean table ``dmat < R - tol``, compared exactly once per scale.
+    Every packing, covering and verify query is a gather from it.
     """
 
-    def __init__(self, items: Sequence, dist_fn: Callable[[int, int], Dist], tol: float = 0.0,
-                 vectors: Optional[np.ndarray] = None, dmat: Optional[np.ndarray] = None):
+    def __init__(self, items: Sequence, dist_fn: Callable[[int, int], Dist], tol: float = 0.0):
         self.items = items if isinstance(items, PathFamily) else tuple(items)
+        self.tol = tol
+        self.vectors = np.arange(len(self.items)).reshape(-1, 1)
         self._dist_fn = dist_fn
         self._cache: Dict[Tuple[int, int], Dist] = {}
-        self.tol = tol
-        self.vectors = vectors
-        self.dmat = dmat
+        self._dmat: Optional[np.ndarray] = None
+        self._close: Dict[Dist, np.ndarray] = {}
 
     def __len__(self):
         return len(self.items)
 
-    def dist(self, i: int, j: int) -> Dist:
-        if i == j:
+    @property
+    def dmat(self) -> np.ndarray:
+        if self._dmat is None:
+            self._dmat = _distance_table(len(self.items), self._dist_fn)
+        return self._dmat
+
+    def _point_dist(self, a: int, b: int) -> Dist:
+        if a == b:
             return 0
-        key = (i, j) if i < j else (j, i)
+        if self._dmat is not None:
+            return self._dmat[a, b]
+        # plain family without its table yet (band cliques never build one)
+        key = (a, b) if a < b else (b, a)
         got = self._cache.get(key)
         if got is None:
             got = self._dist_fn(key[0], key[1])
             self._cache[key] = got
         return got
+
+    def dist(self, i: int, j: int) -> Dist:
+        if i == j:
+            return 0
+        return max(map(self._point_dist, self.vectors[i].tolist(), self.vectors[j].tolist()))
+
+    def close(self, R: Dist) -> np.ndarray:
+        """Boolean point table ``dmat < R - tol``, built once per scale."""
+        threshold = R - self.tol
+        table = self._close.get(threshold)
+        if table is None:
+            table = self._close[threshold] = np.less(self.dmat, threshold)
+        return table
 
     @classmethod
     def from_points(cls, points: Sequence[PointRef], space_or_fn, tol: Optional[float] = None):
@@ -78,51 +124,34 @@ class MetricItems:
         return cls(pts, lambda i, j: fn(pts[i], pts[j]), tol=tol)
 
     @classmethod
-    def from_orbits(cls, space: MetricSpace, orbits, point_limit: int = 4096):
+    def from_orbits(cls, space: MetricSpace, orbits):
         """Items are paths under the orbit (sup) distance.
 
         ``orbits`` is a :class:`PathFamily`, whose id matrix is used as it
         stands, or any sequence of DeltaPaths or point sequences, which is
-        indexed into a point table once.  The vectorized representation is
-        kept when the paths touch at most ``point_limit`` distinct points
-        and all point distances are exact in float64 (integers below 2**52,
-        or the float metric itself).
+        indexed into a point table once.  The point-distance table is built
+        here, one ``space.distance`` call per pair of points; a family
+        over more than ``POINT_LIMIT`` points raises
+        :class:`BudgetExceededError` before it is allocated.
         """
         support, ids = point_table(orbits)
         items = orbits if isinstance(orbits, PathFamily) else \
             tuple(tuple(support[k] for k in row) for row in ids.tolist())
-        rows: List[List[int]] = []
+        family = cls(items, None, tol=space.tol)
+        family.vectors = ids
+        family._dmat = _distance_table(
+            len(support), lambda a, b: space.distance(support[a], support[b]))
+        return family
 
-        def dist(i: int, j: int) -> Dist:
-            if not rows:
-                rows.extend(ids.tolist())
-            best: Dist = 0
-            for a, b in zip(rows[i], rows[j]):
-                d = space.distance(support[a], support[b])
-                if d > best:
-                    best = d
-            return best
 
-        vectors = dmat = None
-        if len(support) <= point_limit:
-            table = np.zeros((len(support), len(support)))
-            exact = True
-            for a_i, a in enumerate(support):
-                for b_i in range(a_i + 1, len(support)):
-                    d = space.distance(a, support[b_i])
-                    if isinstance(d, Fraction):
-                        exact = False
-                        break
-                    if isinstance(d, int) and abs(d) > 2 ** 52:
-                        exact = False
-                        break
-                    table[a_i, b_i] = table[b_i, a_i] = float(d)
-                if not exact:
-                    break
-            if exact:
-                vectors = ids
-                dmat = table
-        return cls(items, dist, tol=space.tol, vectors=vectors, dmat=dmat)
+def _close_pairs(items: MetricItems, close: np.ndarray, rows: np.ndarray, cols) -> np.ndarray:
+    """``out[r, c]``: items ``rows[r]`` and ``cols[c]`` are strictly within
+    R, that is, every aligned pair of their points is close."""
+    v = items.vectors
+    out = close[v[rows, 0][:, None], v[cols, 0]]
+    for k in range(1, v.shape[1]):
+        out &= close[v[rows, k][:, None], v[cols, k]]
+    return out
 
 
 @dataclass(frozen=True)
@@ -214,14 +243,7 @@ def _mis_bitset(n: int, conflict: List[int], node_budget: int = 20_000_000):
 
 
 def _conflict_masks(items: MetricItems, R: Dist) -> List[int]:
-    n = len(items)
-    conflict = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if items.dist(i, j) < R - items.tol:
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
-    return conflict
+    return [mask & ~(1 << i) for i, mask in enumerate(_cover_masks(items, R))]
 
 
 def max_separated(items: MetricItems, R: Dist, exact_limit: int = 40) -> ExtremalResult:
@@ -248,51 +270,41 @@ def max_separated(items: MetricItems, R: Dist, exact_limit: int = 40) -> Extrema
 
 
 def _greedy_separated(items: MetricItems, R: Dist) -> List[int]:
-    n = len(items)
-    if items.vectors is not None:
-        alive = np.ones(n, dtype=bool)
-        chosen: List[int] = []
-        threshold = float(R) - items.tol
-        while True:
-            rest = np.flatnonzero(alive)
-            if rest.size == 0:
-                break
-            pick = int(rest[0])
-            chosen.append(pick)
-            dists = items.dmat[items.vectors[rest], items.vectors[pick][None, :]].max(axis=1)
-            alive[rest] = dists >= threshold
-            alive[pick] = False
-        return chosen
-    chosen = []
-    for i in range(n):
-        if all(items.dist(i, j) >= R - items.tol for j in chosen):
-            chosen.append(i)
+    close, v = items.close(R), items.vectors
+    alive = np.ones(len(items), dtype=bool)
+    chosen: List[int] = []
+    while True:
+        rest = np.flatnonzero(alive)
+        if rest.size == 0:
+            break
+        pick = int(rest[0])
+        chosen.append(pick)
+        alive[rest] = ~close[v[rest], v[pick]].all(axis=1)
+        alive[pick] = False
     return chosen
 
 
 def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int],
                      pair_cap: int = 4_000_000) -> None:
-    """Independent pairwise check of an R-separated selection (raises)."""
-    sel = list(selected)
-    if items.vectors is not None and len(sel) > 1:
-        rows = items.vectors[np.array(sel)]
-        threshold = float(R) - items.tol
-        width = max(1, rows.shape[1])
-        block = max(1, pair_cap // max(1, len(sel) * width))
-        for lo in range(0, len(sel), block):
-            part = rows[lo:lo + block]
-            dists = items.dmat[part[:, None, :], rows[None, :, :]].max(axis=2)
-            np.fill_diagonal(dists[:, lo:lo + part.shape[0]], np.inf)
-            if dists.min() < threshold:
-                raise InvalidInputError("separation check failed on the returned set")
+    """Independent pairwise check of an R-separated selection (raises).
+
+    Every pair is checked; ``pair_cap`` only bounds how many pairs one
+    block of the check holds in memory.
+    """
+    sel = np.asarray(selected, dtype=np.int64)
+    if sel.size < 2:
         return
-    if len(sel) * len(sel) > pair_cap:
-        sel = sel[: int(math.isqrt(pair_cap))]
-    for a_i, i in enumerate(sel):
-        for j in sel[a_i + 1:]:
-            if not items.dist(i, j) >= R - items.tol:
-                raise InvalidInputError(
-                    f"separation check failed: items {i} and {j} at distance {items.dist(i, j)}")
+    close = items.close(R)
+    block = max(1, pair_cap // sel.size)
+    for lo in range(0, sel.size, block):
+        part = sel[lo:lo + block]
+        hit = _close_pairs(items, close, part, sel)
+        hit[np.arange(part.size), np.arange(lo, lo + part.size)] = False
+        if hit.any():
+            r, c = np.argwhere(hit)[0]
+            i, j = int(part[r]), int(sel[c])
+            raise InvalidInputError(
+                f"separation check failed: items {i} and {j} at distance {items.dist(i, j)}")
 
 
 # ---------------------------------------------------------------------------
@@ -300,24 +312,15 @@ def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int],
 
 
 def _cover_masks(items: MetricItems, R: Dist) -> List[int]:
+    """Bitmask of the items strictly within R of each item."""
     n = len(items)
-    cov = [0] * n
-    if items.vectors is not None:
-        threshold = float(R) - items.tol
-        rows = items.vectors
-        for i in range(n):
-            dists = items.dmat[rows, rows[i][None, :]].max(axis=1)
-            mask = 0
-            for j in np.flatnonzero(dists < threshold):
-                mask |= 1 << int(j)
-            cov[i] = mask
-        return cov
-    for i in range(n):
-        mask = 1 << i
-        for j in range(n):
-            if j != i and items.dist(i, j) < R - items.tol:
-                mask |= 1 << j
-        cov[i] = mask
+    close = items.close(R)
+    block = max(1, 4_000_000 // n)  # rows gathered at a time: about 4M booleans
+    cov: List[int] = []
+    for lo in range(0, n, block):
+        rows = _close_pairs(items, close, np.arange(lo, min(n, lo + block)), slice(None))
+        bits = np.packbits(rows, axis=1, bitorder="little")
+        cov.extend(int.from_bytes(row.tobytes(), "little") for row in bits)
     return cov
 
 
@@ -401,30 +404,18 @@ def _greedy_net_cover(items: MetricItems, R: Dist) -> Tuple[List[int], List[int]
     covers an item is the lowest-index one covering it; that is the item's
     entry in the returned assignment.
     """
-    n = len(items)
-    threshold_lt = float(R) - items.tol
-    if items.vectors is not None:
-        assignment = np.full(n, -1, dtype=np.int64)
-        chosen: List[int] = []
-        while True:
-            rest = np.flatnonzero(assignment < 0)
-            if rest.size == 0:
-                break
-            pick = int(rest[0])
-            chosen.append(pick)
-            dists = items.dmat[items.vectors[rest], items.vectors[pick][None, :]].max(axis=1)
-            assignment[rest[dists < threshold_lt]] = pick
-            assignment[pick] = pick
-        return chosen, assignment.tolist()
-    assigned = [-1] * n
-    chosen = []
-    for i in range(n):
-        if assigned[i] < 0:
-            chosen.append(i)
-            for j in range(i, n):
-                if assigned[j] < 0 and items.dist(i, j) < R - items.tol:
-                    assigned[j] = i
-    return chosen, assigned
+    close, v = items.close(R), items.vectors
+    assignment = np.full(len(items), -1, dtype=np.int64)
+    chosen: List[int] = []
+    while True:
+        rest = np.flatnonzero(assignment < 0)
+        if rest.size == 0:
+            break
+        pick = int(rest[0])
+        chosen.append(pick)
+        assignment[rest[close[v[rest], v[pick]].all(axis=1)]] = pick
+        assignment[pick] = pick
+    return chosen, assignment.tolist()
 
 
 def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25,
@@ -448,7 +439,7 @@ def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25,
         sel, nodes = _exact_cover(n, cov)
         assignment = _mask_assignment(n, cov, sel)
         result = ExtremalResult("dense", R, len(sel), tuple(sel), "exact", {"nodes": nodes})
-    elif n <= greedy_limit and (items.vectors is not None or n <= 400):
+    elif n <= greedy_limit:
         cov = _cover_masks(items, R)
         sel = sorted(_greedy_cover_masks(n, cov))
         assignment = _mask_assignment(n, cov, sel)
@@ -468,10 +459,10 @@ def verify_dense(items: MetricItems, R: Dist, selected: Sequence[int],
     """Independent check that the selection is R-dense (raises on failure).
 
     With an ``assignment`` (item i's center is ``assignment[i]``), the
-    check is complete and costs one distance per item: every assigned
-    center must be selected and each item strictly within R of it.
-    Without one, every item is compared with every center (the scalar
-    check spot-checks a prefix past ``work_cap`` comparisons).
+    check costs one comparison per item: every assigned center must be
+    selected and each item strictly within R of it.  Without one, every
+    item is compared with every center.  Both checks are complete;
+    ``work_cap`` only bounds how many comparisons one block holds in memory.
     """
     sel = list(selected)
     n = len(items)
@@ -482,23 +473,14 @@ def verify_dense(items: MetricItems, R: Dist, selected: Sequence[int],
     if assignment is not None:
         _verify_assignment(items, R, sel, assignment)
         return
-    if items.vectors is not None:
-        threshold = float(R) - items.tol
-        centers = items.vectors[np.array(sel)]
-        width = max(1, centers.shape[1])
-        block = max(1, work_cap // max(1, len(sel) * width))
-        for lo in range(0, n, block):
-            rows = items.vectors[lo:lo + block]
-            dists = items.dmat[rows[:, None, :], centers[None, :, :]].max(axis=2)
-            if dists.min(axis=1).max() >= threshold:
-                raise InvalidInputError("covering check failed on the returned set")
-        return
-    if n * len(sel) > work_cap:
-        # construction already guarantees covering; spot-check a prefix
-        n = work_cap // len(sel)
-    for i in range(n):
-        if not any(items.dist(i, c) < R - items.tol for c in sel):
-            raise InvalidInputError(f"covering check failed: item {i} is not within {R} of the cover")
+    close = items.close(R)
+    centers = np.asarray(sel, dtype=np.int64)
+    block = max(1, work_cap // len(sel))
+    for lo in range(0, n, block):
+        covered = _close_pairs(items, close, np.arange(lo, min(n, lo + block)), centers).any(axis=1)
+        if not covered.all():
+            raise InvalidInputError(f"covering check failed: item {lo + int(np.argmin(covered))} "
+                                    f"is not within {R} of the cover")
 
 
 def _verify_assignment(items: MetricItems, R: Dist, sel: List[int],
@@ -513,23 +495,13 @@ def _verify_assignment(items: MetricItems, R: Dist, sel: List[int],
         raise InvalidInputError(
             f"covering check failed: item {stray} is assigned to {assignment[stray]}, "
             f"which is not in the cover")
-    if items.vectors is not None:
-        rows = items.vectors
-        centers = rows[np.asarray(assignment, dtype=np.int64)]
-        worst = np.zeros(n)
-        for k in range(rows.shape[1]):
-            np.maximum(worst, items.dmat[rows[:, k], centers[:, k]], out=worst)
-        far = np.flatnonzero(worst >= float(R) - items.tol)
-        if far.size:
-            i = int(far[0])
-            raise InvalidInputError(
-                f"covering check failed: item {i} is not within {R} of its center "
-                f"{assignment[i]}")
-        return
-    for i, c in enumerate(assignment):
-        if not items.dist(i, c) < R - items.tol:
-            raise InvalidInputError(
-                f"covering check failed: item {i} is not within {R} of its center {c}")
+    v = items.vectors
+    centers = v[np.asarray(assignment, dtype=np.int64)]
+    far = np.flatnonzero(~items.close(R)[v, centers].all(axis=1))
+    if far.size:
+        i = int(far[0])
+        raise InvalidInputError(
+            f"covering check failed: item {i} is not within {R} of its center {assignment[i]}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import InvalidInputError
-from .numbers import Dist, dist_to_jsonable, parse_dist
+from .numbers import dist_to_jsonable, parse_dist
 from .paths import DeltaPath, OrbitSet, point_table
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "point_from_jsonable",
     "orbits_to_json_lines",
     "orbits_from_json_lines",
-    "load_edge_list",
 ]
 
 SCHEMA_VERSION = "v1"
@@ -217,25 +216,3 @@ def orbits_from_json_lines(text: str) -> OrbitSet:
                     n=int(header["n"]), delta=delta,
                     exhaustive=bool(header.get("exhaustive", False)),
                     map_label=str(header.get("map_label", "identity")))
-
-
-# ---------------------------------------------------------------------------
-# edge-list ingestion
-
-
-def load_edge_list(path: str) -> Tuple[List[Tuple[Any, Any, Dist]], bool]:
-    """Read a CSV edge list with header ``src,dst[,weight]``.
-
-    Thin normalization over :func:`coarseentropy.spaces.base.load_edges_csv`:
-    every edge comes back as a ``(src, dst, weight)`` triple (weight 1 for
-    unweighted files) plus a flag recording whether the file declared a
-    weight column.
-    """
-    from .spaces.base import load_edges_csv
-
-    edges, weighted = load_edges_csv(path)
-    if not edges:
-        raise InvalidInputError(f"edge file {path!r} contains no edges")
-    if weighted:
-        return [tuple(e) for e in edges], True
-    return [(a, b, 1) for a, b in edges], False

@@ -402,6 +402,17 @@ class TestSpaceResolution:
         assert code == 1
         assert err.startswith("io error:")
 
+    def test_family_over_the_point_budget_is_a_budget_error(self, tmp_path, capsys):
+        # n = 1 from the hub of a star with 4,097 leaves: 4,098 paths over
+        # 4,098 points, more than the 4,096-point distance table holds
+        path = tmp_path / "star.csv"
+        path.write_text("src,dst\n" + "".join(f"0,{leaf}\n" for leaf in range(1, 4098)),
+                        encoding="utf-8")
+        code, out, err = run(["rates", "--edges", str(path), "--n", "1", "--radius", "2"],
+                             capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("budget exceeded:") and "4098 points" in err
+
 
 class TestOutputPlumbing:
     def test_reports_byte_identical_across_runs(self, capsys):

@@ -3,15 +3,19 @@ plus the combinatorial identities that relate them."""
 
 import hashlib
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarseentropy import (
+    BudgetExceededError,
     IntLine,
     InvalidInputError,
     MetricItems,
+    build_graph,
+    build_weighted_graph,
     cycle_graph,
     enumerate_orbits,
     greedy_net,
@@ -24,6 +28,7 @@ from coarseentropy import (
     verify_separated,
 )
 from coarseentropy import extremal
+from coarseentropy.extremal import POINT_LIMIT
 
 from conftest import (
     brute_max_band_clique,
@@ -151,39 +156,86 @@ class TestVerifiers:
         with pytest.raises(InvalidInputError):
             verify_dense(items, 2, ())
 
-    def test_vectorized_and_scalar_verifiers_agree(self):
+    @pytest.mark.parametrize("form", ["orbits", "raw"])
+    def test_verifiers_agree_with_orbit_distance(self, rng, form):
         sp = IntLine(max_abs=50)
-        orbits = enumerate_orbits(sp, 0, 3, 1)
-        items = MetricItems.from_orbits(sp, orbits.paths)
-        assert items.vectors is not None
-        res = max_separated(items, 3)
-        verify_separated(items, 3, res.selected)  # vectorized path
-        plain = MetricItems(list(range(len(items))),
-                            lambda i, j: items.dist(i, j))
-        verify_separated(plain, 3, res.selected)  # scalar path
-        dense = min_dense(items, 3)
-        verify_dense(items, 3, dense.selected)
-        verify_dense(plain, 3, dense.selected)
+        paths = enumerate_orbits(sp, 0, 3, 1).paths
+        d = [[orbit_distance(p, q, sp) for q in paths] for p in paths]
+        items = MetricItems.from_orbits(sp, paths) if form == "orbits" else items_from_matrix(d)
+        n = len(paths)
+        seen = set()
+        for trial in range(80):
+            R = rng.randint(1, 4)
+            sel = sorted(rng.sample(range(n), rng.randint(1, 6)))
+            separated = all(d[i][j] >= R for k, i in enumerate(sel) for j in sel[k + 1:])
+            dense = all(any(d[i][c] < R for c in sel) for i in range(n))
+            assert accepts(verify_separated, items, R, sel) == separated
+            assert accepts(verify_dense, items, R, sel) == dense
+            seen.add((separated, dense))
+        assert len(seen) >= 3
+        for R in (1, 2, 3, 4):
+            assert accepts(verify_separated, items, R, max_separated(items, R).selected)
+            assert accepts(verify_dense, items, R, min_dense(items, R).selected)
+
+    def test_verify_separated_checks_past_the_pair_cap(self):
+        # items 0..9 pairwise at 5, except 8 and 9 at 1: far beyond the
+        # isqrt(pair_cap) = 4 first items of the selection
+        mat = [[0 if i == j else 5 for j in range(10)] for i in range(10)]
+        mat[8][9] = mat[9][8] = 1
+        items = items_from_matrix(mat)
+        verify_separated(items, 2, range(9), pair_cap=16)
+        for cap in (16, 1, 4_000_000):
+            with pytest.raises(InvalidInputError, match="items 8 and 9 at distance 1"):
+                verify_separated(items, 2, range(10), pair_cap=cap)
+
+    def test_verify_dense_checks_past_the_work_cap(self):
+        # item 9 is the only one outside the ball of center 0, beyond the
+        # work_cap // |selection| = 5 first items
+        mat = [[0 if i == j else 1 for j in range(10)] for i in range(10)]
+        for i in range(9):
+            mat[i][9] = mat[9][i] = 3
+        items = items_from_matrix(mat)
+        verify_dense(items, 2, (0, 9), work_cap=10)
+        for cap in (5, 1, 8_000_000):
+            with pytest.raises(InvalidInputError, match="item 9 is not within 2 of the cover"):
+                verify_dense(items, 2, (0,), work_cap=cap)
+
+
+def accepts(verify, items, R, selected):
+    try:
+        verify(items, R, selected)
+    except InvalidInputError:
+        return False
+    return True
+
+
+# a 20-cycle with Fraction weights in (1/2, 1]: at delta = 1 the successors
+# of a vertex are itself and its two neighbours, so n steps give 3^n paths
+CYCLE_WEIGHTS = [Fraction(51 + 37 * v % 50, 100) for v in range(20)]
+
+
+def weighted_cycle():
+    return build_weighted_graph([(v, (v + 1) % 20, w) for v, w in enumerate(CYCLE_WEIGHTS)])
 
 
 def orbit_items(name, n):
-    sp = make_example(name)
+    sp = weighted_cycle() if name == "weighted_cycle" else make_example(name)
     return MetricItems.from_orbits(sp, enumerate_orbits(sp, sp.basepoint, n, 1).paths)
 
 
-def scalar_twin(items):
+def raw_copy(items):
+    """The same family through the plain constructor: one point per item."""
     return MetricItems(list(range(len(items))), lambda i, j: items.dist(i, j))
 
 
 class TestCoverCertificates:
     """verify_dense with an assignment: one center per item, all checked."""
 
-    @pytest.fixture(params=["vectorized", "scalar"])
+    @pytest.fixture(params=["orbits", "raw"])
     def cover(self, request):
         items = orbit_items("int_line", 4)
-        assert items.vectors is not None
-        if request.param == "scalar":
-            items = scalar_twin(items)
+        if request.param == "raw":
+            items = raw_copy(items)
         res = min_dense(items, 3)
         assignment = [min(c for c in res.selected if items.dist(i, c) < 3)
                       for i in range(len(items))]
@@ -219,20 +271,22 @@ class TestCoverCertificates:
             with pytest.raises(InvalidInputError, match="entries for"):
                 verify_dense(items, 3, sel, bad)
 
-    @pytest.mark.parametrize("name, n, R, strategy", [
-        ("int_line", 2, 3, "nodes"),
-        ("int_line", 4, 3, "strategy_max_coverage"),
-        ("int_line", 4, 2, "strategy_max_coverage"),
-        ("int_line", 7, 4, "strategy_first_uncovered"),
-        ("regular_tree", 2, 2, "nodes"),
-        ("regular_tree", 4, 2, "strategy_max_coverage"),
-    ])
-    @pytest.mark.parametrize("form", ["vectorized", "scalar"])
+    @pytest.mark.parametrize("name, n, R, strategy, form", [
+        case + (form,) for form in ("orbits", "raw") for case in [
+            ("int_line", 2, 3, "nodes"),
+            ("int_line", 4, 3, "strategy_max_coverage"),
+            ("int_line", 4, 2, "strategy_max_coverage"),
+            ("int_line", 7, 4, "strategy_first_uncovered"),
+            ("regular_tree", 2, 2, "nodes"),
+            ("regular_tree", 4, 2, "strategy_max_coverage"),
+        ]
+        # a plain table over 2,187 items costs about 2.4M distance calls
+        if (form, case[1]) != ("raw", 7)])
     def test_solvers_assign_the_lowest_index_covering_center(self, monkeypatch, name, n, R,
                                                              strategy, form):
         items = orbit_items(name, n)
-        if form == "scalar":
-            items = scalar_twin(items)
+        if form == "raw":
+            items = raw_copy(items)
         seen = []
         real = extremal.verify_dense
 
@@ -241,9 +295,7 @@ class TestCoverCertificates:
             return real(items_, R_, selected, assignment)
 
         monkeypatch.setattr(extremal, "verify_dense", spy)
-        greedy_limit = 1500 if form == "vectorized" else 400
-        if strategy == "strategy_first_uncovered":
-            greedy_limit = 0
+        greedy_limit = 0 if strategy == "strategy_first_uncovered" else 1500
         res = min_dense(items, R, greedy_limit=greedy_limit)
         assert strategy in res.stats
         assert seen == [[min(c for c in res.selected if items.dist(i, c) < R)
@@ -280,7 +332,40 @@ PINNED_SELECTIONS = [
 ]
 
 
-@pytest.mark.parametrize("name, n, R, solver, size, certificate, digest", PINNED_SELECTIONS)
+# families with Fraction or float distances: the same pins for a Fraction
+# weighted cycle and for log_line (tolerance 1e-9)
+PINNED_EXACT_DISTANCES = [
+    ("weighted_cycle", 3, Fraction(3, 2), "max_separated", 4, "exact",
+     "0294893e2f4e650c6d8bbc39c7a1c3acea57669b5efa30c53c4bef5d98bb9db8"),
+    ("weighted_cycle", 3, Fraction(3, 2), "min_dense", 3, "upper-bound",
+     "8871664c43ff1ea48a137ceafb7d02c6c983bdc3b0899cb430972e597b2f441c"),
+    ("weighted_cycle", 3, 3, "max_separated", 2, "exact",
+     "95cc81f7f0a8752cc11a2a02899e2761b6d07497a1dfe26aacd15d3374a580e6"),
+    ("weighted_cycle", 5, Fraction(3, 2), "max_separated", 7, "lower-bound",
+     "201086c54e7d42bc9943284f6a0c8474a5daa2ed12aa3357a1c276de264f3599"),
+    ("weighted_cycle", 5, Fraction(3, 2), "min_dense", 4, "upper-bound",
+     "c344a26439b8a824e315ac2244da753d0a1bb54ecda7ccad3d43806a15807474"),
+    ("weighted_cycle", 5, 3, "max_separated", 3, "lower-bound",
+     "17b309c35a3435f4e9a5b26e5c80e36ff02eac07bdf3a88dd839d727a56d4dc3"),
+    ("weighted_cycle", 7, Fraction(3, 2), "max_separated", 22, "lower-bound",
+     "d73d6fba99287cf6060c8a64e4a9ab3f53662ef1f3d50df3d534d5733f270bf3"),
+    ("weighted_cycle", 7, Fraction(3, 2), "min_dense", 22, "upper-bound",
+     "d73d6fba99287cf6060c8a64e4a9ab3f53662ef1f3d50df3d534d5733f270bf3"),
+    ("weighted_cycle", 7, 3, "max_separated", 3, "lower-bound",
+     "17b309c35a3435f4e9a5b26e5c80e36ff02eac07bdf3a88dd839d727a56d4dc3"),
+    ("log_line", 3, 2, "max_separated", 3, "exact",
+     "087f4810da8c3be0a964a3de990aed8ed615d513104d94a5aee688f2cdd5ee64"),
+    ("log_line", 3, 2, "min_dense", 3, "upper-bound",
+     "365f46432eb51385f5876c69e3eb51fa067342017e3d112f0becfca72625959b"),
+    ("log_line", 4, 2, "max_separated", 4, "lower-bound",
+     "62f1a14917c8dbf02cee0e5b6e2ee0f37b4e30e6ea647d49f47e115792ff89f4"),
+    ("log_line", 4, 2, "min_dense", 3, "upper-bound",
+     "b80d23ebb89b8b51267388c5af87c665d514c03ac57b04bb7c15b77c088679d4"),
+]
+
+
+@pytest.mark.parametrize("name, n, R, solver, size, certificate, digest",
+                         PINNED_SELECTIONS + PINNED_EXACT_DISTANCES)
 def test_pinned_selections(name, n, R, solver, size, certificate, digest):
     solve = {"min_dense": min_dense, "max_separated": max_separated}[solver]
     res = solve(orbit_items(name, n), R)
@@ -298,15 +383,72 @@ class TestFromOrbits:
                 assert items.dist(i, j) == orbit_distance(
                     orbits.paths[i], orbits.paths[j], sp)
 
-    def test_vectorized_counts_match_scalar_counts(self):
-        sp = IntLine(max_abs=50)
-        orbits = enumerate_orbits(sp, 0, 3, 1)
-        fast = MetricItems.from_orbits(sp, orbits.paths)
-        slow = MetricItems.from_orbits(sp, orbits.paths, point_limit=0)
-        assert fast.vectors is not None and slow.vectors is None
-        for R in (1, 2, 4):
-            assert max_separated(fast, R).size == max_separated(slow, R).size
-            assert min_dense(fast, R).size == min_dense(slow, R).size
+    @pytest.mark.parametrize("name, radii", [
+        ("int_line", (1, 2, 3, 4)),
+        ("weighted_cycle", (1, Fraction(3, 2), 2, 3)),
+    ])
+    def test_counts_match_orbit_distance_brute_force(self, name, radii):
+        sp = weighted_cycle() if name == "weighted_cycle" else make_example(name)
+        paths = enumerate_orbits(sp, sp.basepoint, 2, 1).paths
+        items = MetricItems.from_orbits(sp, paths)
+
+        def dist(i, j):
+            return orbit_distance(paths[i], paths[j], sp)
+
+        for R in radii:
+            assert max_separated(items, R).size == brute_max_separated(len(paths), dist, R)
+            assert min_dense(items, R).size == brute_min_dense(len(paths), dist, R)
+
+    def test_table_has_one_distance_call_per_point_pair(self, monkeypatch):
+        sp = weighted_cycle()
+        paths = enumerate_orbits(sp, 0, 3, 1).paths
+        calls = []
+        real = type(sp).distance
+        monkeypatch.setattr(type(sp), "distance",
+                            lambda self, a, b: calls.append((a, b)) or real(self, a, b))
+        items = MetricItems.from_orbits(sp, paths)
+        points = items.dmat.shape[0]
+        assert points == len(paths.support) == 7
+        assert len(calls) == points * (points - 1) // 2
+        assert all(isinstance(d, (int, Fraction)) for d in items.dmat.flat)
+        max_separated(items, Fraction(3, 2))
+        min_dense(items, Fraction(3, 2))
+        assert len(calls) == points * (points - 1) // 2
+
+    def test_point_table_over_the_budget_raises(self, monkeypatch):
+        star = build_graph([(0, leaf) for leaf in range(1, POINT_LIMIT + 2)])
+        paths = enumerate_orbits(star, 0, 1, 1).paths
+        assert len(paths.support) == POINT_LIMIT + 2
+        with pytest.raises(BudgetExceededError, match=f"capped at {POINT_LIMIT} points"):
+            MetricItems.from_orbits(star, paths)
+        # the budget is inclusive, for orbit families and plain ones alike
+        monkeypatch.setattr(extremal, "POINT_LIMIT", 8)
+        for leaves, fits in ((7, True), (8, False)):
+            small = build_graph([(0, leaf) for leaf in range(1, leaves + 1)])
+            plain = MetricItems.from_points(list(small.points), small)
+            if fits:
+                assert MetricItems.from_orbits(small, enumerate_orbits(small, 0, 1, 1).paths) \
+                    .dmat.shape == plain.dmat.shape == (8, 8)
+                continue
+            with pytest.raises(BudgetExceededError):
+                MetricItems.from_orbits(small, enumerate_orbits(small, 0, 1, 1).paths)
+            assert plain.dist(0, 1) == 1  # a band-clique query needs no table
+            with pytest.raises(BudgetExceededError):
+                max_separated(plain, 2)
+
+    def test_fraction_family_gets_the_max_coverage_greedy(self):
+        # 729 paths: above 400 the parent sent Fraction families to a
+        # first-uncovered pass; now every family up to greedy_limit is
+        # solved by max coverage
+        sp = weighted_cycle()
+        paths = enumerate_orbits(sp, 0, 6, 1).paths
+        R = Fraction(3, 2)
+        res = min_dense(MetricItems.from_orbits(sp, paths), R)
+        assert len(paths) == 729
+        assert res.certificate == "upper-bound" and "strategy_max_coverage" in res.stats
+        centers = [paths[c] for c in res.selected]
+        for p in paths:
+            assert any(orbit_distance(p, c, sp) < R for c in centers)
 
     def test_rejects_ragged_or_empty_families(self):
         sp = IntLine(max_abs=10)

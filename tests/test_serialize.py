@@ -12,13 +12,13 @@ from fractions import Fraction
 
 import pytest
 
+from coarseentropy import cli
 from coarseentropy.errors import InvalidInputError
 from coarseentropy.numbers import dist_to_jsonable
 from coarseentropy.paths import DeltaPath, OrbitSet, enumerate_orbits
 from coarseentropy.serialize import (
     SCHEMA_VERSION,
     envelope,
-    load_edge_list,
     orbits_from_json_lines,
     orbits_to_json_lines,
     point_from_jsonable,
@@ -27,7 +27,7 @@ from coarseentropy.serialize import (
     to_json,
     write_report,
 )
-from coarseentropy.spaces import make_example
+from coarseentropy.spaces import load_edges_csv, make_example
 
 
 class TestEnvelope:
@@ -334,23 +334,25 @@ class TestOrbitJsonLinesBytes:
         assert_matches_reference(OrbitSet((), x0=0, n=1, delta=1))
 
 
-class TestLoadEdgeList:
-    def test_unweighted_gets_weight_one(self, tmp_path):
+class TestEdgeFiles:
+    """The CSV edge lists the CLI reads with ``--edges``."""
+
+    def test_unweighted_file_gives_pairs(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("src,dst\n0,1\n1,2\n", encoding="utf-8")
-        edges, weighted = load_edge_list(str(path))
+        edges, weighted = load_edges_csv(str(path))
         assert weighted is False
-        assert edges == [(0, 1, 1), (1, 2, 1)]
+        assert edges == [(0, 1), (1, 2)]
 
     def test_weighted_rational_weights_exact(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("src,dst,weight\na,b,1/2\nb,c,0.25\n", encoding="utf-8")
-        edges, weighted = load_edge_list(str(path))
+        edges, weighted = load_edges_csv(str(path))
         assert weighted is True
         assert edges == [("a", "b", Fraction(1, 2)), ("b", "c", Fraction(1, 4))]
 
-    def test_header_only_file_rejected(self, tmp_path):
+    def test_header_only_file_rejected_by_the_cli(self, tmp_path, capsys):
         path = tmp_path / "edges.csv"
         path.write_text("src,dst\n", encoding="utf-8")
-        with pytest.raises(InvalidInputError, match="no edges"):
-            load_edge_list(str(path))
+        assert cli.main(["growth", "--edges", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: edge file {str(path)!r} contains no edges\n"

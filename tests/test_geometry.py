@@ -7,6 +7,7 @@ import pytest
 
 from coarseentropy import (
     BranchTree,
+    BudgetExceededError,
     IntLine,
     InvalidInputError,
     LogLine,
@@ -16,6 +17,7 @@ from coarseentropy import (
     cycle_graph,
     default_sample_pairs,
     net_retraction,
+    path_graph,
     quasi_geodesic_check,
     rips_graph,
 )
@@ -95,6 +97,15 @@ class TestQuasiGeodesicCheck:
         rep = quasi_geodesic_check(g, 1, sample_pairs=[(0, 5), (0, 3)])
         assert rep["verdict"] == "consistent"
         assert all(row["method"] == "bfs" for row in rep["pairs"])
+
+    def test_node_cap_bounds_the_search(self):
+        # from 0 towards 5 the search has visited 0..4 when it reaches 5
+        g = path_graph(12)
+        with pytest.raises(BudgetExceededError, match="hop search exceeded 4 visited points"):
+            quasi_geodesic_check(g, 1, sample_pairs=[(0, 5)], node_cap=4)
+        rep = quasi_geodesic_check(g, 1, sample_pairs=[(0, 5)], node_cap=5)
+        assert rep["pairs"][0]["hops"] == 5
+        assert rep["pairs"][0]["method"] == "bfs"
 
     def test_weighted_shortcut_failure(self):
         # two half-weight edges: distance 1 but no single half-step crosses

@@ -1,0 +1,118 @@
+"""Golden reports: every CLI command, run in-process on a small config,
+prints exactly the bytes committed under ``tests/golden/``.
+
+A refactor proves itself byte-identical against this corpus.  After a
+deliberate report change, regenerate it with
+``PYTHONPATH=src python tests/test_golden.py`` and review every file that
+moved.
+"""
+
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from coarseentropy import cli
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden"
+DATA = HERE / "data"
+
+# replaced by a file in a scratch directory; its basename enters the report
+PATHS_OUT = "paths.jsonl"
+SMALL_TREE_LINE = '{"max_tree": 4, "schedule": "2^n"}'
+CYCLE = str(DATA / "cycle20_fraction.csv")  # weights (51 + 37 v mod 50) / 100
+PATH41 = str(DATA / "path41.csv")
+
+# golden file name -> argv; the extension follows --format
+CASES = {
+    "growth_int_line.json": ["growth", "--space", "int_line", "--window", "8"],
+    "growth_branch_tree_measured.csv": [
+        "growth", "--space", "branch_tree", "--params", '{"max_depth": 6, "measured": true}',
+        "--window", "5", "--format", "csv"],
+    "orbits_int_line.json": ["orbits", "--space", "int_line", "--n", "5",
+                             "--paths-out", PATHS_OUT],
+    "rates_int_line_separated.json": ["rates", "--space", "int_line", "--n", "0,3,6",
+                                      "--radius", "4"],
+    "rates_int_line_dense.json": ["rates", "--space", "int_line", "--n", "0,3,6",
+                                  "--radius", "4", "--mode", "dense"],
+    "rates_regular_tree.json": ["rates", "--space", "regular_tree", "--n", "0,2,4",
+                                "--radius", "2"],
+    "rates_log_line.json": ["rates", "--space", "log_line", "--n", "0,3,4", "--radius", "2"],
+    "rates_cycle20_fraction.csv": ["rates", "--edges", CYCLE, "--n", "0,2,3,5",
+                                   "--radius", "3/2", "--format", "csv"],
+    "witness_tree_line_small.json": ["witness", "--space", "tree_line", "--params",
+                                     SMALL_TREE_LINE, "--delta", "1", "--radius", "2",
+                                     "--p", "2"],
+    "witness_tree_line_p4.json": ["witness", "--space", "tree_line", "--p", "4"],
+    "classify_int_line.json": ["classify", "--space", "int_line"],
+    "classify_tree_line.json": ["classify", "--space", "tree_line"],
+    "classify_prime_cycle.json": ["classify", "--space", "prime_cycle",
+                                  "--params", '{"max_line": 64}'],
+    "classify_log_line.json": ["classify", "--space", "log_line"],
+    "qgcheck_log_line.json": ["qgcheck", "--space", "log_line"],
+    "qgcheck_int_line.csv": ["qgcheck", "--space", "int_line", "--format", "csv"],
+    # a plain graph has no closed-form hop count, so every pair is searched
+    "qgcheck_path41.json": ["qgcheck", "--edges", PATH41],
+    "bgcheck_branch_tree.json": ["bgcheck", "--space", "branch_tree",
+                                 "--params", '{"max_depth": 8}'],
+    "bgcheck_int_line.json": ["bgcheck", "--space", "int_line", "--delta", "2",
+                              "--radius", "4"],
+    "obstruct_tree_line_prime_cycle.json": ["obstruct", "--space", "tree_line",
+                                            "--target-space", "prime_cycle"],
+}
+
+
+def run_case(argv, workdir: Path):
+    """(exit code, stdout, stderr, --paths-out text or None) of one argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([str(workdir / a) if a == PATHS_OUT else a for a in argv])
+    paths_text = read(workdir / PATHS_OUT) if PATHS_OUT in argv and code == 0 else None
+    return code, out.getvalue(), err.getvalue(), paths_text
+
+
+def read(path: Path) -> str:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def write(path: Path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def paths_golden(name: str) -> Path:
+    return GOLDEN / (name.rsplit(".", 1)[0] + ".paths.jsonl")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, tmp_path):
+    code, out, err, paths_text = run_case(CASES[name], tmp_path)
+    assert (code, err) == (0, "")
+    assert out == read(GOLDEN / name)
+    if PATHS_OUT in CASES[name]:
+        assert paths_text == read(paths_golden(name))
+
+
+def test_every_golden_file_has_a_case():
+    expected = set(CASES) | {paths_golden(n).name for n, argv in CASES.items()
+                             if PATHS_OUT in argv}
+    assert {p.name for p in GOLDEN.iterdir()} == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out, err, paths_text = run_case(argv, Path(tmp))
+        if code != 0 or err:
+            sys.exit(f"{name}: exit {code}: {err}")
+        write(GOLDEN / name, out)
+        if paths_text is not None:
+            write(paths_golden(name), paths_text)
+        print(name)

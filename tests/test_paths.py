@@ -18,6 +18,7 @@ from coarseentropy import (
     InvalidInputError,
     OrbitSet,
     PathFamily,
+    TreeLine,
     build_graph,
     build_weighted_graph,
     concat,
@@ -398,6 +399,15 @@ class TestHopMetric:
     def test_unreachable_is_infinite(self):
         g = build_graph([(0, 1), (2, 3)])
         assert hop_metric(g, 0, 3, 1) == math.inf
+
+    def test_search_stops_at_the_target_inside_a_shell(self):
+        # shell 1 of ("line", 9) is [8, 10]; expanding 8 reaches 7, so the
+        # search must return before it asks for the neighbours of 10, which
+        # lie outside the line window
+        sp = TreeLine(max_tree=1, max_line=10)
+        with pytest.raises(BudgetExceededError):
+            sp.neighbors(("line", 10), 1)
+        assert hop_metric(sp, ("line", 9), ("line", 7), 1) == 2
 
 
 class TestOrbitSet:

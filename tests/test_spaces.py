@@ -662,6 +662,28 @@ class TestGraphBuilders:
             for dst in range(n):
                 assert g.distance(src, dst) == dist[dst]
 
+    @pytest.mark.parametrize("components", [1, 3])
+    def test_graph_against_dijkstra_oracle(self, rng, components):
+        # unit weights: hop distances; inf between components
+        n = 15
+        part = {v: v % components for v in range(n)}
+        edges = set()
+        for _ in range(18):
+            a, b = rng.sample(range(n), 2)
+            if part[a] == part[b]:
+                edges.add((min(a, b), max(a, b)))
+        g = build_graph(sorted(edges), vertices=range(n))
+        adj_map = {v: [] for v in range(n)}
+        for a, b in edges:
+            adj_map[a].append((b, 1))
+            adj_map[b].append((a, 1))
+        for src in range(n):
+            dist = dijkstra_oracle(adj_map.__getitem__, src)
+            for dst in range(n):
+                assert g.distance(src, dst) == dist.get(dst, math.inf)
+        if components > 1:
+            assert not g.is_connected()
+
     def test_weighted_parallel_edges_keep_min(self):
         g = build_weighted_graph([(0, 1, 5), (1, 0, 2)])
         assert g.distance(0, 1) == 2

@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import InvalidInputError
 from .extremal import MetricItems, greedy_net, max_band_clique
 from .numbers import Dist, dist_to_jsonable
-from .paths import step_ball
+from .paths import hop_search
 from .spaces.base import Graph, MetricSpace, PointRef, ball, build_graph
 
 __all__ = [
@@ -139,32 +139,6 @@ def _ceil_dist(d: Dist) -> int:
     return int(math.ceil(d))
 
 
-def _hop_within(space: MetricSpace, a: PointRef, b: PointRef, delta: Dist,
-                budget: int, node_cap: int = 200_000) -> Optional[int]:
-    """BFS in the hop metric; returns hops if <= budget, else None."""
-    if a == b:
-        return 0
-    seen = {a}
-    frontier = [a]
-    for hop in range(1, budget + 1):
-        nxt: List[PointRef] = []
-        for v in frontier:
-            for w in space.neighbors(v, delta):
-                if w in seen:
-                    continue
-                if w == b:
-                    return hop
-                seen.add(w)
-                nxt.append(w)
-                if len(seen) > node_cap:
-                    raise BudgetExceededError(
-                        f"hop search exceeded {node_cap} visited points")
-        if not nxt:
-            return None
-        frontier = nxt
-    return None
-
-
 def quasi_geodesic_check(space: MetricSpace, delta: Dist,
                          sample_pairs: Optional[Sequence[Tuple[PointRef, PointRef]]] = None,
                          node_cap: int = 200_000) -> dict:
@@ -187,17 +161,17 @@ def quasi_geodesic_check(space: MetricSpace, delta: Dist,
         budget = _ceil_dist(d)
         hops: Optional[int] = None
         method = "bfs"
-        closed = space.hop_distance(a, b, delta) if hasattr(space, "hop_distance") else None
+        closed = space.hop_distance(a, b, delta)
         if closed is not None:
             hops = closed
             method = "closed-form"
         else:
-            lower = space.hop_lower_bound(a, b, delta) if hasattr(space, "hop_lower_bound") else None
+            lower = space.hop_lower_bound(a, b, delta)
             if lower is not None and lower > budget:
                 hops = lower
                 method = "lower-bound"
             else:
-                hops = _hop_within(space, a, b, delta, budget, node_cap=node_cap)
+                hops = hop_search(space, a, b, delta, budget, node_cap=node_cap)
         ok = hops is not None and hops <= budget
         all_ok = all_ok and ok
         rows.append({

@@ -36,6 +36,7 @@ __all__ = [
     "step_shells",
     "step_ball",
     "delta_component",
+    "hop_search",
     "hop_metric",
 ]
 
@@ -292,23 +293,12 @@ def step_shells(space: MetricSpace, x: PointRef, n: int,
     lazily: advancing to shell k only queries shell k-1, so every level of
     a step ball comes from one pass.
     """
+    from .spaces.base import hop_shells  # spaces.catalog imports this module
+
     if n < 0:
         raise InvalidInputError("step count must be >= 0")
     space.check_point(x)
-    seen: Set[PointRef] = {x}
-    frontier: List[PointRef] = [x]
-    yield frontier
-    for _ in range(n):
-        if not frontier:
-            return
-        nxt: List[PointRef] = []
-        for y in frontier:
-            for z in space.neighbors(y, delta):
-                if z not in seen:
-                    seen.add(z)
-                    nxt.append(z)
-        yield nxt
-        frontier = nxt
+    yield from hop_shells(lambda y: space.neighbors(y, delta), x, n)
 
 
 def step_ball(space: MetricSpace, x: PointRef, n: int, delta: Dist) -> List[PointRef]:
@@ -340,12 +330,44 @@ def delta_component(space: MetricSpace, x: PointRef, delta: Dist, hop_cap: int =
     return sorted(points), False
 
 
+def hop_search(space: MetricSpace, a: PointRef, b: PointRef, delta: Dist, budget: int,
+               node_cap: Optional[int] = None) -> Optional[int]:
+    """Least number of delta-steps from a to b if it is at most budget, else None.
+
+    Breadth-first from a, returning as soon as b is discovered.  It stops
+    partway through a shell on purpose: finishing the shell would query
+    ``neighbors`` of points beyond the target, which in a windowed space can
+    raise where the answer is already known.  With ``node_cap`` set, more
+    than that many visited points raise BudgetExceededError.
+    """
+    if a == b:
+        return 0
+    seen: Set[PointRef] = {a}
+    frontier: List[PointRef] = [a]
+    for hops in range(1, budget + 1):
+        nxt: List[PointRef] = []
+        for y in frontier:
+            for z in space.neighbors(y, delta):
+                if z in seen:
+                    continue
+                if z == b:
+                    return hops
+                seen.add(z)
+                nxt.append(z)
+                if node_cap is not None and len(seen) > node_cap:
+                    raise BudgetExceededError(f"hop search exceeded {node_cap} visited points")
+        if not nxt:
+            return None
+        frontier = nxt
+    return None
+
+
 def hop_metric(space: MetricSpace, a: PointRef, b: PointRef, delta: Dist,
                hop_cap: int = 10 ** 4) -> Dist:
     """Least number of delta-steps from a to b (inf when not reached in cap).
 
     Uses a closed form when the space provides one, else breadth-first
-    expansion capped at hop_cap rounds.
+    search capped at hop_cap rounds (:func:`hop_search`).
     """
     space.check_point(a)
     space.check_point(b)
@@ -354,18 +376,5 @@ def hop_metric(space: MetricSpace, a: PointRef, b: PointRef, delta: Dist,
     exact = space.hop_distance(a, b, delta)
     if exact is not None:
         return exact
-    seen: Set[PointRef] = {a}
-    frontier: List[PointRef] = [a]
-    for hops in range(1, hop_cap + 1):
-        nxt: List[PointRef] = []
-        for y in frontier:
-            for z in space.neighbors(y, delta):
-                if z == b:
-                    return hops
-                if z not in seen:
-                    seen.add(z)
-                    nxt.append(z)
-        if not nxt:
-            return math.inf
-        frontier = nxt
-    return math.inf
+    hops = hop_search(space, a, b, delta, hop_cap)
+    return math.inf if hops is None else hops

@@ -20,7 +20,8 @@ import csv
 import heapq
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from ..errors import InvalidInputError, UnknownPointError
 from ..numbers import INF, Dist, as_dist
@@ -42,6 +43,31 @@ __all__ = [
 ]
 
 PointRef = Hashable
+
+
+def hop_shells(adjacent: Callable[[PointRef], Iterable[PointRef]], x: PointRef,
+               n: int) -> Iterator[List[PointRef]]:
+    """Breadth-first shells around x over the neighbour function ``adjacent``.
+
+    Yields ``[x]`` and then, for each of up to n steps, the points first
+    reached at that step, in discovery order.  It stops after the first
+    empty shell, since nothing new can follow.  ``adjacent`` is called
+    lazily: advancing to shell k only expands shell k-1.
+    """
+    seen = {x}
+    frontier = [x]
+    yield frontier
+    for _ in range(n):
+        if not frontier:
+            return
+        nxt = []
+        for y in frontier:
+            for z in adjacent(y):
+                if z not in seen:
+                    seen.add(z)
+                    nxt.append(z)
+        yield nxt
+        frontier = nxt
 
 
 class MetricSpace:
@@ -206,22 +232,12 @@ class Graph(MetricSpace):
 
     def _bfs(self, source) -> Dict[PointRef, int]:
         done = self._dist_cache.get(source)
-        if done is not None:
-            return done
-        dist = {source: 0}
-        frontier = [source]
-        hops = 0
-        while frontier:
-            hops += 1
-            nxt = []
-            for v in frontier:
-                for w in self._adj[v]:
-                    if w not in dist:
-                        dist[w] = hops
-                        nxt.append(w)
-            frontier = nxt
-        self._dist_cache[source] = dist
-        return dist
+        if done is None:
+            # no shortest path has more than one step per vertex
+            shells = hop_shells(self._adj.__getitem__, source, len(self._vertices))
+            done = {v: hops for hops, shell in enumerate(shells) for v in shell}
+            self._dist_cache[source] = done
+        return done
 
     def distance(self, a, b):
         self.check_point(a)

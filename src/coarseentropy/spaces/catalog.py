@@ -26,7 +26,7 @@ from ..errors import BudgetExceededError, InvalidInputError, UnknownPointError
 from ..numbers import Dist, as_dist
 from ..paths import DeltaPath
 from .base import (FiniteMetricSpace, Graph, MeasuredSpace, MetricSpace,
-                   WeightedGraph, build_graph)
+                   WeightedGraph, build_graph, hop_shells)
 
 __all__ = [
     "UltrametricProduct",
@@ -48,23 +48,6 @@ __all__ = [
 
 def _floor_int(delta: Dist) -> int:
     return int(math.floor(delta))
-
-
-def _bfs_ball(adjacency, x, radius: int):
-    """Radius-``radius`` hop ball around x over a lazy adjacency function."""
-    seen = {x}
-    frontier = [x]
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for w in adjacency(v):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +283,9 @@ class RegularTree(MetricSpace):
         if len(x) + r > self.max_depth:
             raise BudgetExceededError(
                 f"radius {r} ball around depth-{len(x)} vertex exceeds depth window {self.max_depth}")
-        seen = _bfs_ball(self._adjacency, x, r)
-        seen.discard(x)
-        return sorted(seen)
+        shells = hop_shells(self._adjacency, x, r)
+        next(shells)  # [x]
+        return sorted(itertools.chain.from_iterable(shells))
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +407,9 @@ class TreeLine(MetricSpace):
         r = _floor_int(delta)
         if r < 1:
             return []
-        seen = _bfs_ball(self._adjacency, x, r)
-        seen.discard(x)
-        return sorted(seen)
+        shells = hop_shells(self._adjacency, x, r)
+        next(shells)  # [x]
+        return sorted(itertools.chain.from_iterable(shells))
 
     # -- witness helpers used by the entropy layer --------------------------
 
@@ -523,9 +506,9 @@ class BranchTree(MetricSpace):
         if len(x) + r > self.max_depth:
             raise BudgetExceededError(
                 f"radius {r} ball around depth-{len(x)} vertex exceeds depth window {self.max_depth}")
-        seen = _bfs_ball(self._adjacency, x, r)
-        seen.discard(x)
-        return sorted(seen)
+        shells = hop_shells(self._adjacency, x, r)
+        next(shells)  # [x]
+        return sorted(itertools.chain.from_iterable(shells))
 
     def children(self, v) -> List[Tuple]:
         self.check_point(v)

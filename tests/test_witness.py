@@ -3,6 +3,7 @@ and validation of malformed inputs — with the profile shortcut cross-checked
 against exact pairwise orbit distances."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from coarseentropy import (
     IntLine,
     InvalidInputError,
     TreeLine,
+    WitnessFamily,
     build_witness,
     catalog_pingpong,
     orbit_distance,
@@ -71,6 +73,22 @@ class TestWitnessFamily:
     def test_check_pairwise_separated_counts_ordered_pairs(self):
         sp, fam = toy_family(p=2)
         assert fam.check_pairwise_separated() == fam.size * fam.size
+
+    @pytest.mark.parametrize("entry", [Fraction(1499, 1000), Fraction(3, 2)])
+    def test_separation_is_the_smallest_off_diagonal_profile_entry(self, entry):
+        # three arms, p = 2: words (1, 0) and (2, 0) are members 3 and 6
+        sp = IntLine(max_abs=50)
+        arms = tuple(DeltaPath((0, k), 1) for k in (1, 0, -1))
+        fam = WitnessFamily(space=sp, base=DeltaPath((0,), 1), arms=arms, p=2,
+                            R=Fraction(3, 2),
+                            profile=((0, 2, 2), (2, 0, entry), (2, entry, 0)))
+        if entry < fam.R:
+            with pytest.raises(InvalidInputError,
+                               match=r"witness members 3 and 6 are only 1499/1000 apart, "
+                                     r"below R=3/2"):
+                fam.check_pairwise_separated()
+        else:
+            assert fam.check_pairwise_separated() == 81
 
     def test_rate_bound_formula(self):
         sp, fam = toy_family(p=3)

@@ -32,6 +32,12 @@ CASES = {
     "growth_branch_tree_measured.csv": [
         "growth", "--space", "branch_tree", "--params", '{"max_depth": 6, "measured": true}',
         "--window", "5", "--format", "csv"],
+    # radius 2: the tree neighbours walk two hop shells
+    "growth_branch_tree_delta2.json": ["growth", "--space", "branch_tree",
+                                       "--params", '{"max_depth": 6}', "--delta", "2",
+                                       "--window", "2"],
+    "growth_regular_tree_delta2.json": ["growth", "--space", "regular_tree", "--delta", "2",
+                                        "--window", "3"],
     "orbits_int_line.json": ["orbits", "--space", "int_line", "--n", "5",
                              "--paths-out", PATHS_OUT],
     "rates_int_line_separated.json": ["rates", "--space", "int_line", "--n", "0,3,6",
@@ -48,6 +54,9 @@ CASES = {
                                      "--p", "2"],
     "witness_tree_line_p4.json": ["witness", "--space", "tree_line", "--p", "4"],
     "classify_int_line.json": ["classify", "--space", "int_line"],
+    # the slope-fit growth rule over radius-1 step balls
+    "classify_regular_tree.json": ["classify", "--space", "regular_tree",
+                                   "--params", '{"max_depth": 9}', "--window", "8"],
     "classify_tree_line.json": ["classify", "--space", "tree_line"],
     "classify_prime_cycle.json": ["classify", "--space", "prime_cycle",
                                   "--params", '{"max_line": 64}'],

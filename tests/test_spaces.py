@@ -204,6 +204,27 @@ class TestRegularTree:
             expect = 1 + degree * ((degree - 1) ** l - 1) // (degree - 2)
             assert len(ball(sp, sp.basepoint, l)) == expect
 
+    @pytest.mark.parametrize("degree", [3, 4])
+    def test_neighbors_match_oracle_ball(self, degree):
+        sp = RegularTree(degree=degree, max_depth=6)
+        adj = tree_adjacency(degree, 6)
+        for r in (1, 2, 3):
+            # the root, an inner vertex, and a vertex whose ball reaches the
+            # window's last level
+            for x in [(), (1, 0), (degree - 1,) + (1,) * (5 - r)]:
+                dist = bfs_oracle(adj, x)
+                expect = sorted(y for y, d in dist.items() if 0 < d <= r)
+                assert sp.neighbors(x, r) == expect, (x, r)
+
+    def test_neighbors_next_to_the_window(self):
+        sp = RegularTree(degree=3, max_depth=6)
+        x = (2, 1, 0, 1, 1)
+        assert sp.neighbors(x, 1) == [(2, 1, 0, 1), x + (0,), x + (1,)]
+        with pytest.raises(BudgetExceededError) as err:
+            sp.neighbors(x, 2)
+        assert str(err.value) == "radius 2 ball around depth-5 vertex exceeds depth window 6"
+        assert sp.neighbors(x, Fraction(1, 2)) == []
+
     def test_homogeneous_degree(self):
         sp = RegularTree(degree=3, max_depth=8)
         for v in [(), (0,), (2, 1), (0, 0, 1, 1)]:
@@ -355,6 +376,26 @@ class TestBranchTree:
         dist = bfs_oracle(branch_adjacency(4), (0, 1))
         for v, d in dist.items():
             assert sp.distance((0, 1), v) == d
+
+    def test_neighbors_match_oracle_ball(self):
+        sp = BranchTree(max_depth=6)
+        adj = branch_adjacency(6)
+        for r in (1, 2, 3):
+            # the root, an inner vertex, and a vertex whose ball reaches the
+            # window's last level
+            for x in [(), (1, 2), (1, 2, 3, 4, 5)[:6 - r]]:
+                dist = bfs_oracle(adj, x)
+                expect = sorted(y for y, d in dist.items() if 0 < d <= r)
+                assert sp.neighbors(x, r) == expect, (x, r)
+
+    def test_neighbors_next_to_the_window(self):
+        sp = BranchTree(max_depth=6)
+        x = (1, 0, 3, 2, 5)
+        assert sp.neighbors(x, 1) == [(1, 0, 3, 2)] + [x + (c,) for c in range(7)]
+        with pytest.raises(BudgetExceededError) as err:
+            sp.neighbors(x, 2)
+        assert str(err.value) == "radius 2 ball around depth-5 vertex exceeds depth window 6"
+        assert sp.neighbors(x, Fraction(1, 2)) == []
 
     def test_children_count_grows_with_depth(self):
         sp = BranchTree(max_depth=6)

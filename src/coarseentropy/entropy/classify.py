@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..errors import CoarseEntropyError, InvalidInputError
 from ..geometry import bounded_geometry_evidence
 from ..numbers import Dist, dist_to_jsonable, is_finite
 from ..spaces.base import MeasuredSpace, MetricSpace

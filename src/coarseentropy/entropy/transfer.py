@@ -18,10 +18,9 @@ forward equals applying f^n pointwise.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from ..errors import InvalidInputError, NotDistancePreservingError
-from ..numbers import Dist
 from ..paths import DeltaPath, OrbitSet, orbit_distance, validate_path, validate_pseudoorbit
 from ..spaces.base import MetricSpace, PointRef
 

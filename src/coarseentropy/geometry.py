@@ -10,7 +10,7 @@ own verified witness families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError
@@ -95,7 +95,7 @@ def bounded_geometry_evidence(space: MetricSpace, s: Optional[Dist] = None,
     families directly; otherwise the search runs an exact band-clique
     solver over the ball of each depth (greedy above ``exact_limit``).
     """
-    defaults = space.bg_evidence_defaults() if hasattr(space, "bg_evidence_defaults") else None
+    defaults = space.bg_evidence_defaults()
     if defaults is not None:
         ds, dD, ddepths = defaults
         s = ds if s is None else s
@@ -114,9 +114,8 @@ def bounded_geometry_evidence(space: MetricSpace, s: Optional[Dist] = None,
     sizes: List[int] = []
     certs: List[str] = []
     witnessed = False
-    maker = getattr(space, "bg_witness_family", None)
     for depth in depths:
-        family = maker(s, depth) if maker is not None else None
+        family = space.bg_witness_family(s, depth)
         if family is not None:
             points, _diam_bound = family
             _check_family(space, points, s, D)

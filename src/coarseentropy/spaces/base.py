@@ -316,8 +316,9 @@ class WeightedGraph(MetricSpace):
 class MeasuredSpace(MetricSpace):
     """A space handle together with a point measure (exact rationals).
 
-    Delegates every metric query to the wrapped space; adds ``mass`` for a
-    single point and ``mass_of`` for a finite point set.
+    Delegates every metric query to the wrapped space, whose ``check_point``
+    is its own; adds ``mass`` for a single point and ``mass_of`` for a
+    finite point set.
 
     ``mass_key``, when given, declares that ``mass_fn(x)`` depends only on
     ``mass_key(x)`` (a hashable class label, e.g. the depth of a tree
@@ -342,15 +343,15 @@ class MeasuredSpace(MetricSpace):
         self.growth_tag = space.growth_tag
         self.annotations = space.annotations | frozenset(annotations) | frozenset({"measured"})
         self.basepoint = space.basepoint
+        # the wrapped space's own check, bound once: mass and mass_of run it
+        # on every point without a forwarding frame
+        self.check_point = space.check_point
 
     def distance(self, a, b):
         return self.space.distance(a, b)
 
     def neighbors(self, x, delta):
         return self.space.neighbors(x, delta)
-
-    def check_point(self, x):
-        self.space.check_point(x)
 
     def hop_lower_bound(self, a, b, delta):
         return self.space.hop_lower_bound(a, b, delta)
@@ -411,7 +412,6 @@ class MeasuredSpace(MetricSpace):
 
 
 def _normalize_edges(edges):
-    seen = set()
     out = []
     for edge in edges:
         if len(edge) < 2:
@@ -422,7 +422,6 @@ def _normalize_edges(edges):
         rest = tuple(edge[2:])
         key = (a, b) if repr(a) <= repr(b) else (b, a)
         out.append((key, rest))
-        seen.add(key)
     return out
 
 

@@ -20,13 +20,12 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import BudgetExceededError, InvalidInputError, UnknownPointError
-from ..numbers import Dist, as_dist
+from ..numbers import Dist
 from ..paths import DeltaPath
-from .base import (FiniteMetricSpace, Graph, MeasuredSpace, MetricSpace,
-                   WeightedGraph, build_graph, hop_shells)
+from .base import Graph, MeasuredSpace, MetricSpace, build_graph, hop_shells
 
 __all__ = [
     "UltrametricProduct",
@@ -48,6 +47,19 @@ __all__ = [
 
 def _floor_int(delta: Dist) -> int:
     return int(math.floor(delta))
+
+
+def _hop_ball(adjacent, x, r: int) -> List:
+    """Sorted points y != x within r >= 1 hops of x over a tree adjacency.
+
+    A tree adjacency never lists x itself or a point twice, so the radius-1
+    ball is the adjacency list; larger radii walk the hop shells.
+    """
+    if r == 1:
+        return sorted(adjacent(x))
+    shells = hop_shells(adjacent, x, r)
+    next(shells)  # [x]
+    return sorted(itertools.chain.from_iterable(shells))
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +295,7 @@ class RegularTree(MetricSpace):
         if len(x) + r > self.max_depth:
             raise BudgetExceededError(
                 f"radius {r} ball around depth-{len(x)} vertex exceeds depth window {self.max_depth}")
-        shells = hop_shells(self._adjacency, x, r)
-        next(shells)  # [x]
-        return sorted(itertools.chain.from_iterable(shells))
+        return _hop_ball(self._adjacency, x, r)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +417,7 @@ class TreeLine(MetricSpace):
         r = _floor_int(delta)
         if r < 1:
             return []
-        shells = hop_shells(self._adjacency, x, r)
-        next(shells)  # [x]
-        return sorted(itertools.chain.from_iterable(shells))
+        return _hop_ball(self._adjacency, x, r)
 
     # -- witness helpers used by the entropy layer --------------------------
 
@@ -506,9 +514,7 @@ class BranchTree(MetricSpace):
         if len(x) + r > self.max_depth:
             raise BudgetExceededError(
                 f"radius {r} ball around depth-{len(x)} vertex exceeds depth window {self.max_depth}")
-        shells = hop_shells(self._adjacency, x, r)
-        next(shells)  # [x]
-        return sorted(itertools.chain.from_iterable(shells))
+        return _hop_ball(self._adjacency, x, r)
 
     def children(self, v) -> List[Tuple]:
         self.check_point(v)

@@ -146,6 +146,38 @@ class TestLogLine:
             sp.check_point(17)
 
 
+class TestLineMessages:
+    """The two lines share their window check and point check."""
+
+    @pytest.mark.parametrize("cls", [IntLine, LogLine])
+    @pytest.mark.parametrize("x", [10, -10])
+    def test_ball_leaving_the_window(self, cls, x):
+        with pytest.raises(BudgetExceededError) as err:
+            cls(max_abs=10).neighbors(x, 1)
+        assert str(err.value) == f"delta-ball around {x} leaves the window [-10, 10]"
+
+    @pytest.mark.parametrize("cls", [IntLine, LogLine])
+    @pytest.mark.parametrize("bad", [11, -11, True, 1.0, "3"])
+    def test_point_must_be_an_integer(self, cls, bad):
+        with pytest.raises(UnknownPointError) as err:
+            cls(max_abs=10).check_point(bad)
+        assert str(err.value) == f"point must be an integer with |x| <= 10: {bad!r}"
+
+    @pytest.mark.parametrize("cls", [IntLine, LogLine])
+    def test_step_below_one_gives_no_hop_count(self, cls):
+        sp = cls(max_abs=10)
+        assert sp.neighbors(0, Fraction(1, 2)) == []
+        assert sp.hop_lower_bound(0, 5, Fraction(1, 2)) is None
+        assert sp.hop_lower_bound(3, 3, Fraction(1, 2)) == 0
+
+    def test_int_line_hop_distance_below_one_step(self):
+        sp = IntLine(max_abs=10)
+        assert sp.hop_distance(0, 5, Fraction(1, 2)) is None
+        assert sp.hop_distance(0, 5, Fraction(5, 2)) == 3
+        assert sp.hop_lower_bound(0, 5, Fraction(5, 2)) == 3
+        assert LogLine(max_abs=10).hop_distance(0, 5, 3) is None
+
+
 class TestIntLine:
     def test_distance_and_neighbors(self):
         sp = IntLine(max_abs=100)
@@ -242,6 +274,13 @@ class TestRegularTree:
     def test_small_degree_rejected(self):
         with pytest.raises(InvalidInputError):
             RegularTree(degree=2)
+
+    @pytest.mark.parametrize("bad, level", [
+        ((3,), 0), ((0, 2), 1), ((0, -1), 1), ((0, 1.0), 1), ((0, 1, "a"), 2), (((),), 0)])
+    def test_bad_child_index_names_its_level(self, bad, level):
+        with pytest.raises(UnknownPointError) as err:
+            RegularTree(degree=3, max_depth=4).check_point(bad)
+        assert str(err.value) == f"bad child index at level {level}: {bad!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +779,19 @@ class TestGraphBuilders:
     def test_graph_neighbors_use_metric_balls(self):
         g = path_graph(6)
         assert g.neighbors(2, 2) == [0, 1, 3, 4]
+        assert g.neighbors(2, Fraction(1, 2)) == []
+        assert g.neighbors(2, Fraction(3, 2)) == [1, 3]
+        assert g.neighbors(2, 0) == []
+
+    def test_unknown_vertex_messages(self):
+        g = path_graph(3)
+        w = build_weighted_graph([(0, 1, 2)], name="w")
+        for space, call in [(g, lambda: g.check_point(7)), (g, lambda: g.distance(0, 7)),
+                            (g, lambda: g.neighbors(7, 1)), (w, lambda: w.check_point(7)),
+                            (w, lambda: w.distance(7, 0)), (w, lambda: w.neighbors(7, 1))]:
+            with pytest.raises(UnknownPointError) as err:
+                call()
+            assert str(err.value) == f"7 is not a vertex of {space.name}"
 
 
 class TestFiniteSpaces:

@@ -38,7 +38,7 @@ from .entropy.witness import catalog_pingpong, spot_check_members
 from .errors import (BudgetExceededError, CapExceededError, CoarseEntropyError,
                      InvalidInputError, NotDistancePreservingError, UnknownPointError)
 from .geometry import bounded_geometry_evidence, quasi_geodesic_check
-from .numbers import dist_to_jsonable, parse_dist
+from .numbers import dist_to_jsonable, is_finite, parse_dist
 from .paths import enumerate_orbits
 from .serialize import envelope, orbits_to_json_lines, write_report
 from .spaces.base import MetricSpace, build_graph, build_weighted_graph, load_edges_csv
@@ -47,7 +47,6 @@ from .spaces.catalog import CATALOG_TAGS, make_example
 __all__ = ["main", "entry", "build_parser"]
 
 DEFAULT_ORBIT_CAP = 10 ** 6
-DEFAULT_WINDOW_POINTS = 10 ** 4
 
 
 class UsageError(Exception):
@@ -186,15 +185,21 @@ def _resolve_space(args, prefix: str = "") -> Tuple[MetricSpace, Dict[str, Any]]
     return space, {"space": tag, "params": dict(sorted(params.items()))}
 
 
-def _parse_delta(text) -> Any:
-    if text is None:
-        return None
+def _parse_scale(text) -> Any:
     try:
         value = parse_dist(str(text))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if not value > 0:
         raise UsageError(f"scale must be positive: {text!r}")
+    return value
+
+
+def _parse_delta(text) -> Any:
+    """The ``--delta`` of every command: positive and finite."""
+    value = _parse_scale(text)
+    if not is_finite(value):
+        raise UsageError(f"--delta must be finite: {text!r}")
     return value
 
 
@@ -254,7 +259,7 @@ def _cmd_orbits(args) -> Tuple[str, Dict[str, Any], int]:
 def _cmd_rates(args) -> Tuple[str, Dict[str, Any], int]:
     space, cfg = _resolve_space(args)
     delta = _parse_delta(args.delta)
-    R = _parse_delta(args.radius)
+    R = _parse_scale(args.radius)
     factor, base = _log_factor(args)
     try:
         ns = [int(tok) for tok in str(args.n).split(",") if tok.strip() != ""]
@@ -284,7 +289,7 @@ def _cmd_rates(args) -> Tuple[str, Dict[str, Any], int]:
 def _cmd_witness(args) -> Tuple[str, Dict[str, Any], int]:
     space, cfg = _resolve_space(args)
     delta = _parse_delta(args.delta)
-    R = _parse_delta(args.radius)
+    R = _parse_scale(args.radius)
     factor, base = _log_factor(args)
     if args.p < 1:
         raise UsageError("--p must be >= 1")
@@ -338,7 +343,7 @@ def _cmd_qgcheck(args) -> Tuple[str, Dict[str, Any], int]:
 def _cmd_bgcheck(args) -> Tuple[str, Dict[str, Any], int]:
     space, cfg = _resolve_space(args)
     s = _parse_delta(args.delta) if args.delta is not None else None
-    D = _parse_delta(args.radius) if args.radius is not None else None
+    D = _parse_scale(args.radius) if args.radius is not None else None
     depths = None
     if args.window is not None:
         if args.window < 2:

@@ -100,12 +100,9 @@ def _count(space: MetricSpace, x0: PointRef, n: int, delta: Dist, R: Dist, mode:
                              {"component_points": size, "shortcut": 1})
     orbits = enumerate_orbits(space, x0, n, delta, cap=cap)
     items = MetricItems.from_orbits(space, orbits.paths)
-    if mode == "separated":
-        limit = 40 if exact_limit is None else exact_limit
-        res = max_separated(items, R, exact_limit=limit)
-    else:
-        limit = 25 if exact_limit is None else exact_limit
-        res = min_dense(items, R, exact_limit=limit)
+    solve = max_separated if mode == "separated" else min_dense
+    # each solver keeps its own default limit
+    res = solve(items, R) if exact_limit is None else solve(items, R, exact_limit=exact_limit)
     stats = {"paths": len(orbits.paths)}
     stats.update(res.stats)
     return RatePoint(mode, n, delta, R, res.size, res.certificate,

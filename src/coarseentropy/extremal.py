@@ -67,7 +67,7 @@ class MetricItems:
     Every packing, covering and verify query is a gather from it.
     """
 
-    def __init__(self, items: Sequence, dist_fn: Callable[[int, int], Dist], tol: float = 0.0):
+    def __init__(self, items: Sequence, dist_fn: Callable[[int, int], Dist], tol: Dist = 0):
         self.items = items if isinstance(items, PathFamily) else tuple(items)
         self.tol = tol
         self.vectors = np.arange(len(self.items)).reshape(-1, 1)
@@ -112,7 +112,7 @@ class MetricItems:
         return table
 
     @classmethod
-    def from_points(cls, points: Sequence[PointRef], space_or_fn, tol: Optional[float] = None):
+    def from_points(cls, points: Sequence[PointRef], space_or_fn, tol: Optional[Dist] = None):
         """Items are points of a space (or a plain symmetric distance function)."""
         pts = list(points)
         if isinstance(space_or_fn, MetricSpace):
@@ -120,7 +120,7 @@ class MetricItems:
             tol = space_or_fn.tol if tol is None else tol
         else:
             fn = space_or_fn
-            tol = 0.0 if tol is None else tol
+            tol = 0 if tol is None else tol
         return cls(pts, lambda i, j: fn(pts[i], pts[j]), tol=tol)
 
     @classmethod

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import heapq
-import math
 from fractions import Fraction
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
@@ -74,13 +73,14 @@ class MetricSpace:
     """Base class for every space handle.
 
     Subclasses must implement ``distance`` and ``neighbors`` and set
-    ``kind``.  ``tol`` is the comparison tolerance (zero everywhere except
-    the float-backed logarithmic line).
+    ``kind``.  ``tol`` is the comparison tolerance: an exact 0 everywhere
+    except the float-backed logarithmic line, so that ``bound + tol`` keeps
+    an exact threshold exact.
     """
 
     kind: str = "abstract"
     name: str = "space"
-    tol: float = 0.0
+    tol: Dist = 0
     vertex_transitive: bool = False
     growth_tag: Optional[str] = None
     annotations: frozenset = frozenset()
@@ -197,27 +197,61 @@ class FiniteMetricSpace(MetricSpace):
         return best
 
 
-class Graph(MetricSpace):
+class _FiniteGraph(MetricSpace):
+    """Finite graph over a sorted adjacency, measured by one cached
+    single-source search per source.  The subclasses give ``_search``."""
+
+    def __init__(self, adjacency: Dict[PointRef, tuple], name: str, annotations: Iterable[str]):
+        self._adj = {v: tuple(sorted(ns)) for v, ns in sorted(adjacency.items(), key=lambda kv: kv[0])}
+        self._vertices = tuple(sorted(self._adj))
+        self._vertex_set = frozenset(self._vertices)
+        self._dist_cache: Dict[PointRef, Dict[PointRef, Dist]] = {}
+        self.name = name
+        self.annotations = frozenset(annotations)
+        self.basepoint = self._vertices[0]
+
+    @property
+    def points(self):
+        return self._vertices
+
+    def check_point(self, x):
+        if x not in self._vertex_set:
+            raise UnknownPointError(f"{x!r} is not a vertex of {self.name}")
+
+    def _search(self, source) -> Dict[PointRef, Dist]:
+        """Distance from source to every vertex of its component."""
+        raise NotImplementedError
+
+    def _distances_from(self, source) -> Dict[PointRef, Dist]:
+        done = self._dist_cache.get(source)
+        if done is None:
+            done = self._dist_cache[source] = self._search(source)
+        return done
+
+    def distance(self, a, b):
+        self.check_point(a)
+        self.check_point(b)
+        if a == b:
+            return 0
+        return self._distances_from(a).get(b, INF)
+
+    def neighbors(self, x, delta):
+        self.check_point(x)
+        dist = self._distances_from(x)
+        return sorted(y for y, d in dist.items() if y != x and self.le(d, delta))
+
+
+class Graph(_FiniteGraph):
     """Finite unweighted graph with the shortest-path (hop) metric."""
 
     kind = "graph"
 
     def __init__(self, adjacency: Dict[PointRef, Tuple[PointRef, ...]], name: str = "graph",
                  annotations: Iterable[str] = (), vertex_transitive: bool = False):
-        self._adj = {v: tuple(sorted(ns)) for v, ns in sorted(adjacency.items(), key=lambda kv: kv[0])}
-        self._vertices = tuple(sorted(self._adj))
-        self._vertex_set = frozenset(self._vertices)
-        self._dist_cache: Dict[PointRef, Dict[PointRef, int]] = {}
-        self.name = name
         # a finite graph trivially has bounded degree; the flags matter when
         # a handle stands in for a whole family, which catalog spaces declare
-        self.annotations = frozenset({"graph", "bounded-degree"} | set(annotations))
+        super().__init__(adjacency, name, {"graph", "bounded-degree"} | set(annotations))
         self.vertex_transitive = vertex_transitive
-        self.basepoint = self._vertices[0]
-
-    @property
-    def points(self):
-        return self._vertices
 
     def adjacency(self, x):
         self.check_point(x)
@@ -226,65 +260,25 @@ class Graph(MetricSpace):
     def max_degree(self) -> int:
         return max((len(ns) for ns in self._adj.values()), default=0)
 
-    def check_point(self, x):
-        if x not in self._vertex_set:
-            raise UnknownPointError(f"{x!r} is not a vertex of {self.name}")
-
-    def _bfs(self, source) -> Dict[PointRef, int]:
-        done = self._dist_cache.get(source)
-        if done is None:
-            # no shortest path has more than one step per vertex
-            shells = hop_shells(self._adj.__getitem__, source, len(self._vertices))
-            done = {v: hops for hops, shell in enumerate(shells) for v in shell}
-            self._dist_cache[source] = done
-        return done
-
-    def distance(self, a, b):
-        self.check_point(a)
-        self.check_point(b)
-        if a == b:
-            return 0
-        return self._bfs(a).get(b, INF)
-
-    def neighbors(self, x, delta):
-        self.check_point(x)
-        if delta < 1:
-            return []
-        radius = math.floor(delta)
-        dist = self._bfs(x)
-        return sorted(y for y, d in dist.items() if y != x and d <= radius)
+    def _search(self, source):
+        # no shortest path has more than one step per vertex
+        shells = hop_shells(self._adj.__getitem__, source, len(self._vertices))
+        return {v: hops for hops, shell in enumerate(shells) for v in shell}
 
     def is_connected(self) -> bool:
-        return len(self._bfs(self._vertices[0])) == len(self._vertices)
+        return len(self._distances_from(self._vertices[0])) == len(self._vertices)
 
 
-class WeightedGraph(MetricSpace):
+class WeightedGraph(_FiniteGraph):
     """Finite graph with positive rational edge weights, Dijkstra metric."""
 
     kind = "weighted_graph"
 
     def __init__(self, adjacency: Dict[PointRef, Tuple[Tuple[PointRef, Dist], ...]],
                  name: str = "weighted_graph", annotations: Iterable[str] = ()):
-        self._adj = {v: tuple(sorted(ns)) for v, ns in sorted(adjacency.items(), key=lambda kv: kv[0])}
-        self._vertices = tuple(sorted(self._adj))
-        self._vertex_set = frozenset(self._vertices)
-        self._dist_cache: Dict[PointRef, Dict[PointRef, Dist]] = {}
-        self.name = name
-        self.annotations = frozenset({"weighted-graph"} | set(annotations))
-        self.basepoint = self._vertices[0]
+        super().__init__(adjacency, name, {"weighted-graph"} | set(annotations))
 
-    @property
-    def points(self):
-        return self._vertices
-
-    def check_point(self, x):
-        if x not in self._vertex_set:
-            raise UnknownPointError(f"{x!r} is not a vertex of {self.name}")
-
-    def _dijkstra(self, source) -> Dict[PointRef, Dist]:
-        done = self._dist_cache.get(source)
-        if done is not None:
-            return done
+    def _search(self, source):
         dist: Dict[PointRef, Dist] = {}
         heap = [(0, 0, source)]
         counter = 0
@@ -297,20 +291,7 @@ class WeightedGraph(MetricSpace):
                 if w not in dist:
                     counter += 1
                     heapq.heappush(heap, (d + weight, counter, w))
-        self._dist_cache[source] = dist
         return dist
-
-    def distance(self, a, b):
-        self.check_point(a)
-        self.check_point(b)
-        if a == b:
-            return 0
-        return self._dijkstra(a).get(b, INF)
-
-    def neighbors(self, x, delta):
-        self.check_point(x)
-        dist = self._dijkstra(x)
-        return sorted(y for y, d in dist.items() if y != x and self.le(d, delta))
 
 
 class MeasuredSpace(MetricSpace):
@@ -474,7 +455,7 @@ def build_weighted_graph(edges: Iterable[Sequence], vertices: Iterable[PointRef]
         raise InvalidInputError("graph needs at least one vertex")
     graph = WeightedGraph({v: tuple(ns) for v, ns in adj.items()}, name=name)
     if require_connected:
-        reach = graph._dijkstra(graph.points[0])
+        reach = graph._distances_from(graph.points[0])
         if len(reach) != len(graph.points):
             raise InvalidInputError("graph is disconnected and connectivity was required")
     return graph

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import BudgetExceededError, InvalidInputError, UnknownPointError
-from ..numbers import Dist
+from ..numbers import INF, Dist
 from ..paths import DeltaPath
 from .base import Graph, MeasuredSpace, MetricSpace, build_graph, hop_shells
 
@@ -60,6 +60,17 @@ def _hop_ball(adjacent, x, r: int) -> List:
     shells = hop_shells(adjacent, x, r)
     next(shells)  # [x]
     return sorted(itertools.chain.from_iterable(shells))
+
+
+def _prefix_hops(a: Tuple, b: Tuple) -> int:
+    """Tree distance between two child-index tuples below a common root:
+    up from each to their longest common prefix."""
+    cp = 0
+    for u, v in zip(a, b):
+        if u != v:
+            break
+        cp += 1
+    return (len(a) - cp) + (len(b) - cp)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +139,51 @@ class UltrametricProduct(MetricSpace):
 # the two lines
 
 
-class LogLine(MetricSpace):
+class _IntegerLine(MetricSpace):
+    """Integers x with |x| <= max_abs, where one delta-step moves at most
+    ``max_step(delta)`` in coordinates.  The subclasses give ``distance``
+    and ``max_step``."""
+
+    kind = "generated"
+    vertex_transitive = True
+    basepoint = 0
+
+    def __init__(self, max_abs: int, tag: str, annotations=()):
+        if max_abs < 1:
+            raise InvalidInputError("max_abs must be >= 1")
+        self.max_abs = max_abs
+        self.name = f"{tag}[N={max_abs}]"
+        self.annotations = frozenset(annotations)
+
+    def check_point(self, x):
+        if not isinstance(x, int) or isinstance(x, bool) or abs(x) > self.max_abs:
+            raise UnknownPointError(f"point must be an integer with |x| <= {self.max_abs}: {x!r}")
+
+    def max_step(self, delta: Dist) -> int:
+        """Largest coordinate move allowed in one delta-step."""
+        raise NotImplementedError
+
+    def neighbors(self, x, delta):
+        self.check_point(x)
+        s = self.max_step(delta)
+        if s < 1:
+            return []
+        if x - s < -self.max_abs or x + s > self.max_abs:
+            raise BudgetExceededError(
+                f"delta-ball around {x} leaves the window [-{self.max_abs}, {self.max_abs}]")
+        return [x + off for off in range(-s, s + 1) if off != 0]
+
+    def hop_lower_bound(self, a, b, delta):
+        s = self.max_step(delta)
+        gap = abs(a - b)
+        if gap == 0:
+            return 0
+        if s < 1:
+            return None
+        return -(-gap // s)
+
+
+class LogLine(_IntegerLine):
     """Integers with d(m, n) = log2(1 + |m - n|).
 
     The only float-backed catalog space; comparisons use a 1e-9 tolerance.
@@ -136,30 +191,18 @@ class LogLine(MetricSpace):
     which is what breaks quasi-geodesicity at large scales.
     """
 
-    kind = "generated"
     tol = 1e-9
-    vertex_transitive = True
     growth_tag = "exponential"
 
     def __init__(self, max_abs: int = 2 ** 21):
-        if max_abs < 1:
-            raise InvalidInputError("max_abs must be >= 1")
-        self.max_abs = max_abs
-        self.name = f"log_line[N={max_abs}]"
-        self.annotations = frozenset()
-        self.basepoint = 0
-
-    def check_point(self, x):
-        if not isinstance(x, int) or isinstance(x, bool) or abs(x) > self.max_abs:
-            raise UnknownPointError(f"point must be an integer with |x| <= {self.max_abs}: {x!r}")
+        super().__init__(max_abs, "log_line")
 
     def distance(self, a, b):
         self.check_point(a)
         self.check_point(b)
         return math.log2(1 + abs(a - b))
 
-    def max_step(self, delta: Dist) -> int:
-        """Largest coordinate move allowed in one delta-step."""
+    def max_step(self, delta):
         if delta < 0:
             return 0
         s = max(0, int(2.0 ** float(delta) - 1.0 + 1e-9))
@@ -169,122 +212,60 @@ class LogLine(MetricSpace):
             s -= 1
         return s
 
-    def neighbors(self, x, delta):
-        self.check_point(x)
-        s = self.max_step(delta)
-        if s == 0:
-            return []
-        if x - s < -self.max_abs or x + s > self.max_abs:
-            raise BudgetExceededError(
-                f"delta-ball around {x} leaves the window [-{self.max_abs}, {self.max_abs}]")
-        return [x + off for off in range(-s, s + 1) if off != 0]
 
-    def hop_lower_bound(self, a, b, delta):
-        s = self.max_step(delta)
-        gap = abs(a - b)
-        if gap == 0:
-            return 0
-        if s == 0:
-            return None
-        return -(-gap // s)
-
-
-class IntLine(MetricSpace):
+class IntLine(_IntegerLine):
     """The standard integer line: unit edges, d(m, n) = |m - n|."""
 
-    kind = "generated"
-    vertex_transitive = True
-
     def __init__(self, max_abs: int = 10 ** 6):
-        if max_abs < 1:
-            raise InvalidInputError("max_abs must be >= 1")
-        self.max_abs = max_abs
-        self.name = f"int_line[N={max_abs}]"
-        self.annotations = frozenset({"graph", "bounded-degree", "quasi-geodesic"})
-        self.basepoint = 0
-
-    def check_point(self, x):
-        if not isinstance(x, int) or isinstance(x, bool) or abs(x) > self.max_abs:
-            raise UnknownPointError(f"point must be an integer with |x| <= {self.max_abs}: {x!r}")
+        super().__init__(max_abs, "int_line", {"graph", "bounded-degree", "quasi-geodesic"})
 
     def distance(self, a, b):
         self.check_point(a)
         self.check_point(b)
         return abs(a - b)
 
-    def neighbors(self, x, delta):
-        self.check_point(x)
-        s = _floor_int(delta)
-        if s < 1:
-            return []
-        if x - s < -self.max_abs or x + s > self.max_abs:
-            raise BudgetExceededError(
-                f"delta-ball around {x} leaves the window [-{self.max_abs}, {self.max_abs}]")
-        return [x + off for off in range(-s, s + 1) if off != 0]
+    def max_step(self, delta):
+        return _floor_int(delta)
 
     def hop_distance(self, a, b, delta):
-        s = _floor_int(delta)
-        gap = abs(a - b)
-        if gap == 0:
-            return 0
-        if s < 1:
-            return None
-        return -(-gap // s)
-
-    def hop_lower_bound(self, a, b, delta):
-        return self.hop_distance(a, b, delta)
+        # unit steps reach every gap in the fewest full strides
+        return self.hop_lower_bound(a, b, delta)
 
 
 # ---------------------------------------------------------------------------
-# regular tree
+# rooted trees
 
 
-class RegularTree(MetricSpace):
-    """The infinite degree-d tree (every vertex has exactly d neighbors).
+class _RootedTree(MetricSpace):
+    """Rooted tree on child-index tuples, truncated at depth ``max_depth``.
 
-    Encoded from a root: the root has d children, every other vertex has
-    d - 1 children; ball sizes have the closed form
-    |B(x, l)| = 1 + d * ((d-1)**l - 1) / (d - 2) for d > 2.
+    A depth-n vertex has ``_width(n)`` children.  The subclasses give
+    ``_width`` and their own ``check_point``.
     """
 
     kind = "generated"
-    vertex_transitive = True
+    basepoint = ()
 
-    def __init__(self, degree: int = 3, max_depth: int = 16):
-        if degree < 3:
-            raise InvalidInputError("degree must be >= 3 (smaller cases are lines/points)")
+    def __init__(self, max_depth: int, name: str, annotations):
         if max_depth < 1:
             raise InvalidInputError("max_depth must be >= 1")
-        self.degree = degree
         self.max_depth = max_depth
-        self.name = f"regular_tree[d={degree},depth<={max_depth}]"
-        self.annotations = frozenset({"graph", "bounded-degree", "quasi-geodesic"})
-        self.basepoint = ()
+        self.name = name
+        self.annotations = frozenset(annotations)
 
-    def check_point(self, x):
-        if not isinstance(x, tuple) or len(x) > self.max_depth:
-            raise UnknownPointError(f"point must be a child-index tuple within depth {self.max_depth}: {x!r}")
-        for j, c in enumerate(x):
-            limit = self.degree if j == 0 else self.degree - 1
-            if not isinstance(c, int) or not 0 <= c < limit:
-                raise UnknownPointError(f"bad child index at level {j}: {x!r}")
+    def _width(self, depth: int) -> int:
+        raise NotImplementedError
 
     def distance(self, a, b):
         self.check_point(a)
         self.check_point(b)
-        cp = 0
-        for u, v in zip(a, b):
-            if u != v:
-                break
-            cp += 1
-        return (len(a) - cp) + (len(b) - cp)
+        return _prefix_hops(a, b)
 
     def _adjacency(self, v):
-        out = []
-        if v:
-            out.append(v[:-1])
-        width = self.degree if not v else self.degree - 1
-        out.extend(v + (c,) for c in range(width))
+        # neighbors never expands a vertex at max_depth: its window check
+        # stops every ball one level short of the window's edge
+        out = [v[:-1]] if v else []
+        out.extend(v + (c,) for c in range(self._width(len(v))))
         return out
 
     def neighbors(self, x, delta):
@@ -296,6 +277,35 @@ class RegularTree(MetricSpace):
             raise BudgetExceededError(
                 f"radius {r} ball around depth-{len(x)} vertex exceeds depth window {self.max_depth}")
         return _hop_ball(self._adjacency, x, r)
+
+
+class RegularTree(_RootedTree):
+    """The infinite degree-d tree (every vertex has exactly d neighbors).
+
+    Encoded from a root: the root has d children, every other vertex has
+    d - 1 children; ball sizes have the closed form
+    |B(x, l)| = 1 + d * ((d-1)**l - 1) / (d - 2) for d > 2.
+    """
+
+    vertex_transitive = True
+
+    def __init__(self, degree: int = 3, max_depth: int = 16):
+        if degree < 3:
+            raise InvalidInputError("degree must be >= 3 (smaller cases are lines/points)")
+        self.degree = degree
+        super().__init__(max_depth, f"regular_tree[d={degree},depth<={max_depth}]",
+                         {"graph", "bounded-degree", "quasi-geodesic"})
+
+    def check_point(self, x):
+        if not isinstance(x, tuple) or len(x) > self.max_depth:
+            raise UnknownPointError(f"point must be a child-index tuple within depth {self.max_depth}: {x!r}")
+        for j, c in enumerate(x):
+            limit = self.degree if j == 0 else self.degree - 1
+            if not isinstance(c, int) or not 0 <= c < limit:
+                raise UnknownPointError(f"bad child index at level {j}: {x!r}")
+
+    def _width(self, depth):
+        return self.degree if depth == 0 else self.degree - 1
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +390,7 @@ class TreeLine(MetricSpace):
             return len(a[2]) + abs(self._x[a[1]] - b[1])
         if a[1] != b[1]:
             return len(a[2]) + abs(self._x[a[1]] - self._x[b[1]]) + len(b[2])
-        bits_a, bits_b = a[2], b[2]
-        cp = 0
-        for u, v in zip(bits_a, bits_b):
-            if u != v:
-                break
-            cp += 1
-        return (len(bits_a) - cp) + (len(bits_b) - cp)
+        return _prefix_hops(a[2], b[2])
 
     def _adjacency(self, v):
         out = []
@@ -462,7 +466,7 @@ class TreeLine(MetricSpace):
 # branching tree with factorial measure
 
 
-class BranchTree(MetricSpace):
+class BranchTree(_RootedTree):
     """Rooted tree where every depth-n vertex has n + 2 children.
 
     Degrees are unbounded: the children of one vertex are pairwise at
@@ -470,15 +474,9 @@ class BranchTree(MetricSpace):
     of bounded diameter (the declared bounded-geometry obstruction).
     """
 
-    kind = "generated"
-
     def __init__(self, max_depth: int = 10):
-        if max_depth < 1:
-            raise InvalidInputError("max_depth must be >= 1")
-        self.max_depth = max_depth
-        self.name = f"branch_tree[depth<={max_depth}]"
-        self.annotations = frozenset({"graph", "quasi-geodesic", "not-coarsely-bounded-geometry"})
-        self.basepoint = ()
+        super().__init__(max_depth, f"branch_tree[depth<={max_depth}]",
+                         {"graph", "quasi-geodesic", "not-coarsely-bounded-geometry"})
 
     def check_point(self, x):
         if not isinstance(x, tuple) or len(x) > self.max_depth:
@@ -488,39 +486,14 @@ class BranchTree(MetricSpace):
             if not isinstance(c, int) or not 0 <= c <= j:
                 raise UnknownPointError(f"bad child index at step {j}: {x!r}")
 
-    def distance(self, a, b):
-        self.check_point(a)
-        self.check_point(b)
-        cp = 0
-        for u, v in zip(a, b):
-            if u != v:
-                break
-            cp += 1
-        return (len(a) - cp) + (len(b) - cp)
-
-    def _adjacency(self, v):
-        out = []
-        if v:
-            out.append(v[:-1])
-        if len(v) < self.max_depth:
-            out.extend(v + (c,) for c in range(len(v) + 2))
-        return out
-
-    def neighbors(self, x, delta):
-        self.check_point(x)
-        r = _floor_int(delta)
-        if r < 1:
-            return []
-        if len(x) + r > self.max_depth:
-            raise BudgetExceededError(
-                f"radius {r} ball around depth-{len(x)} vertex exceeds depth window {self.max_depth}")
-        return _hop_ball(self._adjacency, x, r)
+    def _width(self, depth):
+        return depth + 2
 
     def children(self, v) -> List[Tuple]:
         self.check_point(v)
         if len(v) >= self.max_depth:
             raise BudgetExceededError(f"children of a depth-{len(v)} vertex exceed the window")
-        return [v + (c,) for c in range(len(v) + 2)]
+        return [v + (c,) for c in range(self._width(len(v)))]
 
     def leftmost_at_depth(self, depth: int) -> Tuple:
         if depth > self.max_depth:
@@ -689,13 +662,13 @@ class PrimeCycle(MetricSpace):
         heap = [(0, x)]
         while heap:
             d, v = heapq.heappop(heap)
-            if d > dist.get(v, INF_SENTINEL):
+            if d > dist.get(v, INF):
                 continue
             if d + 1 > radius:
                 continue
             for w, weight in self._adjacency(v):
                 nd = d + weight
-                if nd <= radius and nd < dist.get(w, INF_SENTINEL):
+                if nd <= radius and nd < dist.get(w, INF):
                     dist[w] = nd
                     heapq.heappush(heap, (nd, w))
         dist.pop(x, None)
@@ -732,9 +705,6 @@ class PrimeCycle(MetricSpace):
         return s, p, depths
 
 
-INF_SENTINEL = float("inf")
-
-
 # ---------------------------------------------------------------------------
 # coarse union of finite pieces
 
@@ -763,7 +733,7 @@ class CoarseUnion(MetricSpace):
             for i, a in enumerate(pts):
                 for b in pts[i + 1:]:
                     d = part.distance(a, b)
-                    if not d < INF_SENTINEL:
+                    if not d < INF:
                         raise InvalidInputError(f"part {idx} is unbounded (disconnected?)")
                     if d > diam:
                         diam = d

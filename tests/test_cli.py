@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from coarseentropy.serialize import orbits_from_json_lines
 from coarseentropy.spaces import make_example
 
 SMALL_TREE_LINE = '{"max_tree": 4, "schedule": "2^n"}'
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(argv, capsys):
@@ -353,6 +355,34 @@ class TestObstructCommand:
             ["obstruct", "--space", "int_line"], capsys)
         assert code == 1
         assert err.startswith("config error:")
+
+
+class TestInfiniteScales:
+    @pytest.mark.parametrize("argv", [
+        ["growth", "--space", "int_line"],
+        ["growth", "--edges", str(DATA / "path41.csv")],
+        ["growth", "--edges", str(DATA / "cycle20_fraction.csv")],
+        ["orbits", "--space", "regular_tree", "--n", "1"],
+        ["rates", "--space", "int_line", "--n", "1", "--radius", "2"],
+        ["witness", "--space", "tree_line", "--params", SMALL_TREE_LINE],
+        ["classify", "--space", "int_line"],
+        ["qgcheck", "--space", "int_line"],
+        ["bgcheck", "--space", "branch_tree"],
+        ["obstruct", "--space", "int_line", "--target-space", "int_line"],
+    ], ids=["growth", "growth-graph", "growth-weighted", "orbits", "rates", "witness",
+            "classify", "qgcheck", "bgcheck", "obstruct"])
+    def test_infinite_delta_is_a_config_error(self, argv, capsys):
+        code, out, err = run(argv + ["--delta", "inf"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "config error: --delta must be finite: 'inf'\n"
+
+    def test_infinite_radius_still_runs(self, capsys):
+        code, doc = run_json(
+            ["rates", "--space", "int_line", "--n", "0,1", "--radius", "inf"], capsys)
+        assert code == 0
+        assert doc["report"]["config"]["radius"] == "inf"
+        assert [row["count"] for row in doc["report"]["rows"]] == [1, 1]
 
 
 class TestSpaceResolution:

@@ -113,6 +113,28 @@ class TestMinDense:
         assert min_dense(items, 1).size == 1
 
 
+class TestExactThresholds:
+    """A threshold that is not a float stays exact: items exactly R apart
+    are R-separated and no open R-ball holds both."""
+
+    @pytest.mark.parametrize("make", [
+        lambda d: MetricItems.from_points([0, 1], lambda a, b: 0 if a == b else d),
+        lambda d: items_from_matrix([[0, d], [d, 0]]),
+    ], ids=["from_points", "matrix"])
+    def test_items_at_exactly_R(self, make):
+        R = Fraction(7, 3)
+        items = make(R)
+        packing = max_separated(items, R)
+        assert (packing.size, packing.certificate) == (2, "exact")
+        assert min_dense(items, R).size == 2
+        assert items.tol == 0 and isinstance(items.tol, int)
+
+    def test_from_points_keeps_the_space_tolerance(self):
+        log = make_example("log_line", {"max_abs": 16})
+        assert MetricItems.from_points([0, 1], log).tol == 1e-9
+        assert MetricItems.from_points([0, 1], log, tol=0).tol == 0
+
+
 class TestDualityAndMonotonicity:
     def test_packing_covering_sandwich(self, rng):
         # s(2R) <= r(R) <= s(R): a maximal R-separated set is R-dense, and

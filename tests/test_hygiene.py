@@ -1,9 +1,12 @@
 """Source hygiene: no module under ``src/coarseentropy/`` imports a name
-it never uses.
+it never uses, and no module defines a name that nothing reads.
 
-A name counts as used when the module reads it anywhere (code or
-annotations) or lists it in ``__all__``, which is how the package
+An imported name counts as used when the module reads it anywhere (code
+or annotations) or lists it in ``__all__``, which is how the package
 ``__init__`` files re-export.  ``from __future__`` imports are exempt.
+A module-level def, class or constant counts as used when any module of
+the package reads it, as a name or as an attribute, or any ``__all__``
+lists it.
 """
 
 import ast
@@ -39,6 +42,40 @@ def unused_imports(path):
             for name, line in imported_names(tree) if name not in used]
 
 
+def module_level_names(tree):
+    """(name, line) for every module-level def, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield target.id, node.lineno
+
+
+def read_names(tree):
+    """Names the module loads, plus every attribute name it reads."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def unread_definitions():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        used |= read_names(tree) | exported_names(tree)
+    return [f"{path.relative_to(PACKAGE.parent)}:{line}: {name}"
+            for path, tree in trees.items()
+            for name, line in module_level_names(tree) if name not in used]
+
+
 def test_sources_are_found():
     assert len(list(PACKAGE.rglob("*.py"))) > 10
 
@@ -46,3 +83,8 @@ def test_sources_are_found():
 def test_no_unused_imports():
     unused = [u for path in sorted(PACKAGE.rglob("*.py")) for u in unused_imports(path)]
     assert unused == [], "unused imports:\n" + "\n".join(unused)
+
+
+def test_no_unread_definitions():
+    unread = unread_definitions()
+    assert unread == [], "module-level names nothing reads:\n" + "\n".join(unread)

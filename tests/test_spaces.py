@@ -776,6 +776,12 @@ class TestGraphBuilders:
         with pytest.raises(InvalidInputError):
             build_weighted_graph([(0, 1)])
 
+    def test_weighted_ball_at_an_exact_rational_radius(self):
+        g = build_weighted_graph([(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 3))])
+        assert g.neighbors(0, Fraction(2, 3)) == [1, 2]
+        assert g.neighbors(0, Fraction(1, 3)) == [1]
+        assert ball(g, 2, Fraction(2, 3)) == [0, 1, 2]
+
     def test_graph_neighbors_use_metric_balls(self):
         g = path_graph(6)
         assert g.neighbors(2, 2) == [0, 1, 3, 4]
@@ -810,6 +816,12 @@ class TestFiniteSpaces:
             build_finite_space(pts, broken)
         space = build_finite_space(pts, broken, validate=False)
         assert space.distance("a", "c") == 5
+
+    def test_exact_thirds_satisfy_the_triangle_inequality(self):
+        space = build_finite_space([0, 1, 2], lambda a, b: Fraction(abs(a - b), 3))
+        assert space.distance(0, 2) == Fraction(2, 3)
+        assert space.neighbors(0, Fraction(2, 3)) == [1, 2]
+        assert space.tol == 0 and isinstance(space.tol, int)
 
     def test_validate_metric_catches_zero_off_diagonal(self):
         pts = (0, 1, 2)

@@ -228,7 +228,7 @@ class IntLine(_IntegerLine):
         return _floor_int(delta)
 
     def hop_distance(self, a, b, delta):
-        # unit steps reach every gap in the fewest full strides
+        # the bound is attained: full strides of max_step, then the rest
         return self.hop_lower_bound(a, b, delta)
 
 

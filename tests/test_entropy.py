@@ -179,6 +179,20 @@ class TestCoding:
             # maximality of the greedy net: every point is strictly within r
             assert d < scheme.r
 
+    def test_ties_go_to_the_earlier_net_index(self):
+        sp = IntLine(max_abs=100)
+        # window -10..10, net seeded at 0 with r = 2
+        scheme = build_coding(sp, 0, 6, 1, 8)
+        assert scheme.net == (0, -10, -8, -6, -4, -2, 2, 4, 6, 8, 10)
+        ties = 0
+        for p, idx in scheme.cells.items():
+            dists = [sp.distance(p, z) for z in scheme.net]
+            nearest = [k for k, d in enumerate(dists) if d == min(dists)]
+            ties += len(nearest) > 1
+            assert idx == nearest[0]
+        assert ties == 10  # every odd point sits between two net points
+        assert (scheme.cells[-1], scheme.cells[1], scheme.cells[9]) == (0, 0, 9)
+
     def test_code_rejects_wrong_length(self):
         sp = IntLine(max_abs=100)
         scheme = build_coding(sp, 0, 6, 1, 8)

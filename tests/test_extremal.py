@@ -395,6 +395,32 @@ def test_pinned_selections(name, n, R, solver, size, certificate, digest):
         (size, certificate, digest)
 
 
+# (family, n, radii): 64 to 6,561 paths over int, float and Fraction distances
+FIRST_FIT_FAMILIES = [
+    ("int_line", 4, (1, 2, 3, 4)),
+    ("int_line", 8, (2, 3, 4, 6)),
+    ("regular_tree", 3, (1, 2, 3)),
+    ("regular_tree", 4, (2, 3, 4)),
+    ("log_line", 4, (1, 1.5, 2, 3)),
+    ("ultrametric_product", 6, (1, 2)),
+    ("weighted_cycle", 4, (1, Fraction(3, 2), 3)),
+    ("weighted_cycle", 7, (Fraction(3, 2), 3)),
+]
+
+
+@pytest.mark.parametrize("name, n, radii", FIRST_FIT_FAMILIES,
+                         ids=[f"{name}-n{n}" for name, n, _ in FIRST_FIT_FAMILIES])
+def test_greedy_packing_picks_the_first_uncovered_centers(name, n, radii):
+    # a maximal R-separated family is R-dense: both greedy passes take the
+    # lowest item that no earlier pick is strictly within R of
+    items = orbit_items(name, n)
+    for R in radii:
+        packing = max_separated(items, R, exact_limit=0)
+        cover = min_dense(items, R, greedy_limit=0)
+        assert "greedy_passes" in packing.stats and "strategy_first_uncovered" in cover.stats
+        assert packing.selected == cover.selected
+
+
 class TestFromOrbits:
     def test_dist_is_the_sup_metric(self):
         sp = IntLine(max_abs=50)

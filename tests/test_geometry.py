@@ -177,6 +177,12 @@ class TestNetRetraction:
                 if abs(p - z) <= 2:
                     assert retraction[p] == z
 
+    def test_ties_go_to_the_earlier_net_point(self):
+        sp = IntLine(max_abs=100)
+        net, retraction = net_retraction(sp, 2, list(range(-10, 11)))
+        # -7 is 3 from both -10 and -4, -1 from both -4 and 2, 5 from both 2 and 8
+        assert (retraction[-7], retraction[-1], retraction[5]) == (-10, -4, 2)
+
     def test_argument_validation(self):
         sp = IntLine(max_abs=10)
         with pytest.raises(InvalidInputError):

@@ -58,8 +58,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_space_flags(p: argparse.ArgumentParser, prefix: str = "",
-                     required: bool = True) -> None:
+def _add_space_flags(p: argparse.ArgumentParser, prefix: str = "") -> None:
     names = {
         "space": f"--{prefix}space",
         "params": f"--{prefix}params",

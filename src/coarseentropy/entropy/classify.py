@@ -59,12 +59,7 @@ class ClassifyConfig:
     zero_slope: float = 0.05
     positive_slope: float = 0.2
     rules: Tuple[str, ...] = RULES
-    coding_delta: Dist = 2
-    coding_R: Dist = 17
-    coding_n: int = 4
-    coding_cap: int = 10 ** 6
     finite_check_limit: int = 120
-    measured_l_max: int = 8
 
     def enabled(self, rule: str) -> bool:
         return rule in self.rules
@@ -166,9 +161,8 @@ def classify(space: MetricSpace, config: Optional[ClassifyConfig] = None) -> Cla
     # 3. coding-map certificate => zero (net-coding separates R-separated
     #    paths while the code alphabet stays polynomial in scale)
     if cfg.enabled("coding-map-zero") and "coding-map-zero" in ann:
-        report = coding_injectivity_check(space, space.basepoint, cfg.coding_n,
-                                          cfg.coding_delta, cfg.coding_R,
-                                          cap=cfg.coding_cap)
+        # the n = 4 step paths at delta = 2, coded at R = 17
+        report = coding_injectivity_check(space, space.basepoint, 4, 2, 17)
         if report["fibers_below_R"]:
             return ClassificationReport(name, "zero", "coding-map-zero", True, None,
                                         {"source": "catalog-annotation",
@@ -181,8 +175,7 @@ def classify(space: MetricSpace, config: Optional[ClassifyConfig] = None) -> Cla
     #    ball volume forces infinitely many distinguishable paths)
     if (cfg.enabled("measured-volume") and isinstance(space, MeasuredSpace)
             and "vol-finite" in ann and tag == "exponential"):
-        series = growth_series(space, space.basepoint, cfg.delta, cfg.measured_l_max,
-                               measured=True)
+        series = growth_series(space, space.basepoint, cfg.delta, 8, measured=True)
         slope = fit_log_slope(series)
         if slope > cfg.positive_slope:
             return ClassificationReport(name, "infinite", "measured-volume", True, None,

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import InvalidInputError
-from ..extremal import greedy_net
+from ..extremal import greedy_net, nearest_net
 from ..numbers import Dist, dist_to_jsonable
 from ..paths import enumerate_orbits
 from ..spaces.base import MetricSpace, PointRef, ball
@@ -91,18 +91,9 @@ def build_coding(space: MetricSpace, x0: PointRef, n: int, delta: Dist, R: Dist)
     # basepoint first so the net is seeded at x0, rest in sorted order
     window = [x0] + [p for p in ball(space, x0, radius) if p != x0]
     net = greedy_net(space, window, r)
-    cells: Dict[PointRef, int] = {}
-    for p in window:
-        best_idx: Optional[int] = None
-        best_d: Optional[Dist] = None
-        for idx, a in enumerate(net):
-            d = space.distance(p, a)
-            if best_d is None or space.lt(d, best_d):
-                best_d = d
-                best_idx = idx
-        cells[p] = best_idx
+    cells = {p: idx for p, (idx, _) in zip(window, nearest_net(space, window, net))}
     return CodingScheme(space=space, x0=x0, n=n, delta=delta, R=R, r=r, q=q,
-                        net=tuple(net), cells=dict(cells))
+                        net=tuple(net), cells=cells)
 
 
 def code_paths(scheme: CodingScheme, paths: Sequence) -> Dict[Tuple[int, ...], List[int]]:

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import BudgetExceededError, InvalidInputError
 from ..extremal import MetricItems, max_separated, min_dense
-from ..numbers import Dist, dist_to_jsonable
+from ..numbers import Dist, dist_to_jsonable, is_finite
 from ..paths import delta_component, enumerate_orbits, step_ball
 from ..spaces.base import MetricSpace, PointRef
 
@@ -131,7 +131,10 @@ def covering_bound(space: MetricSpace, x0: PointRef, delta: Dist, R: Dist,
     of radius k, the dense count at length n is at most V ** (n/k + 1).
     The bound is certified for vertex-transitive spaces (the basepoint ball
     attains the supremum); otherwise it is reported as basepoint-only.
+    An infinite R has no such k.
     """
+    if not is_finite(R):
+        return None
     if isinstance(R, (int, Fraction)) and isinstance(delta, (int, Fraction)):
         ratio = Fraction(R) / Fraction(delta)
         if ratio.denominator != 1:
@@ -164,8 +167,7 @@ def covering_bound(space: MetricSpace, x0: PointRef, delta: Dist, R: Dist,
 
 def rate_series(space: MetricSpace, x0: PointRef, delta: Dist, R: Dist, ns: Sequence[int],
                 mode: str = "separated", cap: int = 10 ** 6,
-                exact_limit: Optional[int] = None, use_shortcut: bool = True,
-                with_bound: bool = True) -> dict:
+                exact_limit: Optional[int] = None, use_shortcut: bool = True) -> dict:
     """Counts and rates across several lengths, plus the covering bound
     (dense mode, when R/delta - 1 is a positive integer)."""
     if mode not in ("separated", "dense"):
@@ -176,7 +178,7 @@ def rate_series(space: MetricSpace, x0: PointRef, delta: Dist, R: Dist, ns: Sequ
         pts.append(fn(space, x0, n, delta, R, cap=cap, exact_limit=exact_limit,
                       use_shortcut=use_shortcut))
     out = {"mode": mode, "points": pts}
-    if mode == "dense" and with_bound:
+    if mode == "dense":
         bound = covering_bound(space, x0, delta, R, list(ns))
         if bound is not None:
             out["covering_bound"] = bound

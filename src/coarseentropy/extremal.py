@@ -28,6 +28,7 @@ __all__ = [
     "max_separated",
     "min_dense",
     "greedy_net",
+    "nearest_net",
     "max_band_clique",
     "verify_separated",
     "verify_dense",
@@ -250,7 +251,8 @@ def max_separated(items: MetricItems, R: Dist, exact_limit: int = 40) -> Extrema
     """Largest subfamily with pairwise distance >= R.
 
     Exact (maximum independent set in the conflict graph) up to
-    ``exact_limit`` items; greedy maximal beyond, certified lower-bound.
+    ``exact_limit`` items; beyond, the first-uncovered pass that
+    :func:`min_dense` also uses, certified lower-bound.
     """
     if not R > 0:
         raise InvalidInputError("R must be positive")
@@ -262,26 +264,30 @@ def max_separated(items: MetricItems, R: Dist, exact_limit: int = 40) -> Extrema
         sel, nodes = _mis_bitset(n, conflict)
         result = ExtremalResult("separated", R, len(sel), tuple(sel), "exact", {"nodes": nodes})
     else:
-        sel = _greedy_separated(items, R)
+        sel, _ = _first_fit(items, R)
         result = ExtremalResult("separated", R, len(sel), tuple(sel), "lower-bound",
                                 {"greedy_passes": len(sel)})
     verify_separated(items, R, result.selected)
     return result
 
 
-def _greedy_separated(items: MetricItems, R: Dist) -> List[int]:
+def _first_fit(items: MetricItems, R: Dist) -> Tuple[List[int], np.ndarray]:
+    """First-uncovered greedy: each pick is the lowest item no earlier pick
+    is strictly within R of, so the picks are a maximal R-separated set,
+    hence R-dense.  Also returns each item's lowest-index covering pick,
+    which is the first pick to cover it."""
     close, v = items.close(R), items.vectors
-    alive = np.ones(len(items), dtype=bool)
-    chosen: List[int] = []
+    assignment = np.full(len(items), -1, dtype=np.int64)
+    picks: List[int] = []
     while True:
-        rest = np.flatnonzero(alive)
+        rest = np.flatnonzero(assignment < 0)
         if rest.size == 0:
             break
         pick = int(rest[0])
-        chosen.append(pick)
-        alive[rest] = ~close[v[rest], v[pick]].all(axis=1)
-        alive[pick] = False
-    return chosen
+        picks.append(pick)
+        assignment[rest[close[v[rest], v[pick]].all(axis=1)]] = pick
+        assignment[pick] = pick
+    return picks, assignment
 
 
 def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int],
@@ -396,28 +402,6 @@ def _mask_assignment(n: int, cov: List[int], selected: Sequence[int]) -> List[in
     return assignment
 
 
-def _greedy_net_cover(items: MetricItems, R: Dist) -> Tuple[List[int], List[int]]:
-    """First-uncovered greedy: centers form a maximal R-separated set,
-    hence an R-dense one; scales to large families.
-
-    Centers are picked in increasing index order, so the center that first
-    covers an item is the lowest-index one covering it; that is the item's
-    entry in the returned assignment.
-    """
-    close, v = items.close(R), items.vectors
-    assignment = np.full(len(items), -1, dtype=np.int64)
-    chosen: List[int] = []
-    while True:
-        rest = np.flatnonzero(assignment < 0)
-        if rest.size == 0:
-            break
-        pick = int(rest[0])
-        chosen.append(pick)
-        assignment[rest[close[v[rest], v[pick]].all(axis=1)]] = pick
-        assignment[pick] = pick
-    return chosen, assignment.tolist()
-
-
 def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25,
               greedy_limit: int = 1500) -> ExtremalResult:
     """Smallest subfamily with every item strictly within R of a member.
@@ -446,7 +430,8 @@ def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25,
         result = ExtremalResult("dense", R, len(sel), tuple(sel), "upper-bound",
                                 {"strategy_max_coverage": 1})
     else:
-        sel, assignment = _greedy_net_cover(items, R)
+        sel, covered_by = _first_fit(items, R)
+        assignment = covered_by.tolist()
         result = ExtremalResult("dense", R, len(sel), tuple(sel), "upper-bound",
                                 {"strategy_first_uncovered": 1})
     verify_dense(items, R, result.selected, assignment)
@@ -528,13 +513,30 @@ def greedy_net(space: MetricSpace, window: Sequence[PointRef], s: Dist) -> List[
     return net
 
 
-def max_band_clique(items: MetricItems, low: Dist, high: Dist, exact_limit: int = 40,
-                    anchor_cap: int = 64) -> ExtremalResult:
+def nearest_net(space: MetricSpace, window: Sequence[PointRef],
+                net: Sequence[PointRef]) -> List[Tuple[int, Dist]]:
+    """For each window point, the index of its nearest point in the
+    (nonempty) net and the distance to it.  Ties go to the earliest net
+    point: a later one wins only when ``space.lt`` puts it strictly closer.
+    """
+    out = []
+    for p in window:
+        best = None
+        for idx, z in enumerate(net):
+            d = space.distance(p, z)
+            if best is None or space.lt(d, best[1]):
+                best = (idx, d)
+        out.append(best)
+    return out
+
+
+def max_band_clique(items: MetricItems, low: Dist, high: Dist,
+                    exact_limit: int = 40) -> ExtremalResult:
     """Largest subfamily with all pairwise distances in [low, high].
 
     This is a maximum clique in the band graph, solved as an independent
     set of its complement below ``exact_limit``; above it a deterministic
-    anchored greedy reports a lower bound.
+    greedy grown from each of the first 64 items reports a lower bound.
     """
     n = len(items)
     if n == 0:
@@ -554,7 +556,8 @@ def max_band_clique(items: MetricItems, low: Dist, high: Dist, exact_limit: int 
         sel, nodes = _mis_bitset(n, conflict)
         return ExtremalResult("band-clique", low, len(sel), tuple(sel), "exact", {"nodes": nodes})
     best: List[int] = []
-    for anchor in range(min(n, anchor_cap)):
+    anchors = min(n, 64)
+    for anchor in range(anchors):
         clique = [anchor]
         for j in range(n):
             if j != anchor and all(in_band(j, c) for c in clique):
@@ -562,4 +565,4 @@ def max_band_clique(items: MetricItems, low: Dist, high: Dist, exact_limit: int 
         if len(clique) > len(best):
             best = clique
     return ExtremalResult("band-clique", low, len(best), tuple(sorted(best)), "lower-bound",
-                          {"anchors": min(n, anchor_cap)})
+                          {"anchors": anchors})

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError
-from .extremal import MetricItems, greedy_net, max_band_clique
+from .extremal import MetricItems, greedy_net, max_band_clique, nearest_net
 from .numbers import Dist, dist_to_jsonable
 from .paths import hop_search
 from .spaces.base import Graph, MetricSpace, PointRef, ball, build_graph
@@ -87,13 +87,12 @@ def _verdict(sizes: Sequence[int]) -> str:
 
 def bounded_geometry_evidence(space: MetricSpace, s: Optional[Dist] = None,
                               D: Optional[Dist] = None,
-                              window_depths: Optional[Sequence[int]] = None,
-                              exact_limit: int = 40) -> BGEvidence:
+                              window_depths: Optional[Sequence[int]] = None) -> BGEvidence:
     """Largest s-separated diameter-<=D families found at increasing depths.
 
     Catalog spaces with their own witness constructions supply verified
-    families directly; otherwise the search runs an exact band-clique
-    solver over the ball of each depth (greedy above ``exact_limit``).
+    families directly; otherwise the search runs ``max_band_clique``, exact
+    or greedy by its own limit, over the ball of each depth.
     """
     defaults = space.bg_evidence_defaults()
     if defaults is not None:
@@ -125,7 +124,7 @@ def bounded_geometry_evidence(space: MetricSpace, s: Optional[Dist] = None,
             continue
         window = ball(space, space.basepoint, depth)
         items = MetricItems.from_points(window, space)
-        res = max_band_clique(items, s, D, exact_limit=exact_limit)
+        res = max_band_clique(items, s, D)
         _check_family(space, [items.items[i] for i in res.selected], s, D)
         sizes.append(res.size)
         certs.append(res.certificate)
@@ -237,16 +236,9 @@ def net_retraction(space: MetricSpace, r: Dist, window: Sequence[PointRef]):
     scale = 3 * r
     net = greedy_net(space, pts, scale)
     retraction: Dict[PointRef, PointRef] = {}
-    for p in pts:
-        best = None
-        best_d: Optional[Dist] = None
-        for z in net:
-            d = space.distance(p, z)
-            if best_d is None or space.lt(d, best_d):
-                best_d = d
-                best = z
-        if not space.le(best_d, scale):
+    for p, (idx, d) in zip(pts, nearest_net(space, pts, net)):
+        if not space.le(d, scale):
             raise InvalidInputError(
-                f"net is not {scale}-dense on the window: {p!r} is {best_d} away")
-        retraction[p] = best
+                f"net is not {scale}-dense on the window: {p!r} is {d} away")
+        retraction[p] = net[idx]
     return net, retraction

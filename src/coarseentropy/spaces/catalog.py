@@ -46,6 +46,8 @@ __all__ = [
 
 
 def _floor_int(delta: Dist) -> int:
+    if delta == INF:
+        raise BudgetExceededError(f"a delta={delta} ball leaves every finite window")
     return int(math.floor(delta))
 
 
@@ -205,7 +207,8 @@ class LogLine(_IntegerLine):
     def max_step(self, delta):
         if delta < 0:
             return 0
-        s = max(0, int(2.0 ** float(delta) - 1.0 + 1e-9))
+        # an infinite delta makes this inf, which _floor_int rejects
+        s = max(0, _floor_int(2.0 ** float(delta) - 1.0 + 1e-9))
         while self.le(math.log2(2 + s), delta):
             s += 1
         while s > 0 and not self.le(math.log2(1 + s), delta):

@@ -384,6 +384,13 @@ class TestInfiniteScales:
         assert doc["report"]["config"]["radius"] == "inf"
         assert [row["count"] for row in doc["report"]["rows"]] == [1, 1]
 
+    def test_infinite_radius_dense_has_no_covering_bound(self, capsys):
+        code, doc = run_json(["rates", "--space", "int_line", "--n", "1", "--radius", "inf",
+                              "--mode", "dense"], capsys)
+        assert code == 0
+        assert "covering_bound" not in doc["report"]
+        assert [row["count"] for row in doc["report"]["rows"]] == [1]
+
 
 class TestSpaceResolution:
     def test_space_and_edges_conflict(self, capsys):

@@ -6,7 +6,9 @@ or annotations) or lists it in ``__all__``, which is how the package
 ``__init__`` files re-export.  ``from __future__`` imports are exempt.
 A module-level def, class or constant counts as used when any module of
 the package reads it, as a name or as an attribute, or any ``__all__``
-lists it.
+lists it.  Every parameter of a module-level function is read in its
+body; methods are exempt, since an interface stub on a base class is
+meant to ignore its arguments.
 """
 
 import ast
@@ -76,6 +78,24 @@ def unread_definitions():
             for name, line in module_level_names(tree) if name not in used]
 
 
+def unread_parameters():
+    out = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                arg for arg in (a.vararg, a.kwarg) if arg is not None]
+            loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out.extend(f"{path.relative_to(PACKAGE.parent)}:{node.lineno}: "
+                       f"{node.name}({arg.arg})"
+                       for arg in params if arg.arg not in loaded)
+    return out
+
+
 def test_sources_are_found():
     assert len(list(PACKAGE.rglob("*.py"))) > 10
 
@@ -88,3 +108,8 @@ def test_no_unused_imports():
 def test_no_unread_definitions():
     unread = unread_definitions()
     assert unread == [], "module-level names nothing reads:\n" + "\n".join(unread)
+
+
+def test_no_unread_parameters():
+    unread = unread_parameters()
+    assert unread == [], "parameters their function never reads:\n" + "\n".join(unread)

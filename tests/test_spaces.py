@@ -30,6 +30,7 @@ from coarseentropy import (
     build_weighted_graph,
     complete_graph,
     cycle_graph,
+    enumerate_orbits,
     load_edges_csv,
     make_example,
     path_graph,
@@ -910,3 +911,27 @@ class TestMakeExample:
             make_example("coarse_union", {"parts": []})
         with pytest.raises(InvalidInputError):
             make_example("coarse_union", {"parts": [{"klein": 4}]})
+
+
+class TestInfiniteStep:
+    """An infinite delta-ball leaves every finite window; only the finite
+    coarse union still answers."""
+
+    @pytest.mark.parametrize("tag", CATALOG_TAGS)
+    def test_infinite_delta(self, tag):
+        params = {"parts": [{"path": 3}, {"cycle": 4}]} if tag == "coarse_union" else None
+        sp = make_example(tag, params)
+        x0 = sp.basepoint
+        if tag == "coarse_union":
+            assert len(sp.neighbors(x0, math.inf)) == len(sp.points) - 1
+            assert len(enumerate_orbits(sp, x0, 1, math.inf).paths) == len(sp.points)
+            return
+        with pytest.raises(BudgetExceededError, match="leaves every finite window"):
+            sp.neighbors(x0, math.inf)
+        with pytest.raises(BudgetExceededError, match="leaves every finite window"):
+            enumerate_orbits(sp, x0, 1, math.inf)
+
+    @pytest.mark.parametrize("line", [IntLine, LogLine])
+    def test_infinite_max_step(self, line):
+        with pytest.raises(BudgetExceededError, match="leaves every finite window"):
+            line().max_step(math.inf)

@@ -39,6 +39,10 @@ __all__ = [
 # squared entries, and every boolean table per scale as many bytes
 POINT_LIMIT = 4096
 
+# bytes of packed row sets the first-fit pass may memoise; it drops them all
+# when the next one would not fit
+_NEAR_MEMO_BYTES = 64 << 20
+
 
 def _distance_table(size: int, dist: Callable[[int, int], Dist]) -> np.ndarray:
     """Symmetric object table of the exact distances ``dist(a, b)``, one
@@ -271,22 +275,67 @@ def max_separated(items: MetricItems, R: Dist, exact_limit: int = 40) -> Extrema
     return result
 
 
+def _pack_rows(rows: np.ndarray, words: int) -> np.ndarray:
+    """A boolean row vector as ``words`` little-endian 64-bit words: row i
+    is bit ``i % 64`` of word ``i // 64``, and the bits past the rows are 0."""
+    out = np.zeros(8 * words, dtype=np.uint8)
+    packed = np.packbits(rows, bitorder="little")
+    out[:packed.size] = packed
+    return out.view("<u8")
+
+
+def _unpack_rows(words: np.ndarray) -> np.ndarray:
+    """Ascending indices of the set bits of a packed row set."""
+    octets = words.view(np.uint8)
+    nonzero = np.flatnonzero(octets)
+    byte, bit = np.nonzero(np.unpackbits(octets[nonzero, None], axis=1, bitorder="little"))
+    return nonzero[byte] * 8 + bit
+
+
 def _first_fit(items: MetricItems, R: Dist) -> Tuple[List[int], np.ndarray]:
     """First-uncovered greedy: each pick is the lowest item no earlier pick
     is strictly within R of, so the picks are a maximal R-separated set,
     hence R-dense.  Also returns each item's lowest-index covering pick,
-    which is the first pick to cover it."""
+    which is the first pick to cover it.
+
+    Row sets are packed 64 rows to a word.  ``near(k, a)``, the rows whose
+    column-k point is strictly within R of point ``a``, is packed once per
+    ``(k, a)`` and memoised within ``_NEAR_MEMO_BYTES``.  A pick covers the
+    uncovered rows in every ``near(k, v[pick, k])``, and itself.  No row
+    below a pick is uncovered, so each pick only reads the words from its own.
+    """
     close, v = items.close(R), items.vectors
-    assignment = np.full(len(items), -1, dtype=np.int64)
+    n = len(items)
+    words = -(-n // 64)
+    columns = np.ascontiguousarray(v.T)  # contiguous gathers for the row sets
+    uncovered = _pack_rows(np.ones(n, dtype=bool), words)
+    assignment = np.full(n, -1, dtype=np.int64)
+    memo: Dict[Tuple[int, int], np.ndarray] = {}
+    memo_cap = _NEAR_MEMO_BYTES // (8 * words) if words else 0
     picks: List[int] = []
-    while True:
-        rest = np.flatnonzero(assignment < 0)
-        if rest.size == 0:
+    w = 0
+    for _ in range(n):  # at most one pick per row: each pick covers itself
+        while w < words and not uncovered[w]:
+            w += 1
+        if w == words:
             break
-        pick = int(rest[0])
+        word = int(uncovered[w])
+        bit = (word & -word).bit_length() - 1
+        pick = 64 * w + bit
         picks.append(pick)
-        assignment[rest[close[v[rest], v[pick]].all(axis=1)]] = pick
-        assignment[pick] = pick
+        cover = uncovered[w:].copy()
+        for k, a in enumerate(v[pick].tolist()):
+            near = memo.get((k, a))
+            if near is None:
+                near = _pack_rows(close[:, a].take(columns[k]), words)
+                if len(memo) >= memo_cap:
+                    memo.clear()
+                if memo_cap:
+                    memo[k, a] = near
+            cover &= near[w:]
+        cover[0] |= np.uint64(1 << bit)
+        uncovered[w:] &= ~cover
+        assignment[_unpack_rows(cover) + 64 * w] = pick
     return picks, assignment
 
 

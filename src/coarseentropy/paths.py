@@ -263,6 +263,10 @@ def enumerate_orbits(space: MetricSpace, x0: PointRef, n: int, delta: Dist,
             x = support[k]
             # a point is always its own successor: d(x, x) = 0 <= delta
             successors.append([point_id(s) for s in sorted(space.neighbors(x, delta) + [x])])
+        if successors == [[0]]:
+            # x0 has no neighbour at this scale, so the one path stands still
+            ids = np.zeros((1, n + 1), dtype=np.int32)
+            break
         sizes = np.fromiter(map(len, successors), dtype=np.int64, count=len(successors))
         last = ids[:, -1]
         counts = sizes[last]

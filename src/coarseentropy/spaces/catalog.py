@@ -45,9 +45,18 @@ __all__ = [
 ]
 
 
+# LogLine.max_step computes steps of up to this many bits; the integer
+# grows with delta, so a larger delta raises BudgetExceededError
+_LOG_STEP_BITS = 4096
+
+
 def _floor_int(delta: Dist) -> int:
+    """``floor(delta)`` as an int.  ``-inf`` gives -1: like any negative
+    delta it allows no step.  ``inf`` raises: its ball leaves every window."""
     if delta == INF:
         raise BudgetExceededError(f"a delta={delta} ball leaves every finite window")
+    if delta == -INF:
+        return -1
     return int(math.floor(delta))
 
 
@@ -207,13 +216,31 @@ class LogLine(_IntegerLine):
     def max_step(self, delta):
         if delta < 0:
             return 0
-        # an infinite delta makes this inf, which _floor_int rejects
-        s = max(0, _floor_int(2.0 ** float(delta) - 1.0 + 1e-9))
-        while self.le(math.log2(2 + s), delta):
-            s += 1
-        while s > 0 and not self.le(math.log2(1 + s), delta):
-            s -= 1
-        return s
+        k = _floor_int(delta)  # rejects an infinite delta
+        if k > _LOG_STEP_BITS:
+            raise BudgetExceededError(
+                f"a delta={delta} step moves more than 2**{_LOG_STEP_BITS} points")
+
+        def fits(s):
+            return self.le(math.log2(1 + s), delta)
+
+        # 2**delta - 1, rounded down, in integers: the float 2.0 ** delta
+        # overflows from delta = 1024 on.  It fits, since its one rounding is
+        # far inside the tolerance; the tolerance can put the last s that fits
+        # about 2**delta / 1e9 further, so bracket it with doubling steps and
+        # bisect
+        lo = max(0, (int(2.0 ** (delta - k) * 2 ** 52) << k >> 52) - 1)
+        hi, step = lo + 1, 1
+        while fits(hi):
+            lo, hi = hi, hi + step
+            step *= 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if fits(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
 
 class IntLine(_IntegerLine):

@@ -58,6 +58,25 @@ def brute_max_band_clique(n, dist, low, high):
     return best
 
 
+def first_fit_oracle(n, close):
+    """Lowest-uncovered-first picks and each item's first covering pick.
+
+    ``close(i, j)`` says whether items i and j are strictly within R.  Each
+    pick is the lowest item no earlier pick is close to; it covers itself
+    and every later uncovered item close to it.
+    """
+    assignment = [None] * n
+    picks = []
+    for i in range(n):
+        if assignment[i] is None:
+            picks.append(i)
+            assignment[i] = i
+            for j in range(i + 1, n):
+                if assignment[j] is None and close(i, j):
+                    assignment[j] = i
+    return picks, assignment
+
+
 # ---------------------------------------------------------------------------
 # random finite metrics (Floyd-Warshall completion keeps the axioms exact)
 

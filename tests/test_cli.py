@@ -377,6 +377,14 @@ class TestInfiniteScales:
         assert out == ""
         assert err == "config error: --delta must be finite: 'inf'\n"
 
+    def test_log_line_step_past_the_float_range(self, capsys):
+        code, out, err = run(["growth", "--space", "log_line", "--delta", "2000",
+                              "--window", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "budget exceeded: delta-ball around 0 leaves the window " \
+                      "[-2097152, 2097152]\n"
+
     def test_infinite_radius_still_runs(self, capsys):
         code, doc = run_json(
             ["rates", "--space", "int_line", "--n", "0,1", "--radius", "inf"], capsys)

@@ -3,6 +3,8 @@ plus the combinatorial identities that relate them."""
 
 import hashlib
 import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,7 @@ from conftest import (
     brute_max_band_clique,
     brute_max_separated,
     brute_min_dense,
+    first_fit_oracle,
     random_metric,
 )
 
@@ -419,6 +422,52 @@ def test_greedy_packing_picks_the_first_uncovered_centers(name, n, radii):
         cover = min_dense(items, R, greedy_limit=0)
         assert "greedy_passes" in packing.stats and "strategy_first_uncovered" in cover.stats
         assert packing.selected == cover.selected
+
+
+RANDOM_30 = random_metric(random.Random(7), 30)
+
+# (id, family, radii): every FIRST_FIT_FAMILIES entry, two plain families
+# (w = 1), a one-item family, and a radius inside log_line's tolerance,
+# where no item is close even to itself and each pick covers only itself
+FIRST_FIT_CASES = [
+    (f"{name}-n{n}", lambda name=name, n=n: orbit_items(name, n), radii)
+    for name, n, radii in FIRST_FIT_FAMILIES
+] + [
+    ("plain-int_line-n4", lambda: raw_copy(orbit_items("int_line", 4)), (1, 2, 3, 5)),
+    ("plain-random", lambda: MetricItems.from_points(range(30), lambda a, b: RANDOM_30[a][b]),
+     (3, 5, 8)),
+    ("one-item", lambda: orbit_items("int_line", 0), (1, 4)),
+    ("log_line-within-tolerance", lambda: orbit_items("log_line", 3), (1e-10,)),
+]
+
+
+@pytest.mark.parametrize("make, radii", [case[1:] for case in FIRST_FIT_CASES],
+                         ids=[case[0] for case in FIRST_FIT_CASES])
+def test_first_fit_matches_the_first_uncovered_oracle(monkeypatch, make, radii):
+    # the same family answers every radius, so nothing may carry over from
+    # one radius to the next; each radius also runs with a memo budget of
+    # 8 bytes (one row set at most) and of two row sets, emptied when full
+    items = make()
+    entry = 8 * -(-len(items) // 64)
+    for R in radii:
+        expected = first_fit_oracle(len(items), lambda i, j: items.dist(i, j) < R - items.tol)
+        for budget in (None, 8, 2 * entry):
+            if budget is not None:
+                monkeypatch.setattr(extremal, "_NEAR_MEMO_BYTES", budget)
+            picks, assignment = extremal._first_fit(items, R)
+            assert (picks, assignment.tolist()) == expected, (R, budget)
+        monkeypatch.undo()
+
+
+def test_greedy_packing_is_fast_on_a_large_tree_family():
+    # 65,536 paths, 4,741 picks: the packing and its pairwise check
+    items = orbit_items("regular_tree", 8)
+    start = time.perf_counter()
+    res = max_separated(items, 2, exact_limit=0)
+    elapsed = time.perf_counter() - start
+    print(f"regular_tree n=8 greedy packing: {elapsed:.2f}s")
+    assert (len(items), res.size, res.certificate) == (65_536, 4_741, "lower-bound")
+    assert elapsed < 5.0
 
 
 class TestFromOrbits:

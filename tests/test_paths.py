@@ -260,6 +260,29 @@ class TestEnumerationOrder:
         orbits = enumerate_orbits(make_example("int_line"), 0, 5000, Fraction(1, 2))
         assert len(orbits) == 1
         assert orbits.paths[0].points == (0,) * 5001
+        orbits = enumerate_orbits(make_example("int_line"), 0, 40_000, Fraction(1, 2))
+        assert orbits.paths.ids.shape == (1, 40_001)
+        assert not orbits.paths.ids.any()
+        assert orbits.paths.support == (0,)
+
+    @pytest.mark.parametrize("make, x0", [
+        (lambda: IntLine(max_abs=50), 0),
+        (lambda: make_example("regular_tree"), ()),
+        (lambda: cycle_graph(5), 2),
+    ], ids=["int_line", "regular_tree", "cycle"])
+    def test_a_path_that_cannot_move_fills_every_level(self, monkeypatch, make, x0):
+        # nothing is within 1/2 of x0: the family is the level-by-level one,
+        # a single path standing still, found with one neighbors call
+        space, delta = make(), Fraction(1, 2)
+        expected = dfs_paths(space, x0, 50, delta)
+        calls = []
+        real = type(space).neighbors
+        monkeypatch.setattr(type(space), "neighbors",
+                            lambda self, x, d: calls.append(x) or real(self, x, d))
+        orbits = enumerate_orbits(space, x0, 50, delta)
+        assert [p.points for p in orbits.paths] == expected == [(x0,) * 51]
+        assert orbits.paths.ids.tolist() == [[0] * 51]
+        assert calls == [x0]
 
     def test_neighbors_only_on_points_reached_before_the_last_step(self):
         calls = []

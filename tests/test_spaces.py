@@ -119,13 +119,17 @@ class TestLogLine:
         sp = LogLine(max_abs=4096)
         assert sp.max_step(delta) == expect
 
-    @pytest.mark.parametrize("delta", [0.5, 1.0, 1.5, 2.7, 3.1, 5.0])
+    # from 1024 on 2.0 ** delta overflows; near 50 and above the step is
+    # about 2**delta / 1e9 past its float estimate
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 1.5, 2.7, 3.1, 5.0, 50, 60, 1023.5, 1024, 2000])
     def test_max_step_is_the_largest_allowed_move(self, delta):
         sp = LogLine(max_abs=1 << 12)
         s = sp.max_step(delta)
         if s > 0:
             assert sp.le(math.log2(1 + s), delta)
         assert not sp.le(math.log2(2 + s), delta)
+        if isinstance(delta, int):
+            assert 2 ** delta - 1 <= s <= 2 ** delta + (2 ** delta >> 26)
 
     def test_neighbors_are_the_full_interval(self):
         sp = LogLine(max_abs=64)
@@ -138,6 +142,12 @@ class TestLogLine:
         s = sp.max_step(8)
         gap = 2 ** 20
         assert sp.hop_lower_bound(0, gap, 8) == -(-gap // s)
+
+    def test_a_huge_step_leaves_the_window(self):
+        with pytest.raises(BudgetExceededError, match="leaves the window"):
+            LogLine().neighbors(0, 1024)
+        with pytest.raises(BudgetExceededError, match="moves more than 2\\*\\*4096 points"):
+            LogLine().max_step(5000)
 
     def test_window_overflow_raises(self):
         sp = LogLine(max_abs=16)
@@ -930,6 +940,18 @@ class TestInfiniteStep:
             sp.neighbors(x0, math.inf)
         with pytest.raises(BudgetExceededError, match="leaves every finite window"):
             enumerate_orbits(sp, x0, 1, math.inf)
+
+    @pytest.mark.parametrize("tag", CATALOG_TAGS)
+    def test_negative_infinite_delta_reaches_nothing(self, tag):
+        # as every finite negative delta does
+        params = {"parts": [{"path": 3}, {"cycle": 4}]} if tag == "coarse_union" else None
+        sp = make_example(tag, params)
+        assert sp.neighbors(sp.basepoint, -math.inf) == sp.neighbors(sp.basepoint, -2) == []
+
+    def test_negative_infinite_step_gives_no_hop_count(self):
+        assert IntLine().max_step(-math.inf) < 1
+        assert IntLine().hop_lower_bound(0, 3, -math.inf) is None
+        assert LogLine().max_step(-math.inf) == 0
 
     @pytest.mark.parametrize("line", [IntLine, LogLine])
     def test_infinite_max_step(self, line):

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BudgetExceededError, InvalidInputError
 from .numbers import Dist
 from .paths import PathFamily, point_table
-from .spaces.base import MetricSpace, PointRef
+from .spaces.base import MetricSpace, PointRef, pair_table
 
 __all__ = [
     "MetricItems",
@@ -44,19 +44,11 @@ POINT_LIMIT = 4096
 _NEAR_MEMO_BYTES = 64 << 20
 
 
-def _distance_table(size: int, dist: Callable[[int, int], Dist]) -> np.ndarray:
-    """Symmetric object table of the exact distances ``dist(a, b)``, one
-    call per pair ``a < b``; zero on the diagonal."""
+def _check_point_limit(size: int) -> None:
     if size > POINT_LIMIT:
         raise BudgetExceededError(
             f"the family spans {size} points; its distance table is capped at "
             f"{POINT_LIMIT} points")
-    table = np.zeros((size, size), dtype=object)
-    for a in range(size - 1):
-        row = [dist(a, b) for b in range(a + 1, size)]
-        table[a, a + 1:] = row
-        table[a + 1:, a] = row
-    return table
 
 
 class MetricItems:
@@ -67,7 +59,9 @@ class MetricItems:
     farthest aligned points (the orbit sup distance).  For the plain
     constructor and :meth:`from_points`, w = 1 and the points are the
     items.  ``dmat`` is the exact point-distance table (ints, Fractions or
-    floats), built on first use for plain families, and ``close(R)`` the
+    floats), built on first use for plain families: by the space's
+    ``distance_table`` when there is a space, else one ``dist_fn`` call per
+    pair.  ``close(R)`` is the
     boolean table ``dmat < R - tol``, compared exactly once per scale.
     Every packing, covering and verify query is a gather from it.
     """
@@ -77,6 +71,7 @@ class MetricItems:
         self.tol = tol
         self.vectors = np.arange(len(self.items)).reshape(-1, 1)
         self._dist_fn = dist_fn
+        self._table = lambda: pair_table(len(self.items), dist_fn)
         self._cache: Dict[Tuple[int, int], Dist] = {}
         self._dmat: Optional[np.ndarray] = None
         self._close: Dict[Dist, np.ndarray] = {}
@@ -87,7 +82,8 @@ class MetricItems:
     @property
     def dmat(self) -> np.ndarray:
         if self._dmat is None:
-            self._dmat = _distance_table(len(self.items), self._dist_fn)
+            _check_point_limit(len(self.items))
+            self._dmat = self._table()
         return self._dmat
 
     def _point_dist(self, a: int, b: int) -> Dist:
@@ -120,13 +116,13 @@ class MetricItems:
     def from_points(cls, points: Sequence[PointRef], space_or_fn, tol: Optional[Dist] = None):
         """Items are points of a space (or a plain symmetric distance function)."""
         pts = list(points)
-        if isinstance(space_or_fn, MetricSpace):
-            fn = space_or_fn.distance
-            tol = space_or_fn.tol if tol is None else tol
-        else:
-            fn = space_or_fn
-            tol = 0 if tol is None else tol
-        return cls(pts, lambda i, j: fn(pts[i], pts[j]), tol=tol)
+        if not isinstance(space_or_fn, MetricSpace):
+            return cls(pts, lambda i, j: space_or_fn(pts[i], pts[j]), 0 if tol is None else tol)
+        space = space_or_fn
+        family = cls(pts, lambda i, j: space.distance(pts[i], pts[j]),
+                     space.tol if tol is None else tol)
+        family._table = lambda: space.distance_table(pts)
+        return family
 
     @classmethod
     def from_orbits(cls, space: MetricSpace, orbits):
@@ -135,17 +131,17 @@ class MetricItems:
         ``orbits`` is a :class:`PathFamily`, whose id matrix is used as it
         stands, or any sequence of DeltaPaths or point sequences, which is
         indexed into a point table once.  The point-distance table is built
-        here, one ``space.distance`` call per pair of points; a family
-        over more than ``POINT_LIMIT`` points raises
-        :class:`BudgetExceededError` before it is allocated.
+        here by ``space.distance_table``; a family over more than
+        ``POINT_LIMIT`` points raises :class:`BudgetExceededError` before it
+        is allocated.
         """
         support, ids = point_table(orbits)
         items = orbits if isinstance(orbits, PathFamily) else \
             tuple(tuple(support[k] for k in row) for row in ids.tolist())
         family = cls(items, None, tol=space.tol)
         family.vectors = ids
-        family._dmat = _distance_table(
-            len(support), lambda a, b: space.distance(support[a], support[b]))
+        _check_point_limit(len(support))
+        family._dmat = space.distance_table(support)
         return family
 
 
@@ -464,6 +460,10 @@ def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25,
     """
     if not R > 0:
         raise InvalidInputError("R must be positive")
+    if not R > items.tol:
+        # no item would be strictly within R of itself, so nothing covers
+        raise InvalidInputError(
+            f"R must exceed the comparison tolerance {items.tol}; got {R}")
     n = len(items)
     if n == 0:
         return ExtremalResult("dense", R, 0, (), "exact")

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InvalidInputError
-from .extremal import MetricItems, greedy_net, max_band_clique, nearest_net
+from .errors import BudgetExceededError, InvalidInputError
+from .extremal import POINT_LIMIT, MetricItems, greedy_net, max_band_clique, nearest_net
 from .numbers import Dist, dist_to_jsonable
 from .paths import hop_search
 from .spaces.base import Graph, MetricSpace, PointRef, ball, build_graph
@@ -92,7 +92,9 @@ def bounded_geometry_evidence(space: MetricSpace, s: Optional[Dist] = None,
 
     Catalog spaces with their own witness constructions supply verified
     families directly; otherwise the search runs ``max_band_clique``, exact
-    or greedy by its own limit, over the ball of each depth.
+    or greedy by its own limit, over the ball of each depth.  A ball of
+    more than ``POINT_LIMIT`` points raises :class:`BudgetExceededError`
+    before the search starts.
     """
     defaults = space.bg_evidence_defaults()
     if defaults is not None:
@@ -123,6 +125,10 @@ def bounded_geometry_evidence(space: MetricSpace, s: Optional[Dist] = None,
             witnessed = True
             continue
         window = ball(space, space.basepoint, depth)
+        if len(window) > POINT_LIMIT:
+            raise BudgetExceededError(
+                f"the depth-{depth} window holds {len(window)} points; band-clique "
+                f"searches are capped at {POINT_LIMIT} points")
         items = MetricItems.from_points(window, space)
         res = max_band_clique(items, s, D)
         _check_family(space, [items.items[i] for i in res.selected], s, D)

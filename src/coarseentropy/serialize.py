@@ -19,6 +19,8 @@ import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .errors import InvalidInputError
 from .numbers import dist_to_jsonable, parse_dist
 from .paths import DeltaPath, OrbitSet, point_table
@@ -36,6 +38,10 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "v1"
+
+# path lines of an orbit file rendered per join: one block of the id matrix
+# at a time, so no list of every row is built beside the text
+_PATH_ROWS_PER_BLOCK = 4096
 
 
 def envelope(kind: str, report: Dict[str, Any]) -> Dict[str, Any]:
@@ -181,15 +187,24 @@ def orbits_to_json_lines(orbits: OrbitSet) -> str:
         "exhaustive": orbits.exhaustive,
         "map_label": orbits.map_label,
     }
-    lines = [json.dumps(header, sort_keys=True, ensure_ascii=False)]
+    parts = [json.dumps(header, sort_keys=True, ensure_ascii=False)]
     if orbits.paths:
-        # each point is encoded once; a path's line joins its points' texts
-        # exactly as json.dumps lays out a list
+        # each point is encoded once; a block of path lines is one join over
+        # "\n[", the point texts with ", " between them, and "]", exactly as
+        # json.dumps lays out a list
         support, ids = point_table(orbits.paths)
-        text = [json.dumps(point_to_jsonable(p), sort_keys=True, ensure_ascii=False)
-                for p in support]
-        lines.extend("[" + ", ".join(map(text.__getitem__, row)) + "]" for row in ids.tolist())
-    return "\n".join(lines) + "\n"
+        text = np.array([json.dumps(point_to_jsonable(p), sort_keys=True, ensure_ascii=False)
+                         for p in support], dtype=object)
+        width = ids.shape[1]
+        for lo in range(0, len(ids), _PATH_ROWS_PER_BLOCK):
+            block = ids[lo:lo + _PATH_ROWS_PER_BLOCK]
+            cells = np.empty((len(block), 2 * width + 1), dtype=object)
+            cells[:, 0] = "\n["
+            cells[:, 1::2] = text[block]
+            cells[:, 2:-1:2] = ", "
+            cells[:, -1] = "]"
+            parts.append("".join(cells.ravel().tolist()))
+    return "".join(parts) + "\n"
 
 
 def orbits_from_json_lines(text: str) -> OrbitSet:

@@ -5,7 +5,10 @@ A space handle is an immutable object exposing two queries:
 * ``distance(a, b)`` -> exact rational distance (or ``math.inf`` between
   components),
 * ``neighbors(x, delta)`` -> the sorted finite list of points ``y != x``
-  with ``d(x, y) <= delta``.
+  with ``d(x, y) <= delta``,
+
+and ``distance_table(points)``, the table of ``distance`` between the given
+points, which spaces with a closed form compute without a call per pair.
 
 Handles never mutate after construction; distance caches are internal,
 write-once-per-key and observationally transparent, so handles may be
@@ -21,6 +24,8 @@ import heapq
 from fractions import Fraction
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
+
+import numpy as np
 
 from ..errors import InvalidInputError, UnknownPointError
 from ..numbers import INF, Dist, as_dist
@@ -42,6 +47,32 @@ __all__ = [
 ]
 
 PointRef = Hashable
+
+# cells of one row block of a closed-form distance table: each block goes
+# through an int64 array of this many entries on its way into the table
+_TABLE_BLOCK_CELLS = 1 << 20
+
+
+def pair_table(size: int, dist: Callable[[int, int], Dist]) -> np.ndarray:
+    """Symmetric object table of the exact distances ``dist(a, b)`` between
+    indices, one call per pair ``a < b``; int 0 on the diagonal."""
+    table = np.zeros((size, size), dtype=object)
+    for a in range(size - 1):
+        row = [dist(a, b) for b in range(a + 1, size)]
+        table[a, a + 1:] = row
+        table[a + 1:, a] = row
+    return table
+
+
+def block_table(size: int, rows: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """Object table filled in row blocks: ``rows(lo, hi)`` is the integer
+    array of table rows lo..hi-1, and each entry becomes a Python int."""
+    table = np.empty((size, size), dtype=object)
+    step = max(1, _TABLE_BLOCK_CELLS // max(size, 1))
+    for lo in range(0, size, step):
+        hi = min(size, lo + step)
+        table[lo:hi] = rows(lo, hi)
+    return table
 
 
 def hop_shells(adjacent: Callable[[PointRef], Iterable[PointRef]], x: PointRef,
@@ -94,6 +125,23 @@ class MetricSpace:
 
     def check_point(self, x: PointRef) -> None:
         """Raise UnknownPointError if x is not a point of this space."""
+
+    def distance_table(self, points: Sequence[PointRef]) -> np.ndarray:
+        """Symmetric object table of ``distance`` between the given points,
+        with the same values and types and int 0 on the diagonal.
+
+        This default makes one ``distance`` call per pair.  Spaces with a
+        closed form override it and check each point once.
+        """
+        pts = list(points)
+        return pair_table(len(pts), lambda a, b: self.distance(pts[a], pts[b]))
+
+    def _checked(self, points: Iterable[PointRef]) -> List[PointRef]:
+        """The points as a list, each passed through ``check_point``."""
+        pts = list(points)
+        for p in pts:
+            self.check_point(p)
+        return pts
 
     # -- comparison helpers honouring the space tolerance ------------------
 
@@ -240,6 +288,11 @@ class _FiniteGraph(MetricSpace):
         dist = self._distances_from(x)
         return sorted(y for y, d in dist.items() if y != x and self.le(d, delta))
 
+    def distance_table(self, points):
+        # rows of the per-source cache: one search per source, as distance
+        pts = self._checked(points)
+        return pair_table(len(pts), lambda a, b: self._distances_from(pts[a]).get(pts[b], INF))
+
 
 class Graph(_FiniteGraph):
     """Finite unweighted graph with the shortest-path (hop) metric."""
@@ -333,6 +386,9 @@ class MeasuredSpace(MetricSpace):
 
     def neighbors(self, x, delta):
         return self.space.neighbors(x, delta)
+
+    def distance_table(self, points):
+        return self.space.distance_table(points)
 
     def hop_lower_bound(self, a, b, delta):
         return self.space.hop_lower_bound(a, b, delta)

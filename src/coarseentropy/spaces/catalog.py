@@ -22,10 +22,12 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import BudgetExceededError, InvalidInputError, UnknownPointError
 from ..numbers import INF, Dist
 from ..paths import DeltaPath
-from .base import Graph, MeasuredSpace, MetricSpace, build_graph, hop_shells
+from .base import Graph, MeasuredSpace, MetricSpace, block_table, build_graph, hop_shells
 
 __all__ = [
     "UltrametricProduct",
@@ -126,6 +128,21 @@ class UltrametricProduct(MetricSpace):
                 best = i + 1
                 break
         return best
+
+    def distance_table(self, points):
+        # the highest coordinate where the points disagree, one column at a
+        # time from the lowest; a coordinate is 0 or its index, so only
+        # whether it is 0 tells two points apart
+        flags = np.array([[v != 0 for v in p] for p in self._checked(points)],
+                         dtype=bool).reshape(-1, self.max_index)
+
+        def rows(lo, hi):
+            out = np.zeros((hi - lo, len(flags)), dtype=np.int64)
+            for k in range(self.max_index):
+                out[flags[lo:hi, k, None] != flags[None, :, k]] = k + 1
+            return out
+
+        return block_table(len(flags), rows)
 
     def neighbors(self, x, delta):
         self.check_point(x)
@@ -254,6 +271,13 @@ class IntLine(_IntegerLine):
         self.check_point(b)
         return abs(a - b)
 
+    def distance_table(self, points):
+        pts = self._checked(points)
+        if self.max_abs >= 2 ** 62:  # |a - b| might not fit in int64
+            return super().distance_table(pts)
+        x = np.array(pts, dtype=np.int64)
+        return block_table(len(x), lambda lo, hi: np.abs(x[lo:hi, None] - x[None, :]))
+
     def max_step(self, delta):
         return _floor_int(delta)
 
@@ -290,6 +314,27 @@ class _RootedTree(MetricSpace):
         self.check_point(a)
         self.check_point(b)
         return _prefix_hops(a, b)
+
+    def distance_table(self, points):
+        # depth(a) + depth(b) - 2 * common-prefix length.  Column k of the
+        # padded matrix numbers the length-(k+1) prefixes, -1 past a point's
+        # depth, so equal entries in column k mean a common prefix longer than k
+        pts = self._checked(points)
+        width = max(map(len, pts), default=0)
+        number: Dict[Tuple, int] = {}
+        prefixes = np.array([[number.setdefault(p[:k + 1], len(number)) for k in range(len(p))]
+                             + [-1] * (width - len(p)) for p in pts],
+                            dtype=np.int64).reshape(len(pts), width)
+        depth = np.array([len(p) for p in pts], dtype=np.int64)
+
+        def rows(lo, hi):
+            out = depth[lo:hi, None] + depth[None, :]
+            for k in range(width):
+                col = prefixes[lo:hi, k, None]
+                out -= 2 * ((col == prefixes[None, :, k]) & (col >= 0))
+            return out
+
+        return block_table(len(pts), rows)
 
     def _adjacency(self, v):
         # neighbors never expands a vertex at max_depth: its window check

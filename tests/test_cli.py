@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,12 @@ class TestRatesCommand:
         assert code == 1
         assert err.startswith("config error:")
 
+    def test_dense_radius_within_the_tolerance(self, capsys):
+        code, out, err = run(["rates", "--space", "log_line", "--n", "2",
+                              "--radius", "0.0000000001", "--mode", "dense"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: R must exceed the comparison tolerance")
+
 
 class TestWitnessCommand:
     def test_small_tree_line_family(self, capsys):
@@ -326,6 +333,17 @@ class TestBgcheckCommand:
              "--window", "1"], capsys)
         assert code == 1
         assert err.startswith("config error:")
+
+    def test_fallback_window_over_the_point_limit(self, capsys):
+        # s = 3 has no catalog witness, so the search falls back to balls;
+        # the depth-6 ball holds 5,913 points, past the 4,096-point budget
+        start = time.perf_counter()
+        code, out, err = run(["bgcheck", "--space", "branch_tree", "--delta", "3"], capsys)
+        elapsed = time.perf_counter() - start
+        assert code == 1 and out == ""
+        assert err == ("budget exceeded: the depth-6 window holds 5913 points; band-clique "
+                       "searches are capped at 4096 points\n")
+        assert elapsed < 5.0
 
 
 class TestObstructCommand:

@@ -26,6 +26,7 @@ from coarseentropy import (
     max_separated,
     min_dense,
     orbit_distance,
+    subspace,
     verify_dense,
     verify_separated,
 )
@@ -110,6 +111,23 @@ class TestMinDense:
             exact = min_dense(items, R)
             assert greedy.certificate == "upper-bound"
             assert greedy.size >= exact.size
+
+    @pytest.mark.parametrize("n, strategy", [(2, "exact"), (5, "max-coverage"),
+                                             (7, "first-uncovered")])
+    @pytest.mark.parametrize("R", [1e-10, 1e-9, Fraction(1, 10 ** 10)])
+    def test_R_within_the_tolerance_is_rejected(self, monkeypatch, n, strategy, R):
+        # 9, 243 and 2,187 paths: below exact_limit, between the limits and
+        # above greedy_limit; no item is within R of itself, so no cover exists
+        items = orbit_items("log_line", n)
+        assert len(items) == 3 ** n and items.tol == 1e-9
+
+        def no_cover(*args):
+            raise AssertionError("cover work started")
+
+        for name in ("_cover_masks", "_first_fit"):
+            monkeypatch.setattr(extremal, name, no_cover)
+        with pytest.raises(InvalidInputError, match="R must exceed the comparison tolerance"):
+            min_dense(items, R)
 
     def test_single_item_needs_itself(self):
         items = items_from_matrix([[0]])
@@ -497,7 +515,9 @@ class TestFromOrbits:
             assert min_dense(items, R).size == brute_min_dense(len(paths), dist, R)
 
     def test_table_has_one_distance_call_per_point_pair(self, monkeypatch):
-        sp = weighted_cycle()
+        # a finite Fraction metric keeps the default table, one call per pair
+        cycle = weighted_cycle()
+        sp = subspace(cycle, cycle.points)
         paths = enumerate_orbits(sp, 0, 3, 1).paths
         calls = []
         real = type(sp).distance
@@ -511,6 +531,21 @@ class TestFromOrbits:
         max_separated(items, Fraction(3, 2))
         min_dense(items, Fraction(3, 2))
         assert len(calls) == points * (points - 1) // 2
+
+    def test_graph_table_reads_one_search_per_source(self, monkeypatch):
+        sp = weighted_cycle()
+        paths = enumerate_orbits(sp, 0, 3, 1).paths
+        expected = [[sp.distance(a, b) for b in paths.support] for a in paths.support]
+        sp._dist_cache.clear()
+        calls, searches = [], []
+        real_search = type(sp)._search
+        monkeypatch.setattr(type(sp), "distance", lambda self, a, b: calls.append((a, b)))
+        monkeypatch.setattr(type(sp), "_search",
+                            lambda self, x: searches.append(x) or real_search(self, x))
+        items = MetricItems.from_orbits(sp, paths)
+        assert calls == [] and len(searches) == len(set(searches)) <= len(paths.support)
+        assert items.dmat.tolist() == expected
+        assert [type(d) for d in items.dmat.flat] == [type(d) for row in expected for d in row]
 
     def test_point_table_over_the_budget_raises(self, monkeypatch):
         star = build_graph([(0, leaf) for leaf in range(1, POINT_LIMIT + 2)])
@@ -532,6 +567,38 @@ class TestFromOrbits:
             assert plain.dist(0, 1) == 1  # a band-clique query needs no table
             with pytest.raises(BudgetExceededError):
                 max_separated(plain, 2)
+
+    def test_point_limit_is_checked_before_the_table(self, monkeypatch):
+        def no_table(self, points):
+            raise AssertionError("a table over the limit was started")
+
+        monkeypatch.setattr(IntLine, "distance_table", no_table)
+        message = (f"the family spans {POINT_LIMIT + 1} points; its distance table is "
+                   f"capped at {POINT_LIMIT} points")
+        plain = MetricItems.from_points(range(POINT_LIMIT + 1), IntLine())
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            plain.dmat
+        paths = [(0, x) for x in range(1, POINT_LIMIT + 1)]  # POINT_LIMIT + 1 points
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            MetricItems.from_orbits(IntLine(), paths)
+
+    def test_from_points_builds_its_table_from_the_space(self, monkeypatch):
+        sp = make_example("regular_tree")
+        window = sorted(sp.neighbors((), 3)) + [()]
+        expected = [[sp.distance(a, b) for b in window] for a in window]
+        items = MetricItems.from_points(window, sp)
+        monkeypatch.setattr(type(sp), "distance", lambda self, a, b: 1 / 0)
+        assert items.dmat.tolist() == expected
+
+    def test_table_is_fast_on_a_large_tree_family(self):
+        sp = make_example("regular_tree")
+        paths = enumerate_orbits(sp, sp.basepoint, 8, 1).paths
+        start = time.perf_counter()
+        items = MetricItems.from_orbits(sp, paths)
+        elapsed = time.perf_counter() - start
+        print(f"regular_tree n=8 point table: {elapsed:.3f}s")
+        assert items.dmat.shape == (766, 766)
+        assert elapsed < 0.3
 
     def test_fraction_family_gets_the_max_coverage_greedy(self):
         # 729 paths: above 400 the parent sent Fraction families to a

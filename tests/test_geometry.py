@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from coarseentropy import geometry
 from coarseentropy import (
     BranchTree,
     BudgetExceededError,
@@ -66,6 +67,22 @@ class TestBoundedGeometryEvidence:
             bounded_geometry_evidence(sp, s=1, D=4, window_depths=[3, 2])
         with pytest.raises(InvalidInputError):
             bounded_geometry_evidence(sp, s=0, D=4, window_depths=[1, 2])
+
+    def test_fallback_window_over_the_point_limit(self, monkeypatch):
+        # windows of 2r + 1 points on the line: 9 fits a 9-point budget, 11
+        # does not, and its band-clique search never starts
+        monkeypatch.setattr(geometry, "POINT_LIMIT", 9)
+        sp = IntLine(max_abs=100)
+        searched = []
+        real = geometry.max_band_clique
+        monkeypatch.setattr(geometry, "max_band_clique",
+                            lambda items, *args: searched.append(len(items)) or real(items, *args))
+        assert bounded_geometry_evidence(sp, s=1, D=8, window_depths=[2, 4]).sizes == (5, 9)
+        with pytest.raises(BudgetExceededError, match="^the depth-5 window holds 11 points; "
+                                                      "band-clique searches are capped at 9 "
+                                                      "points$"):
+            bounded_geometry_evidence(sp, s=1, D=8, window_depths=[4, 5])
+        assert searched == [5, 9, 9]
 
     def test_jsonable(self):
         sp = IntLine(max_abs=100)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from coarseentropy import cli
+from coarseentropy import cli, serialize
 from coarseentropy.errors import InvalidInputError
 from coarseentropy.numbers import dist_to_jsonable
 from coarseentropy.paths import DeltaPath, OrbitSet, enumerate_orbits
@@ -332,6 +332,17 @@ class TestOrbitJsonLinesBytes:
 
     def test_empty_family(self):
         assert_matches_reference(OrbitSet((), x0=0, n=1, delta=1))
+
+    @pytest.mark.parametrize("rows_per_block", [1, 7, 4096])
+    def test_row_blocks(self, monkeypatch, rows_per_block):
+        # 6,561 int_line paths and exactly 4,096 tree paths, cut into blocks
+        # that end on and off the family's last row
+        monkeypatch.setattr(serialize, "_PATH_ROWS_PER_BLOCK", rows_per_block)
+        tree = make_example("regular_tree")
+        assert_matches_reference(enumerate_orbits(make_example("int_line"), 0, n=8, delta=1))
+        assert_matches_reference(enumerate_orbits(tree, tree.basepoint, n=6, delta=1))
+        one = OrbitSet((DeltaPath((0,), 1),), x0=0, n=0, delta=1)
+        assert_matches_reference(one)
 
 
 class TestEdgeFiles:

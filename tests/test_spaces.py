@@ -38,6 +38,8 @@ from coarseentropy import (
     validate_metric,
 )
 
+from coarseentropy.spaces import base as spaces_base
+
 from conftest import bfs_oracle, dijkstra_oracle
 
 
@@ -957,3 +959,112 @@ class TestInfiniteStep:
     def test_infinite_max_step(self, line):
         with pytest.raises(BudgetExceededError, match="leaves every finite window"):
             line().max_step(math.inf)
+
+
+# ---------------------------------------------------------------------------
+# distance tables
+
+
+def table_spaces():
+    """(label, space, points): every catalog space on a ball around its
+    basepoint plus a few far points, the measured tree, a Fraction-weighted
+    cycle and a graph of two components."""
+    far = {"int_line": [10 ** 6, -10 ** 6, 999_999],
+           "log_line": [2 ** 21, -2 ** 21],
+           "regular_tree": [(2,) + (1,) * 15, (0, 1, 0, 1)],
+           "branch_tree": [(1, 2, 3), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)],
+           "ultrametric_product": [tuple(range(1, 17)), (1,) + (0,) * 14 + (16,)]}
+    radius = {"ultrametric_product": 4, "tree_line": 6, "prime_cycle": 6, "int_line": 5,
+              "log_line": 3}
+    out = []
+    for tag in CATALOG_TAGS:
+        params = {"parts": [{"path": 3}, {"cycle": 4}]} if tag == "coarse_union" else None
+        sp = make_example(tag, params)
+        if tag == "coarse_union":
+            points = list(sp.points)
+        else:
+            points = ball(sp, sp.basepoint, radius.get(tag, 3)) + far.get(tag, [])
+        # discovery order, as a path family's support comes, not sorted
+        out.append((tag, sp, points[1::2] + points[::2]))
+    measured = branch_tree_measured(max_depth=6)
+    out.append(("branch_tree_measured", measured, ball(measured, (), 3)))
+    weights = [Fraction(51 + 37 * v % 50, 100) for v in range(20)]
+    cycle = build_weighted_graph([(v, (v + 1) % 20, w) for v, w in enumerate(weights)])
+    out.append(("fraction_cycle", cycle, list(reversed(cycle.points))))
+    two = build_graph([(0, 1), (1, 2), (2, 3), (10, 11)], vertices=[20])
+    out.append(("two_components", two, [11, 0, 20, 3, 10, 1, 2]))
+    return out
+
+
+TABLE_SPACES = table_spaces()
+TABLE_IDS = [label for label, _, _ in TABLE_SPACES]
+
+
+class TestDistanceTable:
+    @pytest.mark.parametrize("label, sp, points", TABLE_SPACES, ids=TABLE_IDS)
+    def test_matches_distance_entry_by_entry(self, label, sp, points):
+        table = sp.distance_table(points)
+        assert table.shape == (len(points), len(points)) and table.dtype == object
+        for i, a in enumerate(points):
+            for j, b in enumerate(points):
+                # the diagonal is int 0, also where distance(a, a) is 0.0
+                d = 0 if i == j else sp.distance(a, b)
+                assert table[i, j] == d and type(table[i, j]) is type(d), (label, a, b)
+
+    def test_types_cover_int_fraction_float_and_inf(self):
+        seen = {type(d) for _, sp, points in TABLE_SPACES
+                for d in sp.distance_table(points).flat}
+        assert seen == {int, Fraction, float}
+        two = dict((label, (sp, pts)) for label, sp, pts in TABLE_SPACES)["two_components"]
+        assert two[0].distance_table(two[1])[0, 1] == math.inf  # 11 and 0
+
+    @pytest.mark.parametrize("label, sp, points", TABLE_SPACES, ids=TABLE_IDS)
+    def test_one_point_and_no_points(self, label, sp, points):
+        empty = sp.distance_table([])
+        assert empty.shape == (0, 0) and empty.dtype == object
+        one = sp.distance_table(points[:1])
+        assert one.shape == (1, 1) and one[0, 0] == 0 and type(one[0, 0]) is int
+
+    @pytest.mark.parametrize("sp, bad", [
+        (IntLine(), 10 ** 6 + 1),
+        (IntLine(), "0"),
+        (RegularTree(), (3,)),
+        (RegularTree(max_depth=4), (0, 0, 0, 0, 0)),
+        (BranchTree(), (2,)),
+        (UltrametricProduct(max_index=4), (0, 3, 0, 0)),
+        (build_graph([(0, 1)]), 2),
+        (build_weighted_graph([(0, 1, Fraction(1, 2))]), "x"),
+        (branch_tree_measured(max_depth=4), (0, 3)),
+    ], ids=["int_line-far", "int_line-str", "regular_tree-index", "regular_tree-deep",
+            "branch_tree", "ultrametric_product", "graph", "weighted_graph", "measured"])
+    def test_invalid_point_raises(self, sp, bad):
+        good = [sp.basepoint] * 3
+        for points in ([bad], good + [bad], [bad] + good):
+            with pytest.raises(UnknownPointError):
+                sp.distance_table(points)
+
+    def test_huge_int_line_keeps_exact_ints(self):
+        sp = IntLine(max_abs=2 ** 70)
+        table = sp.distance_table([-2 ** 70, 2 ** 70, 0])
+        assert table[0, 1] == 2 ** 71 and type(table[0, 1]) is int
+
+    @pytest.mark.parametrize("label", ["int_line", "regular_tree", "branch_tree",
+                                       "ultrametric_product", "branch_tree_measured",
+                                       "fraction_cycle", "two_components"])
+    def test_closed_forms_check_each_point_once(self, monkeypatch, label):
+        sp, points = {lbl: (s, pts) for lbl, s, pts in TABLE_SPACES}[label]
+        inner = sp.space if isinstance(sp, MeasuredSpace) else sp
+        checked = []
+        real = type(inner).check_point
+        monkeypatch.setattr(type(inner), "check_point",
+                            lambda self, x: checked.append(x) or real(self, x))
+        monkeypatch.setattr(type(inner), "distance", lambda self, a, b: 1 / 0)
+        sp.distance_table(points)
+        assert checked == points
+
+    @pytest.mark.parametrize("cells", [1, 50])
+    def test_row_blocks(self, monkeypatch, cells):
+        # one row per block, and blocks that end off the last row
+        expected = [sp.distance_table(points).tolist() for _, sp, points in TABLE_SPACES]
+        monkeypatch.setattr(spaces_base, "_TABLE_BLOCK_CELLS", cells)
+        assert [sp.distance_table(points).tolist() for _, sp, points in TABLE_SPACES] == expected

@@ -59,9 +59,7 @@ class MetricItems:
     farthest aligned points (the orbit sup distance).  For the plain
     constructor and :meth:`from_points`, w = 1 and the points are the
     items.  ``dmat`` is the exact point-distance table (ints, Fractions or
-    floats), built on first use for plain families: by the space's
-    ``distance_table`` when there is a space, else one ``dist_fn`` call per
-    pair.  ``close(R)`` is the
+    floats), built on first use for plain families, and ``close(R)`` the
     boolean table ``dmat < R - tol``, compared exactly once per scale.
     Every packing, covering and verify query is a gather from it.
     """
@@ -71,7 +69,6 @@ class MetricItems:
         self.tol = tol
         self.vectors = np.arange(len(self.items)).reshape(-1, 1)
         self._dist_fn = dist_fn
-        self._table = lambda: pair_table(len(self.items), dist_fn)
         self._cache: Dict[Tuple[int, int], Dist] = {}
         self._dmat: Optional[np.ndarray] = None
         self._close: Dict[Dist, np.ndarray] = {}
@@ -83,7 +80,7 @@ class MetricItems:
     def dmat(self) -> np.ndarray:
         if self._dmat is None:
             _check_point_limit(len(self.items))
-            self._dmat = self._table()
+            self._dmat = pair_table(len(self.items), self._dist_fn)
         return self._dmat
 
     def _point_dist(self, a: int, b: int) -> Dist:
@@ -116,13 +113,13 @@ class MetricItems:
     def from_points(cls, points: Sequence[PointRef], space_or_fn, tol: Optional[Dist] = None):
         """Items are points of a space (or a plain symmetric distance function)."""
         pts = list(points)
-        if not isinstance(space_or_fn, MetricSpace):
-            return cls(pts, lambda i, j: space_or_fn(pts[i], pts[j]), 0 if tol is None else tol)
-        space = space_or_fn
-        family = cls(pts, lambda i, j: space.distance(pts[i], pts[j]),
-                     space.tol if tol is None else tol)
-        family._table = lambda: space.distance_table(pts)
-        return family
+        if isinstance(space_or_fn, MetricSpace):
+            fn = space_or_fn.distance
+            tol = space_or_fn.tol if tol is None else tol
+        else:
+            fn = space_or_fn
+            tol = 0 if tol is None else tol
+        return cls(pts, lambda i, j: fn(pts[i], pts[j]), tol=tol)
 
     @classmethod
     def from_orbits(cls, space: MetricSpace, orbits):

@@ -288,11 +288,6 @@ class _FiniteGraph(MetricSpace):
         dist = self._distances_from(x)
         return sorted(y for y, d in dist.items() if y != x and self.le(d, delta))
 
-    def distance_table(self, points):
-        # rows of the per-source cache: one search per source, as distance
-        pts = self._checked(points)
-        return pair_table(len(pts), lambda a, b: self._distances_from(pts[a]).get(pts[b], INF))
-
 
 class Graph(_FiniteGraph):
     """Finite unweighted graph with the shortest-path (hop) metric."""
@@ -386,9 +381,6 @@ class MeasuredSpace(MetricSpace):
 
     def neighbors(self, x, delta):
         return self.space.neighbors(x, delta)
-
-    def distance_table(self, points):
-        return self.space.distance_table(points)
 
     def hop_lower_bound(self, a, b, delta):
         return self.space.hop_lower_bound(a, b, delta)

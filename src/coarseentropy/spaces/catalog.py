@@ -129,21 +129,6 @@ class UltrametricProduct(MetricSpace):
                 break
         return best
 
-    def distance_table(self, points):
-        # the highest coordinate where the points disagree, one column at a
-        # time from the lowest; a coordinate is 0 or its index, so only
-        # whether it is 0 tells two points apart
-        flags = np.array([[v != 0 for v in p] for p in self._checked(points)],
-                         dtype=bool).reshape(-1, self.max_index)
-
-        def rows(lo, hi):
-            out = np.zeros((hi - lo, len(flags)), dtype=np.int64)
-            for k in range(self.max_index):
-                out[flags[lo:hi, k, None] != flags[None, :, k]] = k + 1
-            return out
-
-        return block_table(len(flags), rows)
-
     def neighbors(self, x, delta):
         self.check_point(x)
         kmax = _floor_int(delta)

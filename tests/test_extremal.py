@@ -26,7 +26,6 @@ from coarseentropy import (
     max_separated,
     min_dense,
     orbit_distance,
-    subspace,
     verify_dense,
     verify_separated,
 )
@@ -515,9 +514,7 @@ class TestFromOrbits:
             assert min_dense(items, R).size == brute_min_dense(len(paths), dist, R)
 
     def test_table_has_one_distance_call_per_point_pair(self, monkeypatch):
-        # a finite Fraction metric keeps the default table, one call per pair
-        cycle = weighted_cycle()
-        sp = subspace(cycle, cycle.points)
+        sp = weighted_cycle()
         paths = enumerate_orbits(sp, 0, 3, 1).paths
         calls = []
         real = type(sp).distance
@@ -531,21 +528,6 @@ class TestFromOrbits:
         max_separated(items, Fraction(3, 2))
         min_dense(items, Fraction(3, 2))
         assert len(calls) == points * (points - 1) // 2
-
-    def test_graph_table_reads_one_search_per_source(self, monkeypatch):
-        sp = weighted_cycle()
-        paths = enumerate_orbits(sp, 0, 3, 1).paths
-        expected = [[sp.distance(a, b) for b in paths.support] for a in paths.support]
-        sp._dist_cache.clear()
-        calls, searches = [], []
-        real_search = type(sp)._search
-        monkeypatch.setattr(type(sp), "distance", lambda self, a, b: calls.append((a, b)))
-        monkeypatch.setattr(type(sp), "_search",
-                            lambda self, x: searches.append(x) or real_search(self, x))
-        items = MetricItems.from_orbits(sp, paths)
-        assert calls == [] and len(searches) == len(set(searches)) <= len(paths.support)
-        assert items.dmat.tolist() == expected
-        assert [type(d) for d in items.dmat.flat] == [type(d) for row in expected for d in row]
 
     def test_point_table_over_the_budget_raises(self, monkeypatch):
         star = build_graph([(0, leaf) for leaf in range(1, POINT_LIMIT + 2)])
@@ -575,20 +557,9 @@ class TestFromOrbits:
         monkeypatch.setattr(IntLine, "distance_table", no_table)
         message = (f"the family spans {POINT_LIMIT + 1} points; its distance table is "
                    f"capped at {POINT_LIMIT} points")
-        plain = MetricItems.from_points(range(POINT_LIMIT + 1), IntLine())
-        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
-            plain.dmat
         paths = [(0, x) for x in range(1, POINT_LIMIT + 1)]  # POINT_LIMIT + 1 points
         with pytest.raises(BudgetExceededError, match=f"^{message}$"):
             MetricItems.from_orbits(IntLine(), paths)
-
-    def test_from_points_builds_its_table_from_the_space(self, monkeypatch):
-        sp = make_example("regular_tree")
-        window = sorted(sp.neighbors((), 3)) + [()]
-        expected = [[sp.distance(a, b) for b in window] for a in window]
-        items = MetricItems.from_points(window, sp)
-        monkeypatch.setattr(type(sp), "distance", lambda self, a, b: 1 / 0)
-        assert items.dmat.tolist() == expected
 
     def test_table_is_fast_on_a_large_tree_family(self):
         sp = make_example("regular_tree")

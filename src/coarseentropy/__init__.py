@@ -13,7 +13,7 @@ Everything reported is a finite, certified computation on a window; no
 asymptotic claim is ever produced by the code itself.
 """
 
-from .entropy import (RULES, ClassificationReport, ClassifyConfig, CodingScheme,
+from .entropy import (ClassificationReport, ClassifyConfig, CodingScheme,
                       GrowthSeries, RatePoint, WitnessFamily, build_coding,
                       build_witness, catalog_pingpong, check_distance_preserved,
                       classify, code_paths, coding_injectivity_check, covering_bound,
@@ -73,7 +73,7 @@ __all__ = [
     "CodingScheme", "build_coding", "code_paths", "coding_injectivity_check",
     "transfer_orbits", "check_distance_preserved", "map_iterates", "round_trip_check",
     "GrowthSeries", "growth_series", "fit_log_slope",
-    "RULES", "ClassifyConfig", "ClassificationReport", "classify", "obstruction",
+    "ClassifyConfig", "ClassificationReport", "classify", "obstruction",
     # geometry
     "BGEvidence", "bounded_geometry_evidence", "quasi_geodesic_check",
     "default_sample_pairs", "rips_graph", "net_retraction",

@@ -25,7 +25,7 @@ verdicts are explicitly evidence, not proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from ..geometry import bounded_geometry_evidence
 from ..numbers import Dist, dist_to_jsonable, is_finite
@@ -33,36 +33,26 @@ from ..spaces.base import MeasuredSpace, MetricSpace
 from .coding import coding_injectivity_check
 from .growth import fit_log_slope, growth_series
 
-__all__ = ["RULES", "ClassifyConfig", "ClassificationReport", "classify", "obstruction"]
-
-RULES = (
-    "ultrametric",
-    "bounded-components",
-    "coding-map-zero",
-    "measured-volume",
-    "not-coarsely-bounded-geometry",
-    "bounded-geometry-growth-zero",
-    "bounded-geometry-growth-positive",
-    "vertex-transitive-growth",
-)
+__all__ = ["ClassifyConfig", "ClassificationReport", "classify", "obstruction"]
 
 SLOPE_CAVEAT = ("verdict rests on a least-squares slope over a finite window; "
                 "it is evidence, not a proof about the asymptotic growth")
 
+# fitted ln V(l) slopes below _ZERO_SLOPE read as zero growth, above
+# _POSITIVE_SLOPE as exponential; in between the verdict is inconclusive
+_ZERO_SLOPE = 0.05
+_POSITIVE_SLOPE = 0.2
+
+# largest finite space whose triples and pairs the finite checks walk
+_FINITE_CHECK_LIMIT = 120
+
 
 @dataclass(frozen=True)
 class ClassifyConfig:
-    """Which rules may fire and the finite windows they use."""
+    """The delta and the growth window the rules use."""
 
     delta: Dist = 1
     l_max: int = 32
-    zero_slope: float = 0.05
-    positive_slope: float = 0.2
-    rules: Tuple[str, ...] = RULES
-    finite_check_limit: int = 120
-
-    def enabled(self, rule: str) -> bool:
-        return rule in self.rules
 
 
 @dataclass(frozen=True)
@@ -102,11 +92,11 @@ def _max_component_diameter(space: MetricSpace, pts: Sequence) -> Dist:
     return best
 
 
-def _is_ultrametric_finite(space: MetricSpace, limit: int) -> Optional[int]:
+def _is_ultrametric_finite(space: MetricSpace) -> Optional[int]:
     """Number of triples checked when the strong triangle inequality holds
     exhaustively; None when the space is too big or the inequality fails."""
     pts = _finite_points(space)
-    if pts is None or len(pts) > limit:
+    if pts is None or len(pts) > _FINITE_CHECK_LIMIT:
         return None
     checked = 0
     for a in pts:
@@ -133,34 +123,32 @@ def classify(space: MetricSpace, config: Optional[ClassifyConfig] = None) -> Cla
     tag = getattr(space, "growth_tag", None)
 
     # 1. ultrametric => zero (strong triangle inequality kills long paths)
-    if cfg.enabled("ultrametric"):
-        if "ultrametric" in ann:
-            return ClassificationReport(name, "zero", "ultrametric", True, None,
-                                        {"source": "catalog-annotation"})
-        triples = _is_ultrametric_finite(space, cfg.finite_check_limit)
-        if triples is not None:
-            return ClassificationReport(name, "zero", "ultrametric", True, None,
-                                        {"source": "exhaustive-check",
-                                         "triples_checked": triples})
+    if "ultrametric" in ann:
+        return ClassificationReport(name, "zero", "ultrametric", True, None,
+                                    {"source": "catalog-annotation"})
+    triples = _is_ultrametric_finite(space)
+    if triples is not None:
+        return ClassificationReport(name, "zero", "ultrametric", True, None,
+                                    {"source": "exhaustive-check",
+                                     "triples_checked": triples})
 
     # 2. bounded components => zero (paths from any basepoint stay in one
     #    bounded component, so counts freeze once R exceeds its diameter)
-    if cfg.enabled("bounded-components"):
-        if "bounded-components" in ann:
-            return ClassificationReport(name, "zero", "bounded-components", True, None,
-                                        {"source": "catalog-annotation"})
-        finite_pts = _finite_points(space)
-        if finite_pts is not None:
-            evidence = {"source": "finite-space", "points": len(finite_pts)}
-            if len(finite_pts) <= cfg.finite_check_limit:
-                evidence["max_component_diameter"] = dist_to_jsonable(
-                    _max_component_diameter(space, finite_pts))
-            return ClassificationReport(name, "zero", "bounded-components", True, None,
-                                        evidence)
+    if "bounded-components" in ann:
+        return ClassificationReport(name, "zero", "bounded-components", True, None,
+                                    {"source": "catalog-annotation"})
+    finite_pts = _finite_points(space)
+    if finite_pts is not None:
+        evidence = {"source": "finite-space", "points": len(finite_pts)}
+        if len(finite_pts) <= _FINITE_CHECK_LIMIT:
+            evidence["max_component_diameter"] = dist_to_jsonable(
+                _max_component_diameter(space, finite_pts))
+        return ClassificationReport(name, "zero", "bounded-components", True, None,
+                                    evidence)
 
     # 3. coding-map certificate => zero (net-coding separates R-separated
     #    paths while the code alphabet stays polynomial in scale)
-    if cfg.enabled("coding-map-zero") and "coding-map-zero" in ann:
+    if "coding-map-zero" in ann:
         # the n = 4 step paths at delta = 2, coded at R = 17
         report = coding_injectivity_check(space, space.basepoint, 4, 2, 17)
         if report["fibers_below_R"]:
@@ -173,11 +161,10 @@ def classify(space: MetricSpace, config: Optional[ClassifyConfig] = None) -> Cla
 
     # 4. measured volume => infinite (finite total volume with exponential
     #    ball volume forces infinitely many distinguishable paths)
-    if (cfg.enabled("measured-volume") and isinstance(space, MeasuredSpace)
-            and "vol-finite" in ann and tag == "exponential"):
+    if isinstance(space, MeasuredSpace) and "vol-finite" in ann and tag == "exponential":
         series = growth_series(space, space.basepoint, cfg.delta, 8, measured=True)
         slope = fit_log_slope(series)
-        if slope > cfg.positive_slope:
+        if slope > _POSITIVE_SLOPE:
             return ClassificationReport(name, "infinite", "measured-volume", True, None,
                                         {"source": "catalog-annotation",
                                          "series": series.to_jsonable(),
@@ -188,8 +175,7 @@ def classify(space: MetricSpace, config: Optional[ClassifyConfig] = None) -> Cla
                                     {"series": series.to_jsonable(), "fitted_slope": slope})
 
     # 5. unbounded geometry on an unweighted graph => infinite
-    if (cfg.enabled("not-coarsely-bounded-geometry")
-            and "not-coarsely-bounded-geometry" in ann and is_graph and not is_weighted):
+    if "not-coarsely-bounded-geometry" in ann and is_graph and not is_weighted:
         evidence = bounded_geometry_evidence(space)
         if evidence.verdict == "unbounded-evidence" and evidence.witnessed:
             return ClassificationReport(name, "infinite", "not-coarsely-bounded-geometry",
@@ -208,28 +194,24 @@ def classify(space: MetricSpace, config: Optional[ClassifyConfig] = None) -> Cla
         rule_pos = "bounded-geometry-growth-positive"
         if not bounded_degree and space.vertex_transitive:
             rule_zero = rule_pos = "vertex-transitive-growth"
-        if tag in ("exponential", "exponential-sup") and cfg.enabled(rule_pos):
+        if tag in ("exponential", "exponential-sup"):
             return ClassificationReport(name, "infinite", rule_pos, True, None,
                                         {"source": "analytic-growth-tag", "growth_tag": tag})
-        if tag in ("linear", "polynomial") and cfg.enabled(rule_zero):
+        if tag in ("linear", "polynomial"):
             return ClassificationReport(name, "zero", rule_zero, True, None,
                                         {"source": "analytic-growth-tag", "growth_tag": tag})
-        if cfg.enabled(rule_zero) or cfg.enabled(rule_pos):
-            series = growth_series(space, space.basepoint, cfg.delta, cfg.l_max,
-                                   measured=False)
-            slope = fit_log_slope(series)
-            evidence = {"series": series.to_jsonable(), "fitted_slope": slope,
-                        "thresholds": {"zero": cfg.zero_slope,
-                                       "positive": cfg.positive_slope}}
-            if slope < cfg.zero_slope and cfg.enabled(rule_zero):
-                return ClassificationReport(name, "zero", rule_zero, False,
-                                            SLOPE_CAVEAT, evidence)
-            if slope > cfg.positive_slope and cfg.enabled(rule_pos):
-                return ClassificationReport(name, "infinite", rule_pos, False,
-                                            SLOPE_CAVEAT, evidence)
-            return ClassificationReport(name, "inconclusive", None, False,
-                                        "fitted growth slope falls between the zero and "
-                                        "positive thresholds", evidence)
+        series = growth_series(space, space.basepoint, cfg.delta, cfg.l_max, measured=False)
+        slope = fit_log_slope(series)
+        evidence = {"series": series.to_jsonable(), "fitted_slope": slope,
+                    "thresholds": {"zero": _ZERO_SLOPE, "positive": _POSITIVE_SLOPE}}
+        if slope < _ZERO_SLOPE:
+            return ClassificationReport(name, "zero", rule_zero, False, SLOPE_CAVEAT, evidence)
+        if slope > _POSITIVE_SLOPE:
+            return ClassificationReport(name, "infinite", rule_pos, False, SLOPE_CAVEAT,
+                                        evidence)
+        return ClassificationReport(name, "inconclusive", None, False,
+                                    "fitted growth slope falls between the zero and "
+                                    "positive thresholds", evidence)
 
     return ClassificationReport(name, "inconclusive", None, False,
                                 "no classification rule applies to this space "

@@ -127,7 +127,7 @@ def _fiber_diameter(space: MetricSpace, rows: Sequence[Tuple[PointRef, ...]]) ->
 
 
 def coding_injectivity_check(space: MetricSpace, x0: PointRef, n: int, delta: Dist,
-                             R: Dist, cap: int = 10 ** 6) -> dict:
+                             R: Dist) -> dict:
     """Enumerate all n-step paths, code them, and verify the coding
     separates R-separated paths: every fiber's diameter stays below R.
 
@@ -135,7 +135,7 @@ def coding_injectivity_check(space: MetricSpace, x0: PointRef, n: int, delta: Di
     bound for the separated count), and the worst fiber diameter.
     """
     scheme = build_coding(space, x0, n, delta, R)
-    orbits = enumerate_orbits(space, x0, n, delta, cap=cap)
+    orbits = enumerate_orbits(space, x0, n, delta)
     groups = code_paths(scheme, orbits.paths)
     worst: Dist = 0
     biggest = 0

@@ -25,6 +25,9 @@ from ..spaces.base import MetricSpace, PointRef
 
 __all__ = ["RatePoint", "separated_count", "dense_count", "rate_series", "covering_bound"]
 
+# largest delta-component the bounded-component shortcut walks
+_COMPONENT_POINTS = 512
+
 
 @dataclass(frozen=True)
 class RatePoint:
@@ -65,13 +68,13 @@ def _validate_args(n: int, delta: Dist, R: Dist) -> None:
         raise InvalidInputError(f"R must be positive: {R!r}")
 
 
-def _bounded_component_is_small(space: MetricSpace, x0: PointRef, delta: Dist, R: Dist,
-                                max_points: int = 512) -> Optional[int]:
+def _bounded_component_is_small(space: MetricSpace, x0: PointRef, delta: Dist,
+                                R: Dist) -> Optional[int]:
     """Return the component size when the delta-component of x0 is complete
     and has diameter strictly below R; None when the shortcut is unusable."""
     try:
-        points, complete = delta_component(space, x0, delta, hop_cap=4 * max_points,
-                                           max_points=max_points)
+        points, complete = delta_component(space, x0, delta, hop_cap=4 * _COMPONENT_POINTS,
+                                           max_points=_COMPONENT_POINTS)
     except BudgetExceededError:
         return None
     if not complete:
@@ -90,10 +93,10 @@ def _rate(count: int, n: int) -> float:
 
 
 def _count(space: MetricSpace, x0: PointRef, n: int, delta: Dist, R: Dist, mode: str,
-           cap: int, exact_limit: Optional[int], use_shortcut: bool) -> RatePoint:
+           cap: int, exact_limit: Optional[int]) -> RatePoint:
     _validate_args(n, delta, R)
     space.check_point(x0)
-    if use_shortcut and n > 0:
+    if n > 0:
         size = _bounded_component_is_small(space, x0, delta, R)
         if size is not None:
             return RatePoint(mode, n, delta, R, 1, "exact", 0.0,
@@ -110,17 +113,15 @@ def _count(space: MetricSpace, x0: PointRef, n: int, delta: Dist, R: Dist, mode:
 
 
 def separated_count(space: MetricSpace, x0: PointRef, n: int, delta: Dist, R: Dist,
-                    cap: int = 10 ** 6, exact_limit: Optional[int] = None,
-                    use_shortcut: bool = True) -> RatePoint:
+                    cap: int = 10 ** 6, exact_limit: Optional[int] = None) -> RatePoint:
     """Largest number of pairwise R-separated delta-paths of length n from x0."""
-    return _count(space, x0, n, delta, R, "separated", cap, exact_limit, use_shortcut)
+    return _count(space, x0, n, delta, R, "separated", cap, exact_limit)
 
 
 def dense_count(space: MetricSpace, x0: PointRef, n: int, delta: Dist, R: Dist,
-                cap: int = 10 ** 6, exact_limit: Optional[int] = None,
-                use_shortcut: bool = True) -> RatePoint:
+                cap: int = 10 ** 6, exact_limit: Optional[int] = None) -> RatePoint:
     """Smallest R-dense subfamily of the delta-paths of length n from x0."""
-    return _count(space, x0, n, delta, R, "dense", cap, exact_limit, use_shortcut)
+    return _count(space, x0, n, delta, R, "dense", cap, exact_limit)
 
 
 def covering_bound(space: MetricSpace, x0: PointRef, delta: Dist, R: Dist,
@@ -131,7 +132,8 @@ def covering_bound(space: MetricSpace, x0: PointRef, delta: Dist, R: Dist,
     of radius k, the dense count at length n is at most V ** (n/k + 1).
     The bound is certified for vertex-transitive spaces (the basepoint ball
     attains the supremum); otherwise it is reported as basepoint-only.
-    An infinite R has no such k.
+    An infinite R has no such k.  A bound past the float range is
+    ``math.inf``.
     """
     if not is_finite(R):
         return None
@@ -151,11 +153,13 @@ def covering_bound(space: MetricSpace, x0: PointRef, delta: Dist, R: Dist,
     V = len(ball)
     bounds = {}
     for n in ns:
-        exponent = n / k + 1
         if n % k == 0:
             bounds[n] = V ** (n // k + 1)
         else:
-            bounds[n] = float(V) ** exponent
+            try:
+                bounds[n] = float(V) ** (n / k + 1)
+            except OverflowError:
+                bounds[n] = math.inf
     return {
         "k": k,
         "ball_size": V,
@@ -167,7 +171,7 @@ def covering_bound(space: MetricSpace, x0: PointRef, delta: Dist, R: Dist,
 
 def rate_series(space: MetricSpace, x0: PointRef, delta: Dist, R: Dist, ns: Sequence[int],
                 mode: str = "separated", cap: int = 10 ** 6,
-                exact_limit: Optional[int] = None, use_shortcut: bool = True) -> dict:
+                exact_limit: Optional[int] = None) -> dict:
     """Counts and rates across several lengths, plus the covering bound
     (dense mode, when R/delta - 1 is a positive integer)."""
     if mode not in ("separated", "dense"):
@@ -175,8 +179,7 @@ def rate_series(space: MetricSpace, x0: PointRef, delta: Dist, R: Dist, ns: Sequ
     pts: List[RatePoint] = []
     for n in ns:
         fn = separated_count if mode == "separated" else dense_count
-        pts.append(fn(space, x0, n, delta, R, cap=cap, exact_limit=exact_limit,
-                      use_shortcut=use_shortcut))
+        pts.append(fn(space, x0, n, delta, R, cap=cap, exact_limit=exact_limit))
     out = {"mode": mode, "points": pts}
     if mode == "dense":
         bound = covering_bound(space, x0, delta, R, list(ns))

@@ -28,6 +28,9 @@ __all__ = ["map_iterates", "transfer_orbits", "check_distance_preserved", "round
 
 MapFn = Callable[[PointRef], PointRef]
 
+# most path pairs check_distance_preserved compares
+_PAIR_CAP = 200_000
+
 
 class _CheckedMap:
     """Wraps f with a value cache and a distance-preservation pair cache."""
@@ -140,18 +143,17 @@ def transfer_orbits(space: MetricSpace, f: MapFn, orbits: OrbitSet,
                     exhaustive=False, map_label=label)
 
 
-def check_distance_preserved(space: MetricSpace, source: OrbitSet, image: OrbitSet,
-                             pair_cap: int = 200_000) -> int:
+def check_distance_preserved(space: MetricSpace, source: OrbitSet, image: OrbitSet) -> int:
     """Exhaustively compare orbit distances between a family and its image.
 
     Returns the number of pairs compared; raises on any discrepancy or if
-    the comparison would exceed ``pair_cap`` pairs.
+    the comparison would exceed ``_PAIR_CAP`` pairs.
     """
     m = len(source.paths)
     if len(image.paths) != m:
         raise InvalidInputError("families must have equal sizes")
-    if m * (m - 1) // 2 > pair_cap:
-        raise InvalidInputError(f"pair count exceeds cap {pair_cap}; reduce the family")
+    if m * (m - 1) // 2 > _PAIR_CAP:
+        raise InvalidInputError(f"pair count exceeds cap {_PAIR_CAP}; reduce the family")
     pairs = 0
     for i in range(m):
         for j in range(i + 1, m):

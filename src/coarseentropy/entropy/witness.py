@@ -27,6 +27,9 @@ from ..spaces.base import MetricSpace
 __all__ = ["WitnessFamily", "build_witness", "pingpong_witness", "catalog_pingpong",
            "pad_arms", "spot_check_members"]
 
+# most points a family may hold once materialized: members times (n + 1)
+_MATERIALIZE_POINTS = 8_000_000
+
 
 @dataclass(frozen=True)
 class WitnessFamily:
@@ -86,11 +89,15 @@ class WitnessFamily:
         for i in range(self.size):
             yield self.path_at(i)
 
-    def to_orbit_set(self, limit: int = 10 ** 5) -> OrbitSet:
-        if self.size > limit:
+    def to_orbit_set(self) -> OrbitSet:
+        """Every member, materialized.  Raises CapExceededError when that
+        takes more than ``_MATERIALIZE_POINTS`` points."""
+        total_points = self.size * (self.n + 1)
+        if total_points > _MATERIALIZE_POINTS:
             raise CapExceededError(
-                f"witness family has {self.size} members, above the limit {limit}",
-                partial=0)
+                f"materializing {self.size} members of length {self.n} needs {total_points} "
+                f"points, above the budget {_MATERIALIZE_POINTS}; iterate the family lazily "
+                "instead", partial=0)
         return OrbitSet(tuple(self.iter_paths()), x0=self.base.start, n=self.n,
                         delta=self.delta, exhaustive=False, map_label="identity")
 
@@ -212,13 +219,13 @@ def build_witness(space: MetricSpace, base: DeltaPath, arms: Sequence[DeltaPath]
 
 
 def pingpong_witness(space: MetricSpace, x0, base: DeltaPath, arms: Sequence[DeltaPath],
-                     p: int, R: Dist, point_budget: int = 8_000_000):
+                     p: int, R: Dist):
     """Validated ping-pong family, materialized: returns (OrbitSet, rate bound).
 
     The rate bound is p*ln|arms| / (L + 2pD) with L the base length and D
     the arm length; the family of |arms|**p members witnesses
     separated_count >= |arms|**p at length L + 2pD.  Raises
-    CapExceededError when materializing would exceed ``point_budget``
+    CapExceededError when materializing would exceed ``_MATERIALIZE_POINTS``
     total points — use build_witness for the lazy family in that regime.
     """
     if base.start != x0:
@@ -228,13 +235,7 @@ def pingpong_witness(space: MetricSpace, x0, base: DeltaPath, arms: Sequence[Del
         fam.check_pairwise_separated()
         spot = sorted({0, fam.size // 2, fam.size - 1})
         spot_check_members(fam, spot)
-    total_points = fam.size * (fam.n + 1)
-    if total_points > point_budget:
-        raise CapExceededError(
-            f"materializing {fam.size} members of length {fam.n} needs {total_points} "
-            f"points, above the budget {point_budget}; use build_witness for the lazy "
-            "family", partial=0)
-    return fam.to_orbit_set(limit=fam.size), fam.rate_bound
+    return fam.to_orbit_set(), fam.rate_bound
 
 
 def catalog_pingpong(space: MetricSpace, delta: Dist, R: Dist, p: int) -> WitnessFamily:

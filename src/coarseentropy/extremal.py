@@ -13,7 +13,7 @@ everywhere: lowest index first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,20 @@ POINT_LIMIT = 4096
 # bytes of packed row sets the first-fit pass may memoise; it drops them all
 # when the next one would not fit
 _NEAR_MEMO_BYTES = 64 << 20
+
+# item pairs one block of a close-pair gather holds; blocks bound memory,
+# never which pairs are checked
+_BLOCK_CELLS = 4_000_000
+
+# branch-and-bound nodes an exact search may expand before it gives up
+_NODE_BUDGET = 20_000_000
+
+# largest family min_dense covers by max-coverage greedy; larger ones get
+# the first-uncovered pass
+_GREEDY_LIMIT = 1500
+
+# largest family max_band_clique solves exactly
+_BAND_EXACT_LIMIT = 40
 
 
 def _check_point_limit(size: int) -> None:
@@ -110,15 +124,14 @@ class MetricItems:
         return table
 
     @classmethod
-    def from_points(cls, points: Sequence[PointRef], space_or_fn, tol: Optional[Dist] = None):
-        """Items are points of a space (or a plain symmetric distance function)."""
+    def from_points(cls, points: Sequence[PointRef], space_or_fn):
+        """Items are points of a space, compared with its tolerance, or of a
+        plain symmetric distance function, compared exactly."""
         pts = list(points)
         if isinstance(space_or_fn, MetricSpace):
-            fn = space_or_fn.distance
-            tol = space_or_fn.tol if tol is None else tol
+            fn, tol = space_or_fn.distance, space_or_fn.tol
         else:
-            fn = space_or_fn
-            tol = 0 if tol is None else tol
+            fn, tol = space_or_fn, 0
         return cls(pts, lambda i, j: fn(pts[i], pts[j]), tol=tol)
 
     @classmethod
@@ -142,14 +155,20 @@ class MetricItems:
         return family
 
 
-def _close_pairs(items: MetricItems, close: np.ndarray, rows: np.ndarray, cols) -> np.ndarray:
-    """``out[r, c]``: items ``rows[r]`` and ``cols[c]`` are strictly within
-    R, that is, every aligned pair of their points is close."""
-    v = items.vectors
-    out = close[v[rows, 0][:, None], v[cols, 0]]
-    for k in range(1, v.shape[1]):
-        out &= close[v[rows, k][:, None], v[cols, k]]
-    return out
+def _close_blocks(items: MetricItems, R: Dist, rows: np.ndarray,
+                  cols: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yields ``(lo, out)`` for consecutive row blocks: ``out[r, c]`` says
+    items ``rows[lo + r]`` and ``cols[c]`` are strictly within R, that is,
+    every aligned pair of their points is close.  Every pair is gathered;
+    a block holds about ``_BLOCK_CELLS`` of them."""
+    close, v = items.close(R), items.vectors
+    step = max(1, _BLOCK_CELLS // len(cols))
+    for lo in range(0, len(rows), step):
+        part = rows[lo:lo + step]
+        out = close[v[part, 0][:, None], v[cols, 0]]
+        for k in range(1, v.shape[1]):
+            out &= close[v[part, k][:, None], v[cols, k]]
+        yield lo, out
 
 
 @dataclass(frozen=True)
@@ -184,7 +203,7 @@ def _greedy_independent(n: int, conflict: List[int]) -> List[int]:
     return chosen
 
 
-def _mis_bitset(n: int, conflict: List[int], node_budget: int = 20_000_000):
+def _mis_bitset(n: int, conflict: List[int]):
     """Maximum independent set via branch and bound on bitmasks.
 
     Deterministic: branches on the highest-degree candidate (ties: lowest
@@ -200,7 +219,7 @@ def _mis_bitset(n: int, conflict: List[int], node_budget: int = 20_000_000):
 
     def expand(cand: int, size: int, mask: int):
         nodes[0] += 1
-        if nodes[0] > node_budget:
+        if nodes[0] > _NODE_BUDGET:
             raise InvalidInputError("independent-set search exceeded its node budget")
         # pull in candidates with no conflicts among the rest, branch on the rest
         while cand:
@@ -332,25 +351,17 @@ def _first_fit(items: MetricItems, R: Dist) -> Tuple[List[int], np.ndarray]:
     return picks, assignment
 
 
-def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int],
-                     pair_cap: int = 4_000_000) -> None:
-    """Independent pairwise check of an R-separated selection (raises).
-
-    Every pair is checked; ``pair_cap`` only bounds how many pairs one
-    block of the check holds in memory.
-    """
+def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int]) -> None:
+    """Independent pairwise check of an R-separated selection (raises)."""
     sel = np.asarray(selected, dtype=np.int64)
     if sel.size < 2:
         return
-    close = items.close(R)
-    block = max(1, pair_cap // sel.size)
-    for lo in range(0, sel.size, block):
-        part = sel[lo:lo + block]
-        hit = _close_pairs(items, close, part, sel)
-        hit[np.arange(part.size), np.arange(lo, lo + part.size)] = False
+    for lo, hit in _close_blocks(items, R, sel, sel):
+        rows = np.arange(hit.shape[0])
+        hit[rows, lo + rows] = False
         if hit.any():
             r, c = np.argwhere(hit)[0]
-            i, j = int(part[r]), int(sel[c])
+            i, j = int(sel[lo + r]), int(sel[c])
             raise InvalidInputError(
                 f"separation check failed: items {i} and {j} at distance {items.dist(i, j)}")
 
@@ -361,18 +372,15 @@ def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int],
 
 def _cover_masks(items: MetricItems, R: Dist) -> List[int]:
     """Bitmask of the items strictly within R of each item."""
-    n = len(items)
-    close = items.close(R)
-    block = max(1, 4_000_000 // n)  # rows gathered at a time: about 4M booleans
+    every = np.arange(len(items))
     cov: List[int] = []
-    for lo in range(0, n, block):
-        rows = _close_pairs(items, close, np.arange(lo, min(n, lo + block)), slice(None))
+    for _, rows in _close_blocks(items, R, every, every):
         bits = np.packbits(rows, axis=1, bitorder="little")
         cov.extend(int.from_bytes(row.tobytes(), "little") for row in bits)
     return cov
 
 
-def _exact_cover(n: int, cov: List[int], node_budget: int = 20_000_000):
+def _exact_cover(n: int, cov: List[int]):
     """Minimum set cover by iterative deepening on the cover size.
 
     Branches on the lowest-index uncovered element; candidate centers in
@@ -393,7 +401,7 @@ def _exact_cover(n: int, cov: List[int], node_budget: int = 20_000_000):
 
     def dfs(uncov: int, budget: int, chosen: List[int]) -> bool:
         nodes[0] += 1
-        if nodes[0] > node_budget:
+        if nodes[0] > _NODE_BUDGET:
             raise InvalidInputError("set-cover search exceeded its node budget")
         if uncov == 0:
             return True
@@ -444,12 +452,11 @@ def _mask_assignment(n: int, cov: List[int], selected: Sequence[int]) -> List[in
     return assignment
 
 
-def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25,
-              greedy_limit: int = 1500) -> ExtremalResult:
+def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25) -> ExtremalResult:
     """Smallest subfamily with every item strictly within R of a member.
 
     Exact set cover up to ``exact_limit`` items (cover sizes tried in
-    ascending order); max-coverage greedy up to ``greedy_limit``; beyond
+    ascending order); max-coverage greedy up to ``_GREEDY_LIMIT``; beyond
     that a first-uncovered pass whose centers are both R-separated and
     R-dense.  Non-exact certificates are "upper-bound".  Every solver also
     assigns each item its lowest-index covering center, and the verifier
@@ -469,7 +476,7 @@ def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25,
         sel, nodes = _exact_cover(n, cov)
         assignment = _mask_assignment(n, cov, sel)
         result = ExtremalResult("dense", R, len(sel), tuple(sel), "exact", {"nodes": nodes})
-    elif n <= greedy_limit:
+    elif n <= _GREEDY_LIMIT:
         cov = _cover_masks(items, R)
         sel = sorted(_greedy_cover_masks(n, cov))
         assignment = _mask_assignment(n, cov, sel)
@@ -485,15 +492,13 @@ def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25,
 
 
 def verify_dense(items: MetricItems, R: Dist, selected: Sequence[int],
-                 assignment: Optional[Sequence[int]] = None,
-                 work_cap: int = 8_000_000) -> None:
+                 assignment: Optional[Sequence[int]] = None) -> None:
     """Independent check that the selection is R-dense (raises on failure).
 
     With an ``assignment`` (item i's center is ``assignment[i]``), the
     check costs one comparison per item: every assigned center must be
     selected and each item strictly within R of it.  Without one, every
-    item is compared with every center.  Both checks are complete;
-    ``work_cap`` only bounds how many comparisons one block holds in memory.
+    item is compared with every center.
     """
     sel = list(selected)
     n = len(items)
@@ -504,11 +509,9 @@ def verify_dense(items: MetricItems, R: Dist, selected: Sequence[int],
     if assignment is not None:
         _verify_assignment(items, R, sel, assignment)
         return
-    close = items.close(R)
     centers = np.asarray(sel, dtype=np.int64)
-    block = max(1, work_cap // len(sel))
-    for lo in range(0, n, block):
-        covered = _close_pairs(items, close, np.arange(lo, min(n, lo + block)), centers).any(axis=1)
+    for lo, near in _close_blocks(items, R, np.arange(n), centers):
+        covered = near.any(axis=1)
         if not covered.all():
             raise InvalidInputError(f"covering check failed: item {lo + int(np.argmin(covered))} "
                                     f"is not within {R} of the cover")
@@ -576,12 +579,11 @@ def nearest_net(space: MetricSpace, window: Sequence[PointRef],
     return out
 
 
-def max_band_clique(items: MetricItems, low: Dist, high: Dist,
-                    exact_limit: int = 40) -> ExtremalResult:
+def max_band_clique(items: MetricItems, low: Dist, high: Dist) -> ExtremalResult:
     """Largest subfamily with all pairwise distances in [low, high].
 
     This is a maximum clique in the band graph, solved as an independent
-    set of its complement below ``exact_limit``; above it a deterministic
+    set of its complement up to ``_BAND_EXACT_LIMIT`` items; above it a deterministic
     greedy grown from each of the first 64 items reports a lower bound.
     """
     n = len(items)
@@ -592,7 +594,7 @@ def max_band_clique(items: MetricItems, low: Dist, high: Dist,
         d = items.dist(i, j)
         return d >= low - items.tol and d <= high + items.tol
 
-    if n <= exact_limit:
+    if n <= _BAND_EXACT_LIMIT:
         conflict = [0] * n
         for i in range(n):
             for j in range(i + 1, n):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import BudgetExceededError, InvalidInputError, UnknownPointError
 from .extremal import POINT_LIMIT, MetricItems, greedy_net, max_band_clique, nearest_net
 from .numbers import Dist, dist_to_jsonable
 from .paths import hop_search
@@ -26,6 +26,9 @@ __all__ = [
     "rips_graph",
     "net_retraction",
 ]
+
+# default_sample_pairs tries x0 + 2**i for i up to this
+_SAMPLE_SCALES = 20
 
 
 @dataclass(frozen=True)
@@ -194,18 +197,19 @@ def quasi_geodesic_check(space: MetricSpace, delta: Dist,
     }
 
 
-def default_sample_pairs(space: MetricSpace, scales: int = 20):
-    """Geometrically spaced pairs from the basepoint (integer-coded spaces)."""
+def default_sample_pairs(space: MetricSpace):
+    """Pairs (x0, x0 + 2**i), i = 0..``_SAMPLE_SCALES``, from the basepoint
+    x0 of an integer-coded space, up to the first target outside it."""
     x0 = space.basepoint
     if not isinstance(x0, int):
         raise InvalidInputError(
             "default sampling needs an integer-coded space; pass sample_pairs explicitly")
     pairs = []
-    for i in range(scales + 1):
+    for i in range(_SAMPLE_SCALES + 1):
         target = x0 + 2 ** i
         try:
             space.check_point(target)
-        except Exception:
+        except UnknownPointError:
             break
         pairs.append((x0, target))
     if not pairs:

@@ -24,8 +24,9 @@ def as_dist(value) -> Dist:
     """Normalize a user-supplied numeric value to a Dist.
 
     Integers stay integers, Fractions stay Fractions and are reduced to
-    int when integral, floats are kept only if they are not representable
-    exactly (callers that need exactness should pass rationals).
+    int when integral, and finite floats stay floats as given (callers that
+    need exactness should pass rationals).  Infinity becomes ``INF`` and
+    NaN is rejected.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a distance")

@@ -40,6 +40,9 @@ __all__ = [
     "hop_metric",
 ]
 
+# most breadth-first rounds hop_metric searches before it answers inf
+_HOP_CAP = 10 ** 4
+
 
 @dataclass(frozen=True, slots=True)
 class DeltaPath:
@@ -366,12 +369,11 @@ def hop_search(space: MetricSpace, a: PointRef, b: PointRef, delta: Dist, budget
     return None
 
 
-def hop_metric(space: MetricSpace, a: PointRef, b: PointRef, delta: Dist,
-               hop_cap: int = 10 ** 4) -> Dist:
+def hop_metric(space: MetricSpace, a: PointRef, b: PointRef, delta: Dist) -> Dist:
     """Least number of delta-steps from a to b (inf when not reached in cap).
 
     Uses a closed form when the space provides one, else breadth-first
-    search capped at hop_cap rounds (:func:`hop_search`).
+    search capped at ``_HOP_CAP`` rounds (:func:`hop_search`).
     """
     space.check_point(a)
     space.check_point(b)
@@ -380,5 +382,5 @@ def hop_metric(space: MetricSpace, a: PointRef, b: PointRef, delta: Dist,
     exact = space.hop_distance(a, b, delta)
     if exact is not None:
         return exact
-    hops = hop_search(space, a, b, delta, hop_cap)
+    hops = hop_search(space, a, b, delta, _HOP_CAP)
     return math.inf if hops is None else hops

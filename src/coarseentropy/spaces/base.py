@@ -479,8 +479,7 @@ def build_graph(edges: Iterable[Sequence[PointRef]], vertices: Iterable[PointRef
 
 
 def build_weighted_graph(edges: Iterable[Sequence], vertices: Iterable[PointRef] = (),
-                         name: str = "weighted_graph",
-                         require_connected: bool = False) -> WeightedGraph:
+                         name: str = "weighted_graph") -> WeightedGraph:
     """Build a weighted graph; weights are positive exact rationals.
 
     Parallel edges keep the minimum weight.
@@ -501,20 +500,14 @@ def build_weighted_graph(edges: Iterable[Sequence], vertices: Iterable[PointRef]
         adj.setdefault(b, set()).add((a, w))
     if not adj:
         raise InvalidInputError("graph needs at least one vertex")
-    graph = WeightedGraph({v: tuple(ns) for v, ns in adj.items()}, name=name)
-    if require_connected:
-        reach = graph._distances_from(graph.points[0])
-        if len(reach) != len(graph.points):
-            raise InvalidInputError("graph is disconnected and connectivity was required")
-    return graph
+    return WeightedGraph({v: tuple(ns) for v, ns in adj.items()}, name=name)
 
 
 def build_finite_space(points: Sequence[PointRef], dist_fn, name: str = "finite",
-                       validate: bool = True, **kwargs) -> FiniteMetricSpace:
-    """Wrap an explicit finite metric; optionally verify the axioms."""
+                       **kwargs) -> FiniteMetricSpace:
+    """Wrap an explicit finite metric and verify the axioms."""
     space = FiniteMetricSpace(points, dist_fn, name=name, **kwargs)
-    if validate:
-        validate_metric(space)
+    validate_metric(space)
     return space
 
 

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import BudgetExceededError, InvalidInputError, UnknownPointError
-from ..numbers import INF, Dist
+from ..numbers import INF, Dist, is_finite
 from ..paths import DeltaPath
 from .base import Graph, MeasuredSpace, MetricSpace, block_table, build_graph, hop_shells
 
@@ -499,7 +499,7 @@ class TreeLine(MetricSpace):
         each arm descends from the root through a level-R vertex to its
         leftmost leaf, so distinct arm endpoints are at distance >= 2R + 2.
         """
-        if R < 1 or int(R) != R:
+        if not is_finite(R) or R < 1 or int(R) != R:
             raise InvalidInputError("R must be a positive integer for the tree witness")
         R = int(R)
         step = _floor_int(delta)

@@ -1,13 +1,15 @@
 """The zero/infinite dichotomy classifier: rule outcomes per catalog space,
 rule priority and gating, config windows, and embedding obstructions."""
 
+import importlib
+
 import pytest
 
 from coarseentropy import (
     ClassificationReport,
     ClassifyConfig,
     IntLine,
-    RULES,
+    MetricSpace,
     RegularTree,
     branch_tree_measured,
     build_finite_space,
@@ -19,6 +21,9 @@ from coarseentropy import (
     path_graph,
 )
 from coarseentropy.entropy.classify import SLOPE_CAVEAT
+
+# the package re-exports the function ``classify`` under the module's name
+CLASSIFY = importlib.import_module("coarseentropy.entropy.classify")
 
 
 class TestCatalogVerdicts:
@@ -109,48 +114,40 @@ class TestFiniteSpaces:
         assert rep.evidence["source"] == "exhaustive-check"
         assert rep.evidence["triples_checked"] == 27
 
-    def test_large_finite_space_skips_diameter_but_stays_certified(self):
-        rep = classify(path_graph(10), ClassifyConfig(finite_check_limit=5))
+    def test_large_finite_space_skips_diameter_but_stays_certified(self, monkeypatch):
+        monkeypatch.setattr(CLASSIFY, "_FINITE_CHECK_LIMIT", 5)
+        rep = classify(path_graph(10))
         assert rep.verdict == "zero"
         assert rep.rule == "bounded-components"
         assert "max_component_diameter" not in rep.evidence
 
 
 class TestRuleGating:
-    def test_rules_tuple_is_the_default_config(self):
-        cfg = ClassifyConfig()
-        assert cfg.rules == RULES
-        assert all(cfg.enabled(r) for r in RULES)
-
-    def test_disabling_a_rule_falls_through(self):
-        sp = make_example("ultrametric_product")
-        cfg = ClassifyConfig(rules=tuple(r for r in RULES if r != "ultrametric"))
-        rep = classify(sp, cfg)
-        # the next applicable rule (bounded components) fires instead
-        assert rep.rule == "bounded-components"
-
     def test_priority_order_prefers_ultrametric(self):
         rep = classify(make_example("ultrametric_product"))
         assert rep.rule == "ultrametric"  # annotation also has bounded-components
 
     def test_weighted_graphs_never_enter_growth_rules(self):
-        # a weighted graph without special annotations is inconclusive
-        from coarseentropy import build_weighted_graph
-        g = build_weighted_graph([(0, 1, 2), (1, 2, 3)])
-        # finite spaces short-circuit to bounded-components; strip that path
-        cfg = ClassifyConfig(rules=("bounded-geometry-growth-zero",
-                                    "bounded-geometry-growth-positive"))
-        rep = classify(g, cfg)
-        assert rep.verdict == "inconclusive"
+        # an infinite, bounded-degree, exponentially growing graph: only its
+        # weights keep it from the growth rules, so no rule applies
+        class WeightedStub(MetricSpace):
+            name = "weighted-stub"
+            annotations = frozenset({"graph", "weighted-graph", "bounded-degree"})
+            growth_tag = "exponential"
+            vertex_transitive = True
+            basepoint = 0
+
+        rep = classify(WeightedStub())
+        assert (rep.verdict, rep.rule, rep.evidence) == ("inconclusive", None, {})
+        assert rep.caveat.startswith("no classification rule applies")
 
     def test_slope_between_thresholds_is_inconclusive(self):
-        sp = IntLine(max_abs=10 ** 6)
-        cfg = ClassifyConfig(zero_slope=0.0, positive_slope=10.0,
-                             rules=("bounded-geometry-growth-zero",
-                                    "bounded-geometry-growth-positive"))
-        rep = classify(sp, cfg)
-        assert rep.verdict == "inconclusive"
-        assert "thresholds" in rep.evidence
+        rep = classify(IntLine(), ClassifyConfig(l_max=8))
+        assert (rep.verdict, rep.rule, rep.certified) == ("inconclusive", None, False)
+        assert rep.evidence["fitted_slope"] == pytest.approx(0.158, abs=1e-3)
+        assert rep.evidence["thresholds"] == {"zero": 0.05, "positive": 0.2}
+        assert rep.caveat == ("fitted growth slope falls between the zero and "
+                              "positive thresholds")
 
     def test_report_jsonable(self):
         doc = classify(make_example("ultrametric_product")).to_jsonable()

@@ -410,6 +410,23 @@ class TestInfiniteScales:
         assert doc["report"]["config"]["radius"] == "inf"
         assert [row["count"] for row in doc["report"]["rows"]] == [1, 1]
 
+    def test_infinite_radius_witness_is_an_error(self, capsys):
+        code, out, err = run(["witness", "--space", "tree_line", "--delta", "1",
+                              "--radius", "inf"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: R must be a positive integer for the tree witness\n"
+
+    def test_covering_bound_past_the_float_range_is_inf(self, capsys):
+        # 16 ** (1001/2 + 1) overflows a float; 16 ** (1000/2 + 1) is an exact int
+        code, doc = run_json(["rates", "--space", "ultrametric_product", "--delta", "4",
+                              "--radius", "12", "--mode", "dense", "--n", "1000,1001"], capsys)
+        assert code == 0
+        bound = doc["report"]["covering_bound"]
+        assert (bound["k"], bound["ball_size"]) == (2, 16)
+        assert bound["bounds"] == {"1000": 16 ** 501, "1001": "inf"}
+        assert doc["report"]["bound_satisfied"] == {"1000": True, "1001": True}
+
     def test_infinite_radius_dense_has_no_covering_bound(self, capsys):
         code, doc = run_json(["rates", "--space", "int_line", "--n", "1", "--radius", "inf",
                               "--mode", "dense"], capsys)

@@ -33,6 +33,7 @@ from coarseentropy import (
     step_ball,
 )
 
+from coarseentropy.entropy import counts
 from conftest import brute_max_separated, brute_min_dense
 
 
@@ -93,10 +94,12 @@ class TestBoundedComponentShortcut:
         assert point.stats.get("shortcut") == 1
         assert point.stats["component_points"] == 4
 
-    def test_shortcut_agrees_with_enumeration(self):
+    def test_shortcut_agrees_with_enumeration(self, monkeypatch):
         sp = UltrametricProduct(max_index=4)
         fast = separated_count(sp, sp.basepoint, 3, 2, 4)
-        slow = separated_count(sp, sp.basepoint, 3, 2, 4, use_shortcut=False)
+        # a component cap of 0 points leaves every component unwalked
+        monkeypatch.setattr(counts, "_COMPONENT_POINTS", 0)
+        slow = separated_count(sp, sp.basepoint, 3, 2, 4)
         assert fast.count == slow.count == 1
         assert "paths" in slow.stats and "shortcut" not in slow.stats
 

@@ -106,7 +106,7 @@ class TestMinDense:
             mat = random_metric(rng, n)
             R = rng.randint(2, 10)
             items = items_from_matrix(mat)
-            greedy = min_dense(items, R, exact_limit=0, greedy_limit=1500)
+            greedy = min_dense(items, R, exact_limit=0)
             exact = min_dense(items, R)
             assert greedy.certificate == "upper-bound"
             assert greedy.size >= exact.size
@@ -116,7 +116,7 @@ class TestMinDense:
     @pytest.mark.parametrize("R", [1e-10, 1e-9, Fraction(1, 10 ** 10)])
     def test_R_within_the_tolerance_is_rejected(self, monkeypatch, n, strategy, R):
         # 9, 243 and 2,187 paths: below exact_limit, between the limits and
-        # above greedy_limit; no item is within R of itself, so no cover exists
+        # above _GREEDY_LIMIT; no item is within R of itself, so no cover exists
         items = orbit_items("log_line", n)
         assert len(items) == 3 ** n and items.tol == 1e-9
 
@@ -152,7 +152,6 @@ class TestExactThresholds:
     def test_from_points_keeps_the_space_tolerance(self):
         log = make_example("log_line", {"max_abs": 16})
         assert MetricItems.from_points([0, 1], log).tol == 1e-9
-        assert MetricItems.from_points([0, 1], log, tol=0).tol == 0
 
 
 class TestDualityAndMonotonicity:
@@ -219,28 +218,30 @@ class TestVerifiers:
             assert accepts(verify_separated, items, R, max_separated(items, R).selected)
             assert accepts(verify_dense, items, R, min_dense(items, R).selected)
 
-    def test_verify_separated_checks_past_the_pair_cap(self):
-        # items 0..9 pairwise at 5, except 8 and 9 at 1: far beyond the
-        # isqrt(pair_cap) = 4 first items of the selection
+    def test_verify_separated_checks_past_the_pair_cap(self, monkeypatch):
+        # items 0..9 pairwise at 5, except 8 and 9 at 1: with 16 cells a
+        # block holds one row of the selection, far before row 8
         mat = [[0 if i == j else 5 for j in range(10)] for i in range(10)]
         mat[8][9] = mat[9][8] = 1
         items = items_from_matrix(mat)
-        verify_separated(items, 2, range(9), pair_cap=16)
-        for cap in (16, 1, 4_000_000):
+        for cells in (16, 1, 4_000_000):
+            monkeypatch.setattr(extremal, "_BLOCK_CELLS", cells)
+            verify_separated(items, 2, range(9))
             with pytest.raises(InvalidInputError, match="items 8 and 9 at distance 1"):
-                verify_separated(items, 2, range(10), pair_cap=cap)
+                verify_separated(items, 2, range(10))
 
-    def test_verify_dense_checks_past_the_work_cap(self):
-        # item 9 is the only one outside the ball of center 0, beyond the
-        # work_cap // |selection| = 5 first items
+    def test_verify_dense_checks_past_the_work_cap(self, monkeypatch):
+        # item 9 is the only one outside the ball of center 0; with 5 cells
+        # a block holds the first 5 items of the one-center check
         mat = [[0 if i == j else 1 for j in range(10)] for i in range(10)]
         for i in range(9):
             mat[i][9] = mat[9][i] = 3
         items = items_from_matrix(mat)
-        verify_dense(items, 2, (0, 9), work_cap=10)
-        for cap in (5, 1, 8_000_000):
+        for cells in (5, 1, 8_000_000):
+            monkeypatch.setattr(extremal, "_BLOCK_CELLS", cells)
+            verify_dense(items, 2, (0, 9))
             with pytest.raises(InvalidInputError, match="item 9 is not within 2 of the cover"):
-                verify_dense(items, 2, (0,), work_cap=cap)
+                verify_dense(items, 2, (0,))
 
 
 def accepts(verify, items, R, selected):
@@ -295,7 +296,7 @@ class TestCoverCertificates:
         with pytest.raises(InvalidInputError, match="not in the cover"):
             verify_dense(items, 3, sel, bad)
 
-    def test_rejects_a_center_at_distance_R_or_more(self, cover):
+    def test_rejects_a_center_at_distance_R_or_more(self, monkeypatch, cover):
         items, sel, assignment = cover
         i, far = next((i, c) for i in reversed(range(len(items))) for c in sel
                       if items.dist(i, c) == 3)
@@ -303,9 +304,10 @@ class TestCoverCertificates:
         bad[i] = far
         with pytest.raises(InvalidInputError, match=f"item {i} is not within 3"):
             verify_dense(items, 3, sel, bad)
-        # the assignment is checked in full, whatever the work cap
+        # the assignment is checked in full, whatever the block size
+        monkeypatch.setattr(extremal, "_BLOCK_CELLS", 1)
         with pytest.raises(InvalidInputError, match=f"item {i} is not within 3"):
-            verify_dense(items, 3, sel, bad, work_cap=1)
+            verify_dense(items, 3, sel, bad)
 
     def test_rejects_a_wrong_length(self, cover):
         items, sel, assignment = cover
@@ -337,8 +339,7 @@ class TestCoverCertificates:
             return real(items_, R_, selected, assignment)
 
         monkeypatch.setattr(extremal, "verify_dense", spy)
-        greedy_limit = 0 if strategy == "strategy_first_uncovered" else 1500
-        res = min_dense(items, R, greedy_limit=greedy_limit)
+        res = min_dense(items, R)
         assert strategy in res.stats
         assert seen == [[min(c for c in res.selected if items.dist(i, c) < R)
                          for i in range(len(items))]]
@@ -430,13 +431,14 @@ FIRST_FIT_FAMILIES = [
 
 @pytest.mark.parametrize("name, n, radii", FIRST_FIT_FAMILIES,
                          ids=[f"{name}-n{n}" for name, n, _ in FIRST_FIT_FAMILIES])
-def test_greedy_packing_picks_the_first_uncovered_centers(name, n, radii):
+def test_greedy_packing_picks_the_first_uncovered_centers(monkeypatch, name, n, radii):
     # a maximal R-separated family is R-dense: both greedy passes take the
     # lowest item that no earlier pick is strictly within R of
     items = orbit_items(name, n)
+    monkeypatch.setattr(extremal, "_GREEDY_LIMIT", 0)
     for R in radii:
         packing = max_separated(items, R, exact_limit=0)
-        cover = min_dense(items, R, greedy_limit=0)
+        cover = min_dense(items, R)
         assert "greedy_passes" in packing.stats and "strategy_first_uncovered" in cover.stats
         assert packing.selected == cover.selected
 
@@ -573,7 +575,7 @@ class TestFromOrbits:
 
     def test_fraction_family_gets_the_max_coverage_greedy(self):
         # 729 paths: above 400 the parent sent Fraction families to a
-        # first-uncovered pass; now every family up to greedy_limit is
+        # first-uncovered pass; now every family up to _GREEDY_LIMIT is
         # solved by max coverage
         sp = weighted_cycle()
         paths = enumerate_orbits(sp, 0, 6, 1).paths
@@ -630,13 +632,14 @@ class TestBandClique:
             assert res.certificate == "exact"
             assert res.size == brute_max_band_clique(n, lambda i, j: mat[i][j], low, high)
 
-    def test_greedy_band_clique_is_valid_lower_bound(self, rng):
+    def test_greedy_band_clique_is_valid_lower_bound(self, monkeypatch, rng):
         n = 12
         mat = random_metric(rng, n)
         items = items_from_matrix(mat)
-        res = max_band_clique(items, 2, 6, exact_limit=0)
-        assert res.certificate == "lower-bound"
         exact = max_band_clique(items, 2, 6)
+        monkeypatch.setattr(extremal, "_BAND_EXACT_LIMIT", 0)
+        res = max_band_clique(items, 2, 6)
+        assert res.certificate == "lower-bound"
         assert res.size <= exact.size
         for a_i, i in enumerate(res.selected):
             for j in res.selected[a_i + 1:]:

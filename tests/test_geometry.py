@@ -139,9 +139,20 @@ class TestQuasiGeodesicCheck:
 class TestDefaultSamplePairs:
     def test_geometric_spacing_within_bounds(self):
         sp = IntLine(max_abs=100)
-        pairs = default_sample_pairs(sp, scales=20)
+        pairs = default_sample_pairs(sp)
         assert pairs[0] == (0, 1)
         assert pairs == [(0, 2 ** i) for i in range(7)]  # 64 fits, 128 does not
+
+    def test_only_unknown_points_end_the_sample(self):
+        # a fault in check_point other than an unknown point is not a bound
+        class FaultyLine(IntLine):
+            def check_point(self, x):
+                if x > 8:
+                    raise RuntimeError("broken check")
+                super().check_point(x)
+
+        with pytest.raises(RuntimeError, match="broken check"):
+            default_sample_pairs(FaultyLine(max_abs=100))
 
     def test_requires_integer_coded_spaces(self):
         sp = BranchTree(max_depth=4)

@@ -8,13 +8,36 @@ A module-level def, class or constant counts as used when any module of
 the package reads it, as a name or as an attribute, or any ``__all__``
 lists it.  Every parameter of a module-level function is read in its
 body; methods are exempt, since an interface stub on a base class is
-meant to ignore its arguments.
+meant to ignore its arguments.  Every defaulted parameter of a
+module-level function is passed by some call under ``src/``, ``bench/``
+or ``demos/``; one that no call passes is a setting with one value in use,
+which belongs in a module constant.
 """
 
 import ast
+from collections import defaultdict
+from fnmatch import fnmatch
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coarseentropy"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "coarseentropy"
+CALLERS = ("src", "bench", "demos")
+
+# defaulted parameters no call passes, kept on purpose: inputs, and
+# parameters that calls reach only through an alias such as ``fn = ...``
+UNPASSED_DEFAULTS = {
+    "*(name)": "input: the label of the space or graph being built",
+    "build_weighted_graph(vertices)": "input: vertices beyond the edge endpoints",
+    "growth_series(window)": "input: the points the growth is maximised over",
+    "pad_arms(length)": "input: the common arm length",
+    "quasi_geodesic_check(sample_pairs)": "input: the pairs to check",
+    "separated_count(cap)": "rate_series passes it through fn = separated_count ...",
+    "dense_count(cap)": "rate_series passes it through fn = ... else dense_count",
+    "dense_count(exact_limit)": "rate_series passes it through fn = ... else dense_count",
+    "max_separated(exact_limit)": "counts and bench pass it through solve = max_separated ...",
+    "min_dense(exact_limit)": "counts and bench pass it through solve = ... else min_dense",
+    "rate_series(exact_limit)": "kept with the count functions' exact_limit, which bench varies",
+}
 
 
 def imported_names(tree):
@@ -96,6 +119,52 @@ def unread_parameters():
     return out
 
 
+def call_sites():
+    """Every call under the caller directories, by the name it calls."""
+    calls = defaultdict(list)
+    for top in CALLERS:
+        for path in sorted((REPO / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if name:
+                        calls[name].append(node)
+    return calls
+
+
+def passes(call, index, name):
+    """Whether ``call`` may set parameter ``name`` (at position ``index``,
+    None when keyword-only): by keyword, by position, or through ``*args``
+    or ``**kwargs``."""
+    if any(kw.arg in (None, name) for kw in call.keywords):
+        return True
+    return index is not None and (
+        index < len(call.args) or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def unpassed_defaults():
+    """``(label, where)`` for every defaulted parameter of a module-level
+    function that no call passes; ``label`` is ``function(parameter)``."""
+    calls = call_sites()
+    out = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaulted = list(enumerate(positional))[len(positional) - len(a.defaults):]
+            defaulted += [(None, arg) for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                          if default is not None]
+            out.extend((f"{node.name}({arg.arg})",
+                        f"{path.relative_to(PACKAGE.parent)}:{node.lineno}")
+                       for index, arg in defaulted
+                       if not any(passes(call, index, arg.arg) for call in calls[node.name]))
+    return out
+
+
 def test_sources_are_found():
     assert len(list(PACKAGE.rglob("*.py"))) > 10
 
@@ -113,3 +182,14 @@ def test_no_unread_definitions():
 def test_no_unread_parameters():
     unread = unread_parameters()
     assert unread == [], "parameters their function never reads:\n" + "\n".join(unread)
+
+
+def test_every_default_is_passed_somewhere():
+    found = unpassed_defaults()
+    unpassed = [f"{where}: {label}" for label, where in found
+                if not any(fnmatch(label, pattern) for pattern in UNPASSED_DEFAULTS)]
+    assert unpassed == [], ("defaulted parameters no call passes; make each a module "
+                            "constant:\n" + "\n".join(unpassed))
+    stale = [pattern for pattern in UNPASSED_DEFAULTS
+             if not any(fnmatch(label, pattern) for label, _ in found)]
+    assert stale == [], "allowlist entries that match nothing:\n" + "\n".join(stale)

@@ -13,6 +13,7 @@ from coarseentropy import (
     BudgetExceededError,
     CATALOG_TAGS,
     CoarseUnion,
+    FiniteMetricSpace,
     Graph,
     IntLine,
     InvalidInputError,
@@ -827,7 +828,7 @@ class TestFiniteSpaces:
 
         with pytest.raises(InvalidInputError):
             build_finite_space(pts, broken)
-        space = build_finite_space(pts, broken, validate=False)
+        space = FiniteMetricSpace(pts, broken)
         assert space.distance("a", "c") == 5
 
     def test_exact_thirds_satisfy_the_triangle_inequality(self):
@@ -844,7 +845,7 @@ class TestFiniteSpaces:
             return 0 if {x, y} <= {0, 1} else 1
 
         with pytest.raises(InvalidInputError):
-            validate_metric(build_finite_space(pts, degenerate, validate=False))
+            validate_metric(FiniteMetricSpace(pts, degenerate))
 
     def test_subspace_induces_distances(self):
         sp = IntLine(max_abs=50)

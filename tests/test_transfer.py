@@ -18,6 +18,7 @@ from coarseentropy import (
     validate_path,
     validate_pseudoorbit,
 )
+from coarseentropy.entropy import transfer
 
 
 class TestMapIterates:
@@ -128,8 +129,9 @@ class TestCheckDistancePreserved:
         with pytest.raises(NotDistancePreservingError):
             check_distance_preserved(sp, src, img)
 
-    def test_pair_cap(self):
+    def test_pair_cap(self, monkeypatch):
         sp = IntLine(max_abs=30)
         orbits = enumerate_orbits(sp, 0, 3, 1)
-        with pytest.raises(InvalidInputError):
-            check_distance_preserved(sp, orbits, orbits, pair_cap=10)
+        monkeypatch.setattr(transfer, "_PAIR_CAP", 10)
+        with pytest.raises(InvalidInputError, match="pair count exceeds cap 10"):
+            check_distance_preserved(sp, orbits, orbits)

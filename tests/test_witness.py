@@ -22,6 +22,7 @@ from coarseentropy import (
     spot_check_members,
     validate_path,
 )
+from coarseentropy.entropy import witness
 
 
 def toy_family(p=2, R=10):
@@ -94,12 +95,15 @@ class TestWitnessFamily:
         sp, fam = toy_family(p=3)
         assert fam.rate_bound == pytest.approx(3 * math.log(2) / fam.n)
 
-    def test_to_orbit_set_and_limit(self):
+    def test_to_orbit_set_and_limit(self, monkeypatch):
         sp, fam = toy_family(p=2)
+        # 4 members of 5 points each
+        monkeypatch.setattr(witness, "_MATERIALIZE_POINTS", 20)
         orbits = fam.to_orbit_set()
         assert len(orbits) == 4 and orbits.n == fam.n
-        with pytest.raises(CapExceededError):
-            fam.to_orbit_set(limit=3)
+        monkeypatch.setattr(witness, "_MATERIALIZE_POINTS", 19)
+        with pytest.raises(CapExceededError, match="needs 20 points, above the budget 19"):
+            fam.to_orbit_set()
 
     def test_jsonable_summary(self):
         sp, fam = toy_family(p=2)
@@ -174,12 +178,13 @@ class TestPingpongWitness:
         with pytest.raises(InvalidInputError):
             pingpong_witness(sp, 1, base, arms, 1, 10)
 
-    def test_point_budget(self):
+    def test_point_budget(self, monkeypatch):
         sp = IntLine(max_abs=50)
         base = DeltaPath((0,), 5)
         arms = [DeltaPath((0, 5), 5), DeltaPath((0, -5), 5)]
+        monkeypatch.setattr(witness, "_MATERIALIZE_POINTS", 10)
         with pytest.raises(CapExceededError):
-            pingpong_witness(sp, 0, base, arms, 3, 10, point_budget=10)
+            pingpong_witness(sp, 0, base, arms, 3, 10)
 
 
 class TestCatalogPingpong:

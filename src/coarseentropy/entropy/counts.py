@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from ..errors import BudgetExceededError, InvalidInputError
 from ..extremal import MetricItems, max_separated, min_dense
 from ..numbers import Dist, dist_to_jsonable, is_finite
-from ..paths import delta_component, enumerate_orbits, step_ball
+from ..paths import enumerate_orbits, step_ball, step_shells
 from ..spaces.base import MetricSpace, PointRef
 
 __all__ = ["RatePoint", "separated_count", "dense_count", "rate_series", "covering_bound"]
@@ -71,15 +71,29 @@ def _validate_args(n: int, delta: Dist, R: Dist) -> None:
 def _bounded_component_is_small(space: MetricSpace, x0: PointRef, delta: Dist,
                                 R: Dist) -> Optional[int]:
     """Return the component size when the delta-component of x0 is complete
-    and has diameter strictly below R; None when the shortcut is unusable."""
+    and has diameter strictly below R; None when the shortcut is unusable.
+
+    The walk goes shell by shell, up to ``4 * _COMPONENT_POINTS`` hops and
+    ``_COMPONENT_POINTS`` points, and stops at the first point not strictly
+    within R of x0: that pair already fails the diameter test.  Only a
+    component walked to its end has its other pairs compared.
+    """
+    shells = step_shells(space, x0, 4 * _COMPONENT_POINTS, delta)
     try:
-        points, complete = delta_component(space, x0, delta, hop_cap=4 * _COMPONENT_POINTS,
-                                           max_points=_COMPONENT_POINTS)
+        points = next(shells)[:]
+        for shell in shells:
+            if not shell:
+                break
+            points.extend(shell)
+            if len(points) > _COMPONENT_POINTS:
+                return None
+            if not all(space.lt(space.distance(x0, p), R) for p in shell):
+                return None
+        else:
+            return None  # the hop cap ended the walk
     except BudgetExceededError:
         return None
-    if not complete:
-        return None
-    for i, a in enumerate(points):
+    for i, a in enumerate(points[1:], 1):
         for b in points[i + 1:]:
             if not space.lt(space.distance(a, b), R):
                 return None
@@ -132,8 +146,8 @@ def covering_bound(space: MetricSpace, x0: PointRef, delta: Dist, R: Dist,
     of radius k, the dense count at length n is at most V ** (n/k + 1).
     The bound is certified for vertex-transitive spaces (the basepoint ball
     attains the supremum); otherwise it is reported as basepoint-only.
-    An infinite R has no such k.  A bound past the float range is
-    ``math.inf``.
+    An infinite R has no such k.  When k divides n the bound is an exact
+    int.  A bound past the float range, 2 ** 1024 or more, is ``math.inf``.
     """
     if not is_finite(R):
         return None
@@ -154,7 +168,9 @@ def covering_bound(space: MetricSpace, x0: PointRef, delta: Dist, R: Dist,
     bounds = {}
     for n in ns:
         if n % k == 0:
-            bounds[n] = V ** (n // k + 1)
+            # decided before the power, which could hold millions of digits
+            exponent = n // k + 1
+            bounds[n] = math.inf if exponent * math.log2(V) >= 1024 else V ** exponent
         else:
             try:
                 bounds[n] = float(V) ** (n / k + 1)

@@ -352,18 +352,61 @@ def _first_fit(items: MetricItems, R: Dist) -> Tuple[List[int], np.ndarray]:
 
 
 def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int]) -> None:
-    """Independent pairwise check of an R-separated selection (raises)."""
+    """Independent check of an R-separated selection (raises).
+
+    Reads only ``close(R)`` and the selection.  Selection positions are
+    packed 64 to a word.  For each column k and each point a that a
+    selected item has there, the positions whose column-k point is strictly
+    within R of a are packed once.  The AND of a position's sets over the
+    columns holds the positions strictly within R of it, which must be only
+    itself; the ANDs are taken in row blocks of about ``_BLOCK_CELLS``
+    pairs.  A selection of one word gathers its pairs directly, which costs
+    less than packing them.  Either way the failing pair reported is the
+    first position, in selection order, with another position strictly
+    within R, and the lowest such other position.
+    """
     sel = np.asarray(selected, dtype=np.int64)
-    if sel.size < 2:
+    m = sel.size
+    if m < 2:
         return
-    for lo, hit in _close_blocks(items, R, sel, sel):
-        rows = np.arange(hit.shape[0])
-        hit[rows, lo + rows] = False
+    close, columns = items.close(R), items.vectors[sel].T
+    if m <= 64:
+        hit = close[columns[0][:, None], columns[0]]
+        for col in columns[1:]:
+            hit &= close[col[:, None], col]
+        np.fill_diagonal(hit, False)
         if hit.any():
-            r, c = np.argwhere(hit)[0]
-            i, j = int(sel[lo + r]), int(sel[c])
-            raise InvalidInputError(
-                f"separation check failed: items {i} and {j} at distance {items.dist(i, j)}")
+            p, q = np.argwhere(hit)[0]
+            _separation_failure(items, int(sel[p]), int(sel[q]))
+        return
+    words = -(-m // 64)
+    # positions per row block, and points per packing chunk: either spans
+    # about _BLOCK_CELLS pairs
+    step = max(1, _BLOCK_CELLS // (64 * words))
+    near, where = [], []
+    for col in columns:
+        points, inverse = np.unique(col, return_inverse=True)
+        sets = np.zeros((len(points), 8 * words), dtype=np.uint8)
+        for lo in range(0, len(points), step):
+            part = close[points[lo:lo + step, None], col]
+            sets[lo:lo + step, :-(-m // 8)] = np.packbits(part, axis=1, bitorder="little")
+        near.append(sets.view("<u8"))
+        where.append(inverse)
+    for lo in range(0, m, step):
+        rows = np.arange(lo, min(m, lo + step))
+        hit = near[0][where[0][rows]]
+        for sets, inverse in zip(near[1:], where[1:]):
+            hit &= sets[inverse[rows]]
+        hit[rows - lo, rows >> 6] &= ~(np.uint64(1) << (rows & 63).astype(np.uint64))
+        bad = np.flatnonzero(hit.any(axis=1))
+        if bad.size:
+            r = int(bad[0])
+            _separation_failure(items, int(sel[lo + r]), int(sel[_unpack_rows(hit[r])[0]]))
+
+
+def _separation_failure(items: MetricItems, i: int, j: int) -> None:
+    raise InvalidInputError(
+        f"separation check failed: items {i} and {j} at distance {items.dist(i, j)}")
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +526,7 @@ def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25) -> ExtremalRes
         result = ExtremalResult("dense", R, len(sel), tuple(sel), "upper-bound",
                                 {"strategy_max_coverage": 1})
     else:
-        sel, covered_by = _first_fit(items, R)
-        assignment = covered_by.tolist()
+        sel, assignment = _first_fit(items, R)
         result = ExtremalResult("dense", R, len(sel), tuple(sel), "upper-bound",
                                 {"strategy_first_uncovered": 1})
     verify_dense(items, R, result.selected, assignment)
@@ -523,15 +565,20 @@ def _verify_assignment(items: MetricItems, R: Dist, sel: List[int],
     if len(assignment) != n:
         raise InvalidInputError(
             f"cover assignment has {len(assignment)} entries for {n} items")
-    chosen = set(sel)
-    stray = next((i for i, c in enumerate(assignment) if c not in chosen), None)
+    if isinstance(assignment, np.ndarray) and assignment.dtype.kind in "iu":
+        strays = np.flatnonzero(~np.isin(assignment, sel))
+        stray = int(strays[0]) if strays.size else None
+    else:
+        chosen = set(sel)
+        stray = next((i for i, c in enumerate(assignment) if c not in chosen), None)
     if stray is not None:
         raise InvalidInputError(
             f"covering check failed: item {stray} is assigned to {assignment[stray]}, "
             f"which is not in the cover")
-    v = items.vectors
-    centers = v[np.asarray(assignment, dtype=np.int64)]
-    far = np.flatnonzero(~items.close(R)[v, centers].all(axis=1))
+    close, v = items.close(R), items.vectors
+    # flat indices into the point table: one take, not a two-array gather
+    pairs = v * len(close) + v[np.asarray(assignment, dtype=np.int64)]
+    far = np.flatnonzero(~close.ravel().take(pairs).all(axis=1))
     if far.size:
         i = int(far[0])
         raise InvalidInputError(

@@ -317,21 +317,17 @@ def step_ball(space: MetricSpace, x: PointRef, n: int, delta: Dist) -> List[Poin
     return sorted(chain.from_iterable(step_shells(space, x, n, delta)))
 
 
-def delta_component(space: MetricSpace, x: PointRef, delta: Dist, hop_cap: int = 64,
-                    max_points: Optional[int] = None) -> Tuple[List[PointRef], bool]:
+def delta_component(space: MetricSpace, x: PointRef, delta: Dist,
+                    hop_cap: int) -> Tuple[List[PointRef], bool]:
     """Points reachable by delta-paths from x, expanded up to hop_cap rounds.
 
     Returns ``(points, complete)`` where ``complete`` is True iff a fixed
-    point of expansion was reached within the cap.  ``max_points`` turns a
-    runaway component into a BudgetExceededError instead of a long walk.
+    point of expansion was reached within the cap.
     """
     shells = step_shells(space, x, max(hop_cap, 0), delta)
     points = next(shells)[:]
     for shell in shells:
         points.extend(shell)
-        if max_points is not None and len(points) > max_points:
-            raise BudgetExceededError(
-                f"delta-component of {x!r} exceeded {max_points} points")
         if not shell:
             return sorted(points), True
     return sorted(points), False

@@ -418,14 +418,24 @@ class TestInfiniteScales:
         assert err == "error: R must be a positive integer for the tree witness\n"
 
     def test_covering_bound_past_the_float_range_is_inf(self, capsys):
-        # 16 ** (1001/2 + 1) overflows a float; 16 ** (1000/2 + 1) is an exact int
+        # 16 ** (508/2 + 1) = 2 ** 1020 is an exact int; 16 ** (510/2 + 1) =
+        # 2 ** 1024 and 16 ** (1001/2 + 1) are past the float range
         code, doc = run_json(["rates", "--space", "ultrametric_product", "--delta", "4",
-                              "--radius", "12", "--mode", "dense", "--n", "1000,1001"], capsys)
+                              "--radius", "12", "--mode", "dense", "--n", "508,510,1001"],
+                             capsys)
         assert code == 0
         bound = doc["report"]["covering_bound"]
         assert (bound["k"], bound["ball_size"]) == (2, 16)
-        assert bound["bounds"] == {"1000": 16 ** 501, "1001": "inf"}
-        assert doc["report"]["bound_satisfied"] == {"1000": True, "1001": True}
+        assert bound["bounds"] == {"508": 16 ** 255, "510": "inf", "1001": "inf"}
+        assert doc["report"]["bound_satisfied"] == {"508": True, "510": True, "1001": True}
+
+    def test_covering_bound_of_a_long_series_is_inf(self, capsys):
+        # the exact 16 ** 5001 has 6,022 digits, more than an int may print
+        code, doc = run_json(["rates", "--space", "ultrametric_product", "--delta", "4",
+                              "--radius", "12", "--mode", "dense", "--n", "10000"], capsys)
+        assert code == 0
+        assert doc["report"]["covering_bound"]["bounds"] == {"10000": "inf"}
+        assert [row["count"] for row in doc["report"]["rows"]] == [1]
 
     def test_infinite_radius_dense_has_no_covering_bound(self, capsys):
         code, doc = run_json(["rates", "--space", "int_line", "--n", "1", "--radius", "inf",

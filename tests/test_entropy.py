@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from coarseentropy import (
+    CATALOG_TAGS,
     BudgetExceededError,
     GrowthSeries,
     IntLine,
@@ -19,18 +20,22 @@ from coarseentropy import (
     branch_tree_measured,
     build_coding,
     build_graph,
+    build_weighted_graph,
     code_paths,
     coding_injectivity_check,
     covering_bound,
+    cycle_graph,
     dense_count,
     enumerate_orbits,
     fit_log_slope,
     growth_series,
+    make_example,
     orbit_distance,
     path_graph,
     rate_series,
     separated_count,
     step_ball,
+    step_shells,
 )
 
 from coarseentropy.entropy import counts
@@ -109,6 +114,70 @@ class TestBoundedComponentShortcut:
         point = separated_count(sp, sp.basepoint, 2, 2, 2)
         assert "shortcut" not in point.stats
         assert point.count > 1
+
+
+def walk_then_compare(space, x0, delta, R):
+    """The shortcut as it was: walk the whole delta-component within the
+    caps, then compare every pair of its points."""
+    cap = counts._COMPONENT_POINTS
+    try:
+        shells = step_shells(space, x0, 4 * cap, delta)
+        points = next(shells)[:]
+        for shell in shells:
+            points.extend(shell)
+            if len(points) > cap:
+                return None
+            if not shell:
+                break
+        else:
+            return None
+    except BudgetExceededError:
+        return None
+    points.sort()
+    for i, a in enumerate(points):
+        for b in points[i + 1:]:
+            if not space.lt(space.distance(a, b), R):
+                return None
+    return len(points)
+
+
+def shortcut_spaces():
+    params = {"coarse_union": {"parts": [{"path": 3}, {"cycle": 4}]}}
+    for tag in CATALOG_TAGS:
+        yield tag, make_example(tag, params.get(tag))
+    yield "cycle", cycle_graph(9)
+    yield "two_paths", build_graph([(0, 1), (1, 2), (5, 6)])
+    yield "weighted", build_weighted_graph(
+        [(0, 1, Fraction(1, 2)), (1, 2, Fraction(3, 4)), (2, 3, 2), (3, 0, Fraction(5, 4)),
+         (7, 8, Fraction(1, 3))])
+
+
+class TestShortcutOracle:
+    @pytest.mark.parametrize("name, space", list(shortcut_spaces()),
+                             ids=[name for name, _ in shortcut_spaces()])
+    def test_matches_walk_then_compare(self, name, space):
+        scales = [(delta, R) for delta in (Fraction(1, 2), 1, 2, 5)
+                  for R in (Fraction(1, 2), 1, 2, Fraction(7, 2), 4, 9, 100)]
+        # the graphs' second components start at 5 and 7
+        starts = [space.basepoint] + {"two_paths": [5], "weighted": [7]}.get(name, [])
+        applied = 0
+        for x0 in starts:
+            for delta, R in scales:
+                got = counts._bounded_component_is_small(space, x0, delta, R)
+                assert got == walk_then_compare(space, x0, delta, R), (x0, delta, R)
+                applied += got is not None
+        # every space but the unbounded lines and trees has a case the shortcut takes
+        if name in ("ultrametric_product", "coarse_union", "cycle", "two_paths", "weighted"):
+            assert applied
+
+    def test_walk_stops_at_the_first_far_point(self, monkeypatch):
+        sp = make_example("int_line")
+        calls = []
+        real = sp.neighbors
+        monkeypatch.setattr(sp, "neighbors", lambda x, delta: calls.append(x) or real(x, delta))
+        R = 4
+        assert counts._bounded_component_is_small(sp, 0, 1, R) is None
+        assert 0 < len(calls) <= 2 * R + 1
 
 
 class TestCoveringBound:

@@ -7,6 +7,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,6 +245,82 @@ class TestVerifiers:
                 verify_dense(items, 2, (0,))
 
 
+def pairwise_failure(items, R, selected):
+    """The pairwise gather: the first position in selection order with
+    another position strictly within R, and the lowest such position."""
+    sel = np.asarray(selected, dtype=np.int64)
+    close, v = items.close(R), items.vectors
+    hit = np.ones((sel.size, sel.size), dtype=bool)
+    for k in range(v.shape[1]):
+        hit &= close[v[sel, k][:, None], v[sel, k]]
+    np.fill_diagonal(hit, False)
+    if not hit.any():
+        return None
+    p, q = np.argwhere(hit)[0]
+    i, j = int(sel[p]), int(sel[q])
+    return f"separation check failed: items {i} and {j} at distance {items.dist(i, j)}"
+
+
+def separation_failure(items, R, selected):
+    try:
+        verify_separated(items, R, selected)
+    except InvalidInputError as exc:
+        return str(exc)
+    return None
+
+
+class TestPackedSeparationCheck:
+    """verify_separated against the pairwise gather it replaced."""
+
+    @pytest.mark.parametrize("name, n, radii", [
+        ("int_line", 5, (1, 2, 3)),
+        ("regular_tree", 4, (1, 2, 3)),
+        ("weighted_cycle", 4, (Fraction(1, 2), 1, Fraction(3, 2), Fraction(201, 100))),
+    ])
+    def test_random_selections_match_the_pairwise_gather(self, rng, name, n, radii):
+        items = orbit_items(name, n)
+        size = len(items)
+        failed = passed = 0
+        for R in radii:
+            picks, _ = extremal._first_fit(items, R)
+            for trial in range(12):
+                # sizes on both sides of one 64-row word; duplicates allowed
+                k = rng.choice([2, 5, 63, 64, 65, 130, min(size, 300)])
+                sel = [rng.randrange(size) for _ in range(k)]
+                if trial % 3 == 0:
+                    # a separated selection in shuffled order, with one
+                    # extra item somewhere when the trial is odd
+                    sel = rng.sample(picks, len(picks))
+                    if trial % 2:
+                        sel.insert(rng.randrange(len(sel) + 1), rng.randrange(size))
+                expected = pairwise_failure(items, R, sel)
+                assert separation_failure(items, R, sel) == expected, (R, sel)
+                failed += expected is not None
+                passed += expected is None
+        assert failed and passed
+
+    def test_selection_over_several_row_blocks(self, monkeypatch):
+        items = orbit_items("int_line", 7)
+        picks, _ = extremal._first_fit(items, 2)
+        near = next(i for i in range(len(items)) if i not in picks and items.dist(i, picks[-1]) < 2)
+        bad = picks[:-1] + [near] + picks[-1:]
+        expected = pairwise_failure(items, 2, bad)
+        assert expected is not None and len(picks) == 128
+        # rows of two words: blocks of 1, 1, 3 and all positions
+        for cells in (1, 64, 3 * 128, 4_000_000):
+            monkeypatch.setattr(extremal, "_BLOCK_CELLS", cells)
+            assert separation_failure(items, 2, picks) is None
+            assert separation_failure(items, 2, bad) == expected
+
+    def test_failing_pair_message(self):
+        # 81 paths; path 0 stands still at vertex 0 and path 1 steps to
+        # vertex 1 last, over the edge of weight 51/100
+        items = orbit_items("weighted_cycle", 4)
+        with pytest.raises(InvalidInputError) as err:
+            verify_separated(items, Fraction(13, 25), range(81))
+        assert str(err.value) == "separation check failed: items 0 and 1 at distance 51/100"
+
+
 def accepts(verify, items, R, selected):
     try:
         verify(items, R, selected)
@@ -343,6 +420,45 @@ class TestCoverCertificates:
         assert strategy in res.stats
         assert seen == [[min(c for c in res.selected if items.dist(i, c) < R)
                          for i in range(len(items))]]
+
+
+def scan_stray(selected, assignment):
+    """The scan the array check replaced: the first entry not in the set of
+    selected centres."""
+    chosen = set(selected)
+    return next((i for i, c in enumerate(assignment) if c not in chosen), None)
+
+
+class TestAssignmentEntries:
+    """The first stray centre, found by array operations on an integer
+    array and by the scan otherwise, is the one the scan finds."""
+
+    # items 0..5 on a line at R = 2, each assigned its lowest covering center
+    SEL = (1, 2, 4)
+    GOOD = [1, 1, 2, 2, 4, 4]
+
+    @pytest.mark.parametrize("form", ["list", "array"])
+    @pytest.mark.parametrize("entry", [-1, 6, 3, 2.0, 2.5, True])
+    def test_same_stray_as_the_scan(self, form, entry):
+        items = items_from_matrix([[abs(i - j) for j in range(6)] for i in range(6)])
+        assignment = list(self.GOOD)
+        # entry 3 is the case; entry 5, outside the cover, is the next stray
+        assignment[3], assignment[5] = entry, 0
+        given = assignment if form == "list" else np.array(assignment)
+        stray = scan_stray(self.SEL, given)
+        assert stray == (5 if entry in (2.0, True) else 3)
+        message = (f"covering check failed: item {stray} is assigned to {given[stray]}, "
+                   "which is not in the cover")
+        with pytest.raises(InvalidInputError) as err:
+            verify_dense(items, 2, self.SEL, given)
+        assert str(err.value) == message
+
+    def test_integer_arrays_take_the_array_check(self):
+        items = items_from_matrix([[abs(i - j) for j in range(6)] for i in range(6)])
+        for dtype in (np.int32, np.int64, np.uint8):
+            verify_dense(items, 2, self.SEL, np.array(self.GOOD, dtype=dtype))
+        with pytest.raises(InvalidInputError, match="item 0 is assigned to -1,"):
+            verify_dense(items, 2, self.SEL, np.full(6, -1))
 
 
 def _selection_digest(selected):

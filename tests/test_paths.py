@@ -379,12 +379,12 @@ class TestStepShells:
 class TestDeltaComponent:
     def test_finite_component_is_complete(self):
         g = cycle_graph(6)
-        pts, complete = delta_component(g, 0, 1)
+        pts, complete = delta_component(g, 0, 1, hop_cap=64)
         assert complete and pts == list(range(6))
 
     def test_disconnected_graph_stays_in_component(self):
         g = build_graph([(0, 1), (2, 3)])
-        pts, complete = delta_component(g, 2, 1)
+        pts, complete = delta_component(g, 2, 1, hop_cap=64)
         assert complete and pts == [2, 3]
 
     def test_hop_cap_reports_incomplete(self):
@@ -392,20 +392,12 @@ class TestDeltaComponent:
         pts, complete = delta_component(sp, 0, 1, hop_cap=5)
         assert not complete and len(pts) == 11
 
-    def test_max_points_budget(self):
-        sp = IntLine(max_abs=10 ** 6)
-        with pytest.raises(BudgetExceededError):
-            delta_component(sp, 0, 1, hop_cap=64, max_points=20)
-
     def test_caps_count_rounds_and_points(self):
         g = path_graph(6)
         # the fixed point is seen in the round after the last new point
         assert delta_component(g, 0, 1, hop_cap=5) == ([0, 1, 2, 3, 4, 5], False)
         assert delta_component(g, 0, 1, hop_cap=6) == ([0, 1, 2, 3, 4, 5], True)
         assert delta_component(g, 0, 1, hop_cap=0) == ([0], False)
-        assert delta_component(g, 0, 1, max_points=6) == ([0, 1, 2, 3, 4, 5], True)
-        with pytest.raises(BudgetExceededError, match=r"delta-component of 0 exceeded 5 points"):
-            delta_component(g, 0, 1, max_points=5)
 
 
 class TestHopMetric:

@@ -39,8 +39,8 @@ __all__ = [
 # squared entries, and every boolean table per scale as many bytes
 POINT_LIMIT = 4096
 
-# bytes of packed row sets the first-fit pass may memoise; it drops them all
-# when the next one would not fit
+# bytes of packed row sets the first-fit pass and the separation check may
+# hold; each drops them all when the next ones might not fit
 _NEAR_MEMO_BYTES = 64 << 20
 
 # item pairs one block of a close-pair gather holds; blocks bound memory,
@@ -355,15 +355,18 @@ def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int]) -> No
     """Independent check of an R-separated selection (raises).
 
     Reads only ``close(R)`` and the selection.  Selection positions are
-    packed 64 to a word.  For each column k and each point a that a
-    selected item has there, the positions whose column-k point is strictly
-    within R of a are packed once.  The AND of a position's sets over the
-    columns holds the positions strictly within R of it, which must be only
-    itself; the ANDs are taken in row blocks of about ``_BLOCK_CELLS``
-    pairs.  A selection of one word gathers its pairs directly, which costs
-    less than packing them.  Either way the failing pair reported is the
-    first position, in selection order, with another position strictly
-    within R, and the lowest such other position.
+    packed 64 to a word.  For a column k and a point a that a selected item
+    has there, the positions whose column-k point is strictly within R of a
+    form one packed set.  The AND of a position's sets over the columns
+    holds the positions strictly within R of it, which must be only itself.
+    The ANDs are taken in row blocks of about ``_BLOCK_CELLS`` pairs; each
+    block packs the sets its rows need that are not yet held.  The held
+    sets are all dropped when a block's sets for the next column might not
+    fit in ``_NEAR_MEMO_BYTES`` (they always fit when nothing else is held).
+    A selection of one word gathers its pairs directly, which costs less
+    than packing them.  Either way the failing pair reported is the first
+    position, in selection order, with another position strictly within R,
+    and the lowest such other position.
     """
     sel = np.asarray(selected, dtype=np.int64)
     m = sel.size
@@ -379,24 +382,34 @@ def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int]) -> No
             p, q = np.argwhere(hit)[0]
             _separation_failure(items, int(sel[p]), int(sel[q]))
         return
-    words = -(-m // 64)
-    # positions per row block, and points per packing chunk: either spans
-    # about _BLOCK_CELLS pairs
-    step = max(1, _BLOCK_CELLS // (64 * words))
-    near, where = [], []
-    for col in columns:
-        points, inverse = np.unique(col, return_inverse=True)
-        sets = np.zeros((len(points), 8 * words), dtype=np.uint8)
-        for lo in range(0, len(points), step):
-            part = close[points[lo:lo + step, None], col]
-            sets[lo:lo + step, :-(-m // 8)] = np.packbits(part, axis=1, bitorder="little")
-        near.append(sets.view("<u8"))
-        where.append(inverse)
+    words, octets = -(-m // 64), -(-m // 8)
+    step = max(1, _BLOCK_CELLS // (64 * words))  # positions per row block
+    points = len(close)
+    slot = np.full((len(columns), points), -1, dtype=np.int64)  # -1: set not held
+    held = min(len(columns) * min(points, m) + min(step, m),
+               max(step, _NEAR_MEMO_BYTES // (8 * words)))
+    sets = np.zeros((held, words), dtype="<u8")  # bytes past the positions stay 0
+    filled = 0
     for lo in range(0, m, step):
         rows = np.arange(lo, min(m, lo + step))
-        hit = near[0][where[0][rows]]
-        for sets, inverse in zip(near[1:], where[1:]):
-            hit &= sets[inverse[rows]]
+        hit = None
+        for col, at in zip(columns, slot):
+            need = col[rows]
+            if filled + need.size > held:  # at most one new set per row
+                slot.fill(-1)
+                filled = 0
+            fresh = np.zeros(points, dtype=bool)
+            fresh[need] = at[need] < 0
+            new = np.flatnonzero(fresh)
+            if new.size:
+                packed = np.packbits(close[new][:, col], axis=1, bitorder="little")
+                sets[filled:filled + new.size].view(np.uint8)[:, :octets] = packed
+                at[new] = np.arange(filled, filled + new.size)
+                filled += new.size
+            if hit is None:
+                hit = sets[at[need]]
+            else:
+                hit &= sets[at[need]]
         hit[rows - lo, rows >> 6] &= ~(np.uint64(1) << (rows & 63).astype(np.uint64))
         bad = np.flatnonzero(hit.any(axis=1))
         if bad.size:
@@ -565,19 +578,16 @@ def _verify_assignment(items: MetricItems, R: Dist, sel: List[int],
     if len(assignment) != n:
         raise InvalidInputError(
             f"cover assignment has {len(assignment)} entries for {n} items")
-    if isinstance(assignment, np.ndarray) and assignment.dtype.kind in "iu":
-        strays = np.flatnonzero(~np.isin(assignment, sel))
-        stray = int(strays[0]) if strays.size else None
-    else:
-        chosen = set(sel)
-        stray = next((i for i, c in enumerate(assignment) if c not in chosen), None)
-    if stray is not None:
+    centers = np.asarray(assignment)
+    strays = np.flatnonzero(~np.isin(centers, sel))
+    if strays.size:
+        stray = int(strays[0])
         raise InvalidInputError(
             f"covering check failed: item {stray} is assigned to {assignment[stray]}, "
             f"which is not in the cover")
     close, v = items.close(R), items.vectors
     # flat indices into the point table: one take, not a two-array gather
-    pairs = v * len(close) + v[np.asarray(assignment, dtype=np.int64)]
+    pairs = v * len(close) + v[centers.astype(np.int64)]
     far = np.flatnonzero(~close.ravel().take(pairs).all(axis=1))
     if far.size:
         i = int(far[0])

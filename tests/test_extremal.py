@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -277,7 +278,8 @@ class TestPackedSeparationCheck:
         ("regular_tree", 4, (1, 2, 3)),
         ("weighted_cycle", 4, (Fraction(1, 2), 1, Fraction(3, 2), Fraction(201, 100))),
     ])
-    def test_random_selections_match_the_pairwise_gather(self, rng, name, n, radii):
+    def test_random_selections_match_the_pairwise_gather(self, monkeypatch, rng, name, n,
+                                                         radii):
         items = orbit_items(name, n)
         size = len(items)
         failed = passed = 0
@@ -289,12 +291,19 @@ class TestPackedSeparationCheck:
                 sel = [rng.randrange(size) for _ in range(k)]
                 if trial % 3 == 0:
                     # a separated selection in shuffled order, with one
-                    # extra item somewhere when the trial is odd
+                    # extra item last (trial 3) or anywhere (trial 9)
                     sel = rng.sample(picks, len(picks))
                     if trial % 2:
-                        sel.insert(rng.randrange(len(sel) + 1), rng.randrange(size))
+                        at = len(sel) if trial == 3 else rng.randrange(len(sel) + 1)
+                        sel.insert(at, rng.randrange(size))
                 expected = pairwise_failure(items, R, sel)
-                assert separation_failure(items, R, sel) == expected, (R, sel)
+                # default sizes; blocks of 1 to 7 rows with the held sets
+                # dropped each time the next ones pass one block's worth,
+                # or about 100 bytes
+                for cells, budget in ((4_000_000, 64 << 20), (500, 0), (500, 100)):
+                    monkeypatch.setattr(extremal, "_BLOCK_CELLS", cells)
+                    monkeypatch.setattr(extremal, "_NEAR_MEMO_BYTES", budget)
+                    assert separation_failure(items, R, sel) == expected, (R, sel, cells, budget)
                 failed += expected is not None
                 passed += expected is None
         assert failed and passed
@@ -306,11 +315,39 @@ class TestPackedSeparationCheck:
         bad = picks[:-1] + [near] + picks[-1:]
         expected = pairwise_failure(items, 2, bad)
         assert expected is not None and len(picks) == 128
-        # rows of two words: blocks of 1, 1, 3 and all positions
+        # the failing pair's second position is the last one, alone in its byte
+        tail = picks + [near]
+        expected_tail = pairwise_failure(items, 2, tail)
+        assert f" and {near} at " in expected_tail
+        # rows of two words: blocks of 1, 1, 3 and all positions; the held
+        # sets dropped whenever the next ones pass one block's worth (0),
+        # three sets (48 bytes), or never
         for cells in (1, 64, 3 * 128, 4_000_000):
-            monkeypatch.setattr(extremal, "_BLOCK_CELLS", cells)
-            assert separation_failure(items, 2, picks) is None
-            assert separation_failure(items, 2, bad) == expected
+            for budget in (0, 48, 64 << 20):
+                monkeypatch.setattr(extremal, "_BLOCK_CELLS", cells)
+                monkeypatch.setattr(extremal, "_NEAR_MEMO_BYTES", budget)
+                assert separation_failure(items, 2, picks) is None
+                assert separation_failure(items, 2, bad) == expected
+                assert separation_failure(items, 2, tail) == expected_tail
+
+    def test_held_sets_stay_within_their_budget(self, monkeypatch):
+        # 2,000 items, each on its own point in both columns: packed all at
+        # once, their sets would take 2 x 2,000 x 2,000 bits (1 MB)
+        m = 2000
+        items = MetricItems.from_orbits(IntLine(), [(x, m - 1 - x) for x in range(m)])
+        monkeypatch.setattr(extremal, "_BLOCK_CELLS", 1 << 16)  # 32 rows a block
+        monkeypatch.setattr(extremal, "_NEAR_MEMO_BYTES", 0)
+        verify_separated(items, 1, range(100))  # numpy's lazy imports
+        tracemalloc.start()
+        try:
+            verify_separated(items, 1, range(m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000, peak
+        bad = [*range(m), m - 1]
+        assert separation_failure(items, 1, bad) == pairwise_failure(items, 1, bad) == \
+            f"separation check failed: items {m - 1} and {m - 1} at distance 0"
 
     def test_failing_pair_message(self):
         # 81 paths; path 0 stands still at vertex 0 and path 1 steps to
@@ -430,8 +467,8 @@ def scan_stray(selected, assignment):
 
 
 class TestAssignmentEntries:
-    """The first stray centre, found by array operations on an integer
-    array and by the scan otherwise, is the one the scan finds."""
+    """The first stray centre, found by array operations on any
+    assignment, is the one the scan finds."""
 
     # items 0..5 on a line at R = 2, each assigned its lowest covering center
     SEL = (1, 2, 4)
@@ -453,7 +490,7 @@ class TestAssignmentEntries:
             verify_dense(items, 2, self.SEL, given)
         assert str(err.value) == message
 
-    def test_integer_arrays_take_the_array_check(self):
+    def test_integer_arrays_of_any_width(self):
         items = items_from_matrix([[abs(i - j) for j in range(6)] for i in range(6)])
         for dtype in (np.int32, np.int64, np.uint8):
             verify_dense(items, 2, self.SEL, np.array(self.GOOD, dtype=dtype))

@@ -585,10 +585,8 @@ def _verify_assignment(items: MetricItems, R: Dist, sel: List[int],
         raise InvalidInputError(
             f"covering check failed: item {stray} is assigned to {assignment[stray]}, "
             f"which is not in the cover")
-    close, v = items.close(R), items.vectors
-    # flat indices into the point table: one take, not a two-array gather
-    pairs = v * len(close) + v[centers.astype(np.int64)]
-    far = np.flatnonzero(~close.ravel().take(pairs).all(axis=1))
+    v = items.vectors
+    far = np.flatnonzero(~items.close(R)[v, v[centers.astype(np.int64)]].all(axis=1))
     if far.size:
         i = int(far[0])
         raise InvalidInputError(

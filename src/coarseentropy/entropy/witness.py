@@ -156,12 +156,7 @@ def _arm_profile(space: MetricSpace, arms: Sequence[DeltaPath]) -> List[List[Dis
     prof: List[List[Dist]] = [[0] * A for _ in range(A)]
     for i in range(A):
         for j in range(i + 1, A):
-            best: Dist = 0
-            for a, b in zip(arms[i].points, arms[j].points):
-                d = space.distance(a, b)
-                if d > best:
-                    best = d
-            prof[i][j] = prof[j][i] = best
+            prof[i][j] = prof[j][i] = orbit_distance(arms[i], arms[j], space)
     return prof
 
 

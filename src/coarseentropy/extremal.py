@@ -71,11 +71,11 @@ class MetricItems:
     ``vectors`` is an ``(N, w)`` matrix of point ids: item i is the point
     sequence ``vectors[i]``, and two items are as far apart as their
     farthest aligned points (the orbit sup distance).  For the plain
-    constructor and :meth:`from_points`, w = 1 and the points are the
-    items.  ``dmat`` is the exact point-distance table (ints, Fractions or
-    floats), built on first use for plain families, and ``close(R)`` the
-    boolean table ``dmat < R - tol``, compared exactly once per scale.
-    Every packing, covering and verify query is a gather from it.
+    constructor, w = 1 and the points are the items.  ``dmat`` is the exact
+    point-distance table (ints, Fractions or floats), built on first use
+    for plain families, and ``close(R)`` the boolean table
+    ``dmat < R - tol``, compared exactly once per scale.  Every distance,
+    packing, covering and verify query reads them.
     """
 
     def __init__(self, items: Sequence, dist_fn: Callable[[int, int], Dist], tol: Dist = 0):
@@ -83,7 +83,6 @@ class MetricItems:
         self.tol = tol
         self.vectors = np.arange(len(self.items)).reshape(-1, 1)
         self._dist_fn = dist_fn
-        self._cache: Dict[Tuple[int, int], Dist] = {}
         self._dmat: Optional[np.ndarray] = None
         self._close: Dict[Dist, np.ndarray] = {}
 
@@ -97,23 +96,9 @@ class MetricItems:
             self._dmat = pair_table(len(self.items), self._dist_fn)
         return self._dmat
 
-    def _point_dist(self, a: int, b: int) -> Dist:
-        if a == b:
-            return 0
-        if self._dmat is not None:
-            return self._dmat[a, b]
-        # plain family without its table yet (band cliques never build one)
-        key = (a, b) if a < b else (b, a)
-        got = self._cache.get(key)
-        if got is None:
-            got = self._dist_fn(key[0], key[1])
-            self._cache[key] = got
-        return got
-
     def dist(self, i: int, j: int) -> Dist:
-        if i == j:
-            return 0
-        return max(map(self._point_dist, self.vectors[i].tolist(), self.vectors[j].tolist()))
+        v = self.vectors
+        return max(self.dmat[v[i], v[j]].tolist())
 
     def close(self, R: Dist) -> np.ndarray:
         """Boolean point table ``dmat < R - tol``, built once per scale."""
@@ -122,17 +107,6 @@ class MetricItems:
         if table is None:
             table = self._close[threshold] = np.less(self.dmat, threshold)
         return table
-
-    @classmethod
-    def from_points(cls, points: Sequence[PointRef], space_or_fn):
-        """Items are points of a space, compared with its tolerance, or of a
-        plain symmetric distance function, compared exactly."""
-        pts = list(points)
-        if isinstance(space_or_fn, MetricSpace):
-            fn, tol = space_or_fn.distance, space_or_fn.tol
-        else:
-            fn, tol = space_or_fn, 0
-        return cls(pts, lambda i, j: fn(pts[i], pts[j]), tol=tol)
 
     @classmethod
     def from_orbits(cls, space: MetricSpace, orbits):
@@ -259,10 +233,6 @@ def _mis_bitset(n: int, conflict: List[int]):
     return sel, nodes[0]
 
 
-def _conflict_masks(items: MetricItems, R: Dist) -> List[int]:
-    return [mask & ~(1 << i) for i, mask in enumerate(_cover_masks(items, R))]
-
-
 def max_separated(items: MetricItems, R: Dist, exact_limit: int = 40) -> ExtremalResult:
     """Largest subfamily with pairwise distance >= R.
 
@@ -276,7 +246,7 @@ def max_separated(items: MetricItems, R: Dist, exact_limit: int = 40) -> Extrema
     if n == 0:
         return ExtremalResult("separated", R, 0, (), "exact")
     if n <= exact_limit:
-        conflict = _conflict_masks(items, R)
+        conflict = [mask & ~(1 << i) for i, mask in enumerate(_cover_masks(items, R))]
         sel, nodes = _mis_bitset(n, conflict)
         result = ExtremalResult("separated", R, len(sel), tuple(sel), "exact", {"nodes": nodes})
     else:
@@ -493,30 +463,16 @@ def _greedy_cover_masks(n: int, cov: List[int]) -> List[int]:
     return chosen
 
 
-def _mask_assignment(n: int, cov: List[int], selected: Sequence[int]) -> List[int]:
-    """For each item, the lowest-index selected center whose mask covers it
-    (-1 where none does, which the verifier then rejects)."""
-    assignment = [-1] * n
-    open_items = (1 << n) - 1
-    for c in sorted(selected):
-        m = cov[c] & open_items
-        open_items &= ~m
-        while m:
-            e = (m & -m).bit_length() - 1
-            m &= m - 1
-            assignment[e] = c
-    return assignment
-
-
 def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25) -> ExtremalResult:
     """Smallest subfamily with every item strictly within R of a member.
 
     Exact set cover up to ``exact_limit`` items (cover sizes tried in
     ascending order); max-coverage greedy up to ``_GREEDY_LIMIT``; beyond
     that a first-uncovered pass whose centers are both R-separated and
-    R-dense.  Non-exact certificates are "upper-bound".  Every solver also
-    assigns each item its lowest-index covering center, and the verifier
-    checks that assignment.
+    R-dense.  Non-exact certificates are "upper-bound".  The verifier
+    checks every item against every center of the exact and max-coverage
+    covers; the first-uncovered pass hands it each item's first covering
+    pick, which costs one comparison per item.
     """
     if not R > 0:
         raise InvalidInputError("R must be positive")
@@ -527,15 +483,12 @@ def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25) -> ExtremalRes
     n = len(items)
     if n == 0:
         return ExtremalResult("dense", R, 0, (), "exact")
+    assignment = None
     if n <= exact_limit:
-        cov = _cover_masks(items, R)
-        sel, nodes = _exact_cover(n, cov)
-        assignment = _mask_assignment(n, cov, sel)
+        sel, nodes = _exact_cover(n, _cover_masks(items, R))
         result = ExtremalResult("dense", R, len(sel), tuple(sel), "exact", {"nodes": nodes})
     elif n <= _GREEDY_LIMIT:
-        cov = _cover_masks(items, R)
-        sel = sorted(_greedy_cover_masks(n, cov))
-        assignment = _mask_assignment(n, cov, sel)
+        sel = sorted(_greedy_cover_masks(n, _cover_masks(items, R)))
         result = ExtremalResult("dense", R, len(sel), tuple(sel), "upper-bound",
                                 {"strategy_max_coverage": 1})
     else:
@@ -550,10 +503,11 @@ def verify_dense(items: MetricItems, R: Dist, selected: Sequence[int],
                  assignment: Optional[Sequence[int]] = None) -> None:
     """Independent check that the selection is R-dense (raises on failure).
 
-    With an ``assignment`` (item i's center is ``assignment[i]``), the
-    check costs one comparison per item: every assigned center must be
-    selected and each item strictly within R of it.  Without one, every
-    item is compared with every center.
+    Without an ``assignment``, every item is compared with every center,
+    in row blocks of about ``_BLOCK_CELLS`` pairs.  With one (item i's
+    center is ``assignment[i]``), the check costs one comparison per item:
+    every assigned center must be selected and each item strictly within R
+    of it.
     """
     sel = list(selected)
     n = len(items)
@@ -634,20 +588,28 @@ def nearest_net(space: MetricSpace, window: Sequence[PointRef],
     return out
 
 
-def max_band_clique(items: MetricItems, low: Dist, high: Dist) -> ExtremalResult:
-    """Largest subfamily with all pairwise distances in [low, high].
+def max_band_clique(space: MetricSpace, points: Sequence[PointRef], low: Dist,
+                    high: Dist) -> ExtremalResult:
+    """Largest subset of ``points`` with all pairwise distances in [low, high]
+    up to the space tolerance; ``selected`` holds indices into ``points``.
 
     This is a maximum clique in the band graph, solved as an independent
-    set of its complement up to ``_BAND_EXACT_LIMIT`` items; above it a deterministic
-    greedy grown from each of the first 64 items reports a lower bound.
+    set of its complement up to ``_BAND_EXACT_LIMIT`` points; above it a deterministic
+    greedy grown from each of the first 64 points reports a lower bound.
+    Each pair is asked of the space once, when first needed, and its answer kept.
     """
-    n = len(items)
+    n = len(points)
     if n == 0:
         return ExtremalResult("band-clique", low, 0, (), "exact")
+    known: Dict[Tuple[int, int], bool] = {}
 
     def in_band(i, j):
-        d = items.dist(i, j)
-        return d >= low - items.tol and d <= high + items.tol
+        key = (i, j) if i < j else (j, i)
+        got = known.get(key)
+        if got is None:
+            d = space.distance(points[key[0]], points[key[1]])
+            got = known[key] = space.ge(d, low) and space.le(d, high)
+        return got
 
     if n <= _BAND_EXACT_LIMIT:
         conflict = [0] * n

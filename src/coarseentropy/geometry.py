@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, InvalidInputError, UnknownPointError
-from .extremal import POINT_LIMIT, MetricItems, greedy_net, max_band_clique, nearest_net
+from .extremal import POINT_LIMIT, greedy_net, max_band_clique, nearest_net
 from .numbers import Dist, dist_to_jsonable
 from .paths import hop_search
 from .spaces.base import Graph, MetricSpace, PointRef, ball, build_graph
@@ -132,9 +132,8 @@ def bounded_geometry_evidence(space: MetricSpace, s: Optional[Dist] = None,
             raise BudgetExceededError(
                 f"the depth-{depth} window holds {len(window)} points; band-clique "
                 f"searches are capped at {POINT_LIMIT} points")
-        items = MetricItems.from_points(window, space)
-        res = max_band_clique(items, s, D)
-        _check_family(space, [items.items[i] for i in res.selected], s, D)
+        res = max_band_clique(space, window, s, D)
+        _check_family(space, [window[i] for i in res.selected], s, D)
         sizes.append(res.size)
         certs.append(res.certificate)
     return BGEvidence(space=space.name, s=s, D=D, depths=tuple(depths), sizes=tuple(sizes),

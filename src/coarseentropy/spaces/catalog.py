@@ -286,6 +286,8 @@ class _RootedTree(MetricSpace):
     basepoint = ()
 
     def __init__(self, max_depth: int, name: str, annotations):
+        if not isinstance(max_depth, int) or isinstance(max_depth, bool):
+            raise InvalidInputError(f"max_depth must be an integer: {max_depth!r}")
         if max_depth < 1:
             raise InvalidInputError("max_depth must be >= 1")
         self.max_depth = max_depth
@@ -350,6 +352,8 @@ class RegularTree(_RootedTree):
     vertex_transitive = True
 
     def __init__(self, degree: int = 3, max_depth: int = 16):
+        if not isinstance(degree, int) or isinstance(degree, bool):
+            raise InvalidInputError(f"degree must be an integer: {degree!r}")
         if degree < 3:
             raise InvalidInputError("degree must be >= 3 (smaller cases are lines/points)")
         self.degree = degree

@@ -503,6 +503,22 @@ class TestSpaceResolution:
         assert code == 1 and out == ""
         assert err.startswith("budget exceeded:") and "4098 points" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--space", "regular_tree", "--params", '{"degree": 3.5}', "--n", "0,2",
+         "--radius", "2"],
+        ["orbits", "--space", "regular_tree", "--params", '{"degree": 3.5}', "--n", "2"],
+        ["growth", "--space", "regular_tree", "--params", '{"degree": 3.5}', "--window", "3"],
+        ["classify", "--space", "regular_tree", "--params", '{"degree": 3.5}', "--window", "4"],
+        ["bgcheck", "--space", "branch_tree", "--params", '{"max_depth": 6.5}'],
+        ["classify", "--space", "branch_tree", "--params", '{"max_depth": 6.5}',
+         "--window", "4"],
+    ], ids=["rates", "orbits", "growth", "classify", "bgcheck", "classify-branch"])
+    def test_non_integer_tree_parameter_is_an_error(self, argv, capsys):
+        # the trees used to take these and fail later in a TypeError traceback
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
 
 class TestOutputPlumbing:
     def test_reports_byte_identical_across_runs(self, capsys):

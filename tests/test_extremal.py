@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from coarseentropy import (
     BudgetExceededError,
+    FiniteMetricSpace,
     IntLine,
     InvalidInputError,
     MetricItems,
@@ -140,9 +141,9 @@ class TestExactThresholds:
     are R-separated and no open R-ball holds both."""
 
     @pytest.mark.parametrize("make", [
-        lambda d: MetricItems.from_points([0, 1], lambda a, b: 0 if a == b else d),
+        lambda d: MetricItems([0, 1], lambda a, b: d),
         lambda d: items_from_matrix([[0, d], [d, 0]]),
-    ], ids=["from_points", "matrix"])
+    ], ids=["plain", "matrix"])
     def test_items_at_exactly_R(self, make):
         R = Fraction(7, 3)
         items = make(R)
@@ -150,10 +151,6 @@ class TestExactThresholds:
         assert (packing.size, packing.certificate) == (2, "exact")
         assert min_dense(items, R).size == 2
         assert items.tol == 0 and isinstance(items.tol, int)
-
-    def test_from_points_keeps_the_space_tolerance(self):
-        log = make_example("log_line", {"max_abs": 16})
-        assert MetricItems.from_points([0, 1], log).tol == 1e-9
 
 
 class TestDualityAndMonotonicity:
@@ -429,22 +426,11 @@ class TestCoverCertificates:
             with pytest.raises(InvalidInputError, match="entries for"):
                 verify_dense(items, 3, sel, bad)
 
-    @pytest.mark.parametrize("name, n, R, strategy, form", [
-        case + (form,) for form in ("orbits", "raw") for case in [
-            ("int_line", 2, 3, "nodes"),
-            ("int_line", 4, 3, "strategy_max_coverage"),
-            ("int_line", 4, 2, "strategy_max_coverage"),
-            ("int_line", 7, 4, "strategy_first_uncovered"),
-            ("regular_tree", 2, 2, "nodes"),
-            ("regular_tree", 4, 2, "strategy_max_coverage"),
-        ]
-        # a plain table over 2,187 items costs about 2.4M distance calls
-        if (form, case[1]) != ("raw", 7)])
-    def test_solvers_assign_the_lowest_index_covering_center(self, monkeypatch, name, n, R,
-                                                             strategy, form):
+    @pytest.mark.parametrize("name, n, R", [("int_line", 7, 4)])
+    def test_solvers_assign_the_lowest_index_covering_center(self, monkeypatch, name, n, R):
+        # 2,187 items, above _GREEDY_LIMIT: the first-uncovered pass is the
+        # one tier that hands over an assignment
         items = orbit_items(name, n)
-        if form == "raw":
-            items = raw_copy(items)
         seen = []
         real = extremal.verify_dense
 
@@ -454,9 +440,35 @@ class TestCoverCertificates:
 
         monkeypatch.setattr(extremal, "verify_dense", spy)
         res = min_dense(items, R)
-        assert strategy in res.stats
+        assert "strategy_first_uncovered" in res.stats
         assert seen == [[min(c for c in res.selected if items.dist(i, c) < R)
                          for i in range(len(items))]]
+
+    @pytest.mark.parametrize("solver, n, strategy", [
+        ("_exact_cover", 2, "nodes"), ("_greedy_cover_masks", 4, "strategy_max_coverage")])
+    def test_small_tiers_check_every_item(self, monkeypatch, solver, n, strategy):
+        # 9 and 81 items, covers of 2 and 7 centres: each tier's cover, with
+        # its last centre dropped, leaves an item uncovered, and the check
+        # against every centre finds it
+        items, R = orbit_items("int_line", n), 2
+        assert strategy in min_dense(items, R).stats
+        real = getattr(extremal, solver)
+        if solver == "_exact_cover":
+            monkeypatch.setattr(extremal, solver, lambda n_, cov: (real(n_, cov)[0][:-1], 0))
+        else:
+            monkeypatch.setattr(extremal, solver, lambda n_, cov: real(n_, cov)[:-1])
+        kept = []
+        real_verify = extremal.verify_dense
+
+        def spy(items_, R_, selected, assignment=None):
+            kept.extend(selected)
+            return real_verify(items_, R_, selected, assignment)
+
+        monkeypatch.setattr(extremal, "verify_dense", spy)
+        with pytest.raises(InvalidInputError) as err:
+            min_dense(items, R)
+        first = next(i for i in range(len(items)) if all(items.dist(i, c) >= R for c in kept))
+        assert str(err.value) == f"covering check failed: item {first} is not within 2 of the cover"
 
 
 def scan_stray(selected, assignment):
@@ -606,8 +618,7 @@ FIRST_FIT_CASES = [
     for name, n, radii in FIRST_FIT_FAMILIES
 ] + [
     ("plain-int_line-n4", lambda: raw_copy(orbit_items("int_line", 4)), (1, 2, 3, 5)),
-    ("plain-random", lambda: MetricItems.from_points(range(30), lambda a, b: RANDOM_30[a][b]),
-     (3, 5, 8)),
+    ("plain-random", lambda: MetricItems(range(30), lambda a, b: RANDOM_30[a][b]), (3, 5, 8)),
     ("one-item", lambda: orbit_items("int_line", 0), (1, 4)),
     ("log_line-within-tolerance", lambda: orbit_items("log_line", 3), (1e-10,)),
 ]
@@ -694,14 +705,14 @@ class TestFromOrbits:
         monkeypatch.setattr(extremal, "POINT_LIMIT", 8)
         for leaves, fits in ((7, True), (8, False)):
             small = build_graph([(0, leaf) for leaf in range(1, leaves + 1)])
-            plain = MetricItems.from_points(list(small.points), small)
+            points = list(small.points)
+            plain = MetricItems(points, lambda a, b: small.distance(points[a], points[b]))
             if fits:
                 assert MetricItems.from_orbits(small, enumerate_orbits(small, 0, 1, 1).paths) \
                     .dmat.shape == plain.dmat.shape == (8, 8)
                 continue
             with pytest.raises(BudgetExceededError):
                 MetricItems.from_orbits(small, enumerate_orbits(small, 0, 1, 1).paths)
-            assert plain.dist(0, 1) == 1  # a band-clique query needs no table
             with pytest.raises(BudgetExceededError):
                 max_separated(plain, 2)
 
@@ -773,27 +784,62 @@ class TestGreedyNet:
         assert greedy_net(sp, [], 1) == []
 
 
+def counting(space):
+    """Wraps the handle's ``distance`` and returns the list of pairs it
+    is asked for, in call order."""
+    calls = []
+    real = space.distance
+    space.distance = lambda a, b: calls.append((a, b)) or real(a, b)
+    return calls
+
+
+def random_space(rng, n):
+    mat = random_metric(rng, n)
+    return mat, FiniteMetricSpace(range(n), lambda a, b: mat[a][b])
+
+
 class TestBandClique:
+    """Band cliques on space handles: exact against the subset oracle,
+    greedy as a lower bound, and one ``distance`` call per pair at most."""
+
     def test_matches_brute_force(self, rng):
         for trial in range(20):
             n = rng.randint(1, 10)
-            mat = random_metric(rng, n)
+            mat, space = random_space(rng, n)
             low = rng.randint(1, 6)
             high = low + rng.randint(0, 8)
-            items = items_from_matrix(mat)
-            res = max_band_clique(items, low, high)
+            calls = counting(space)
+            res = max_band_clique(space, list(range(n)), low, high)
             assert res.certificate == "exact"
             assert res.size == brute_max_band_clique(n, lambda i, j: mat[i][j], low, high)
+            assert len(calls) == len({frozenset(pair) for pair in calls}) == n * (n - 1) // 2
 
     def test_greedy_band_clique_is_valid_lower_bound(self, monkeypatch, rng):
-        n = 12
-        mat = random_metric(rng, n)
-        items = items_from_matrix(mat)
-        exact = max_band_clique(items, 2, 6)
-        monkeypatch.setattr(extremal, "_BAND_EXACT_LIMIT", 0)
-        res = max_band_clique(items, 2, 6)
-        assert res.certificate == "lower-bound"
-        assert res.size <= exact.size
-        for a_i, i in enumerate(res.selected):
-            for j in res.selected[a_i + 1:]:
-                assert 2 <= mat[i][j] <= 6
+        for trial in range(10):
+            n = rng.randint(2, 12)
+            mat, space = random_space(rng, n)
+            exact = max_band_clique(space, list(range(n)), 2, 6)
+            monkeypatch.setattr(extremal, "_BAND_EXACT_LIMIT", 0)
+            calls = counting(space)
+            res = max_band_clique(space, list(range(n)), 2, 6)
+            monkeypatch.undo()
+            assert res.certificate == "lower-bound"
+            assert res.size <= exact.size
+            for a_i, i in enumerate(res.selected):
+                for j in res.selected[a_i + 1:]:
+                    assert 2 <= mat[i][j] <= 6
+            assert len(calls) == len({frozenset(pair) for pair in calls})
+
+    def test_selection_indexes_the_points(self):
+        # points need not be 0..n-1: the selection gives positions in the list
+        space = IntLine(max_abs=50)
+        res = max_band_clique(space, [40, 10, 13, 30], 2, 3)
+        assert (res.size, res.selected) == (2, (1, 2))
+
+    def test_pairs_within_the_tolerance_are_in_the_band(self):
+        log = make_example("log_line", {"max_abs": 16})
+        d = log.distance(0, 5)
+        assert isinstance(d, float)
+        for low, high, size in [(d + 5e-10, d + 1, 2), (d - 1, d - 5e-10, 2),
+                                (d + 2e-9, d + 1, 1), (d - 1, d - 2e-9, 1)]:
+            assert max_band_clique(log, [0, 5], low, high).size == size, (low, high)

@@ -76,7 +76,8 @@ class TestBoundedGeometryEvidence:
         searched = []
         real = geometry.max_band_clique
         monkeypatch.setattr(geometry, "max_band_clique",
-                            lambda items, *args: searched.append(len(items)) or real(items, *args))
+                            lambda space, points, *args: searched.append(len(points))
+                            or real(space, points, *args))
         assert bounded_geometry_evidence(sp, s=1, D=8, window_depths=[2, 4]).sizes == (5, 9)
         with pytest.raises(BudgetExceededError, match="^the depth-5 window holds 11 points; "
                                                       "band-clique searches are capped at 9 "

@@ -289,6 +289,16 @@ class TestRegularTree:
         with pytest.raises(InvalidInputError):
             RegularTree(degree=2)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: RegularTree(degree=3.5), "degree must be an integer: 3.5"),
+        (lambda: RegularTree(degree=True), "degree must be an integer: True"),
+        (lambda: RegularTree(max_depth=6.5), "max_depth must be an integer: 6.5"),
+        (lambda: BranchTree(max_depth=True), "max_depth must be an integer: True"),
+    ], ids=["float-degree", "bool-degree", "float-depth", "bool-depth"])
+    def test_non_integer_parameters_rejected(self, make, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            make()
+
     @pytest.mark.parametrize("bad, level", [
         ((3,), 0), ((0, 2), 1), ((0, -1), 1), ((0, 1.0), 1), ((0, 1, "a"), 2), (((),), 0)])
     def test_bad_child_index_names_its_level(self, bad, level):

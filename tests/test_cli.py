@@ -514,7 +514,6 @@ class TestSpaceResolution:
          "--window", "4"],
     ], ids=["rates", "orbits", "growth", "classify", "bgcheck", "classify-branch"])
     def test_non_integer_tree_parameter_is_an_error(self, argv, capsys):
-        # the trees used to take these and fail later in a TypeError traceback
         code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:")

@@ -2,7 +2,12 @@
 
 The solvers work on :class:`MetricItems`, an indexed finite family over a
 table of points.  Each scale R is compared once, in exact arithmetic, into
-a boolean table that every solver and verifier reads.  Exact solving
+a boolean table, ``close(R)``.  Every solver and verifier reads it through
+one kind of store: for a family, a scale and some column items, the packed
+sets of column positions strictly within R of each point, per column of
+the paths, gathered when first needed.  Each verifier builds its own store
+and never reads a solver's.  Python bigints appear only as the exact
+searches' input, built once from the packed rows.  Exact solving
 happens below ``exact_limit`` (maximum independent set in the conflict
 graph for packing, minimum set cover over open R-balls for covering);
 above the limit deterministic greedy versions return certified one-sided
@@ -39,11 +44,11 @@ __all__ = [
 # squared entries, and every boolean table per scale as many bytes
 POINT_LIMIT = 4096
 
-# bytes of packed row sets the first-fit pass and the separation check may
-# hold; each drops them all when the next ones might not fit
+# bytes of packed near sets one store may hold; it drops them all when the
+# next ones might not fit
 _NEAR_MEMO_BYTES = 64 << 20
 
-# item pairs one block of a close-pair gather holds; blocks bound memory,
+# item pairs one row block of a store's AND holds; blocks bound memory,
 # never which pairs are checked
 _BLOCK_CELLS = 4_000_000
 
@@ -129,20 +134,69 @@ class MetricItems:
         return family
 
 
-def _close_blocks(items: MetricItems, R: Dist, rows: np.ndarray,
-                  cols: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yields ``(lo, out)`` for consecutive row blocks: ``out[r, c]`` says
-    items ``rows[lo + r]`` and ``cols[c]`` are strictly within R, that is,
-    every aligned pair of their points is close.  Every pair is gathered;
-    a block holds about ``_BLOCK_CELLS`` of them."""
-    close, v = items.close(R), items.vectors
-    step = max(1, _BLOCK_CELLS // len(cols))
-    for lo in range(0, len(rows), step):
-        part = rows[lo:lo + step]
-        out = close[v[part, 0][:, None], v[cols, 0]]
-        for k in range(1, v.shape[1]):
-            out &= close[v[part, k][:, None], v[cols, k]]
-        yield lo, out
+class _NearSets:
+    """Packed near sets of one family at scale R over fixed column items.
+
+    ``near(k, a)`` holds the positions j of the column items whose column-k
+    point is strictly within R of point ``a``: bit ``j % 64`` of word
+    ``j // 64``, and the bits past the columns are 0.  A set is gathered from
+    ``close(R)``, over the columns' points only, when it is first needed.
+    The held sets share ``_NEAR_MEMO_BYTES`` and are all dropped together
+    when the next ones might not fit; one row block's sets for one column
+    always fit.
+    """
+
+    def __init__(self, items: MetricItems, R: Dist, cols: np.ndarray):
+        self.close, self.vectors = items.close(R), items.vectors
+        self.cols = self.vectors.T.take(cols, axis=1)  # contiguous gathers
+        width, points = self.cols.shape[0], len(self.close)
+        self.words = -(-len(cols) // 64)
+        self.step = max(1, _BLOCK_CELLS // (64 * self.words))  # rows per block
+        # rows of one gather: its booleans take about the bytes of one packed block
+        self.gather = max(1, _BLOCK_CELLS // (8 * (points + len(cols))))
+        self.slot = np.empty((width, points), dtype=np.int64)
+        self.slot.fill(-1)  # -1: not held
+        held = max(self.step, _NEAR_MEMO_BYTES // (8 * self.words))
+        self.sets = np.zeros((min(held, width * points), self.words), dtype="<u8")
+        self.octets = self.sets.view(np.uint8)
+        self.filled = 0
+
+    def _hold(self, k: int, points: np.ndarray) -> None:
+        """Packs ``near(k, a)`` for the distinct ``points`` a that are not held."""
+        new = points[self.slot[k, points] < 0]
+        if self.filled + new.size > len(self.sets):
+            self.slot.fill(-1)
+            self.filled, new = 0, points
+        col, start = self.cols[k], self.filled
+        for lo in range(start, start + new.size, self.gather):
+            part = new[lo - start:lo - start + self.gather]
+            bits = np.packbits(self.close.take(part, axis=0).take(col, axis=1), axis=1,
+                               bitorder="little")
+            self.octets[lo:lo + part.size, :bits.shape[1]] = bits
+        self.filled = start + new.size
+        self.slot[k, new] = np.arange(start, self.filled)
+
+    def near(self, k: int, a: int) -> np.ndarray:
+        if self.slot[k, a] < 0:
+            self._hold(k, np.array([a]))
+        return self.sets[self.slot[k, a]]
+
+    def blocks(self, rows: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+        """Yields ``(lo, hit)`` for consecutive blocks of about ``_BLOCK_CELLS``
+        pairs: ``hit[r]`` is the AND over the columns k of ``near(k, a)`` for
+        the column-k point a of item ``rows[lo + r]``, the column positions
+        strictly within R of that item."""
+        for lo in range(0, len(rows), self.step):
+            part = self.vectors.take(rows[lo:lo + self.step], axis=0)
+            hit = None
+            for k, slot in enumerate(self.slot):
+                need = part[:, k]
+                wanted = np.zeros(slot.size, dtype=bool)
+                wanted[need] = True
+                self._hold(k, wanted.nonzero()[0])
+                sets = self.sets.take(slot[need], axis=0)
+                hit = sets if hit is None else np.bitwise_and(hit, sets, out=hit)
+            yield lo, hit
 
 
 @dataclass(frozen=True)
@@ -257,15 +311,6 @@ def max_separated(items: MetricItems, R: Dist, exact_limit: int = 40) -> Extrema
     return result
 
 
-def _pack_rows(rows: np.ndarray, words: int) -> np.ndarray:
-    """A boolean row vector as ``words`` little-endian 64-bit words: row i
-    is bit ``i % 64`` of word ``i // 64``, and the bits past the rows are 0."""
-    out = np.zeros(8 * words, dtype=np.uint8)
-    packed = np.packbits(rows, bitorder="little")
-    out[:packed.size] = packed
-    return out.view("<u8")
-
-
 def _unpack_rows(words: np.ndarray) -> np.ndarray:
     """Ascending indices of the set bits of a packed row set."""
     octets = words.view(np.uint8)
@@ -280,20 +325,19 @@ def _first_fit(items: MetricItems, R: Dist) -> Tuple[List[int], np.ndarray]:
     hence R-dense.  Also returns each item's lowest-index covering pick,
     which is the first pick to cover it.
 
-    Row sets are packed 64 rows to a word.  ``near(k, a)``, the rows whose
-    column-k point is strictly within R of point ``a``, is packed once per
-    ``(k, a)`` and memoised within ``_NEAR_MEMO_BYTES``.  A pick covers the
-    uncovered rows in every ``near(k, v[pick, k])``, and itself.  No row
-    below a pick is uncovered, so each pick only reads the words from its own.
+    Rows are packed 64 to a word.  ``near(k, a)``, the rows whose column-k
+    point is strictly within R of point ``a``, comes from a store of near
+    sets over all the items, which packs each set once while it is held.
+    A pick covers the uncovered rows in every ``near(k, v[pick, k])``, and
+    itself.  No row below a pick is uncovered, so each pick only reads the
+    words from its own.
     """
-    close, v = items.close(R), items.vectors
     n = len(items)
-    words = -(-n // 64)
-    columns = np.ascontiguousarray(v.T)  # contiguous gathers for the row sets
-    uncovered = _pack_rows(np.ones(n, dtype=bool), words)
+    store = _NearSets(items, R, np.arange(n))
+    words = store.words
+    uncovered = np.full(words, np.uint64(2 ** 64 - 1))
+    uncovered[-1] >>= np.uint64(-n % 64)  # no bits past the rows
     assignment = np.full(n, -1, dtype=np.int64)
-    memo: Dict[Tuple[int, int], np.ndarray] = {}
-    memo_cap = _NEAR_MEMO_BYTES // (8 * words) if words else 0
     picks: List[int] = []
     w = 0
     for _ in range(n):  # at most one pick per row: each pick covers itself
@@ -306,15 +350,8 @@ def _first_fit(items: MetricItems, R: Dist) -> Tuple[List[int], np.ndarray]:
         pick = 64 * w + bit
         picks.append(pick)
         cover = uncovered[w:].copy()
-        for k, a in enumerate(v[pick].tolist()):
-            near = memo.get((k, a))
-            if near is None:
-                near = _pack_rows(close[:, a].take(columns[k]), words)
-                if len(memo) >= memo_cap:
-                    memo.clear()
-                if memo_cap:
-                    memo[k, a] = near
-            cover &= near[w:]
+        for k, a in enumerate(items.vectors[pick].tolist()):
+            cover &= store.near(k, a)[w:]
         cover[0] |= np.uint64(1 << bit)
         uncovered[w:] &= ~cover
         assignment[_unpack_rows(cover) + 64 * w] = pick
@@ -324,64 +361,22 @@ def _first_fit(items: MetricItems, R: Dist) -> Tuple[List[int], np.ndarray]:
 def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int]) -> None:
     """Independent check of an R-separated selection (raises).
 
-    Reads only ``close(R)`` and the selection.  Selection positions are
-    packed 64 to a word.  For a column k and a point a that a selected item
-    has there, the positions whose column-k point is strictly within R of a
-    form one packed set.  The AND of a position's sets over the columns
-    holds the positions strictly within R of it, which must be only itself.
-    The ANDs are taken in row blocks of about ``_BLOCK_CELLS`` pairs; each
-    block packs the sets its rows need that are not yet held.  The held
-    sets are all dropped when a block's sets for the next column might not
-    fit in ``_NEAR_MEMO_BYTES`` (they always fit when nothing else is held).
-    A selection of one word gathers its pairs directly, which costs less
-    than packing them.  Either way the failing pair reported is the first
-    position, in selection order, with another position strictly within R,
-    and the lowest such other position.
+    Reads only ``close(R)`` and the selection, through a store of near sets
+    of its own over the selection's positions: the AND of a position's sets
+    over the columns holds the positions strictly within R of it, which
+    must be only itself.  The ANDs are taken in row blocks of about
+    ``_BLOCK_CELLS`` pairs, and only the selection's columns are gathered.
+    The failing pair reported is the first position, in selection order,
+    with another position strictly within R, and the lowest such other
+    position.
     """
     sel = np.asarray(selected, dtype=np.int64)
-    m = sel.size
-    if m < 2:
+    if sel.size < 2:
         return
-    close, columns = items.close(R), items.vectors[sel].T
-    if m <= 64:
-        hit = close[columns[0][:, None], columns[0]]
-        for col in columns[1:]:
-            hit &= close[col[:, None], col]
-        np.fill_diagonal(hit, False)
-        if hit.any():
-            p, q = np.argwhere(hit)[0]
-            _separation_failure(items, int(sel[p]), int(sel[q]))
-        return
-    words, octets = -(-m // 64), -(-m // 8)
-    step = max(1, _BLOCK_CELLS // (64 * words))  # positions per row block
-    points = len(close)
-    slot = np.full((len(columns), points), -1, dtype=np.int64)  # -1: set not held
-    held = min(len(columns) * min(points, m) + min(step, m),
-               max(step, _NEAR_MEMO_BYTES // (8 * words)))
-    sets = np.zeros((held, words), dtype="<u8")  # bytes past the positions stay 0
-    filled = 0
-    for lo in range(0, m, step):
-        rows = np.arange(lo, min(m, lo + step))
-        hit = None
-        for col, at in zip(columns, slot):
-            need = col[rows]
-            if filled + need.size > held:  # at most one new set per row
-                slot.fill(-1)
-                filled = 0
-            fresh = np.zeros(points, dtype=bool)
-            fresh[need] = at[need] < 0
-            new = np.flatnonzero(fresh)
-            if new.size:
-                packed = np.packbits(close[new][:, col], axis=1, bitorder="little")
-                sets[filled:filled + new.size].view(np.uint8)[:, :octets] = packed
-                at[new] = np.arange(filled, filled + new.size)
-                filled += new.size
-            if hit is None:
-                hit = sets[at[need]]
-            else:
-                hit &= sets[at[need]]
-        hit[rows - lo, rows >> 6] &= ~(np.uint64(1) << (rows & 63).astype(np.uint64))
-        bad = np.flatnonzero(hit.any(axis=1))
+    for lo, hit in _NearSets(items, R, sel).blocks(sel):
+        at = np.arange(lo, lo + len(hit))
+        hit[at - lo, at >> 6] &= (~(1 << (at & 63))).view(np.uint64)  # not itself
+        bad = hit.any(axis=1).nonzero()[0]
         if bad.size:
             r = int(bad[0])
             _separation_failure(items, int(sel[lo + r]), int(sel[_unpack_rows(hit[r])[0]]))
@@ -399,10 +394,11 @@ def _separation_failure(items: MetricItems, i: int, j: int) -> None:
 def _cover_masks(items: MetricItems, R: Dist) -> List[int]:
     """Bitmask of the items strictly within R of each item."""
     every = np.arange(len(items))
+    size = 8 * -(-len(items) // 64)
     cov: List[int] = []
-    for _, rows in _close_blocks(items, R, every, every):
-        bits = np.packbits(rows, axis=1, bitorder="little")
-        cov.extend(int.from_bytes(row.tobytes(), "little") for row in bits)
+    for _, hit in _NearSets(items, R, every).blocks(every):
+        data = hit.tobytes()
+        cov.extend(int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size))
     return cov
 
 
@@ -503,8 +499,10 @@ def verify_dense(items: MetricItems, R: Dist, selected: Sequence[int],
                  assignment: Optional[Sequence[int]] = None) -> None:
     """Independent check that the selection is R-dense (raises on failure).
 
-    Without an ``assignment``, every item is compared with every center,
-    in row blocks of about ``_BLOCK_CELLS`` pairs.  With one (item i's
+    Without an ``assignment``, every item is compared with every center
+    through a store of its own over the centers: an item is covered when
+    the AND of its near sets over the columns holds a center.  The ANDs are
+    taken in row blocks of about ``_BLOCK_CELLS`` pairs.  With one (item i's
     center is ``assignment[i]``), the check costs one comparison per item:
     every assigned center must be selected and each item strictly within R
     of it.
@@ -518,9 +516,9 @@ def verify_dense(items: MetricItems, R: Dist, selected: Sequence[int],
     if assignment is not None:
         _verify_assignment(items, R, sel, assignment)
         return
-    centers = np.asarray(sel, dtype=np.int64)
-    for lo, near in _close_blocks(items, R, np.arange(n), centers):
-        covered = near.any(axis=1)
+    every = np.arange(n)
+    for lo, hit in _NearSets(items, R, np.asarray(sel, dtype=np.int64)).blocks(every):
+        covered = hit.any(axis=1)
         if not covered.all():
             raise InvalidInputError(f"covering check failed: item {lo + int(np.argmin(covered))} "
                                     f"is not within {R} of the cover")

@@ -345,6 +345,21 @@ class TestPackedSeparationCheck:
         bad = [*range(m), m - 1]
         assert separation_failure(items, 1, bad) == pairwise_failure(items, 1, bad) == \
             f"separation check failed: items {m - 1} and {m - 1} at distance 0"
+        # default sizes, 4,000 picks over 4,000 points per column: the 8,000
+        # packed sets take 4 MB, and a gather of a block's rows across every
+        # point of the table, not only the selection's columns, would add
+        # 8 MB more (13.65 MB in all); measured 5.76 MB
+        monkeypatch.undo()
+        m = 4000
+        items = MetricItems.from_orbits(IntLine(), [(x, m - 1 - x) for x in range(m)])
+        verify_separated(items, 1, range(100))
+        tracemalloc.start()
+        try:
+            verify_separated(items, 1, range(m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, peak
 
     def test_failing_pair_message(self):
         # 81 paths; path 0 stands still at vertex 0 and path 1 steps to
@@ -640,6 +655,75 @@ def test_first_fit_matches_the_first_uncovered_oracle(monkeypatch, make, radii):
             picks, assignment = extremal._first_fit(items, R)
             assert (picks, assignment.tolist()) == expected, (R, budget)
         monkeypatch.undo()
+
+
+# (id, family, radii) for the other users of the near-set store: path
+# families over int, float and Fraction distances, a plain family (w = 1),
+# a one-item family, and a radius inside log_line's tolerance
+STORE_CASES = [
+    ("int_line-n4", lambda: orbit_items("int_line", 4), (1, 2, 3, 5)),
+    ("log_line-n3", lambda: orbit_items("log_line", 3), (1, 1.5, 2)),
+    ("weighted_cycle-n3", lambda: orbit_items("weighted_cycle", 3),
+     (Fraction(1, 2), 1, Fraction(3, 2), Fraction(201, 100))),
+    ("plain-random", lambda: MetricItems(range(30), lambda a, b: RANDOM_30[a][b]), (3, 5, 8)),
+    ("one-item", lambda: orbit_items("int_line", 0), (1, 4)),
+    ("log_line-within-tolerance", lambda: orbit_items("log_line", 3), (1e-10,)),
+]
+
+# (_BLOCK_CELLS, _NEAR_MEMO_BYTES): the defaults; blocks of a few rows with
+# the held sets dropped each time the next ones pass one block's worth; or
+# about 100 bytes
+STORE_SIZES = ((4_000_000, 64 << 20), (500, 0), (500, 100))
+
+
+def pairwise_close(items, R):
+    n = len(items)
+    return [[items.dist(i, j) < R - items.tol for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("make, radii", [case[1:] for case in STORE_CASES],
+                         ids=[case[0] for case in STORE_CASES])
+def test_cover_masks_match_the_pairwise_distances(monkeypatch, make, radii):
+    items = make()
+    for R in radii:
+        expected = [sum(1 << j for j, near in enumerate(row) if near)
+                    for row in pairwise_close(items, R)]
+        for cells, budget in STORE_SIZES:
+            monkeypatch.setattr(extremal, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(extremal, "_NEAR_MEMO_BYTES", budget)
+            assert extremal._cover_masks(items, R) == expected, (R, cells, budget)
+
+
+@pytest.mark.parametrize("make, radii", [case[1:] for case in STORE_CASES],
+                         ids=[case[0] for case in STORE_CASES])
+def test_verify_dense_matches_the_pairwise_distances(monkeypatch, rng, make, radii):
+    # random selections with duplicates, from one centre to more than one
+    # 64-centre word, and first-fit covers with and without their last centre
+    items = make()
+    n = len(items)
+    failed = passed = 0
+    for R in radii:
+        close = pairwise_close(items, R)
+        picks, _ = extremal._first_fit(items, R)
+        selections = [[rng.randrange(n) for _ in range(k)] for k in (1, 2, 5, 70)]
+        selections += [picks, picks[:-1] or picks]
+        for sel in selections:
+            far = [i for i in range(n) if not any(close[i][c] for c in sel)]
+            expected = far and f"covering check failed: item {far[0]} is not within {R} " \
+                               f"of the cover"
+            for cells, budget in STORE_SIZES:
+                monkeypatch.setattr(extremal, "_BLOCK_CELLS", cells)
+                monkeypatch.setattr(extremal, "_NEAR_MEMO_BYTES", budget)
+                try:
+                    verify_dense(items, R, sel)
+                    got = []
+                except InvalidInputError as exc:
+                    got = str(exc)
+                assert got == expected, (R, sel, cells, budget)
+            failed += bool(far)
+            passed += not far
+    assert failed or n == 1
+    assert passed or items.tol >= max(radii)
 
 
 def test_greedy_packing_is_fast_on_a_large_tree_family():

@@ -138,12 +138,11 @@ class _NearSets:
     """Packed near sets of one family at scale R over fixed column items.
 
     ``near(k, a)`` holds the positions j of the column items whose column-k
-    point is strictly within R of point ``a``: bit ``j % 64`` of word
-    ``j // 64``, and the bits past the columns are 0.  A set is gathered from
-    ``close(R)``, over the columns' points only, when it is first needed.
-    The held sets share ``_NEAR_MEMO_BYTES`` and are all dropped together
-    when the next ones might not fit; one row block's sets for one column
-    always fit.
+    point is strictly within R of point ``a``, as bit ``j % 64`` of word
+    ``j // 64`` (0 past the columns).  A set is gathered from ``close(R)``,
+    over the columns' points only, when first needed.  The held sets share
+    ``_NEAR_MEMO_BYTES`` and are all dropped together when the next ones
+    might not fit; one row block's sets for one column always fit.
     """
 
     def __init__(self, items: MetricItems, R: Dist, cols: np.ndarray):
@@ -154,32 +153,31 @@ class _NearSets:
         self.step = max(1, _BLOCK_CELLS // (64 * self.words))  # rows per block
         # rows of one gather: its booleans take about the bytes of one packed block
         self.gather = max(1, _BLOCK_CELLS // (8 * (points + len(cols))))
-        self.slot = np.empty((width, points), dtype=np.int64)
-        self.slot.fill(-1)  # -1: not held
+        self.slot = np.full((width, points), -1, dtype=np.int64)  # -1: not held
         held = max(self.step, _NEAR_MEMO_BYTES // (8 * self.words))
         self.sets = np.zeros((min(held, width * points), self.words), dtype="<u8")
-        self.octets = self.sets.view(np.uint8)
         self.filled = 0
 
-    def _hold(self, k: int, points: np.ndarray) -> None:
-        """Packs ``near(k, a)`` for the distinct ``points`` a that are not held."""
-        new = points[self.slot[k, points] < 0]
+    def _pack(self, k: int, new: np.ndarray, needed: np.ndarray) -> None:
+        """Packs ``near(k, a)`` for each new point a, or each needed one on a drop."""
         if self.filled + new.size > len(self.sets):
             self.slot.fill(-1)
-            self.filled, new = 0, points
+            self.filled, new = 0, needed
         col, start = self.cols[k], self.filled
         for lo in range(start, start + new.size, self.gather):
             part = new[lo - start:lo - start + self.gather]
             bits = np.packbits(self.close.take(part, axis=0).take(col, axis=1), axis=1,
                                bitorder="little")
-            self.octets[lo:lo + part.size, :bits.shape[1]] = bits
+            self.sets.view(np.uint8)[lo:lo + part.size, :bits.shape[1]] = bits
         self.filled = start + new.size
         self.slot[k, new] = np.arange(start, self.filled)
 
     def near(self, k: int, a: int) -> np.ndarray:
-        if self.slot[k, a] < 0:
-            self._hold(k, np.array([a]))
-        return self.sets[self.slot[k, a]]
+        at = self.slot[k, a]
+        if at < 0:
+            self._pack(k, np.array([a]), np.array([a]))
+            at = self.slot[k, a]
+        return self.sets[at]
 
     def blocks(self, rows: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
         """Yields ``(lo, hit)`` for consecutive blocks of about ``_BLOCK_CELLS``
@@ -193,7 +191,10 @@ class _NearSets:
                 need = part[:, k]
                 wanted = np.zeros(slot.size, dtype=bool)
                 wanted[need] = True
-                self._hold(k, wanted.nonzero()[0])
+                points = wanted.nonzero()[0]
+                new = points[slot[points] < 0] if self.filled else points
+                if new.size:
+                    self._pack(k, new, points)
                 sets = self.sets.take(slot[need], axis=0)
                 hit = sets if hit is None else np.bitwise_and(hit, sets, out=hit)
             yield lo, hit
@@ -378,13 +379,9 @@ def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int]) -> No
         hit[at - lo, at >> 6] &= (~(1 << (at & 63))).view(np.uint64)  # not itself
         bad = hit.any(axis=1).nonzero()[0]
         if bad.size:
-            r = int(bad[0])
-            _separation_failure(items, int(sel[lo + r]), int(sel[_unpack_rows(hit[r])[0]]))
-
-
-def _separation_failure(items: MetricItems, i: int, j: int) -> None:
-    raise InvalidInputError(
-        f"separation check failed: items {i} and {j} at distance {items.dist(i, j)}")
+            i, j = int(sel[lo + bad[0]]), int(sel[_unpack_rows(hit[bad[0]])[0]])
+            raise InvalidInputError(
+                f"separation check failed: items {i} and {j} at distance {items.dist(i, j)}")
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +394,9 @@ def _cover_masks(items: MetricItems, R: Dist) -> List[int]:
     size = 8 * -(-len(items) // 64)
     cov: List[int] = []
     for _, hit in _NearSets(items, R, every).blocks(every):
-        data = hit.tobytes()
-        cov.extend(int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size))
+        data = hit.tobytes()  # one word a row is one mask, and tolist() is cheaper
+        cov.extend(hit.ravel().tolist() if size == 8 else
+                   (int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)))
     return cov
 
 

@@ -205,8 +205,9 @@ class ExtremalResult:
     """Outcome of a packing/covering solve.
 
     ``certificate`` is "exact" when the optimum was proven, "lower-bound"
-    for greedy packings and "upper-bound" for greedy coverings.  ``stats``
-    holds solver counters (no wall-clock times: reports must be
+    for greedy packings and "upper-bound" for greedy coverings, except for
+    greedy answers nothing can beat: all the items or points, or one centre.
+    ``stats`` holds solver counters (no wall-clock times: reports must be
     byte-identical across runs).
     """
 
@@ -293,7 +294,7 @@ def max_separated(items: MetricItems, R: Dist, exact_limit: int = 40) -> Extrema
 
     Exact (maximum independent set in the conflict graph) up to
     ``exact_limit`` items; beyond, the first-uncovered pass that
-    :func:`min_dense` also uses, certified lower-bound.
+    :func:`min_dense` also uses, certified lower-bound unless it packs all.
     """
     if not R > 0:
         raise InvalidInputError("R must be positive")
@@ -306,7 +307,8 @@ def max_separated(items: MetricItems, R: Dist, exact_limit: int = 40) -> Extrema
         result = ExtremalResult("separated", R, len(sel), tuple(sel), "exact", {"nodes": nodes})
     else:
         sel, _ = _first_fit(items, R)
-        result = ExtremalResult("separated", R, len(sel), tuple(sel), "lower-bound",
+        result = ExtremalResult("separated", R, len(sel), tuple(sel),
+                                "exact" if len(sel) == n else "lower-bound",
                                 {"greedy_passes": len(sel)})
     verify_separated(items, R, result.selected)
     return result
@@ -463,10 +465,10 @@ def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25) -> ExtremalRes
     Exact set cover up to ``exact_limit`` items (cover sizes tried in
     ascending order); max-coverage greedy up to ``_GREEDY_LIMIT``; beyond
     that a first-uncovered pass whose centers are both R-separated and
-    R-dense.  Non-exact certificates are "upper-bound".  The verifier
-    checks every item against every center of the exact and max-coverage
-    covers; the first-uncovered pass hands it each item's first covering
-    pick, which costs one comparison per item.
+    R-dense.  Their covers are "upper-bound", or "exact" with one centre.
+    The verifier checks every item against every center of the exact and
+    max-coverage covers; the first-uncovered pass hands it each item's
+    first covering pick, which costs one comparison per item.
     """
     if not R > 0:
         raise InvalidInputError("R must be positive")
@@ -480,15 +482,16 @@ def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25) -> ExtremalRes
     assignment = None
     if n <= exact_limit:
         sel, nodes = _exact_cover(n, _cover_masks(items, R))
-        result = ExtremalResult("dense", R, len(sel), tuple(sel), "exact", {"nodes": nodes})
+        certificate, stats = "exact", {"nodes": nodes}
     elif n <= _GREEDY_LIMIT:
         sel = sorted(_greedy_cover_masks(n, _cover_masks(items, R)))
-        result = ExtremalResult("dense", R, len(sel), tuple(sel), "upper-bound",
-                                {"strategy_max_coverage": 1})
+        certificate, stats = "upper-bound", {"strategy_max_coverage": 1}
     else:
         sel, assignment = _first_fit(items, R)
-        result = ExtremalResult("dense", R, len(sel), tuple(sel), "upper-bound",
-                                {"strategy_first_uncovered": 1})
+        certificate, stats = "upper-bound", {"strategy_first_uncovered": 1}
+    if len(sel) == 1:  # a nonempty family needs a centre
+        certificate = "exact"
+    result = ExtremalResult("dense", R, len(sel), tuple(sel), certificate, stats)
     verify_dense(items, R, result.selected, assignment)
     return result
 
@@ -625,5 +628,5 @@ def max_band_clique(space: MetricSpace, points: Sequence[PointRef], low: Dist,
                 clique.append(j)
         if len(clique) > len(best):
             best = clique
-    return ExtremalResult("band-clique", low, len(best), tuple(sorted(best)), "lower-bound",
-                          {"anchors": anchors})
+    return ExtremalResult("band-clique", low, len(best), tuple(sorted(best)),
+                          "exact" if len(best) == n else "lower-bound", {"anchors": anchors})

@@ -21,6 +21,7 @@ from coarseentropy import (
     MetricItems,
     build_graph,
     build_weighted_graph,
+    complete_graph,
     cycle_graph,
     enumerate_orbits,
     greedy_net,
@@ -72,7 +73,8 @@ class TestMaxSeparated:
             items = items_from_matrix(mat)
             greedy = max_separated(items, R, exact_limit=0)
             exact = max_separated(items, R)
-            assert greedy.certificate == "lower-bound"
+            # a greedy packing of every item cannot be beaten
+            assert greedy.certificate == ("exact" if greedy.size == n else "lower-bound")
             assert greedy.size <= exact.size
             for a_i, i in enumerate(greedy.selected):
                 for j in greedy.selected[a_i + 1:]:
@@ -111,7 +113,8 @@ class TestMinDense:
             items = items_from_matrix(mat)
             greedy = min_dense(items, R, exact_limit=0)
             exact = min_dense(items, R)
-            assert greedy.certificate == "upper-bound"
+            # a nonempty family needs a centre, so one is a minimum cover
+            assert greedy.certificate == ("exact" if greedy.size == 1 else "upper-bound")
             assert greedy.size >= exact.size
 
     @pytest.mark.parametrize("n, strategy", [(2, "exact"), (5, "max-coverage"),
@@ -532,7 +535,7 @@ def _selection_digest(selected):
 # (space, n, R, solver, size, certificate, sha256 of the comma-joined selection):
 # a change to the enumeration order or to a solver's choices shows here
 PINNED_SELECTIONS = [
-    ("int_line", 3, 4, "min_dense", 1, "upper-bound",
+    ("int_line", 3, 4, "min_dense", 1, "exact",
      "ef2d127de37b942baad06145e54b0c619a1f22327b2ebbcfbec78f5564afe39d"),
     ("int_line", 3, 4, "max_separated", 2, "exact",
      "870832a6e38931f23a57956d831088219bc8ffeb8e92666132c67793f3b18749"),
@@ -907,7 +910,7 @@ class TestBandClique:
             calls = counting(space)
             res = max_band_clique(space, list(range(n)), 2, 6)
             monkeypatch.undo()
-            assert res.certificate == "lower-bound"
+            assert res.certificate == ("exact" if res.size == n else "lower-bound")
             assert res.size <= exact.size
             for a_i, i in enumerate(res.selected):
                 for j in res.selected[a_i + 1:]:
@@ -927,3 +930,33 @@ class TestBandClique:
         for low, high, size in [(d + 5e-10, d + 1, 2), (d - 1, d - 5e-10, 2),
                                 (d + 2e-9, d + 1, 1), (d - 1, d - 2e-9, 1)]:
             assert max_band_clique(log, [0, 5], low, high).size == size, (low, high)
+
+
+class TestGreedyAnswersNothingCanBeat:
+    """A greedy answer that no solve can improve is certified exact; the
+    same tiers keep their one-sided certificates otherwise."""
+
+    @pytest.mark.parametrize("n, R, stats", [(3, 4, "strategy_max_coverage"),
+                                             (7, 100, "strategy_first_uncovered")])
+    def test_a_cover_of_one_centre(self, n, R, stats):
+        # 27 and 2,187 paths, above exact_limit: one centre covers them all
+        res = min_dense(orbit_items("int_line", n), R)
+        assert (res.size, res.certificate, stats in res.stats) == (1, "exact", True)
+        res = min_dense(orbit_items("int_line", n), 2)
+        assert res.size > 1 and res.certificate == "upper-bound"
+
+    def test_a_packing_of_every_item(self):
+        # distinct int_line paths are at least 1 apart
+        items = orbit_items("int_line", 4)
+        res = max_separated(items, 1, exact_limit=0)
+        assert (res.size, res.certificate, res.stats) == (81, "exact", {"greedy_passes": 81})
+        assert max_separated(items, 2, exact_limit=0).certificate == "lower-bound"
+
+    def test_a_band_clique_of_every_point(self):
+        # 45 points pairwise at distance 1, above _BAND_EXACT_LIMIT
+        space = complete_graph(45)
+        res = max_band_clique(space, list(space.points), 1, 1)
+        assert (res.size, res.certificate, res.stats) == (45, "exact", {"anchors": 45})
+        space = build_graph([(0, 1)] + [(1, v) for v in range(2, 45)])
+        res = max_band_clique(space, list(space.points), 1, 1)
+        assert (res.size, res.certificate) == (2, "lower-bound")

@@ -135,7 +135,7 @@ class MetricItems:
 
 
 class _NearSets:
-    """Packed near sets of one family at scale R over fixed column items.
+    """Packed near sets of one family at scale R over its items, or ``cols``.
 
     ``near(k, a)`` holds the positions j of the column items whose column-k
     point is strictly within R of point ``a``, as bit ``j % 64`` of word
@@ -145,17 +145,18 @@ class _NearSets:
     might not fit; one row block's sets for one column always fit.
     """
 
-    def __init__(self, items: MetricItems, R: Dist, cols: np.ndarray):
+    def __init__(self, items: MetricItems, R: Dist, cols: Optional[np.ndarray] = None):
         self.close, self.vectors = items.close(R), items.vectors
-        self.cols = self.vectors.T.take(cols, axis=1)  # contiguous gathers
-        width, points = self.cols.shape[0], len(self.close)
-        self.words = -(-len(cols) // 64)
+        self.cols = np.ascontiguousarray((self.vectors if cols is None else self.vectors[cols]).T)
+        (width, size), points = self.cols.shape, len(self.close)
+        self.words = -(-size // 64)
         self.step = max(1, _BLOCK_CELLS // (64 * self.words))  # rows per block
         # rows of one gather: its booleans take about the bytes of one packed block
-        self.gather = max(1, _BLOCK_CELLS // (8 * (points + len(cols))))
+        self.gather = max(1, _BLOCK_CELLS // (8 * (points + size)))
         self.slot = np.full((width, points), -1, dtype=np.int64)  # -1: not held
         held = max(self.step, _NEAR_MEMO_BYTES // (8 * self.words))
         self.sets = np.zeros((min(held, width * points), self.words), dtype="<u8")
+        self.octets = self.sets.view(np.uint8)
         self.filled = 0
 
     def _pack(self, k: int, new: np.ndarray, needed: np.ndarray) -> None:
@@ -168,15 +169,15 @@ class _NearSets:
             part = new[lo - start:lo - start + self.gather]
             bits = np.packbits(self.close.take(part, axis=0).take(col, axis=1), axis=1,
                                bitorder="little")
-            self.sets.view(np.uint8)[lo:lo + part.size, :bits.shape[1]] = bits
+            self.octets[lo:lo + part.size, :bits.shape[1]] = bits
         self.filled = start + new.size
-        self.slot[k, new] = np.arange(start, self.filled)
+        self.slot[k][new] = np.arange(start, self.filled)
 
     def near(self, k: int, a: int) -> np.ndarray:
-        at = self.slot[k, a]
+        at = self.slot.item(k, a)
         if at < 0:
             self._pack(k, np.array([a]), np.array([a]))
-            at = self.slot[k, a]
+            at = self.slot.item(k, a)
         return self.sets[at]
 
     def blocks(self, rows: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
@@ -336,17 +337,16 @@ def _first_fit(items: MetricItems, R: Dist) -> Tuple[List[int], np.ndarray]:
     words from its own.
     """
     n = len(items)
-    store = _NearSets(items, R, np.arange(n))
-    words = store.words
-    uncovered = np.full(words, np.uint64(2 ** 64 - 1))
+    store = _NearSets(items, R)
+    uncovered = np.full(store.words, np.uint64(2 ** 64 - 1))
     uncovered[-1] >>= np.uint64(-n % 64)  # no bits past the rows
     assignment = np.full(n, -1, dtype=np.int64)
     picks: List[int] = []
     w = 0
     for _ in range(n):  # at most one pick per row: each pick covers itself
-        while w < words and not uncovered[w]:
+        while w < store.words and not uncovered[w]:
             w += 1
-        if w == words:
+        if w == store.words:
             break
         word = int(uncovered[w])
         bit = (word & -word).bit_length() - 1
@@ -395,7 +395,7 @@ def _cover_masks(items: MetricItems, R: Dist) -> List[int]:
     every = np.arange(len(items))
     size = 8 * -(-len(items) // 64)
     cov: List[int] = []
-    for _, hit in _NearSets(items, R, every).blocks(every):
+    for _, hit in _NearSets(items, R).blocks(every):
         data = hit.tobytes()  # one word a row is one mask, and tolist() is cheaper
         cov.extend(hit.ravel().tolist() if size == 8 else
                    (int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)))

@@ -18,7 +18,7 @@ everywhere: lowest index first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -145,9 +145,9 @@ class _NearSets:
     might not fit; one row block's sets for one column always fit.
     """
 
-    def __init__(self, items: MetricItems, R: Dist, cols: Optional[np.ndarray] = None):
+    def __init__(self, items: MetricItems, R: Dist, cols: Union[slice, np.ndarray] = slice(None)):
         self.close, self.vectors = items.close(R), items.vectors
-        self.cols = np.ascontiguousarray((self.vectors if cols is None else self.vectors[cols]).T)
+        self.cols = np.ascontiguousarray(self.vectors[cols].T)  # contiguous gathers
         (width, size), points = self.cols.shape, len(self.close)
         self.words = -(-size // 64)
         self.step = max(1, _BLOCK_CELLS // (64 * self.words))  # rows per block
@@ -155,7 +155,8 @@ class _NearSets:
         self.gather = max(1, _BLOCK_CELLS // (8 * (points + size)))
         self.slot = np.full((width, points), -1, dtype=np.int64)  # -1: not held
         held = max(self.step, _NEAR_MEMO_BYTES // (8 * self.words))
-        self.sets = np.zeros((min(held, width * points), self.words), dtype="<u8")
+        # allocated, not written: a row's pages are touched when its set is packed
+        self.sets = np.empty((min(held, width * points), self.words), dtype="<u8")
         self.octets = self.sets.view(np.uint8)
         self.filled = 0
 
@@ -170,6 +171,7 @@ class _NearSets:
             bits = np.packbits(self.close.take(part, axis=0).take(col, axis=1), axis=1,
                                bitorder="little")
             self.octets[lo:lo + part.size, :bits.shape[1]] = bits
+            self.octets[lo:lo + part.size, bits.shape[1]:] = 0  # no bits past the columns
         self.filled = start + new.size
         self.slot[k][new] = np.arange(start, self.filled)
 
@@ -393,10 +395,9 @@ def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int]) -> No
 def _cover_masks(items: MetricItems, R: Dist) -> List[int]:
     """Bitmask of the items strictly within R of each item."""
     every = np.arange(len(items))
-    size = 8 * -(-len(items) // 64)
     cov: List[int] = []
     for _, hit in _NearSets(items, R).blocks(every):
-        data = hit.tobytes()  # one word a row is one mask, and tolist() is cheaper
+        data, size = hit.tobytes(), 8 * hit.shape[1]  # one word a row is one mask
         cov.extend(hit.ravel().tolist() if size == 8 else
                    (int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)))
     return cov
@@ -517,8 +518,7 @@ def verify_dense(items: MetricItems, R: Dist, selected: Sequence[int],
     if assignment is not None:
         _verify_assignment(items, R, sel, assignment)
         return
-    every = np.arange(n)
-    for lo, hit in _NearSets(items, R, np.asarray(sel, dtype=np.int64)).blocks(every):
+    for lo, hit in _NearSets(items, R, np.asarray(sel, dtype=np.int64)).blocks(np.arange(n)):
         covered = hit.any(axis=1)
         if not covered.all():
             raise InvalidInputError(f"covering check failed: item {lo + int(np.argmin(covered))} "

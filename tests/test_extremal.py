@@ -300,7 +300,7 @@ class TestPackedSeparationCheck:
                 # default sizes; blocks of 1 to 7 rows with the held sets
                 # dropped each time the next ones pass one block's worth,
                 # or about 100 bytes
-                for cells, budget in ((4_000_000, 64 << 20), (500, 0), (500, 100)):
+                for cells, budget in STORE_SIZES:
                     monkeypatch.setattr(extremal, "_BLOCK_CELLS", cells)
                     monkeypatch.setattr(extremal, "_NEAR_MEMO_BYTES", budget)
                     assert separation_failure(items, R, sel) == expected, (R, sel, cells, budget)

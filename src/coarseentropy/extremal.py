@@ -18,6 +18,7 @@ everywhere: lowest index first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -237,58 +238,67 @@ def _greedy_independent(n: int, conflict: List[int]) -> List[int]:
 
 
 def _mis_bitset(n: int, conflict: List[int]):
-    """Maximum independent set via branch and bound on bitmasks.
+    """Maximum independent set via branch and bound on bitmasks, bounded by
+    a greedy colouring (Tomita and Seki's MCQ, in San Segundo et al.'s
+    bitset form, BBMC).
 
-    Deterministic: branches on the highest-degree candidate (ties: lowest
-    index), include branch first, strict improvements only.
+    The items are renumbered by ascending conflict degree (ties: lowest
+    index).  At each node the candidates are coloured in that order: each
+    colour class takes the lowest uncoloured candidate, then the lowest
+    one that conflicts with every member so far, until none is left.  A
+    class is pairwise conflicting, so it holds at most one pick, and the
+    candidates up to one of colour c add at most c to the set.  Candidates
+    are taken from the highest colour down, include branch first, and a
+    node stops as soon as its size plus the next colour cannot beat the
+    best.  The lowest-index greedy pass seeds the best; only strict
+    improvements replace it.
     """
+    if n == 0:
+        return [], 0
+    order = sorted(range(n), key=[m.bit_count() for m in conflict].__getitem__)
+    # character i of a mask's reversed binary string is bit i, so reading
+    # the ranks' items highest first gives the mask in rank numbering
+    pick, width = itemgetter(*reversed(order)), f"0{n}b"
+
+    def by_rank(mask: int) -> int:
+        return int("".join(pick(format(mask, width)[::-1])), 2)
+
+    adj = [by_rank(conflict[v]) for v in order]  # conflict rows in rank numbering
     seed = _greedy_independent(n, conflict)
-    best_mask = 0
-    for v in seed:
-        best_mask |= 1 << v
-    best = [len(seed), best_mask]
+    best = [len(seed), by_rank(sum(1 << v for v in seed))]  # size, rank mask
     nodes = [0]
-    full = (1 << n) - 1
 
     def expand(cand: int, size: int, mask: int):
         nodes[0] += 1
         if nodes[0] > _NODE_BUDGET:
             raise InvalidInputError("independent-set search exceeded its node budget")
-        # pull in candidates with no conflicts among the rest, branch on the rest
-        while cand:
-            free = -1
-            busy_best = -1
-            busy_deg = -1
-            c = cand
-            while c:
-                v = (c & -c).bit_length() - 1
-                c &= c - 1
-                deg = (conflict[v] & cand).bit_count()
-                if deg == 0:
-                    free = v
-                    break
-                if deg > busy_deg:
-                    busy_deg = deg
-                    busy_best = v
-            if free >= 0:
-                cand &= ~(1 << free)
-                size += 1
-                mask |= 1 << free
-                continue
-            if size + cand.bit_count() <= best[0]:
+        # (rank, colour) of the candidates whose colour could beat the best
+        coloured: List[Tuple[int, int]] = []
+        floor = best[0] - size
+        uncoloured, colour = cand, 0
+        while uncoloured:
+            colour += 1
+            open_ = uncoloured
+            while open_:
+                low = open_ & -open_
+                v = low.bit_length() - 1
+                uncoloured ^= low
+                open_ &= adj[v]
+                if colour > floor:
+                    coloured.append((v, colour))
+        for v, colour in reversed(coloured):
+            if size + colour <= best[0]:
                 return
-            v = busy_best
             bit = 1 << v
-            expand(cand & ~conflict[v] & ~bit, size + 1, mask | bit)
+            rest = cand & ~adj[v] & ~bit
+            if rest:
+                expand(rest, size + 1, mask | bit)
+            elif size + 1 > best[0]:
+                best[0], best[1] = size + 1, mask | bit
             cand &= ~bit
-            if size + cand.bit_count() <= best[0]:
-                return
-        if size > best[0]:
-            best[0] = size
-            best[1] = mask
 
-    expand(full, 0, 0)
-    sel = [v for v in range(n) if best[1] >> v & 1]
+    expand((1 << n) - 1, 0, 0)
+    sel = sorted(order[r] for r in range(n) if best[1] >> r & 1)
     return sel, nodes[0]
 
 
@@ -369,21 +379,24 @@ def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int]) -> No
     Reads only ``close(R)`` and the selection, through a store of near sets
     of its own over the selection's positions: the AND of a position's sets
     over the columns holds the positions strictly within R of it, which
-    must be only itself.  The ANDs are taken in row blocks of about
-    ``_BLOCK_CELLS`` pairs, and only the selection's columns are gathered.
-    The failing pair reported is the first position, in selection order,
-    with another position strictly within R, and the lowest such other
-    position.
+    must be only itself.  Every table puts 0 on its diagonal, so a position
+    holds itself exactly when ``close(R)`` does on its diagonal, and a row
+    fails when it holds more bits than that.  The ANDs are taken in row
+    blocks of about ``_BLOCK_CELLS`` pairs, and only the selection's columns
+    are gathered.  The failing pair reported is the first position, in
+    selection order, with another position strictly within R, and the
+    lowest such other position.
     """
     sel = np.asarray(selected, dtype=np.int64)
     if sel.size < 2:
         return
-    for lo, hit in _NearSets(items, R, sel).blocks(sel):
-        at = np.arange(lo, lo + len(hit))
-        hit[at - lo, at >> 6] &= (~(1 << (at & 63))).view(np.uint64)  # not itself
-        bad = hit.any(axis=1).nonzero()[0]
+    store = _NearSets(items, R, sel)
+    own = store.close.item(0)  # whether every point is strictly within R of itself
+    for lo, hit in store.blocks(sel):
+        bad = (np.bitwise_count(hit).sum(axis=1) > own).nonzero()[0]
         if bad.size:
-            i, j = int(sel[lo + bad[0]]), int(sel[_unpack_rows(hit[bad[0]])[0]])
+            at = lo + int(bad[0])
+            i, j = int(sel[at]), int(sel[next(p for p in _unpack_rows(hit[bad[0]]) if p != at)])
             raise InvalidInputError(
                 f"separation check failed: items {i} and {j} at distance {items.dist(i, j)}")
 

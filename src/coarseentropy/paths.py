@@ -312,9 +312,15 @@ def step_ball(space: MetricSpace, x: PointRef, n: int, delta: Dist) -> List[Poin
     """Endpoints of length-n delta-paths from x (sorted).
 
     Because paths may stand still, this is the radius-n ball of the
-    delta-hop metric: the union of the first n + 1 step shells.
+    delta-hop metric: the union of the first n + 1 step shells.  A space may
+    refuse a ball that would leave its window before the walk
+    (``check_step_ball``).
     """
-    return sorted(chain.from_iterable(step_shells(space, x, n, delta)))
+    shells = step_shells(space, x, n, delta)
+    ball = next(shells)[:]  # checks n and x first
+    space.check_step_ball(x, n, delta)
+    ball.extend(chain.from_iterable(shells))
+    return sorted(ball)
 
 
 def delta_component(space: MetricSpace, x: PointRef, delta: Dist,

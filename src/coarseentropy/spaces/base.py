@@ -167,6 +167,11 @@ class MetricSpace:
         """Exact delta-step distance when the space has a closed form."""
         return None
 
+    def check_step_ball(self, x: PointRef, n: int, delta: Dist) -> None:
+        """Raise BudgetExceededError before the walk when the ball of n
+        delta-steps around x would leave the space's window.  By default
+        nothing is refused early: a walk raises where it leaves."""
+
     def bg_witness_family(self, s: Dist, depth: int):
         """Catalog-provided s-separated bounded-diameter family, or None.
 
@@ -387,6 +392,9 @@ class MeasuredSpace(MetricSpace):
 
     def hop_distance(self, a, b, delta):
         return self.space.hop_distance(a, b, delta)
+
+    def check_step_ball(self, x, n, delta):
+        self.space.check_step_ball(x, n, delta)
 
     def bg_witness_family(self, s, depth):
         return self.space.bg_witness_family(s, depth)

@@ -340,6 +340,17 @@ class _RootedTree(MetricSpace):
                 f"radius {r} ball around depth-{len(x)} vertex exceeds depth window {self.max_depth}")
         return _hop_ball(self._adjacency, x, r)
 
+    def check_step_ball(self, x, n, delta):
+        # each step reaches r levels deeper, and the walk expands every
+        # vertex of its first n shells but the last, down to len(x) + (n-1)r
+        if n < 1:
+            return
+        r = _floor_int(delta)
+        if r >= 1 and len(x) + n * r > self.max_depth:
+            raise BudgetExceededError(
+                f"{n}-step ball of radius {r} around depth-{len(x)} vertex exceeds "
+                f"depth window {self.max_depth}")
+
 
 class RegularTree(_RootedTree):
     """The infinite degree-d tree (every vertex has exactly d neighbors).

@@ -10,6 +10,10 @@ import csv
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -183,6 +187,28 @@ class TestRatesCommand:
                               "--radius", "0.0000000001", "--mode", "dense"], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error: R must exceed the comparison tolerance")
+
+
+    def test_tree_ball_past_the_window_ends_in_time(self):
+        # the step ball of radius 999,999 around the root would walk about
+        # 44 million vertices of the depth-10 window before its edge raised;
+        # a separate process, so that a hang is cut off, under 2 GB
+        argv = ["rates", "--space", "branch_tree", "--delta", "1", "--radius", "1000000",
+                "--n", "0,2", "--mode", "dense"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from coarseentropy import cli; sys.exit(cli.main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, timeout=10, env=env, preexec_fn=limit_memory)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("budget exceeded: 999999-step ball of radius 1 around "
+                                      "depth-0 vertex exceeds depth window 10")
 
 
 class TestWitnessCommand:

@@ -30,6 +30,7 @@ from coarseentropy import (
     max_separated,
     min_dense,
     orbit_distance,
+    separated_count,
     verify_dense,
     verify_separated,
 )
@@ -89,6 +90,54 @@ class TestMaxSeparated:
         items = items_from_matrix([[0, 1], [1, 0]])
         with pytest.raises(InvalidInputError):
             max_separated(items, 0)
+
+
+def _brute_independent(n, conflict):
+    """Size of a largest independent set, by trying every subset."""
+    for size in range(n, 0, -1):
+        for subset in itertools.combinations(range(n), size):
+            if all(not conflict[a] >> b & 1 for a, b in itertools.combinations(subset, 2)):
+                return size
+    return 0
+
+
+def _random_conflicts(rng, n, p):
+    conflict = [0] * n
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            conflict[a] |= 1 << b
+            conflict[b] |= 1 << a
+    return conflict
+
+
+class TestColourBoundedSearch:
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.8, 1.0])
+    def test_matches_brute_force_from_empty_to_complete(self, p):
+        rng = random.Random(int(p * 10) + 1607)
+        for n in [1] + [rng.randint(2, 14) for _ in range(12)]:
+            conflict = _random_conflicts(rng, n, p)
+            sel, nodes = extremal._mis_bitset(n, conflict)
+            assert len(sel) == _brute_independent(n, conflict)
+            assert sel == sorted(set(sel)) and all(0 <= v < n for v in sel)
+            assert all(not conflict[a] >> b & 1 for a, b in itertools.combinations(sel, 2))
+            assert nodes >= 1
+
+    def test_node_budget_still_stops_the_search(self, monkeypatch):
+        # a 5-cycle: the greedy seed {0, 2} is optimal, but one colour class
+        # cannot hold a cycle, so the root's bound of 3 forces a branch
+        conflict = [0b10010, 0b00101, 0b01010, 0b10100, 0b01001]
+        assert extremal._mis_bitset(5, conflict)[1] > 1
+        monkeypatch.setattr(extremal, "_NODE_BUDGET", 1)
+        with pytest.raises(InvalidInputError,
+                           match="^independent-set search exceeded its node budget$"):
+            extremal._mis_bitset(5, conflict)
+
+    def test_pinned_node_count(self):
+        # the 81-path int_line family at R=2: the greedy seed is optimal and
+        # the root's colouring proves it; more nodes mean a lost bound
+        pt = separated_count(make_example("int_line"), 0, 4, 1, 2, exact_limit=96)
+        assert (pt.count, pt.certificate, pt.stats["paths"]) == (16, "exact", 81)
+        assert pt.stats["nodes"] == 1
 
 
 class TestMinDense:
@@ -562,11 +611,11 @@ PINNED_SELECTIONS = [
 # weighted cycle and for log_line (tolerance 1e-9)
 PINNED_EXACT_DISTANCES = [
     ("weighted_cycle", 3, Fraction(3, 2), "max_separated", 4, "exact",
-     "0294893e2f4e650c6d8bbc39c7a1c3acea57669b5efa30c53c4bef5d98bb9db8"),
+     "bb96baa7fedf279df5b417afe1bdda461507ca63832be1d16268edbe95b1ec60"),
     ("weighted_cycle", 3, Fraction(3, 2), "min_dense", 3, "upper-bound",
      "8871664c43ff1ea48a137ceafb7d02c6c983bdc3b0899cb430972e597b2f441c"),
     ("weighted_cycle", 3, 3, "max_separated", 2, "exact",
-     "95cc81f7f0a8752cc11a2a02899e2761b6d07497a1dfe26aacd15d3374a580e6"),
+     "96819797bc3165ad6688812365367fd76949bf9e888cd00dcfc874d5c9a0ec54"),
     ("weighted_cycle", 5, Fraction(3, 2), "max_separated", 7, "lower-bound",
      "201086c54e7d42bc9943284f6a0c8474a5daa2ed12aa3357a1c276de264f3599"),
     ("weighted_cycle", 5, Fraction(3, 2), "min_dense", 4, "upper-bound",

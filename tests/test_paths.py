@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarseentropy import (
+    BranchTree,
     BudgetExceededError,
     CapExceededError,
     DeltaPath,
@@ -18,7 +19,9 @@ from coarseentropy import (
     InvalidInputError,
     OrbitSet,
     PathFamily,
+    RegularTree,
     TreeLine,
+    branch_tree_measured,
     build_graph,
     build_weighted_graph,
     concat,
@@ -342,6 +345,37 @@ class TestStepBall:
     def test_frontier_stops_on_finite_graph(self):
         g = path_graph(3)
         assert step_ball(g, 0, 50, 1) == [0, 1, 2]
+
+    @pytest.mark.parametrize("space", [RegularTree(degree=3, max_depth=5), BranchTree(max_depth=4),
+                                       branch_tree_measured(max_depth=4)],
+                             ids=["regular_tree", "branch_tree", "branch_tree_measured"])
+    def test_tree_refuses_before_the_walk_exactly_when_the_walk_would(self, space):
+        for x in [(), (0,), (1, 0), (0, 1, 1)]:
+            for n in range(7):
+                for delta in (Fraction(1, 2), 1, 2, Fraction(5, 2)):
+                    try:
+                        walked = sorted(itertools.chain.from_iterable(
+                            step_shells(space, x, n, delta)))
+                    except BudgetExceededError:
+                        walked = None
+                    try:
+                        ball = step_ball(space, x, n, delta)
+                    except BudgetExceededError as err:
+                        assert walked is None and "step ball" in str(err), (x, n, delta)
+                    else:
+                        assert ball == walked, (x, n, delta)
+
+    def test_tree_ball_past_the_window_walks_nothing(self, monkeypatch):
+        sp = BranchTree(max_depth=10)
+
+        def no_walk(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(sp, "neighbors", no_walk)
+        with pytest.raises(BudgetExceededError, match="^999999-step ball of radius 1 around "
+                                                      "depth-0 vertex exceeds depth window 10$"):
+            step_ball(sp, (), 999_999, 1)
+        assert step_ball(sp, (), 0, math.inf) == [()]
 
 
 class TestStepShells:

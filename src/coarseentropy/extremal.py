@@ -253,8 +253,6 @@ def _mis_bitset(n: int, conflict: List[int]):
     best.  The lowest-index greedy pass seeds the best; only strict
     improvements replace it.
     """
-    if n == 0:
-        return [], 0
     order = sorted(range(n), key=[m.bit_count() for m in conflict].__getitem__)
     # character i of a mask's reversed binary string is bit i, so reading
     # the ranks' items highest first gives the mask in rank numbering

@@ -83,14 +83,16 @@ def growth_series(space: MetricSpace, x: Optional[PointRef] = None, delta: Dist 
         for p in bases:
             space.check_point(p)
     # one breadth-first pass per base; levels run in the outer loop, so a
-    # window's BudgetExceededError fires at the first (level, base) needing it
+    # window's BudgetExceededError fires at the first (level, base) needing it.
+    # The bases are checked and the walks make only points of the space, so
+    # the shells are weighed without a check
     shells = [step_shells(space, b, l_max, delta) for b in bases]
     totals: List[Value] = [Fraction(0) if measured else 0] * len(bases)
     values = []
     for _ in levels:
         for i, base_shells in enumerate(shells):
             shell = next(base_shells, ())  # () once the ball stops growing
-            totals[i] += space.mass_of(shell) if measured else len(shell)
+            totals[i] += space.weigh(shell) if measured else len(shell)
         values.append(max(totals))
     return GrowthSeries(space=space.name, delta=delta, basepoint=x, levels=levels,
                         values=tuple(values), measure="measured" if measured else "counting",

@@ -296,16 +296,18 @@ def step_shells(space: MetricSpace, x: PointRef, n: int,
 
     Yields ``[x]`` and then, for each of up to n steps, the points first
     reached at that step, in discovery order.  It stops after the first
-    empty shell, since nothing new can follow.  ``neighbors`` is called
-    lazily: advancing to shell k only queries shell k-1, so every level of
-    a step ball comes from one pass.
+    empty shell, since nothing new can follow.  The walk steps by the
+    space's ``walk_step(delta)``, which answers as ``neighbors`` without
+    checking the points the walk made.  It is called lazily: advancing to
+    shell k only expands shell k-1, so every level of a step ball comes
+    from one pass.
     """
     from .spaces.base import hop_shells  # spaces.catalog imports this module
 
     if n < 0:
         raise InvalidInputError("step count must be >= 0")
     space.check_point(x)
-    yield from hop_shells(lambda y: space.neighbors(y, delta), x, n)
+    yield from hop_shells(space.walk_step(delta), x, n)
 
 
 def step_ball(space: MetricSpace, x: PointRef, n: int, delta: Dist) -> List[PointRef]:

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import csv
 import heapq
+from collections import Counter
 from fractions import Fraction
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 import numpy as np
 
-from ..errors import InvalidInputError, UnknownPointError
+from ..errors import BudgetExceededError, InvalidInputError, UnknownPointError
 from ..numbers import INF, Dist, as_dist
 
 __all__ = [
@@ -51,6 +52,10 @@ PointRef = Hashable
 # cells of one row block of a closed-form distance table: each block goes
 # through an int64 array of this many entries on its way into the table
 _TABLE_BLOCK_CELLS = 1 << 20
+
+# most points one breadth-first walk may hold.  The depth-9 step ball of
+# branch_tree holds 4,037,913; its depth-10 shell alone holds 11! ~ 39.9M
+_WALK_POINTS = 1 << 22
 
 
 def pair_table(size: int, dist: Callable[[int, int], Dist]) -> np.ndarray:
@@ -82,8 +87,11 @@ def hop_shells(adjacent: Callable[[PointRef], Iterable[PointRef]], x: PointRef,
     Yields ``[x]`` and then, for each of up to n steps, the points first
     reached at that step, in discovery order.  It stops after the first
     empty shell, since nothing new can follow.  ``adjacent`` is called
-    lazily: advancing to shell k only expands shell k-1.
+    lazily: advancing to shell k only expands shell k-1.  A walk that holds
+    more than ``_WALK_POINTS`` points after expanding a point raises
+    BudgetExceededError.
     """
+    limit = _WALK_POINTS
     seen = {x}
     frontier = [x]
     yield frontier
@@ -96,6 +104,8 @@ def hop_shells(adjacent: Callable[[PointRef], Iterable[PointRef]], x: PointRef,
                 if z not in seen:
                     seen.add(z)
                     nxt.append(z)
+            if len(seen) > limit:
+                raise BudgetExceededError(f"walk around {x!r} holds more than {limit} points")
         yield nxt
         frontier = nxt
 
@@ -166,6 +176,13 @@ class MetricSpace:
     def hop_distance(self, a: PointRef, b: PointRef, delta: Dist) -> Optional[int]:
         """Exact delta-step distance when the space has a closed form."""
         return None
+
+    def walk_step(self, delta: Dist) -> Callable[[PointRef], List[PointRef]]:
+        """The neighbour function a walk at scale delta applies to points it
+        already holds: the walk's start was checked, and every later point
+        came from this function.  It answers as ``neighbors(y, delta)`` does,
+        in the same order, and may skip the check of y."""
+        return lambda y: self.neighbors(y, delta)
 
     def check_step_ball(self, x: PointRef, n: int, delta: Dist) -> None:
         """Raise BudgetExceededError before the walk when the ball of n
@@ -357,8 +374,9 @@ class MeasuredSpace(MetricSpace):
     ``mass_key``, when given, declares that ``mass_fn(x)`` depends only on
     ``mass_key(x)`` (a hashable class label, e.g. the depth of a tree
     vertex).  The validated mass is then computed once per key and reused,
-    and ``mass_of`` counts its points by key, calling ``mass`` once per key
-    it meets.  Every point is still checked with ``check_point``.  A key
+    and ``mass_of`` counts its points by key.  ``mass`` and ``mass_of``
+    check every point with ``check_point``; ``weigh`` is ``mass_of`` for
+    points the space made itself and skips that check.  A key
     that lumps points of different mass gives wrong totals, so leave it out
     unless the mass is a function of the key.
     """
@@ -393,6 +411,9 @@ class MeasuredSpace(MetricSpace):
     def hop_distance(self, a, b, delta):
         return self.space.hop_distance(a, b, delta)
 
+    def walk_step(self, delta):
+        return self.space.walk_step(delta)
+
     def check_step_ball(self, x, n, delta):
         self.space.check_step_ball(x, n, delta)
 
@@ -408,40 +429,41 @@ class MeasuredSpace(MetricSpace):
             raise InvalidInputError(f"negative mass at {x!r}")
         return Fraction(value)
 
+    def _keyed_mass(self, key, x) -> Fraction:
+        got = self._mass_by_key.get(key)
+        if got is None:
+            got = self._mass_by_key[key] = self._checked_mass(x)
+        return got
+
     def mass(self, x) -> Fraction:
         self.check_point(x)
         if self._mass_key is None:
             return self._checked_mass(x)
-        key = self._mass_key(x)
-        got = self._mass_by_key.get(key)
-        if got is None:
-            got = self._checked_mass(x)
-            self._mass_by_key[key] = got
-        return got
+        return self._keyed_mass(self._mass_key(x), x)
 
     def mass_of(self, points: Iterable[PointRef]) -> Fraction:
-        if self._mass_key is not None:
-            check, key_of = self.check_point, self._mass_key
-            by_key: Dict[Hashable, List] = {}  # key -> [mass, count]
-            for p in points:
-                check(p)
-                key = key_of(p)
-                entry = by_key.get(key)
-                if entry is None:
-                    by_key[key] = [self.mass(p), 1]
-                else:
-                    entry[1] += 1
-            return sum((mass * count for mass, count in by_key.values()), Fraction(0))
-        # group identical masses so large balls do not pay one Fraction
-        # addition per point
-        counts: Dict[Fraction, int] = {}
-        for p in points:
-            m = self.mass(p)
-            counts[m] = counts.get(m, 0) + 1
-        total = Fraction(0)
-        for value, count in sorted(counts.items()):
-            total += value * count
-        return total
+        return self.weigh(self._checked(points))
+
+    def weigh(self, points: Sequence[PointRef]) -> Fraction:
+        """Total mass of points of this space, which are not checked again:
+        ``mass_of`` for points the space made itself, such as a walk's.
+
+        Points are counted by key, or by mass without a key, so a large ball
+        pays one Fraction product per class instead of a sum per point.
+        """
+        if self._mass_key is None:
+            counts = Counter(map(self._checked_mass, points))
+            return sum((value * count for value, count in counts.items()), Fraction(0))
+        counts = Counter(map(self._mass_key, points))
+        if not self._mass_by_key.keys() >= counts.keys():
+            # each key's first point, in the order of points: going backwards,
+            # the last write to a key is its first point
+            backwards = points[::-1]
+            first = dict(zip(map(self._mass_key, backwards), backwards))
+            for key in counts:
+                self._keyed_mass(key, first[key])
+        by_key = self._mass_by_key
+        return sum((by_key[key] * count for key, count in counts.items()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

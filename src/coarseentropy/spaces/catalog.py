@@ -324,21 +324,38 @@ class _RootedTree(MetricSpace):
         return block_table(len(pts), rows)
 
     def _adjacency(self, v):
-        # neighbors never expands a vertex at max_depth: its window check
+        # sorted: the parent is a prefix of v, and the children come in index
+        # order.  Nothing expands a vertex at max_depth: the window check
         # stops every ball one level short of the window's edge
         out = [v[:-1]] if v else []
-        out.extend(v + (c,) for c in range(self._width(len(v))))
+        out += [v + (c,) for c in range(self._width(len(v)))]
         return out
+
+    def _check_window(self, x, r: int) -> None:
+        if len(x) + r > self.max_depth:
+            raise BudgetExceededError(
+                f"radius {r} ball around depth-{len(x)} vertex exceeds depth window {self.max_depth}")
 
     def neighbors(self, x, delta):
         self.check_point(x)
         r = _floor_int(delta)
         if r < 1:
             return []
-        if len(x) + r > self.max_depth:
-            raise BudgetExceededError(
-                f"radius {r} ball around depth-{len(x)} vertex exceeds depth window {self.max_depth}")
+        self._check_window(x, r)
         return _hop_ball(self._adjacency, x, r)
+
+    def walk_step(self, delta):
+        # at unit scale, neighbors of a vertex the walk holds is its
+        # adjacency; any other delta keeps neighbors and its errors
+        if not 1 <= delta < 2:
+            return super().walk_step(delta)
+        adjacency, check_window = self._adjacency, self._check_window
+
+        def step(y):
+            check_window(y, 1)
+            return adjacency(y)
+
+        return step
 
     def check_step_ball(self, x, n, delta):
         # each step reaches r levels deeper, and the walk expands every
@@ -924,7 +941,10 @@ def make_example(tag: str, params: Optional[dict] = None) -> MetricSpace:
         if tag == "tree_line":
             return TreeLine(**params)
         if tag == "branch_tree":
-            if params.pop("measured", False):
+            measured = params.pop("measured", False)
+            if not isinstance(measured, bool):
+                raise InvalidInputError(f"measured must be a bool: {measured!r}")
+            if measured:
                 return branch_tree_measured(**params)
             return BranchTree(**params)
         if tag == "prime_cycle":

@@ -24,6 +24,7 @@ from coarseentropy.entropy.counts import rate_series
 from coarseentropy.entropy.witness import catalog_pingpong
 from coarseentropy.paths import enumerate_orbits
 from coarseentropy.serialize import orbits_from_json_lines
+from coarseentropy.spaces import base as spaces_base
 from coarseentropy.spaces import make_example
 
 SMALL_TREE_LINE = '{"max_tree": 4, "schedule": "2^n"}'
@@ -87,6 +88,19 @@ class TestGrowthCommand:
             ["growth", "--space", "int_line", "--log-base", "-2"], capsys)
         assert code == 1
         assert err.startswith("config error:")
+
+
+    def test_walk_past_the_point_budget_is_a_budget_error(self, capsys, monkeypatch):
+        # the real budget, 2**22 points, holds the depth-9 ball of 4,037,913
+        # points and stops the depth-10 shell of 11! ~ 39.9M; patched to 1,000
+        # it holds the depth-5 ball (873 points) and stops depth 6 (5,040)
+        monkeypatch.setattr(spaces_base, "_WALK_POINTS", 1000)
+        argv = ["growth", "--space", "branch_tree", "--params", '{"measured":true}']
+        code, doc = run_json(argv + ["--window", "5"], capsys)
+        assert code == 0 and doc["report"]["series"]["values"][-1] == 2 ** 6 - 1
+        code, out, err = run(argv + ["--window", "10"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "budget exceeded: walk around () holds more than 1000 points\n"
 
 
 class TestOrbitsCommand:
@@ -543,6 +557,12 @@ class TestSpaceResolution:
         code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:")
+
+    def test_measured_flag_must_be_a_bool(self, capsys):
+        code, out, err = run(["growth", "--space", "branch_tree",
+                              "--params", '{"measured":"false"}'], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: measured must be a bool: 'false'")
 
 
 class TestOutputPlumbing:

@@ -1,6 +1,7 @@
 """Path-family counts, ball-volume covering bounds, net codings, and growth
 series, cross-checked against brute-force recomputation from definitions."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from coarseentropy import (
     GrowthSeries,
     IntLine,
     InvalidInputError,
+    MeasuredSpace,
     MetricItems,
     PrimeCycle,
     RegularTree,
@@ -39,6 +41,7 @@ from coarseentropy import (
 )
 
 from coarseentropy.entropy import counts
+from coarseentropy.spaces.base import hop_shells
 from conftest import brute_max_separated, brute_min_dense
 
 
@@ -312,10 +315,14 @@ class TestCoding:
 
 
 def per_level_series(space, bases, l_max, delta, measured):
-    """Growth values rebuilt ball by ball: level l, then each base."""
+    """Growth values rebuilt ball by ball: level l, then each base.  Each ball
+    is a walk over ``space.neighbors``, weighed by the checked ``mass_of``,
+    so the reference shares neither the space's walk step nor ``weigh``."""
     values = []
     for l in range(l_max + 1):
-        balls = [step_ball(space, b, l, delta) for b in bases]
+        balls = [list(itertools.chain.from_iterable(
+                     hop_shells(lambda y: space.neighbors(y, delta), b, l)))
+                 for b in bases]
         values.append(max(space.mass_of(ball) if measured else len(ball) for ball in balls))
     return tuple(values)
 
@@ -396,6 +403,34 @@ class TestGrowth:
             assert series.window_size == len(bases)
             assert series.values == per_level_series(space, bases, l_max, delta,
                                                      series.measure == "measured")
+
+    @pytest.mark.parametrize("delta", [1, Fraction(3, 2), 2], ids=["1", "3/2", "2"])
+    @pytest.mark.parametrize("space, window", [
+        (branch_tree_measured(max_depth=6), [(1,), (0, 2)]),
+        (RegularTree(degree=3, max_depth=6), None),
+    ], ids=["branch_tree_measured", "regular_tree"])
+    def test_series_at_the_depth_edge_matches_per_level_rebuild(self, space, window, delta):
+        # from the root, l_max steps of radius floor(delta) expand vertices
+        # down to depth (l_max - 1) * floor(delta); past depth 5 the window
+        # refuses, and both sides must refuse with the same message
+        bases = [space.basepoint] + (window or [])
+        answered = []
+        for l_max in range(1, 8):
+            try:
+                expected = per_level_series(space, bases, l_max, delta,
+                                            isinstance(space, MeasuredSpace))
+            except BudgetExceededError as err:
+                with pytest.raises(BudgetExceededError) as got:
+                    growth_series(space, delta=delta, l_max=l_max, window=window)
+                assert str(got.value) == str(err), l_max
+            else:
+                series = growth_series(space, delta=delta, l_max=l_max, window=window)
+                assert series.values == expected, l_max
+                answered.append(l_max)
+        edge = {1: 6, 2: 3}[math.floor(delta)]
+        if window:  # (0, 2) starts two levels down
+            edge = {1: 4, 2: 2}[math.floor(delta)]
+        assert answered == list(range(1, edge + 1))
 
     def test_window_budget_error_matches_per_level_rebuild(self):
         class WindowedLine(IntLine):

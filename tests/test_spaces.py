@@ -35,6 +35,7 @@ from coarseentropy import (
     load_edges_csv,
     make_example,
     path_graph,
+    step_ball,
     subspace,
     validate_metric,
 )
@@ -560,6 +561,40 @@ class TestMassKey:
         assert ms.mass_of([]) == Fraction(0)
         assert isinstance(ms.mass_of([]), Fraction)
 
+    @pytest.mark.parametrize("key", [None, len])
+    def test_weigh_is_mass_of_without_the_check(self, key, monkeypatch):
+        ms = MeasuredSpace(BranchTree(max_depth=6), depth_mass, mass_key=key)
+        balls = [ball(ms, v, 2) for v in [(), (1,), (0, 2, 1)]]
+        expected = [ms.mass_of(pts) for pts in balls]
+
+        def no_check(x):
+            raise AssertionError(f"checked {x!r}")
+
+        monkeypatch.setattr(ms, "check_point", no_check)
+        for pts, mass in zip(balls, expected):
+            got = ms.weigh(pts)
+            assert got == mass and isinstance(got, Fraction)
+        assert ms.weigh([]) == 0 and isinstance(ms.weigh(()), Fraction)
+
+    @pytest.mark.parametrize("key", [None, abs])
+    def test_weigh_keeps_the_negative_mass_check(self, key):
+        ms = MeasuredSpace(IntLine(max_abs=5), lambda x: Fraction(-1), mass_key=key)
+        with pytest.raises(InvalidInputError, match="^negative mass at 1$"):
+            ms.weigh([1, 2, -1])
+
+    def test_weigh_computes_a_new_key_at_its_first_point(self):
+        calls = []
+
+        def mass_fn(v):
+            calls.append(v)
+            return depth_mass(v)
+
+        ms = MeasuredSpace(BranchTree(max_depth=6), mass_fn, mass_key=len)
+        assert ms.weigh([(1,), (0, 2), (0,), (1, 1), ()]) == 1 + 2 * 1 + 2 * Fraction(2, 3)
+        assert calls == [(1,), (0, 2), ()]
+        assert ms.weigh([(1, 0, 3), (0, 2)]) == Fraction(2, 3) + Fraction(8, 24)
+        assert calls == [(1,), (0, 2), (), (1, 0, 3)]
+
 
 # ---------------------------------------------------------------------------
 # prime-decorated half line
@@ -925,6 +960,12 @@ class TestMakeExample:
     def test_measured_variant(self):
         ms = make_example("branch_tree", {"measured": True, "max_depth": 4})
         assert isinstance(ms, MeasuredSpace)
+        assert isinstance(make_example("branch_tree", {"measured": False}), BranchTree)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_measured_must_be_a_bool(self, value):
+        with pytest.raises(InvalidInputError, match=f"^measured must be a bool: {value!r}$"):
+            make_example("branch_tree", {"measured": value})
 
     def test_union_part_specs(self):
         cu = make_example("coarse_union",
@@ -970,6 +1011,98 @@ class TestInfiniteStep:
     def test_infinite_max_step(self, line):
         with pytest.raises(BudgetExceededError, match="leaves every finite window"):
             line().max_step(math.inf)
+
+
+# ---------------------------------------------------------------------------
+# walks
+
+
+def window_vertices(tree):
+    """Every vertex of a depth-windowed tree, level by level: the children
+    of a vertex are the indices check_point accepts, counted up from 0."""
+    levels = [[()]]
+    for _ in range(tree.max_depth):
+        level = []
+        for v in levels[-1]:
+            c = 0
+            while True:
+                try:
+                    tree.check_point(v + (c,))
+                except UnknownPointError:
+                    break
+                level.append(v + (c,))
+                c += 1
+        levels.append(level)
+    return [v for level in levels for v in level]
+
+
+class TestWalkStep:
+    @pytest.mark.parametrize("space, size", [
+        (RegularTree(degree=3, max_depth=5), 94), (BranchTree(max_depth=5), 873),
+        (branch_tree_measured(max_depth=5), 873)],
+        ids=["regular_tree", "branch_tree", "branch_tree_measured"])
+    @pytest.mark.parametrize("delta", [Fraction(1, 2), 1, 1.0, Fraction(3, 2), Fraction(199, 100),
+                                       2, math.inf, -math.inf],
+                             ids=["1/2", "1", "1.0", "3/2", "199/100", "2", "inf", "-inf"])
+    def test_step_is_neighbors_in_order(self, space, size, delta):
+        step = space.walk_step(delta)  # refuses nothing before it is called
+        vertices = window_vertices(getattr(space, "space", space))
+        assert len(vertices) == size
+        refused = 0
+        for v in vertices:
+            try:
+                expected = space.neighbors(v, delta)
+            except BudgetExceededError as err:
+                with pytest.raises(BudgetExceededError) as got:
+                    step(v)
+                assert str(got.value) == str(err), v
+                refused += 1
+            else:
+                assert step(v) == expected, v
+        # at unit scale exactly the vertices at the window's edge are refused
+        if 1 <= delta < 2:
+            assert refused == sum(len(v) == 5 for v in vertices)
+        if delta == math.inf:
+            assert refused == len(vertices)
+
+    def test_other_scales_step_through_neighbors(self, monkeypatch):
+        sp = BranchTree(max_depth=5)
+        calls = []
+        real = sp.neighbors
+        monkeypatch.setattr(sp, "neighbors", lambda x, delta: calls.append(delta) or real(x, delta))
+        for delta in (Fraction(1, 2), 1, Fraction(3, 2), 2):
+            sp.walk_step(delta)((0,))
+        assert calls == [Fraction(1, 2), 2]
+
+
+class TestWalkBudget:
+    def test_walk_raises_after_the_vertex_that_passes_the_budget(self, monkeypatch):
+        monkeypatch.setattr(spaces_base, "_WALK_POINTS", 3)
+        expanded = []
+
+        def adjacent(y):
+            expanded.append(y)
+            return [y - 1, y + 1]
+
+        shells = spaces_base.hop_shells(adjacent, 0, 10)
+        assert next(shells) == [0] and next(shells) == [-1, 1]
+        with pytest.raises(BudgetExceededError, match="^walk around 0 holds more than 3 points$"):
+            next(shells)
+        # -1 brought the fourth point; 1 was never expanded
+        assert expanded == [0, -1]
+
+    def test_a_walk_at_the_budget_answers(self, monkeypatch):
+        monkeypatch.setattr(spaces_base, "_WALK_POINTS", 5)
+        sp = IntLine(max_abs=100)
+        assert step_ball(sp, 0, 2, 1) == [-2, -1, 0, 1, 2]
+        with pytest.raises(BudgetExceededError, match="holds more than 5 points"):
+            step_ball(sp, 0, 3, 1)
+
+    def test_budget_holds_the_depth_9_branch_tree_ball_but_not_the_next_shell(self):
+        # balls of l steps around the root: 1! + ... + (l+1)! points
+        ball_9 = sum(math.factorial(j + 1) for j in range(10))
+        assert ball_9 == 4_037_913
+        assert ball_9 <= spaces_base._WALK_POINTS < ball_9 + math.factorial(11)
 
 
 # ---------------------------------------------------------------------------

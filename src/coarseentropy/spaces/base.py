@@ -456,7 +456,7 @@ class MeasuredSpace(MetricSpace):
             return sum((value * count for value, count in counts.items()), Fraction(0))
         counts = Counter(map(self._mass_key, points))
         if not self._mass_by_key.keys() >= counts.keys():
-            # each key's first point, in the order of points: going backwards,
+            # a new key's mass comes from its first point: going backwards,
             # the last write to a key is its first point
             backwards = points[::-1]
             first = dict(zip(map(self._mass_key, backwards), backwards))

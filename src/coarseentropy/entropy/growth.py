@@ -78,10 +78,11 @@ def growth_series(space: MetricSpace, x: Optional[PointRef] = None, delta: Dist 
         bases: List[PointRef] = [x]
         sup_mode = "transitive-exact"
     else:
-        bases = [x] + [p for p in (window or []) if p != x]
+        bases = [x, *(window or [])]
         sup_mode = "window-lower-bound"
         for p in bases:
             space.check_point(p)
+        bases = list(dict.fromkeys(bases))  # each base walked once, first occurrence first
     # one breadth-first pass per base; levels run in the outer loop, so a
     # window's BudgetExceededError fires at the first (level, base) needing it.
     # The bases are checked and the walks make only points of the space, so

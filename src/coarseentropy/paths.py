@@ -296,18 +296,20 @@ def step_shells(space: MetricSpace, x: PointRef, n: int,
 
     Yields ``[x]`` and then, for each of up to n steps, the points first
     reached at that step, in discovery order.  It stops after the first
-    empty shell, since nothing new can follow.  The walk steps by the
-    space's ``walk_step(delta)``, which answers as ``neighbors`` without
-    checking the points the walk made.  It is called lazily: advancing to
-    shell k only expands shell k-1, so every level of a step ball comes
+    empty shell, since nothing new can follow.  n and x are checked here;
+    the shells come from the space's ``walk_shells(x, n, delta)``, which
+    walks as ``hop_shells`` over ``neighbors`` does without checking the
+    points the walk made.  A rooted tree at unit scale builds each shell
+    whole: a vertex past x is reached from exactly one neighbour, so the
+    next shell is x's ancestor's parent and its other children, then every
+    other frontier vertex's children in order.  The walk is lazy: advancing
+    to shell k only builds shell k, so every level of a step ball comes
     from one pass.
     """
-    from .spaces.base import hop_shells  # spaces.catalog imports this module
-
     if n < 0:
         raise InvalidInputError("step count must be >= 0")
     space.check_point(x)
-    yield from hop_shells(space.walk_step(delta), x, n)
+    yield from space.walk_shells(x, n, delta)
 
 
 def step_ball(space: MetricSpace, x: PointRef, n: int, delta: Dist) -> List[PointRef]:

@@ -80,6 +80,11 @@ def block_table(size: int, rows: Callable[[int, int], np.ndarray]) -> np.ndarray
     return table
 
 
+def walk_limit_error(x: PointRef, limit: int) -> BudgetExceededError:
+    """The error of a walk around x that holds more than ``limit`` points."""
+    return BudgetExceededError(f"walk around {x!r} holds more than {limit} points")
+
+
 def hop_shells(adjacent: Callable[[PointRef], Iterable[PointRef]], x: PointRef,
                n: int) -> Iterator[List[PointRef]]:
     """Breadth-first shells around x over the neighbour function ``adjacent``.
@@ -105,7 +110,7 @@ def hop_shells(adjacent: Callable[[PointRef], Iterable[PointRef]], x: PointRef,
                     seen.add(z)
                     nxt.append(z)
             if len(seen) > limit:
-                raise BudgetExceededError(f"walk around {x!r} holds more than {limit} points")
+                raise walk_limit_error(x, limit)
         yield nxt
         frontier = nxt
 
@@ -177,12 +182,13 @@ class MetricSpace:
         """Exact delta-step distance when the space has a closed form."""
         return None
 
-    def walk_step(self, delta: Dist) -> Callable[[PointRef], List[PointRef]]:
-        """The neighbour function a walk at scale delta applies to points it
-        already holds: the walk's start was checked, and every later point
-        came from this function.  It answers as ``neighbors(y, delta)`` does,
-        in the same order, and may skip the check of y."""
-        return lambda y: self.neighbors(y, delta)
+    def walk_shells(self, x: PointRef, n: int, delta: Dist) -> Iterator[List[PointRef]]:
+        """The breadth-first shells of up to n delta-steps around a checked
+        point x, as ``hop_shells`` over ``neighbors(y, delta)`` yields them:
+        the same shells in the same order, and the same errors at the same
+        point.  Points the walk made are not checked again.  This default is
+        that walk; a space with a closed form may build its shells itself."""
+        return hop_shells(lambda y: self.neighbors(y, delta), x, n)
 
     def check_step_ball(self, x: PointRef, n: int, delta: Dist) -> None:
         """Raise BudgetExceededError before the walk when the ball of n
@@ -411,8 +417,8 @@ class MeasuredSpace(MetricSpace):
     def hop_distance(self, a, b, delta):
         return self.space.hop_distance(a, b, delta)
 
-    def walk_step(self, delta):
-        return self.space.walk_step(delta)
+    def walk_shells(self, x, n, delta):
+        return self.space.walk_shells(x, n, delta)
 
     def check_step_ball(self, x, n, delta):
         self.space.check_step_ball(x, n, delta)

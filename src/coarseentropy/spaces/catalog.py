@@ -27,7 +27,9 @@ import numpy as np
 from ..errors import BudgetExceededError, InvalidInputError, UnknownPointError
 from ..numbers import INF, Dist, is_finite
 from ..paths import DeltaPath
-from .base import Graph, MeasuredSpace, MetricSpace, block_table, build_graph, hop_shells
+from . import base as _base
+from .base import (Graph, MeasuredSpace, MetricSpace, block_table, build_graph, hop_shells,
+                   walk_limit_error)
 
 __all__ = [
     "UltrametricProduct",
@@ -52,9 +54,17 @@ __all__ = [
 _LOG_STEP_BITS = 4096
 
 
+def _check_scale(delta: Dist) -> None:
+    """A NaN is no scale at all: raise InvalidInputError."""
+    if delta != delta:
+        raise InvalidInputError(f"delta must be a number: {delta!r}")
+
+
 def _floor_int(delta: Dist) -> int:
     """``floor(delta)`` as an int.  ``-inf`` gives -1: like any negative
-    delta it allows no step.  ``inf`` raises: its ball leaves every window."""
+    delta it allows no step.  ``inf`` raises: its ball leaves every window.
+    A NaN raises InvalidInputError."""
+    _check_scale(delta)
     if delta == INF:
         raise BudgetExceededError(f"a delta={delta} ball leaves every finite window")
     if delta == -INF:
@@ -344,18 +354,61 @@ class _RootedTree(MetricSpace):
         self._check_window(x, r)
         return _hop_ball(self._adjacency, x, r)
 
-    def walk_step(self, delta):
-        # at unit scale, neighbors of a vertex the walk holds is its
-        # adjacency; any other delta keeps neighbors and its errors
+    def walk_shells(self, x, n, delta):
+        # any other scale keeps hop_shells over neighbors and its errors
         if not 1 <= delta < 2:
-            return super().walk_step(delta)
-        adjacency, check_window = self._adjacency, self._check_window
+            return super().walk_shells(x, n, delta)
+        return self._unit_shells(x, n)
 
-        def step(y):
-            check_window(y, 1)
-            return adjacency(y)
+    def _unit_shells(self, x, n):
+        # A vertex past x is reached from exactly one neighbour, so no seen
+        # set is needed.  Shell k+1 is the parent and the other children of
+        # lead = x[:len(x)-k], the ancestor that leads shell k, then the
+        # children of the rest of shell k in order: hop_shells' discovery
+        # order.  ``depths`` counts shell k by depth, which gives the next
+        # shell's size and the frontier's deepest level before it is built
+        limit = _base._WALK_POINTS
+        width = self._width
+        kids: Dict[int, List[Tuple[int]]] = {}
+        frontier, held, depths = [x], 1, {len(x): 1}
+        yield frontier
+        for k in range(n):
+            lead = x[:len(x) - k] if k <= len(x) else None
+            grown = {t + 1: count * width(t) for t, count in depths.items()}
+            extra = 0  # the lead's parent, less the child the walk came from
+            if lead is not None:
+                if k:
+                    grown[len(lead) + 1] -= 1
+                    extra -= 1
+                if lead:
+                    grown[len(lead) - 1] = grown.get(len(lead) - 1, 0) + 1
+                    extra += 1
+            size = sum(grown.values())
+            if max(depths) >= self.max_depth or held + size > limit:
+                self._refuse_shell(x, frontier, held + extra, limit)
+            for t in depths:
+                if t not in kids:
+                    kids[t] = [(c,) for c in range(width(t))]
+            if lead is None:
+                nxt = [y + c for y in frontier for c in kids[len(y)]]
+            else:
+                came_from = x[len(lead):len(lead) + 1]  # () at k = 0
+                nxt = [lead[:-1]] if lead else []
+                nxt += [lead + c for c in kids[len(lead)] if c != came_from]
+                nxt += [y + c for y in frontier[1:] for c in kids[len(y)]]
+            yield nxt
+            frontier, held = nxt, held + size
+            depths = {t: count for t, count in grown.items() if count}
 
-        return step
+    def _refuse_shell(self, x, frontier, held, limit):
+        # the breadth-first walk's checks, vertex by vertex: the window before
+        # a vertex is expanded, the walk limit after it.  ``held`` already
+        # counts what the lead adds beyond its children
+        for y in frontier:
+            self._check_window(y, 1)
+            held += self._width(len(y))
+            if held > limit:
+                raise walk_limit_error(x, limit)
 
     def check_step_ball(self, x, n, delta):
         # each step reaches r levels deeper, and the walk expands every
@@ -862,6 +915,7 @@ class CoarseUnion(MetricSpace):
 
     def neighbors(self, x, delta):
         self.check_point(x)
+        _check_scale(delta)
         return sorted(y for y in self._points if y != x and self.le(self.distance(x, y), delta))
 
 

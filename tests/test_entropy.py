@@ -383,6 +383,16 @@ class TestGrowth:
             assert windowed.values[l] == per_base
         assert windowed.values[3] >= base_only.values[3]
 
+    def test_a_repeated_base_is_walked_once(self, monkeypatch):
+        sp = TreeLine()
+        walks = []
+        real = sp.walk_shells
+        monkeypatch.setattr(sp, "walk_shells", lambda x, n, delta: walks.append(x) or real(x, n, delta))
+        series = growth_series(sp, l_max=2, window=[("line", 1), ("line", 1), ("line", 0)])
+        assert walks == [("line", 0), ("line", 1)]
+        assert series.window_size == 2
+        assert series == growth_series(sp, l_max=2, window=[("line", 1)])
+
     def test_one_pass_series_matches_per_level_balls(self):
         tree = RegularTree(degree=3, max_depth=5)
         finite_tree = build_graph([(v[:-1], v) for v in tree_vertices(tree) if v])

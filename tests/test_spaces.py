@@ -2,6 +2,8 @@
 BFS/Dijkstra oracles built straight from each space's definition."""
 
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -1013,6 +1015,16 @@ class TestInfiniteStep:
             line().max_step(math.inf)
 
 
+@pytest.mark.parametrize("tag", CATALOG_TAGS)
+def test_nan_delta_is_rejected(tag):
+    params = {"parts": [{"path": 3}, {"cycle": 4}]} if tag == "coarse_union" else None
+    sp = make_example(tag, params)
+    for call in (lambda: step_ball(sp, sp.basepoint, 2, math.nan),
+                 lambda: sp.neighbors(sp.basepoint, math.nan)):
+        with pytest.raises(InvalidInputError, match="^delta must be a number: nan$"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # walks
 
@@ -1036,7 +1048,21 @@ def window_vertices(tree):
     return [v for level in levels for v in level]
 
 
+def walked(shells):
+    """The shells a walk yields, and the message of the error that ended it
+    (None when it ran to its end)."""
+    out = []
+    try:
+        for shell in shells:
+            out.append(list(shell))
+    except BudgetExceededError as err:
+        return out, str(err)
+    return out, None
+
+
 class TestWalkStep:
+    """A space's ``walk_shells`` steps as ``hop_shells`` over ``neighbors``."""
+
     @pytest.mark.parametrize("space, size", [
         (RegularTree(degree=3, max_depth=5), 94), (BranchTree(max_depth=5), 873),
         (branch_tree_measured(max_depth=5), 873)],
@@ -1044,26 +1070,27 @@ class TestWalkStep:
     @pytest.mark.parametrize("delta", [Fraction(1, 2), 1, 1.0, Fraction(3, 2), Fraction(199, 100),
                                        2, math.inf, -math.inf],
                              ids=["1/2", "1", "1.0", "3/2", "199/100", "2", "inf", "-inf"])
-    def test_step_is_neighbors_in_order(self, space, size, delta):
-        step = space.walk_step(delta)  # refuses nothing before it is called
+    def test_step_is_neighbors_in_order(self, space, size, delta, monkeypatch):
         vertices = window_vertices(getattr(space, "space", space))
         assert len(vertices) == size
-        refused = 0
-        for v in vertices:
-            try:
-                expected = space.neighbors(v, delta)
-            except BudgetExceededError as err:
-                with pytest.raises(BudgetExceededError) as got:
-                    step(v)
-                assert str(got.value) == str(err), v
-                refused += 1
-            else:
-                assert step(v) == expected, v
-        # at unit scale exactly the vertices at the window's edge are refused
-        if 1 <= delta < 2:
-            assert refused == sum(len(v) == 5 for v in vertices)
-        if delta == math.inf:
-            assert refused == len(vertices)
+        longest = 2 * 5 + 1  # one step past the window's diameter
+        for limit in (spaces_base._WALK_POINTS, 3, 10, 50):
+            monkeypatch.setattr(spaces_base, "_WALK_POINTS", limit)
+            refused = 0
+            for v in vertices:
+                # hop_shells is lazy, so its walk of n steps is the first n + 1
+                # shells of the longest walk, or that walk's error if it came
+                # sooner; past len(want) steps every walk ends the same way
+                want, error = walked(
+                    spaces_base.hop_shells(lambda y: space.neighbors(y, delta), v, longest))
+                for n in range(min(len(want), longest) + 1):
+                    expected = (want[:n + 1], error if len(want) <= n else None)
+                    assert walked(space.walk_shells(v, n, delta)) == expected, (limit, v, n)
+                refused += error is not None
+            # with the walk limit out of reach, every unit-scale walk meets the
+            # window's edge, and every infinite step leaves the window at once
+            if limit > size and (1 <= delta < 2 or delta == math.inf):
+                assert refused == len(vertices)
 
     def test_other_scales_step_through_neighbors(self, monkeypatch):
         sp = BranchTree(max_depth=5)
@@ -1071,8 +1098,23 @@ class TestWalkStep:
         real = sp.neighbors
         monkeypatch.setattr(sp, "neighbors", lambda x, delta: calls.append(delta) or real(x, delta))
         for delta in (Fraction(1, 2), 1, Fraction(3, 2), 2):
-            sp.walk_step(delta)((0,))
+            walked(sp.walk_shells((0,), 1, delta))
         assert calls == [Fraction(1, 2), 2]
+
+    def test_the_walk_limit_is_checked_before_a_shell_is_built(self, monkeypatch):
+        # shells 0..5 around the root hold 873 points; shell 6 alone holds 7!
+        monkeypatch.setattr(spaces_base, "_WALK_POINTS", 1000)
+        sp = BranchTree()
+        shell_6 = math.factorial(7) * sys.getsizeof((0,) * 6)
+        tracemalloc.start()
+        try:
+            shells, error = walked(sp.walk_shells((), 8, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(s) for s in shells] == [1, 2, 6, 24, 120, 720]
+        assert error == "walk around () holds more than 1000 points"
+        assert peak < shell_6
 
 
 class TestWalkBudget:

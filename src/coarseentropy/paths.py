@@ -299,12 +299,13 @@ def step_shells(space: MetricSpace, x: PointRef, n: int,
     empty shell, since nothing new can follow.  n and x are checked here;
     the shells come from the space's ``walk_shells(x, n, delta)``, which
     walks as ``hop_shells`` over ``neighbors`` does without checking the
-    points the walk made.  A rooted tree at unit scale builds each shell
-    whole: a vertex past x is reached from exactly one neighbour, so the
-    next shell is x's ancestor's parent and its other children, then every
-    other frontier vertex's children in order.  The walk is lazy: advancing
-    to shell k only builds shell k, so every level of a step ball comes
-    from one pass.
+    points the walk made.  A rooted tree refuses a walk that would leave
+    its depth window before the first shell, and at unit scale builds each
+    shell whole: a vertex past x is reached from exactly one neighbour, so
+    the next shell is x's ancestor's parent and its other children, then
+    every other frontier vertex's children in order.  The walk is lazy:
+    advancing to shell k only builds shell k, so every level of a step
+    ball comes from one pass.
     """
     if n < 0:
         raise InvalidInputError("step count must be >= 0")
@@ -316,15 +317,9 @@ def step_ball(space: MetricSpace, x: PointRef, n: int, delta: Dist) -> List[Poin
     """Endpoints of length-n delta-paths from x (sorted).
 
     Because paths may stand still, this is the radius-n ball of the
-    delta-hop metric: the union of the first n + 1 step shells.  A space may
-    refuse a ball that would leave its window before the walk
-    (``check_step_ball``).
+    delta-hop metric: the union of the first n + 1 step shells.
     """
-    shells = step_shells(space, x, n, delta)
-    ball = next(shells)[:]  # checks n and x first
-    space.check_step_ball(x, n, delta)
-    ball.extend(chain.from_iterable(shells))
-    return sorted(ball)
+    return sorted(chain.from_iterable(step_shells(space, x, n, delta)))
 
 
 def delta_component(space: MetricSpace, x: PointRef, delta: Dist,

@@ -209,10 +209,10 @@ def orbits_to_json_lines(orbits: OrbitSet) -> str:
 
 def orbits_from_json_lines(text: str) -> OrbitSet:
     """Parse the JSON-lines orbit format back into an OrbitSet."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise InvalidInputError("empty orbit file")
-    header = json.loads(lines[0])
+    header = json.loads(lines[0][1])
     if not isinstance(header, dict) or header.get("kind") != "orbit-set":
         raise InvalidInputError("orbit file must start with an orbit-set header line")
     if header.get("schema") != SCHEMA_VERSION:
@@ -220,14 +220,21 @@ def orbits_from_json_lines(text: str) -> OrbitSet:
     delta = header["delta"]
     if isinstance(delta, str):
         delta = parse_dist(delta)
+    x0 = point_from_jsonable(header["x0"])
+    n = int(header["n"])
     paths = []
-    for line in lines[1:]:
+    for number, line in lines[1:]:
         points = tuple(point_from_jsonable(p) for p in json.loads(line))
+        if len(points) != n + 1:
+            raise InvalidInputError(f"orbit file line {number}: a path of {len(points)} "
+                                    f"points, where the header's n = {n} needs {n + 1}")
+        if points[:1] != (x0,):
+            raise InvalidInputError(
+                f"orbit file line {number}: the path does not start at x0 = {x0!r}")
         paths.append(DeltaPath(points, delta))
     if len(paths) != header.get("count"):
         raise InvalidInputError(
             f"orbit file header announces {header.get('count')} paths, found {len(paths)}")
-    return OrbitSet(tuple(paths), x0=point_from_jsonable(header["x0"]),
-                    n=int(header["n"]), delta=delta,
+    return OrbitSet(tuple(paths), x0=x0, n=n, delta=delta,
                     exhaustive=bool(header.get("exhaustive", False)),
                     map_label=str(header.get("map_label", "identity")))

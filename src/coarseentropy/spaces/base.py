@@ -80,6 +80,12 @@ def block_table(size: int, rows: Callable[[int, int], np.ndarray]) -> np.ndarray
     return table
 
 
+def check_scale(delta: Dist) -> None:
+    """A NaN is no scale at all: raise InvalidInputError."""
+    if delta != delta:
+        raise InvalidInputError(f"delta must be a number: {delta!r}")
+
+
 def walk_limit_error(x: PointRef, limit: int) -> BudgetExceededError:
     """The error of a walk around x that holds more than ``limit`` points."""
     return BudgetExceededError(f"walk around {x!r} holds more than {limit} points")
@@ -187,13 +193,10 @@ class MetricSpace:
         point x, as ``hop_shells`` over ``neighbors(y, delta)`` yields them:
         the same shells in the same order, and the same errors at the same
         point.  Points the walk made are not checked again.  This default is
-        that walk; a space with a closed form may build its shells itself."""
+        that walk; a space with a closed form may build its shells itself,
+        and a windowed space may raise at the call, before any shell, for a
+        walk that would leave its window."""
         return hop_shells(lambda y: self.neighbors(y, delta), x, n)
-
-    def check_step_ball(self, x: PointRef, n: int, delta: Dist) -> None:
-        """Raise BudgetExceededError before the walk when the ball of n
-        delta-steps around x would leave the space's window.  By default
-        nothing is refused early: a walk raises where it leaves."""
 
     def bg_witness_family(self, s: Dist, depth: int):
         """Catalog-provided s-separated bounded-diameter family, or None.
@@ -261,6 +264,7 @@ class FiniteMetricSpace(MetricSpace):
 
     def neighbors(self, x, delta):
         self.check_point(x)
+        check_scale(delta)
         return sorted(y for y in self._points if y != x and self.le(self.distance(x, y), delta))
 
     def diameter(self) -> Dist:
@@ -313,6 +317,7 @@ class _FiniteGraph(MetricSpace):
 
     def neighbors(self, x, delta):
         self.check_point(x)
+        check_scale(delta)
         dist = self._distances_from(x)
         return sorted(y for y, d in dist.items() if y != x and self.le(d, delta))
 
@@ -411,6 +416,9 @@ class MeasuredSpace(MetricSpace):
     def neighbors(self, x, delta):
         return self.space.neighbors(x, delta)
 
+    def distance_table(self, points):
+        return self.space.distance_table(points)
+
     def hop_lower_bound(self, a, b, delta):
         return self.space.hop_lower_bound(a, b, delta)
 
@@ -419,9 +427,6 @@ class MeasuredSpace(MetricSpace):
 
     def walk_shells(self, x, n, delta):
         return self.space.walk_shells(x, n, delta)
-
-    def check_step_ball(self, x, n, delta):
-        self.space.check_step_ball(x, n, delta)
 
     def bg_witness_family(self, s, depth):
         return self.space.bg_witness_family(s, depth)

@@ -28,8 +28,8 @@ from ..errors import BudgetExceededError, InvalidInputError, UnknownPointError
 from ..numbers import INF, Dist, is_finite
 from ..paths import DeltaPath
 from . import base as _base
-from .base import (Graph, MeasuredSpace, MetricSpace, block_table, build_graph, hop_shells,
-                   walk_limit_error)
+from .base import (Graph, MeasuredSpace, MetricSpace, block_table, build_graph, check_scale,
+                   hop_shells, walk_limit_error)
 
 __all__ = [
     "UltrametricProduct",
@@ -54,17 +54,11 @@ __all__ = [
 _LOG_STEP_BITS = 4096
 
 
-def _check_scale(delta: Dist) -> None:
-    """A NaN is no scale at all: raise InvalidInputError."""
-    if delta != delta:
-        raise InvalidInputError(f"delta must be a number: {delta!r}")
-
-
 def _floor_int(delta: Dist) -> int:
     """``floor(delta)`` as an int.  ``-inf`` gives -1: like any negative
     delta it allows no step.  ``inf`` raises: its ball leaves every window.
     A NaN raises InvalidInputError."""
-    _check_scale(delta)
+    check_scale(delta)
     if delta == INF:
         raise BudgetExceededError(f"a delta={delta} ball leaves every finite window")
     if delta == -INF:
@@ -341,20 +335,26 @@ class _RootedTree(MetricSpace):
         out += [v + (c,) for c in range(self._width(len(v)))]
         return out
 
-    def _check_window(self, x, r: int) -> None:
-        if len(x) + r > self.max_depth:
-            raise BudgetExceededError(
-                f"radius {r} ball around depth-{len(x)} vertex exceeds depth window {self.max_depth}")
-
     def neighbors(self, x, delta):
         self.check_point(x)
         r = _floor_int(delta)
         if r < 1:
             return []
-        self._check_window(x, r)
+        if len(x) + r > self.max_depth:
+            raise BudgetExceededError(
+                f"radius {r} ball around depth-{len(x)} vertex exceeds depth window {self.max_depth}")
         return _hop_ball(self._adjacency, x, r)
 
     def walk_shells(self, x, n, delta):
+        # each step reaches r levels deeper, and the walk expands every vertex
+        # of its first n shells but the last, down to len(x) + (n-1)r.  A walk
+        # that would leave the window is refused here, so none reaches its edge
+        if n >= 1:
+            r = _floor_int(delta)
+            if r >= 1 and len(x) + n * r > self.max_depth:
+                raise BudgetExceededError(
+                    f"{n}-step ball of radius {r} around depth-{len(x)} vertex exceeds "
+                    f"depth window {self.max_depth}")
         # any other scale keeps hop_shells over neighbors and its errors
         if not 1 <= delta < 2:
             return super().walk_shells(x, n, delta)
@@ -366,7 +366,8 @@ class _RootedTree(MetricSpace):
         # lead = x[:len(x)-k], the ancestor that leads shell k, then the
         # children of the rest of shell k in order: hop_shells' discovery
         # order.  ``depths`` counts shell k by depth, which gives the next
-        # shell's size and the frontier's deepest level before it is built
+        # shell's size before it is built; a walk that would then hold more
+        # than _WALK_POINTS points raises at that advance, as hop_shells does
         limit = _base._WALK_POINTS
         width = self._width
         kids: Dict[int, List[Tuple[int]]] = {}
@@ -375,17 +376,14 @@ class _RootedTree(MetricSpace):
         for k in range(n):
             lead = x[:len(x) - k] if k <= len(x) else None
             grown = {t + 1: count * width(t) for t, count in depths.items()}
-            extra = 0  # the lead's parent, less the child the walk came from
             if lead is not None:
-                if k:
+                if k:  # less the child the walk came from
                     grown[len(lead) + 1] -= 1
-                    extra -= 1
-                if lead:
+                if lead:  # and the lead's parent
                     grown[len(lead) - 1] = grown.get(len(lead) - 1, 0) + 1
-                    extra += 1
-            size = sum(grown.values())
-            if max(depths) >= self.max_depth or held + size > limit:
-                self._refuse_shell(x, frontier, held + extra, limit)
+            held += sum(grown.values())
+            if held > limit:
+                raise walk_limit_error(x, limit)
             for t in depths:
                 if t not in kids:
                     kids[t] = [(c,) for c in range(width(t))]
@@ -397,29 +395,8 @@ class _RootedTree(MetricSpace):
                 nxt += [lead + c for c in kids[len(lead)] if c != came_from]
                 nxt += [y + c for y in frontier[1:] for c in kids[len(y)]]
             yield nxt
-            frontier, held = nxt, held + size
+            frontier = nxt
             depths = {t: count for t, count in grown.items() if count}
-
-    def _refuse_shell(self, x, frontier, held, limit):
-        # the breadth-first walk's checks, vertex by vertex: the window before
-        # a vertex is expanded, the walk limit after it.  ``held`` already
-        # counts what the lead adds beyond its children
-        for y in frontier:
-            self._check_window(y, 1)
-            held += self._width(len(y))
-            if held > limit:
-                raise walk_limit_error(x, limit)
-
-    def check_step_ball(self, x, n, delta):
-        # each step reaches r levels deeper, and the walk expands every
-        # vertex of its first n shells but the last, down to len(x) + (n-1)r
-        if n < 1:
-            return
-        r = _floor_int(delta)
-        if r >= 1 and len(x) + n * r > self.max_depth:
-            raise BudgetExceededError(
-                f"{n}-step ball of radius {r} around depth-{len(x)} vertex exceeds "
-                f"depth window {self.max_depth}")
 
 
 class RegularTree(_RootedTree):
@@ -915,7 +892,7 @@ class CoarseUnion(MetricSpace):
 
     def neighbors(self, x, delta):
         self.check_point(x)
-        _check_scale(delta)
+        check_scale(delta)
         return sorted(y for y in self._points if y != x and self.le(self.distance(x, y), delta))
 
 

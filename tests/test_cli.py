@@ -102,6 +102,14 @@ class TestGrowthCommand:
         assert (code, out) == (1, "")
         assert err == "budget exceeded: walk around () holds more than 1000 points\n"
 
+    def test_growth_past_the_depth_window_is_refused_before_the_walk(self, capsys):
+        # the default window is depth 10; eleven unit steps from the root
+        # would reach depth 11
+        code, out, err = run(["growth", "--space", "branch_tree", "--window", "11"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("budget exceeded: 11-step ball of radius 1 around depth-0 vertex "
+                       "exceeds depth window 10\n")
+
 
 class TestOrbitsCommand:
     def test_int_line_counts(self, capsys):

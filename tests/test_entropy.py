@@ -9,6 +9,7 @@ import pytest
 
 from coarseentropy import (
     CATALOG_TAGS,
+    BranchTree,
     BudgetExceededError,
     GrowthSeries,
     IntLine,
@@ -420,27 +421,43 @@ class TestGrowth:
         (RegularTree(degree=3, max_depth=6), None),
     ], ids=["branch_tree_measured", "regular_tree"])
     def test_series_at_the_depth_edge_matches_per_level_rebuild(self, space, window, delta):
-        # from the root, l_max steps of radius floor(delta) expand vertices
-        # down to depth (l_max - 1) * floor(delta); past depth 5 the window
-        # refuses, and both sides must refuse with the same message
+        # l_max steps of radius r = floor(delta) expand vertices down to
+        # depth len(base) + (l_max - 1) * r.  A walk that would pass depth 6
+        # is refused before it starts: the series fails with the message of
+        # the first base, in base order, whose walk leaves the window
         bases = [space.basepoint] + (window or [])
+        r = math.floor(delta)
         answered = []
         for l_max in range(1, 8):
-            try:
-                expected = per_level_series(space, bases, l_max, delta,
-                                            isinstance(space, MeasuredSpace))
-            except BudgetExceededError as err:
+            leaving = [b for b in bases if len(b) + l_max * r > 6]
+            if leaving:
                 with pytest.raises(BudgetExceededError) as got:
                     growth_series(space, delta=delta, l_max=l_max, window=window)
-                assert str(got.value) == str(err), l_max
+                assert str(got.value) == (
+                    f"{l_max}-step ball of radius {r} around depth-{len(leaving[0])} vertex "
+                    "exceeds depth window 6"), l_max
             else:
                 series = growth_series(space, delta=delta, l_max=l_max, window=window)
-                assert series.values == expected, l_max
+                assert series.values == per_level_series(
+                    space, bases, l_max, delta, isinstance(space, MeasuredSpace)), l_max
                 answered.append(l_max)
-        edge = {1: 6, 2: 3}[math.floor(delta)]
+        edge = {1: 6, 2: 3}[r]
         if window:  # (0, 2) starts two levels down
-            edge = {1: 4, 2: 2}[math.floor(delta)]
+            edge = {1: 4, 2: 2}[r]
         assert answered == list(range(1, edge + 1))
+
+    def test_a_walk_past_the_window_builds_nothing(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a walk past the window was built")
+
+        for space in (BranchTree(max_depth=5), RegularTree(degree=3, max_depth=5)):
+            for hook in ("_width", "_adjacency", "neighbors"):
+                monkeypatch.setattr(space, hook, fail)
+            for delta in (1, Fraction(3, 2), 2, math.inf):
+                with pytest.raises(BudgetExceededError):
+                    next(step_shells(space, (0,), 5, delta))
+                with pytest.raises(BudgetExceededError):
+                    growth_series(space, delta=delta, l_max=6)
 
     def test_window_budget_error_matches_per_level_rebuild(self):
         class WindowedLine(IntLine):

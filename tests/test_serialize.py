@@ -285,6 +285,27 @@ class TestOrbitJsonLines:
         with pytest.raises(InvalidInputError, match="announces"):
             orbits_from_json_lines(truncated)
 
+    @staticmethod
+    def _two_step_file(*paths):
+        header = json.dumps({"schema": SCHEMA_VERSION, "kind": "orbit-set", "x0": 0,
+                             "n": 2, "delta": 1, "count": len(paths),
+                             "exhaustive": False, "map_label": "identity"})
+        return "\n".join([header] + [json.dumps(p) for p in paths]) + "\n"
+
+    def test_path_of_the_wrong_length_rejected(self):
+        text = self._two_step_file([0, 1, 2], [0, 1])
+        with pytest.raises(InvalidInputError) as err:
+            orbits_from_json_lines(text)
+        assert str(err.value) == ("orbit file line 3: a path of 2 points, where the "
+                                  "header's n = 2 needs 3")
+
+    def test_path_away_from_x0_rejected(self):
+        # blank lines count: the error names the line of the file
+        text = self._two_step_file([0, 1, 2], [5, 6, 7]).replace("\n", "\n\n", 1)
+        with pytest.raises(InvalidInputError) as err:
+            orbits_from_json_lines(text)
+        assert str(err.value) == "orbit file line 4: the path does not start at x0 = 0"
+
 
 def reference_json_lines(orbits):
     """The orbit file rendered path by path, one json.dumps per path."""

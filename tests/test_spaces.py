@@ -519,6 +519,30 @@ def depth_mass(v):
     return Fraction(2 ** len(v), math.factorial(len(v) + 1))
 
 
+def package_subclasses(cls):
+    """Every subclass of cls defined in the package, at any depth."""
+    out = []
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("coarseentropy."):
+            out.append(sub)
+        out.extend(package_subclasses(sub))
+    return out
+
+
+def test_measured_space_forwards_every_overridden_method():
+    # a hook the wrapper does not forward falls back to the MetricSpace
+    # default, which answers right but may take the slow path
+    public = [name for name, attr in vars(spaces_base.MetricSpace).items()
+              if callable(attr) and not name.startswith("_")]
+    overridden = {name for sub in package_subclasses(spaces_base.MetricSpace)
+                  if sub is not MeasuredSpace for name in public if name in vars(sub)}
+    assert {"distance", "neighbors", "check_point", "distance_table", "walk_shells"} <= overridden
+    measured = branch_tree_measured(max_depth=4)
+    missing = {name for name in overridden
+               if name not in vars(MeasuredSpace) and name not in vars(measured)}
+    assert missing == set()
+
+
 class TestMassKey:
     def test_keyed_and_unkeyed_masses_agree_to_depth_8(self):
         keyed = branch_tree_measured(max_depth=8)
@@ -1025,6 +1049,18 @@ def test_nan_delta_is_rejected(tag):
             call()
 
 
+@pytest.mark.parametrize("sp", [
+    path_graph(3),
+    build_finite_space([0, 1, 2], lambda a, b: abs(a - b)),
+    build_weighted_graph([(0, 1, Fraction(1, 2)), (1, 2, 1)]),
+], ids=["graph", "finite", "weighted_graph"])
+def test_nan_delta_is_rejected_on_finite_spaces(sp):
+    # le(d, nan) is always false: unchecked, a NaN would read as a scale with no step
+    for call in (lambda: step_ball(sp, 0, 2, math.nan), lambda: sp.neighbors(0, math.nan)):
+        with pytest.raises(InvalidInputError, match="^delta must be a number: nan$"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # walks
 
@@ -1074,23 +1110,31 @@ class TestWalkStep:
         vertices = window_vertices(getattr(space, "space", space))
         assert len(vertices) == size
         longest = 2 * 5 + 1  # one step past the window's diameter
+        r = math.floor(delta) if math.isfinite(delta) else delta
         for limit in (spaces_base._WALK_POINTS, 3, 10, 50):
             monkeypatch.setattr(spaces_base, "_WALK_POINTS", limit)
-            refused = 0
             for v in vertices:
                 # hop_shells is lazy, so its walk of n steps is the first n + 1
                 # shells of the longest walk, or that walk's error if it came
                 # sooner; past len(want) steps every walk ends the same way
                 want, error = walked(
                     spaces_base.hop_shells(lambda y: space.neighbors(y, delta), v, longest))
-                for n in range(min(len(want), longest) + 1):
-                    expected = (want[:n + 1], error if len(want) <= n else None)
-                    assert walked(space.walk_shells(v, n, delta)) == expected, (limit, v, n)
-                refused += error is not None
-            # with the walk limit out of reach, every unit-scale walk meets the
-            # window's edge, and every infinite step leaves the window at once
-            if limit > size and (1 <= delta < 2 or delta == math.inf):
-                assert refused == len(vertices)
+                for n in range(longest + 1):
+                    if n == 0 or r < 1 or len(v) + n * r <= 5:
+                        expected = (want[:n + 1], error if len(want) <= n else None)
+                        # no walk inside the window meets its edge
+                        assert expected[1] is None or expected[1].startswith("walk around")
+                        assert walked(space.walk_shells(v, n, delta)) == expected, (limit, v, n)
+                        continue
+                    # every other walk leaves the window and is refused at the call
+                    if r == math.inf:
+                        message = "a delta=inf ball leaves every finite window"
+                    else:
+                        message = (f"{n}-step ball of radius {r} around depth-{len(v)} vertex "
+                                   "exceeds depth window 5")
+                    with pytest.raises(BudgetExceededError) as got:
+                        space.walk_shells(v, n, delta)
+                    assert str(got.value) == message, (limit, v, n)
 
     def test_other_scales_step_through_neighbors(self, monkeypatch):
         sp = BranchTree(max_depth=5)

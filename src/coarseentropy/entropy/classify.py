@@ -83,13 +83,7 @@ def _finite_points(space: MetricSpace) -> Optional[tuple]:
 
 def _max_component_diameter(space: MetricSpace, pts: Sequence) -> Dist:
     """Largest finite pairwise distance = max over components of diameter."""
-    best: Dist = 0
-    for i, a in enumerate(pts):
-        for b in pts[i + 1:]:
-            d = space.distance(a, b)
-            if is_finite(d) and d > best:
-                best = d
-    return best
+    return max(d for d in space.distance_table(pts).flat if is_finite(d))
 
 
 def _is_ultrametric_finite(space: MetricSpace) -> Optional[int]:

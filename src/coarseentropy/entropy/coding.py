@@ -112,18 +112,7 @@ def _fiber_diameter(space: MetricSpace, rows: Sequence[Tuple[PointRef, ...]]) ->
     pair, so the fiber-wide maximum equals the largest diameter of the set
     of points occurring at any single position.
     """
-    if len(rows) < 2:
-        return 0
-    best: Dist = 0
-    width = len(rows[0])
-    for i in range(width):
-        column = sorted({r[i] for r in rows}, key=repr)
-        for a_i, a in enumerate(column):
-            for b in column[a_i + 1:]:
-                d = space.distance(a, b)
-                if d > best:
-                    best = d
-    return best
+    return max(space.distance_table(dict.fromkeys(column)).max() for column in zip(*rows))
 
 
 def coding_injectivity_check(space: MetricSpace, x0: PointRef, n: int, delta: Dist,

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import CapExceededError, InvalidInputError
 from ..numbers import Dist, dist_to_jsonable
 from ..paths import DeltaPath, OrbitSet, orbit_distance, pad_path, validate_path
@@ -151,15 +153,6 @@ class WitnessFamily:
         }
 
 
-def _arm_profile(space: MetricSpace, arms: Sequence[DeltaPath]) -> List[List[Dist]]:
-    A = len(arms)
-    prof: List[List[Dist]] = [[0] * A for _ in range(A)]
-    for i in range(A):
-        for j in range(i + 1, A):
-            prof[i][j] = prof[j][i] = orbit_distance(arms[i], arms[j], space)
-    return prof
-
-
 def pad_arms(arms: Sequence[DeltaPath], length: Optional[int] = None) -> List[DeltaPath]:
     """Pad arms to a common length by repeating their last points."""
     if not arms:
@@ -201,16 +194,18 @@ def build_witness(space: MetricSpace, base: DeltaPath, arms: Sequence[DeltaPath]
             raise InvalidInputError(f"arm {k} starts at {arm.start!r}, not the base end {hub!r}")
         if not validate_path(arm.points, delta, space):
             raise InvalidInputError(f"arm {k} is not a valid delta-path")
+    # one table per arm position; the last holds the endpoint distances
+    tables = [space.distance_table(column) for column in zip(*(arm.points for arm in arms))]
     for i in range(len(arms)):
         for j in range(i + 1, len(arms)):
-            d = space.distance(arms[i].end, arms[j].end)
+            d = tables[-1][i, j]
             if not space.ge(d, R):
                 raise InvalidInputError(
                     f"arm endpoints {i} and {j} are only {d} apart, below R={R}")
-    prof = _arm_profile(space, arms)
-    fam = WitnessFamily(space=space, base=base, arms=tuple(arms), p=p, R=R,
-                        profile=tuple(tuple(row) for row in prof))
-    return fam
+    # the orbit distance is the sup over positions
+    prof = np.maximum.reduce(tables)
+    return WitnessFamily(space=space, base=base, arms=tuple(arms), p=p, R=R,
+                         profile=tuple(map(tuple, prof)))
 
 
 def pingpong_witness(space: MetricSpace, x0, base: DeltaPath, arms: Sequence[DeltaPath],

@@ -261,11 +261,17 @@ def enumerate_orbits(space: MetricSpace, x0: PointRef, n: int, delta: Dist,
     ids = np.zeros((1, 1), dtype=np.int32)
     for _ in range(n):
         # paths may stand still, so the last column holds every point found
-        # so far; expand the ones first reached at the previous step
+        # so far; expand the ones first reached at the previous step.  Each
+        # row ending at a point grows into one row per successor, so the
+        # running sum below is a lower bound on the level's size
+        ending = np.bincount(ids[:, -1], minlength=len(support))
+        grown_rows = 0
         for k in range(len(successors), len(support)):
             x = support[k]
             # a point is always its own successor: d(x, x) = 0 <= delta
             successors.append([point_id(s) for s in sorted(space.neighbors(x, delta) + [x])])
+            grown_rows += int(ending[k]) * len(successors[k])
+            check_cap(grown_rows)
         if successors == [[0]]:
             # x0 has no neighbour at this scale, so the one path stands still
             ids = np.zeros((1, n + 1), dtype=np.int32)

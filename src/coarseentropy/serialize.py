@@ -17,12 +17,12 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .numbers import dist_to_jsonable, parse_dist
+from .numbers import as_dist, dist_to_jsonable, parse_dist
 from .paths import DeltaPath, OrbitSet, point_table
 
 __all__ = [
@@ -169,10 +169,13 @@ def point_to_jsonable(point: Any) -> Any:
 
 
 def point_from_jsonable(obj: Any) -> Any:
-    """Inverse of :func:`point_to_jsonable` (lists become tuples)."""
+    """Inverse of :func:`point_to_jsonable` (lists become tuples).  Raises
+    InvalidInputError for what it never writes: objects and null."""
     if isinstance(obj, list):
         return tuple(point_from_jsonable(p) for p in obj)
-    return obj
+    if isinstance(obj, (int, str, float)):
+        return obj
+    raise InvalidInputError(f"cannot decode point {obj!r}")
 
 
 def orbits_to_json_lines(orbits: OrbitSet) -> str:
@@ -207,24 +210,40 @@ def orbits_to_json_lines(orbits: OrbitSet) -> str:
     return "".join(parts) + "\n"
 
 
+def _parsed(parse: Callable[[Any], Any], value: Any, where: str) -> Any:
+    """parse(value), where a TypeError, ValueError or InvalidInputError is
+    raised as an InvalidInputError naming ``where`` in the orbit file."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError, InvalidInputError) as exc:
+        raise InvalidInputError(f"orbit file {where}: {exc}") from None
+
+
 def orbits_from_json_lines(text: str) -> OrbitSet:
-    """Parse the JSON-lines orbit format back into an OrbitSet."""
+    """Parse the JSON-lines orbit format back into an OrbitSet.  Malformed
+    input raises InvalidInputError naming its line or header field."""
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise InvalidInputError("empty orbit file")
-    header = json.loads(lines[0][1])
+    header = _parsed(json.loads, lines[0][1], f"line {lines[0][0]} is not JSON")
     if not isinstance(header, dict) or header.get("kind") != "orbit-set":
         raise InvalidInputError("orbit file must start with an orbit-set header line")
     if header.get("schema") != SCHEMA_VERSION:
         raise InvalidInputError(f"unsupported orbit schema {header.get('schema')!r}")
-    delta = header["delta"]
-    if isinstance(delta, str):
-        delta = parse_dist(delta)
-    x0 = point_from_jsonable(header["x0"])
-    n = int(header["n"])
+    for key in ("x0", "n", "delta"):
+        if key not in header:
+            raise InvalidInputError(f"orbit file header has no {key!r} field")
+    delta = _parsed(as_dist, header["delta"], "header field 'delta'")
+    x0 = _parsed(point_from_jsonable, header["x0"], "header field 'x0'")
+    n = header["n"]
+    if type(n) is not int or n < 0:
+        raise InvalidInputError(f"orbit file header field 'n' must be a nonnegative integer: {n!r}")
     paths = []
     for number, line in lines[1:]:
-        points = tuple(point_from_jsonable(p) for p in json.loads(line))
+        row = _parsed(json.loads, line, f"line {number} is not JSON")
+        points = _parsed(point_from_jsonable, row, f"line {number}")
+        if not isinstance(points, tuple):
+            raise InvalidInputError(f"orbit file line {number}: a path must be a JSON list")
         if len(points) != n + 1:
             raise InvalidInputError(f"orbit file line {number}: a path of {len(points)} "
                                     f"points, where the header's n = {n} needs {n + 1}")

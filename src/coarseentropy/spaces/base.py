@@ -124,13 +124,12 @@ def hop_shells(adjacent: Callable[[PointRef], Iterable[PointRef]], x: PointRef,
 class MetricSpace:
     """Base class for every space handle.
 
-    Subclasses must implement ``distance`` and ``neighbors`` and set
-    ``kind``.  ``tol`` is the comparison tolerance: an exact 0 everywhere
-    except the float-backed logarithmic line, so that ``bound + tol`` keeps
-    an exact threshold exact.
+    Subclasses must implement ``distance`` and ``neighbors``.  ``tol`` is
+    the comparison tolerance: an exact 0 everywhere except the float-backed
+    logarithmic line, so that ``bound + tol`` keeps an exact threshold
+    exact.
     """
 
-    kind: str = "abstract"
     name: str = "space"
     tol: Dist = 0
     vertex_transitive: bool = False
@@ -225,8 +224,6 @@ class FiniteMetricSpace(MetricSpace):
     builder; the class itself just caches values.
     """
 
-    kind = "finite"
-
     def __init__(self, points: Sequence[PointRef], dist_fn: Callable[[PointRef, PointRef], Dist],
                  name: str = "finite", annotations: Iterable[str] = (),
                  vertex_transitive: bool = False):
@@ -268,13 +265,7 @@ class FiniteMetricSpace(MetricSpace):
         return sorted(y for y in self._points if y != x and self.le(self.distance(x, y), delta))
 
     def diameter(self) -> Dist:
-        best: Dist = 0
-        for i, a in enumerate(self._points):
-            for b in self._points[i + 1:]:
-                d = self.distance(a, b)
-                if d > best:
-                    best = d
-        return best
+        return self.distance_table(self._points).max()
 
 
 class _FiniteGraph(MetricSpace):
@@ -325,8 +316,6 @@ class _FiniteGraph(MetricSpace):
 class Graph(_FiniteGraph):
     """Finite unweighted graph with the shortest-path (hop) metric."""
 
-    kind = "graph"
-
     def __init__(self, adjacency: Dict[PointRef, Tuple[PointRef, ...]], name: str = "graph",
                  annotations: Iterable[str] = (), vertex_transitive: bool = False):
         # a finite graph trivially has bounded degree; the flags matter when
@@ -352,8 +341,6 @@ class Graph(_FiniteGraph):
 
 class WeightedGraph(_FiniteGraph):
     """Finite graph with positive rational edge weights, Dijkstra metric."""
-
-    kind = "weighted_graph"
 
     def __init__(self, adjacency: Dict[PointRef, Tuple[Tuple[PointRef, Dist], ...]],
                  name: str = "weighted_graph", annotations: Iterable[str] = ()):
@@ -399,7 +386,6 @@ class MeasuredSpace(MetricSpace):
         self._mass_fn = mass_fn
         self._mass_key = mass_key
         self._mass_by_key: Dict[Hashable, Fraction] = {}
-        self.kind = "measured:" + space.kind
         self.name = name or (space.name + "/measured")
         self.tol = space.tol
         self.vertex_transitive = space.vertex_transitive

@@ -104,7 +104,6 @@ class UltrametricProduct(MetricSpace):
     the finite subproduct over k <= delta, hence bounded.
     """
 
-    kind = "generated"
     vertex_transitive = True
     growth_tag = "exponential"
 
@@ -161,7 +160,6 @@ class _IntegerLine(MetricSpace):
     ``max_step(delta)`` in coordinates.  The subclasses give ``distance``
     and ``max_step``."""
 
-    kind = "generated"
     vertex_transitive = True
     basepoint = 0
 
@@ -286,7 +284,6 @@ class _RootedTree(MetricSpace):
     ``_width`` and their own ``check_point``.
     """
 
-    kind = "generated"
     basepoint = ()
 
     def __init__(self, max_depth: int, name: str, annotations):
@@ -459,7 +456,6 @@ class TreeLine(MetricSpace):
     basepoint-free ball growth exponential (tag ``exponential-sup``).
     """
 
-    kind = "generated"
     growth_tag = "exponential-sup"
 
     def __init__(self, max_tree: int = 8, schedule="4^n", max_line: Optional[int] = None):
@@ -688,8 +684,6 @@ class PrimeCycle(MetricSpace):
     arbitrarily large p-separated sets of diameter p.
     """
 
-    kind = "generated"
-
     def __init__(self, max_line: int = 512):
         if max_line < 2:
             raise InvalidInputError("max_line must be >= 2")
@@ -840,8 +834,6 @@ class CoarseUnion(MetricSpace):
     the catalog annotates the space bounded-components.
     """
 
-    kind = "generated"
-
     def __init__(self, parts: Sequence[MetricSpace], name: str = "coarse_union"):
         if not parts:
             raise InvalidInputError("coarse union needs at least one part")
@@ -851,14 +843,9 @@ class CoarseUnion(MetricSpace):
             pts = getattr(part, "points", None)
             if pts is None:
                 raise InvalidInputError("coarse union parts must be finite spaces")
-            diam: Dist = 0
-            for i, a in enumerate(pts):
-                for b in pts[i + 1:]:
-                    d = part.distance(a, b)
-                    if not d < INF:
-                        raise InvalidInputError(f"part {idx} is unbounded (disconnected?)")
-                    if d > diam:
-                        diam = d
+            diam = part.distance_table(pts).max()
+            if not diam < INF:
+                raise InvalidInputError(f"part {idx} is unbounded (disconnected?)")
             self._diams.append(diam)
         self._points = tuple(("part", idx, p)
                              for idx, part in enumerate(self._parts, start=1)

@@ -43,6 +43,22 @@ def run_json(argv, capsys):
     return code, json.loads(out)
 
 
+def run_in_process(argv):
+    """Run the CLI in a separate process, cut off after 10 s and held
+    under 2 GB of address space."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from coarseentropy import cli; sys.exit(cli.main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, timeout=10, env=env, preexec_fn=limit_memory)
+
+
 class TestGrowthCommand:
     def test_int_line_series(self, capsys):
         code, doc = run_json(
@@ -141,6 +157,14 @@ class TestOrbitsCommand:
         assert code == 1 and out == ""
         assert err.startswith("budget exceeded:")
 
+    def test_wide_steps_reach_the_cap_in_time(self):
+        # each of the 262,142 first-step points lists 262,142 neighbours; a
+        # separate process, so that a hang is cut off
+        done = run_in_process(["orbits", "--space", "log_line", "--n", "2", "--delta", "17"])
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == ("budget exceeded: enumeration cap 1000000 exceeded "
+                               "for n=2, delta=17\n")
+
     def test_long_single_path(self, capsys):
         code, doc = run_json(
             ["orbits", "--space", "int_line", "--n", "5000", "--delta", "0.5"], capsys)
@@ -217,17 +241,7 @@ class TestRatesCommand:
         # a separate process, so that a hang is cut off, under 2 GB
         argv = ["rates", "--space", "branch_tree", "--delta", "1", "--radius", "1000000",
                 "--n", "0,2", "--mode", "dense"]
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from coarseentropy import cli; sys.exit(cli.main(sys.argv[1:]))", *argv],
-            capture_output=True, text=True, timeout=10, env=env, preexec_fn=limit_memory)
+        done = run_in_process(argv)
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr.startswith("budget exceeded: 999999-step ball of radius 1 around "
                                       "depth-0 vertex exceeds depth window 10")

@@ -250,6 +250,19 @@ class TestEnumerationOrder:
         assert exc.value.partial == cap
         assert str(exc.value) == f"enumeration cap {cap} exceeded for n={n}, delta=1"
 
+    def test_cap_is_met_while_a_level_is_expanded(self):
+        # level 2 holds 201 rows per second-step point: the cap is passed
+        # five points in, not after all 200 are expanded
+        sp = IntLine()
+        reached = []
+        neighbors = sp.neighbors
+        sp.neighbors = lambda x, delta: reached.append(x) or neighbors(x, delta)
+        with pytest.raises(CapExceededError) as exc:
+            enumerate_orbits(sp, 0, 2, 100, cap=1000)
+        assert str(exc.value) == "enumeration cap 1000 exceeded for n=2, delta=100"
+        assert exc.value.partial == 1000
+        assert len(reached) <= 6
+
     def test_window_still_raises_budget_error(self):
         with pytest.raises(BudgetExceededError, match="around -3"):
             enumerate_orbits(IntLine(max_abs=3), 0, 5, 1)

@@ -207,6 +207,16 @@ class TestPointEncoding:
             point_to_jsonable(object())
 
 
+def orbit_file(path_line, **header_changes):
+    """A one-path orbit file with n = 2 and x0 = 0; a header change to None
+    drops that field."""
+    header = {"schema": SCHEMA_VERSION, "kind": "orbit-set", "x0": 0, "n": 2, "delta": 1,
+              "count": 1, "exhaustive": False, "map_label": "identity"}
+    header.update(header_changes)
+    header = {key: value for key, value in header.items() if value is not None}
+    return json.dumps(header) + "\n" + path_line + "\n"
+
+
 class TestOrbitJsonLines:
     def _int_line_orbits(self):
         space = make_example("int_line")
@@ -298,6 +308,33 @@ class TestOrbitJsonLines:
             orbits_from_json_lines(text)
         assert str(err.value) == ("orbit file line 3: a path of 2 points, where the "
                                   "header's n = 2 needs 3")
+
+    @pytest.mark.parametrize("text, message", [
+        (orbit_file("5"), "orbit file line 2: a path must be a JSON list"),
+        (orbit_file("[0, 1"), "orbit file line 2 is not JSON: "),
+        (orbit_file("[0, {\"a\": 1}, 2]"), "orbit file line 2: cannot decode point {'a': 1}"),
+        (orbit_file("[0, 1, null]"), "orbit file line 2: cannot decode point None"),
+        ("{\"schema\": \"v1\", \"kind\"\n[0, 1, 2]\n", "orbit file line 1 is not JSON: "),
+        (orbit_file("[0, 1, 2]", n=None), "orbit file header has no 'n' field"),
+        (orbit_file("[0, 1, 2]", delta=None), "orbit file header has no 'delta' field"),
+        (orbit_file("[0, 1, 2]", x0=None), "orbit file header has no 'x0' field"),
+        (orbit_file("[0, 1, 2]", n="x"),
+         "orbit file header field 'n' must be a nonnegative integer: 'x'"),
+        (orbit_file("[0, 1, 2]", n=-1),
+         "orbit file header field 'n' must be a nonnegative integer: -1"),
+        (orbit_file("[0, 1, 2]", delta="abc"),
+         "orbit file header field 'delta': cannot parse distance 'abc'"),
+        (orbit_file("[0, 1, 2]", delta=[1]),
+         "orbit file header field 'delta': cannot interpret [1] as a distance"),
+        (orbit_file("[0, 1, 2]", x0={"a": 1}),
+         "orbit file header field 'x0': cannot decode point {'a': 1}"),
+    ], ids=["int-path", "truncated-path", "object-point", "null-point", "header-not-json",
+            "no-n", "no-delta", "no-x0", "n-not-a-number", "negative-n", "delta-not-a-number",
+            "delta-a-list", "object-x0"])
+    def test_malformed_input_rejected(self, text, message):
+        with pytest.raises(InvalidInputError) as err:
+            orbits_from_json_lines(text)
+        assert str(err.value).startswith(message)
 
     def test_path_away_from_x0_rejected(self):
         # blank lines count: the error names the line of the file

@@ -768,6 +768,11 @@ class TestCoarseUnion:
         with pytest.raises(InvalidInputError):
             CoarseUnion([g])
 
+    def test_disconnected_part_is_named(self):
+        parts = [path_graph(2), build_graph([(0, 1), (2, 3)])]
+        with pytest.raises(InvalidInputError, match=r"^part 2 is unbounded \(disconnected\?\)$"):
+            CoarseUnion(parts)
+
 
 # ---------------------------------------------------------------------------
 # graph builders, finite spaces, csv ingestion
@@ -933,6 +938,13 @@ class TestFiniteSpaces:
     def test_finite_space_diameter(self):
         sub = subspace(path_graph(4), [0, 1, 2, 3])
         assert sub.diameter() == 3
+        # points on a line at 1/3, 0, 5/4: the diameter is the Fraction 5/4,
+        # between the second and the third point
+        coords = {"a": Fraction(1, 3), "b": Fraction(0), "c": Fraction(5, 4)}
+        sp = build_finite_space(list(coords), lambda x, y: abs(coords[x] - coords[y]))
+        assert sp.diameter() == Fraction(5, 4)
+        assert type(sp.diameter()) is Fraction
+        assert type(build_finite_space(["x"], lambda x, y: 0).diameter()) is int
 
 
 class TestEdgeCsv:

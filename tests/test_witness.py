@@ -14,8 +14,10 @@ from coarseentropy import (
     InvalidInputError,
     TreeLine,
     WitnessFamily,
+    build_weighted_graph,
     build_witness,
     catalog_pingpong,
+    make_example,
     orbit_distance,
     pad_arms,
     pingpong_witness,
@@ -31,6 +33,16 @@ def toy_family(p=2, R=10):
     base = DeltaPath((0,), 5)
     arms = [DeltaPath((0, 5), 5), DeltaPath((0, -5), 5)]
     return sp, build_witness(sp, base, arms, p, R)
+
+
+def weighted_family(p=2):
+    """Three two-step arms from hub "h" on a graph with Fraction weights; the
+    a-b endpoint distance, 1/2 + 1/3 + 2/3 + 1/2, is the Fraction 2."""
+    sp = build_weighted_graph([("h", "a1", Fraction(1, 2)), ("a1", "a2", Fraction(1, 3)),
+                               ("h", "b1", Fraction(2, 3)), ("b1", "b2", Fraction(1, 2)),
+                               ("h", "c1", Fraction(3, 4)), ("c1", "c2", Fraction(1, 4))])
+    arms = [DeltaPath(("h", f"{k}1", f"{k}2"), 1) for k in "abc"]
+    return sp, build_witness(sp, DeltaPath(("h",), 1), arms, p, Fraction(3, 2))
 
 
 class TestWitnessFamily:
@@ -61,15 +73,32 @@ class TestWitnessFamily:
             assert validate_path(path.points, fam.delta, sp)
 
     def test_profile_bound_matches_exact_orbit_distance(self):
-        sp, fam = toy_family(p=2)
-        paths = list(fam.iter_paths())
-        for i in range(fam.size):
-            for j in range(fam.size):
-                exact = orbit_distance(paths[i], paths[j], sp)
-                bound = fam.pair_distance_bound(i, j)
-                assert bound <= exact
-                if i != j:
-                    assert exact >= fam.R
+        tree_line = make_example("tree_line")
+        # arms that turn back: the profile entry, 10, is at the first step,
+        # not at the endpoints, which are 6 apart
+        line = IntLine(max_abs=50)
+        turning = build_witness(line, DeltaPath((0,), 5),
+                                [DeltaPath((0, 5, 3), 5), DeltaPath((0, -5, -3), 5)], 1, 6)
+        families = [toy_family(p=2), weighted_family(p=2), (line, turning)] + [
+            (tree_line, catalog_pingpong(tree_line, delta=delta, R=R, p=1))
+            for delta in (1, 2, 3) for R in (1, 2, 3, 4)]
+        for sp, fam in families:
+            # every profile entry is the exact orbit distance of its arms
+            for a, u in enumerate(fam.arms):
+                for b, v in enumerate(fam.arms):
+                    exact = orbit_distance(u, v, sp)
+                    assert fam.profile[a][b] == exact
+                    assert type(fam.profile[a][b]) is type(exact)
+            if fam.size > 16:
+                continue
+            paths = list(fam.iter_paths())
+            for i in range(fam.size):
+                for j in range(fam.size):
+                    exact = orbit_distance(paths[i], paths[j], sp)
+                    bound = fam.pair_distance_bound(i, j)
+                    assert bound <= exact
+                    if i != j:
+                        assert exact >= fam.R
 
     def test_check_pairwise_separated_counts_ordered_pairs(self):
         sp, fam = toy_family(p=2)

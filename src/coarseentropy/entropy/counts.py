@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from ..errors import BudgetExceededError, InvalidInputError
 from ..extremal import MetricItems, max_separated, min_dense
 from ..numbers import Dist, dist_to_jsonable, is_finite
-from ..paths import enumerate_orbits, step_ball, step_shells
+from ..paths import enumerate_orbits, step_shells
 from ..spaces.base import MetricSpace, PointRef
 
 __all__ = ["RatePoint", "separated_count", "dense_count", "rate_series", "covering_bound"]
@@ -148,6 +148,8 @@ def covering_bound(space: MetricSpace, x0: PointRef, delta: Dist, R: Dist,
     attains the supremum); otherwise it is reported as basepoint-only.
     An infinite R has no such k.  When k divides n the bound is an exact
     int.  A bound past the float range, 2 ** 1024 or more, is ``math.inf``.
+    V is the sum of the space's ``shell_counts`` over the k-step walk, the
+    size of ``step_ball`` without its points.
     """
     if not is_finite(R):
         return None
@@ -163,8 +165,8 @@ def covering_bound(space: MetricSpace, x0: PointRef, delta: Dist, R: Dist,
             return None
     if k < 1:
         return None
-    ball = step_ball(space, x0, k, delta)
-    V = len(ball)
+    space.check_point(x0)
+    V = sum(space.shell_counts(x0, k, delta))
     bounds = {}
     for n in ns:
         if n % k == 0:

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from ..errors import InvalidInputError
 from ..numbers import Dist, dist_to_jsonable
-from ..paths import step_shells
 from ..spaces.base import MeasuredSpace, MetricSpace, PointRef
 
 __all__ = ["GrowthSeries", "growth_series", "fit_log_slope"]
@@ -62,7 +61,12 @@ def growth_series(space: MetricSpace, x: Optional[PointRef] = None, delta: Dist 
     """Step-ball growth at a basepoint (or maximized over a window).
 
     ``measured`` defaults to True exactly when the space carries a measure;
-    pass False to force the counting variant on a measured space.
+    pass False to force the counting variant on a measured space.  A ball's
+    value is the running total of its shells: their sizes from the space's
+    ``shell_counts``, or their masses from ``shell_masses``, so a space that
+    counts its shells in closed form never builds one.  The walks keep
+    their errors: a tree refuses a walk past its window at the call, and
+    the walk-limit error rises at the level where the walk would raise it.
     """
     if l_max < 1:
         raise InvalidInputError(f"l_max must be >= 1: {l_max!r}")
@@ -83,17 +87,22 @@ def growth_series(space: MetricSpace, x: Optional[PointRef] = None, delta: Dist 
         for p in bases:
             space.check_point(p)
         bases = list(dict.fromkeys(bases))  # each base walked once, first occurrence first
-    # one breadth-first pass per base; levels run in the outer loop, so a
-    # window's BudgetExceededError fires at the first (level, base) needing it.
-    # The bases are checked and the walks make only points of the space, so
-    # the shells are weighed without a check
-    shells = [step_shells(space, b, l_max, delta) for b in bases]
+    def walk(base):
+        # made at its first level, so a tree's refusal of a base's walk comes
+        # after the earlier bases' first shells, as a step_shells walk's did
+        yield from (space.shell_masses(base, l_max, delta) if measured
+                    else space.shell_counts(base, l_max, delta))
+
+    # one lazy walk per base, counted shell by shell; levels run in the outer
+    # loop, so an error fires at the first (level, base) needing it.  The
+    # bases are checked and the walks make only points of the space, so the
+    # shells are weighed without a check
+    walks = [walk(b) for b in bases]
     totals: List[Value] = [Fraction(0) if measured else 0] * len(bases)
     values = []
     for _ in levels:
-        for i, base_shells in enumerate(shells):
-            shell = next(base_shells, ())  # () once the ball stops growing
-            totals[i] += space.weigh(shell) if measured else len(shell)
+        for i, walk in enumerate(walks):
+            totals[i] += next(walk, 0)  # 0 once the ball stops growing
         values.append(max(totals))
     return GrowthSeries(space=space.name, delta=delta, basepoint=x, levels=levels,
                         values=tuple(values), measure="measured" if measured else "counting",

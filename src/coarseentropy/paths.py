@@ -311,7 +311,9 @@ def step_shells(space: MetricSpace, x: PointRef, n: int,
     the next shell is x's ancestor's parent and its other children, then
     every other frontier vertex's children in order.  The walk is lazy:
     advancing to shell k only builds shell k, so every level of a step
-    ball comes from one pass.
+    ball comes from one pass.  Growth series and covering bounds need only
+    each shell's size or mass: they read the space's ``shell_counts`` or a
+    measured space's ``shell_masses`` instead.
     """
     if n < 0:
         raise InvalidInputError("step count must be >= 0")

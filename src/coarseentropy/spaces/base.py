@@ -121,6 +121,16 @@ def hop_shells(adjacent: Callable[[PointRef], Iterable[PointRef]], x: PointRef,
         frontier = nxt
 
 
+def count_by_key(points: Sequence[PointRef],
+                 key: Callable[[PointRef], Hashable]) -> Dict[Hashable, Tuple[PointRef, int]]:
+    """``{key: (first point, count)}`` over the points, keys in order of
+    their first point."""
+    keys = list(map(key, points))
+    # going backwards, the last write to a key is its first point
+    first = dict(zip(reversed(keys), reversed(points)))
+    return {k: (first[k], count) for k, count in Counter(keys).items()}
+
+
 class MetricSpace:
     """Base class for every space handle.
 
@@ -196,6 +206,18 @@ class MetricSpace:
         and a windowed space may raise at the call, before any shell, for a
         walk that would leave its window."""
         return hop_shells(lambda y: self.neighbors(y, delta), x, n)
+
+    def shell_counts(self, x: PointRef, n: int, delta: Dist,
+                     key: Optional[Callable[[PointRef], Hashable]] = None) -> Iterator:
+        """For each shell of ``walk_shells(x, n, delta)``, lazily: its size, or
+        with a key, ``count_by_key(shell, key)``.  The counts come with the
+        walk's errors at the same advance, and a walk refused at the call is
+        refused here at the call.  This default counts the walked shells; a
+        space with a closed form counts without building them."""
+        shells = self.walk_shells(x, n, delta)
+        if key is None:
+            return map(len, shells)
+        return (count_by_key(shell, key) for shell in shells)
 
     def bg_witness_family(self, s: Dist, depth: int):
         """Catalog-provided s-separated bounded-diameter family, or None.
@@ -374,7 +396,8 @@ class MeasuredSpace(MetricSpace):
     vertex).  The validated mass is then computed once per key and reused,
     and ``mass_of`` counts its points by key.  ``mass`` and ``mass_of``
     check every point with ``check_point``; ``weigh`` is ``mass_of`` for
-    points the space made itself and skips that check.  A key
+    points the space made itself and skips that check, and
+    ``shell_masses`` weighs the shells of a walk as ``weigh`` would.  A key
     that lumps points of different mass gives wrong totals, so leave it out
     unless the mass is a function of the key.
     """
@@ -414,6 +437,18 @@ class MeasuredSpace(MetricSpace):
     def walk_shells(self, x, n, delta):
         return self.space.walk_shells(x, n, delta)
 
+    def shell_counts(self, x, n, delta, key=None):
+        return self.space.shell_counts(x, n, delta, key)
+
+    def shell_masses(self, x, n, delta) -> Iterator[Fraction]:
+        """For each shell of ``walk_shells(x, n, delta)``, lazily: its mass,
+        as ``weigh`` gives it, with ``mass_fn`` called on the same points in
+        the same order.  With a key the shells are counted by key and never
+        built where the space counts them in closed form."""
+        if self._mass_key is None:
+            return map(self.weigh, self.space.walk_shells(x, n, delta))
+        return map(self._weigh_classes, self.space.shell_counts(x, n, delta, self._mass_key))
+
     def bg_witness_family(self, s, depth):
         return self.space.bg_witness_family(s, depth)
 
@@ -451,16 +486,13 @@ class MeasuredSpace(MetricSpace):
         if self._mass_key is None:
             counts = Counter(map(self._checked_mass, points))
             return sum((value * count for value, count in counts.items()), Fraction(0))
-        counts = Counter(map(self._mass_key, points))
-        if not self._mass_by_key.keys() >= counts.keys():
-            # a new key's mass comes from its first point: going backwards,
-            # the last write to a key is its first point
-            backwards = points[::-1]
-            first = dict(zip(map(self._mass_key, backwards), backwards))
-            for key in counts:
-                self._keyed_mass(key, first[key])
-        by_key = self._mass_by_key
-        return sum((by_key[key] * count for key, count in counts.items()), Fraction(0))
+        return self._weigh_classes(count_by_key(points, self._mass_key))
+
+    def _weigh_classes(self, classes: Dict[Hashable, Tuple[PointRef, int]]) -> Fraction:
+        """Total mass of ``count_by_key`` classes: a new key's mass comes
+        from its first point, keys taken in order."""
+        return sum((self._keyed_mass(key, first) * count
+                    for key, (first, count) in classes.items()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -178,15 +178,52 @@ class _IntegerLine(MetricSpace):
         """Largest coordinate move allowed in one delta-step."""
         raise NotImplementedError
 
+    def _window_error(self, x: int) -> BudgetExceededError:
+        return BudgetExceededError(
+            f"delta-ball around {x} leaves the window [-{self.max_abs}, {self.max_abs}]")
+
     def neighbors(self, x, delta):
         self.check_point(x)
         s = self.max_step(delta)
         if s < 1:
             return []
         if x - s < -self.max_abs or x + s > self.max_abs:
-            raise BudgetExceededError(
-                f"delta-ball around {x} leaves the window [-{self.max_abs}, {self.max_abs}]")
+            raise self._window_error(x)
         return [x + off for off in range(-s, s + 1) if off != 0]
+
+    def shell_counts(self, x, n, delta, key=None):
+        if key is not None:
+            return super().shell_counts(x, n, delta, key)
+        return self._interval_counts(x, n, delta)
+
+    def _interval_counts(self, x, n, delta):
+        # With s = max_step(delta), shell k >= 1 is the two intervals
+        # [x-ks, x-(k-1)s) and (x+(k-1)s, x+ks].  hop_shells expands a shell
+        # left to right: its leftmost point reaches the whole next left
+        # interval, then each point of its right interval one more point.  So
+        # the walk fails at the first point whose step leaves the window,
+        # unless it held more than _WALK_POINTS points before that
+        limit, far = _base._WALK_POINTS, self.max_abs
+        yield 1
+        if n < 1:
+            return
+        s = max(self.max_step(delta), 0)  # raises where the first neighbors call does
+        if x - s < -far or x + s > far:
+            raise self._window_error(x)
+        held = 1 + 2 * s
+        if held > limit:
+            raise walk_limit_error(x, limit)
+        yield 2 * s
+        for k in range(1, n if s else 0):  # with no step, nothing follows the empty shell
+            if x - (k + 1) * s < -far:
+                raise self._window_error(x - k * s)
+            inside = min(s, far - x - k * s)  # right points whose step stays inside
+            if held + s + inside > limit:
+                raise walk_limit_error(x, limit)
+            if inside < s:
+                raise self._window_error(far - s + 1)
+            held += 2 * s
+            yield 2 * s
 
     def hop_lower_bound(self, a, b, delta):
         s = self.max_step(delta)
@@ -342,58 +379,124 @@ class _RootedTree(MetricSpace):
                 f"radius {r} ball around depth-{len(x)} vertex exceeds depth window {self.max_depth}")
         return _hop_ball(self._adjacency, x, r)
 
+    def _walk_radius(self, x, n, delta) -> Optional[int]:
+        """floor(delta) for a walk of n >= 1 steps around x, None for n < 1.
+
+        Each step reaches r levels deeper, and the walk expands every vertex
+        of its first n shells but the last, down to len(x) + (n-1)r.  A walk
+        that would leave the window is refused here, so none reaches its edge.
+        """
+        if n < 1:
+            return None
+        r = _floor_int(delta)
+        if r >= 1 and len(x) + n * r > self.max_depth:
+            raise BudgetExceededError(
+                f"{n}-step ball of radius {r} around depth-{len(x)} vertex exceeds "
+                f"depth window {self.max_depth}")
+        return r
+
     def walk_shells(self, x, n, delta):
-        # each step reaches r levels deeper, and the walk expands every vertex
-        # of its first n shells but the last, down to len(x) + (n-1)r.  A walk
-        # that would leave the window is refused here, so none reaches its edge
-        if n >= 1:
-            r = _floor_int(delta)
-            if r >= 1 and len(x) + n * r > self.max_depth:
-                raise BudgetExceededError(
-                    f"{n}-step ball of radius {r} around depth-{len(x)} vertex exceeds "
-                    f"depth window {self.max_depth}")
-        # any other scale keeps hop_shells over neighbors and its errors
-        if not 1 <= delta < 2:
+        # any scale but unit steps keeps hop_shells over neighbors and its errors
+        if self._walk_radius(x, n, delta) != 1:
             return super().walk_shells(x, n, delta)
         return self._unit_shells(x, n)
 
+    def shell_counts(self, x, n, delta, key=None):
+        # by depth only at unit steps, where each depth of a shell is one
+        # distance from x; a depth of a wider shell comes from several
+        r = self._walk_radius(x, n, delta)
+        if r is None or r < 1 or not (key is None or key is len and r == 1):
+            return super().shell_counts(x, n, delta, key)
+        shells = self._bands(x, n, delta, r)
+        if key is None:
+            return (sum(count for _, count, _ in groups) for groups in shells)
+        return ({depth: (first, count) for depth, count, first in groups} for groups in shells)
+
+    def _below(self, depth: int, m: int) -> int:
+        """Vertices m levels below a depth-``depth`` vertex."""
+        return math.prod(map(self._width, range(depth, depth + m)))
+
+    def _sphere(self, x, d: int) -> List[Tuple[int, int, Tuple]]:
+        """The vertices at distance d >= 1 from x as ``(depth, count, first)``
+        groups, shallowest first; the counts depend only on len(x).
+
+        Group j <= d goes up j levels to the ancestor a = x[:len(x)-j]: it is
+        a itself when j = d, else a's descendants d-j levels down, less those
+        below the child towards x.  A unit walk finds the groups shallowest
+        first, and first in each the vertex with the lowest child indices.
+        """
+        h = len(x)
+        out = []
+        for j in range(min(d, h), -1, -1):
+            a = x[:h - j]
+            if j == d:
+                out.append((h - j, 1, a))
+                continue
+            count, child = self._below(h - j, d - j), 0
+            if j:
+                count -= self._below(h - j + 1, d - j - 1)
+                child = 1 if x[h - j] == 0 else 0
+            if count:
+                out.append((h + d - 2 * j, count, a + (child,) + (0,) * (d - j - 1)))
+        return out
+
+    def _bands(self, x, n: int, delta, r: int) -> Iterator[List[Tuple[int, int, Tuple]]]:
+        """Shells 0..n of an r-step walk around x as ``_sphere`` groups.
+
+        A tree is geodesic, so shell k >= 1 holds the vertices at distance
+        (k-1)r < d <= kr.  hop_shells ends the advance to shell k with the
+        walk-limit error exactly when shells 0..k hold more than
+        _WALK_POINTS points, so that error rises here at the same advance,
+        before the shell is yielded.  At r >= 2 each neighbors call walks
+        an r-ball itself, which fails first, naming its centre, when it
+        alone passes the limit; where a vertex of the expanded shell has
+        such a ball, walking the advance tells which error comes first.
+        """
+        limit = _base._WALK_POINTS
+        held, groups = 1, [(len(x), 1, x)]
+        yield groups
+        for k in range(1, n + 1):
+            expanded = groups
+            groups = [g for d in range((k - 1) * r + 1, k * r + 1) for g in self._sphere(x, d)]
+            held += sum(count for _, count, _ in groups)
+            if held > limit:
+                # at k = 1 the only ball walked is x's, and both errors name x
+                if r > 1 and k > 1 and any(self._ball_size(t, r) > limit for t, _, _ in expanded):
+                    for _ in super().walk_shells(x, k, delta):
+                        pass
+                raise walk_limit_error(x, limit)
+            yield groups
+
+    def _ball_size(self, depth: int, r: int) -> int:
+        """Points within r of a depth-``depth`` vertex."""
+        x = (0,) * depth
+        return 1 + sum(count for d in range(1, r + 1) for _, count, _ in self._sphere(x, d))
+
     def _unit_shells(self, x, n):
         # A vertex past x is reached from exactly one neighbour, so no seen
-        # set is needed.  Shell k+1 is the parent and the other children of
-        # lead = x[:len(x)-k], the ancestor that leads shell k, then the
-        # children of the rest of shell k in order: hop_shells' discovery
-        # order.  ``depths`` counts shell k by depth, which gives the next
-        # shell's size before it is built; a walk that would then hold more
-        # than _WALK_POINTS points raises at that advance, as hop_shells does
-        limit = _base._WALK_POINTS
+        # set is needed.  Shell k is the parent and the other children of
+        # lead = x[:len(x)-k+1], the ancestor that leads shell k-1, then the
+        # children of the rest of shell k-1 in order: hop_shells' discovery
+        # order.  The depth counts of a shell come before it is built, so a
+        # walk that would pass the walk limit raises at that advance
         width = self._width
         kids: Dict[int, List[Tuple[int]]] = {}
-        frontier, held, depths = [x], 1, {len(x): 1}
-        yield frontier
-        for k in range(n):
-            lead = x[:len(x) - k] if k <= len(x) else None
-            grown = {t + 1: count * width(t) for t, count in depths.items()}
-            if lead is not None:
-                if k:  # less the child the walk came from
-                    grown[len(lead) + 1] -= 1
-                if lead:  # and the lead's parent
-                    grown[len(lead) - 1] = grown.get(len(lead) - 1, 0) + 1
-            held += sum(grown.values())
-            if held > limit:
-                raise walk_limit_error(x, limit)
-            for t in depths:
-                if t not in kids:
-                    kids[t] = [(c,) for c in range(width(t))]
-            if lead is None:
-                nxt = [y + c for y in frontier for c in kids[len(y)]]
-            else:
-                came_from = x[len(lead):len(lead) + 1]  # () at k = 0
-                nxt = [lead[:-1]] if lead else []
-                nxt += [lead + c for c in kids[len(lead)] if c != came_from]
-                nxt += [y + c for y in frontier[1:] for c in kids[len(y)]]
-            yield nxt
-            frontier = nxt
-            depths = {t: count for t, count in grown.items() if count}
+        frontier = [x]
+        for k, groups in enumerate(self._bands(x, n, 1, 1)):
+            if k:
+                lead = x[:len(x) - k + 1] if k <= len(x) + 1 else None
+                if lead is None:
+                    frontier = [y + c for y in frontier for c in kids[len(y)]]
+                else:
+                    came_from = x[len(lead):len(lead) + 1]  # () at k = 1
+                    nxt = [lead[:-1]] if lead else []
+                    nxt += [lead + c for c in kids[len(lead)] if c != came_from]
+                    nxt += [y + c for y in frontier[1:] for c in kids[len(y)]]
+                    frontier = nxt
+            for depth, _, _ in groups:
+                if depth not in kids:
+                    kids[depth] = [(c,) for c in range(width(depth))]
+            yield frontier
 
 
 class RegularTree(_RootedTree):

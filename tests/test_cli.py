@@ -15,6 +15,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from coarseentropy.entropy.witness import catalog_pingpong
 from coarseentropy.paths import enumerate_orbits
 from coarseentropy.serialize import orbits_from_json_lines
 from coarseentropy.spaces import base as spaces_base
-from coarseentropy.spaces import make_example
+from coarseentropy.spaces import BranchTree, LogLine, make_example
 
 SMALL_TREE_LINE = '{"max_tree": 4, "schedule": "2^n"}'
 DATA = Path(__file__).resolve().parent / "data"
@@ -125,6 +126,47 @@ class TestGrowthCommand:
         assert (code, out) == (1, "")
         assert err == ("budget exceeded: 11-step ball of radius 1 around depth-0 vertex "
                        "exceeds depth window 10\n")
+
+
+class TestCountedGrowth:
+    """Growth series that read shell counts in closed form: each answers, or
+    fails as its walk would, without a single ``neighbors`` call."""
+
+    @pytest.fixture(autouse=True)
+    def no_neighbors(self, monkeypatch):
+        def fail(self, x, delta):
+            raise AssertionError(f"neighbors({x!r}, {delta!r}) was called")
+
+        for cls in (BranchTree, LogLine):
+            monkeypatch.setattr(cls, "neighbors", fail)
+
+    def test_measured_tree_at_the_walk_limit_holds_no_shell(self, capsys):
+        # the depth-9 ball holds 4,037,913 points, and the next shell passes
+        # the limit; the walk built the depth-9 shell of 10! vertices first
+        shell_9 = math.factorial(10) * sys.getsizeof((0,) * 9)
+        tracemalloc.start()
+        try:
+            code, out, err = run(["growth", "--space", "branch_tree", "--params",
+                                  '{"measured":true}', "--window", "10"], capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == "budget exceeded: walk around () holds more than 4194304 points\n"
+        assert peak < shell_9
+
+    def test_log_line_with_a_long_step(self, capsys):
+        # one step moves up to 2**17 - 1, so each shell is two intervals
+        code, doc = run_json(["growth", "--space", "log_line", "--delta", "17",
+                              "--window", "2"], capsys)
+        assert code == 0 and doc["report"]["series"]["values"] == [1, 262143, 524285]
+
+    def test_tree_at_radius_two_past_the_walk_limit(self, capsys):
+        # five 2-steps reach the depth-10 window; the radius-10 ball passes the limit
+        code, out, err = run(["growth", "--space", "branch_tree", "--delta", "2",
+                              "--window", "5"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "budget exceeded: walk around () holds more than 4194304 points\n"
 
 
 class TestOrbitsCommand:

@@ -218,6 +218,18 @@ class TestCoveringBound:
         for point in out["points"]:
             assert point.count <= out["covering_bound"]["bounds"][point.n]
 
+    @pytest.mark.parametrize("tag, others", [
+        ("int_line", [-7]), ("log_line", [12]), ("regular_tree", [(2, 1)]),
+        ("branch_tree", [(1, 0, 3)]), ("tree_line", [("tree", 2, (1,)), ("line", 15)])])
+    def test_ball_size_is_the_step_ball(self, tag, others):
+        sp = make_example(tag)
+        for x in [sp.basepoint] + others:
+            for delta in (1, Fraction(3, 2), 2):
+                for k in (1, 2, 3):
+                    out = covering_bound(sp, x, delta, (k + 1) * delta, [k])
+                    assert out["k"] == k
+                    assert out["ball_size"] == len(step_ball(sp, x, k, delta)), (x, delta, k)
+
     def test_rate_series_rejects_bad_mode(self):
         sp = IntLine(max_abs=10)
         with pytest.raises(InvalidInputError):
@@ -458,6 +470,19 @@ class TestGrowth:
                     next(step_shells(space, (0,), 5, delta))
                 with pytest.raises(BudgetExceededError):
                     growth_series(space, delta=delta, l_max=6)
+
+    def test_a_base_fails_before_a_later_base_is_refused(self):
+        # the root's own mass fails at level 0, before the deep base's walk,
+        # which would leave the window, is asked for
+        def mass_fn(v):
+            return Fraction(-1) if v == () else Fraction(1)
+
+        for key in (None, len):
+            sp = MeasuredSpace(BranchTree(max_depth=4), mass_fn, mass_key=key)
+            with pytest.raises(InvalidInputError, match=r"^negative mass at \(\)$"):
+                growth_series(sp, delta=1, l_max=4, window=[(0, 2, 1)])
+            with pytest.raises(BudgetExceededError, match="around depth-3 vertex"):
+                growth_series(sp, delta=1, l_max=4, window=[(0, 2, 1)], measured=False)
 
     def test_window_budget_error_matches_per_level_rebuild(self):
         class WindowedLine(IntLine):

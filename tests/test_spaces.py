@@ -14,6 +14,7 @@ from coarseentropy import (
     BranchTree,
     BudgetExceededError,
     CATALOG_TAGS,
+    CoarseEntropyError,
     CoarseUnion,
     FiniteMetricSpace,
     Graph,
@@ -536,7 +537,8 @@ def test_measured_space_forwards_every_overridden_method():
               if callable(attr) and not name.startswith("_")]
     overridden = {name for sub in package_subclasses(spaces_base.MetricSpace)
                   if sub is not MeasuredSpace for name in public if name in vars(sub)}
-    assert {"distance", "neighbors", "check_point", "distance_table", "walk_shells"} <= overridden
+    assert {"distance", "neighbors", "check_point", "distance_table", "walk_shells",
+            "shell_counts"} <= overridden
     measured = branch_tree_measured(max_depth=4)
     missing = {name for name in overridden
                if name not in vars(MeasuredSpace) and name not in vars(measured)}
@@ -620,6 +622,20 @@ class TestMassKey:
         assert calls == [(1,), (0, 2), ()]
         assert ms.weigh([(1, 0, 3), (0, 2)]) == Fraction(2, 3) + Fraction(8, 24)
         assert calls == [(1,), (0, 2), (), (1, 0, 3)]
+        # shell masses counted by depth compute each new depth at its first
+        # vertex in the walk's order, as weighing the walked shells does
+        calls.clear()
+        ms = MeasuredSpace(BranchTree(max_depth=6), mass_fn, mass_key=len)
+        assert list(ms.shell_masses((1, 0), 3, 1)) == [
+            Fraction(2, 3), 1 + 4 * Fraction(1, 3), 1 + 2 * Fraction(2, 3) + 20 * Fraction(2, 15),
+            1 + 8 * Fraction(1, 3) + 120 * Fraction(2, 45)]
+        assert calls == [(1, 0), (1,), (1, 0, 0), (), (1, 0, 0, 0), (1, 0, 0, 0, 0)]
+        walked = []
+        ms = MeasuredSpace(BranchTree(max_depth=6), lambda v: walked.append(v) or depth_mass(v),
+                           mass_key=len)
+        for shell in ms.walk_shells((1, 0), 3, 1):
+            ms.weigh(shell)
+        assert walked == calls
 
 
 # ---------------------------------------------------------------------------
@@ -1171,6 +1187,160 @@ class TestWalkStep:
         assert [len(s) for s in shells] == [1, 2, 6, 24, 120, 720]
         assert error == "walk around () holds more than 1000 points"
         assert peak < shell_6
+
+
+# ---------------------------------------------------------------------------
+# shell counts
+
+
+SHELL_DELTAS = [Fraction(1, 2), 1, 1.0, Fraction(3, 2), Fraction(199, 100), 2, 3,
+                math.inf, -math.inf]
+SHELL_DELTA_IDS = ["1/2", "1", "1.0", "3/2", "199/100", "2", "3", "inf", "-inf"]
+WALK_LIMITS = [spaces_base._WALK_POINTS, 3, 10, 50]
+
+
+def up_to_depth(tree, depth, deep):
+    """The vertices of a tree down to ``depth``, then the ``deep`` ones."""
+    return [v for v in window_vertices(tree) if len(v) <= depth] + deep
+
+
+def shell_spaces():
+    """(label, space, bases, steps, keys): every catalog space in a small
+    window, with bases that reach its edges and the keys to count by."""
+    edges = [-20, -16, -13, -1, 0, 4, 16, 17, 20]
+    trees = {"regular_tree": RegularTree(degree=3, max_depth=4),
+             "branch_tree": BranchTree(max_depth=4)}
+    union = make_example("coarse_union", {"parts": [{"path": 3}, {"cycle": 4}]})
+    tree_line = TreeLine(max_tree=3, schedule="2^n")
+    return [
+        ("ultrametric_product", UltrametricProduct(max_index=4),
+         [(0, 0, 0, 0), (1, 0, 3, 0), (1, 2, 3, 4)], 3, [None, sum]),
+        ("log_line", LogLine(max_abs=20), edges, 5, [None, abs]),
+        ("int_line", IntLine(max_abs=20), edges, 5, [None, abs]),
+        *((tag, tree, up_to_depth(tree, 2, [(0, 1, 1), (2, 0, 1, 0), (1, 2, 3, 4)]), 9,
+           [None, len, sum]) for tag, tree in trees.items()),
+        ("tree_line", tree_line,
+         [("line", 0), ("line", 4), ("tree", 2, (1, 0)), ("line", tree_line.max_line)], 4,
+         [None, lambda p: p[0]]),
+        ("prime_cycle", PrimeCycle(max_line=20), [("line", 0), ("line", 9), ("cyc", 3, 1, 2)], 3,
+         [None, lambda p: p[0]]),
+        ("coarse_union", union, list(union.points), 3, [None, lambda p: p[1]]),
+    ]
+
+
+SHELL_SPACES = shell_spaces()
+
+
+def outcome(make):
+    """What a lazy walk gives: ``("call", error)`` when making it fails, else
+    the values it yields and the error that ended it (None when it ran to
+    its end), an error as its type and message."""
+    try:
+        values = make()
+    except CoarseEntropyError as err:
+        return "call", (type(err), str(err))
+    out = []
+    try:
+        for value in values:
+            out.append(value)
+    except CoarseEntropyError as err:
+        return out, (type(err), str(err))
+    return out, None
+
+
+def by_key(shell, key):
+    """``{key: (first point, count)}`` of a shell, keys in order of their
+    first point, counted one point at a time."""
+    out = {}
+    for p in shell:
+        first, count = out.get(key(p), (p, 0))
+        out[key(p)] = (first, count + 1)
+    return out
+
+
+def recording(space, mass_fn, mass_key=None):
+    """A measured space whose ``mass_fn`` calls are listed in ``.calls``."""
+    calls = []
+    measured = MeasuredSpace(space, lambda x: calls.append(x) or mass_fn(x), mass_key=mass_key)
+    measured.calls = calls
+    return measured
+
+
+def line_mass(x):
+    return Fraction(-1) if abs(x) == 9 else Fraction(1, 1 + abs(x))
+
+
+MEASURED_SPACES = {
+    # label -> (fresh space with recorded mass calls, bases, steps)
+    "branch_tree_measured": (lambda: recording(BranchTree(max_depth=4), depth_mass, len),
+                             up_to_depth(BranchTree(max_depth=4), 2, [(1, 2, 3), (2, 0, 1, 0)]),
+                             9),
+    "keyless": (lambda: recording(BranchTree(max_depth=4), depth_mass),
+                [(), (1,), (0, 2), (1, 2, 3)], 9),
+    "abs_keyed": (lambda: recording(IntLine(max_abs=20), line_mass, abs), [-20, -4, 0, 5, 17], 5),
+    "keyless_line": (lambda: recording(IntLine(max_abs=20), line_mass), [-4, 0, 5, 20], 5),
+}
+
+
+class TestShellCounts:
+    """``shell_counts`` counts the shells of ``walk_shells``, and a measured
+    space's ``shell_masses`` weighs them as ``weigh`` does, with the same
+    errors at the same advance."""
+
+    @pytest.mark.parametrize("label, sp, bases, steps, keys", SHELL_SPACES,
+                             ids=[s[0] for s in SHELL_SPACES])
+    @pytest.mark.parametrize("delta", SHELL_DELTAS, ids=SHELL_DELTA_IDS)
+    def test_counts_are_the_walked_shells_counted(self, label, sp, bases, steps, keys, delta,
+                                                  monkeypatch):
+        for limit in WALK_LIMITS:
+            monkeypatch.setattr(spaces_base, "_WALK_POINTS", limit)
+            for x in bases:
+                for n in range(steps + 1):
+                    for key in keys:
+                        count = len if key is None else (lambda shell: by_key(shell, key))
+                        want = outcome(lambda: map(count, sp.walk_shells(x, n, delta)))
+                        got = outcome(lambda: sp.shell_counts(x, n, delta, key))
+                        assert got == want, (limit, x, n, key)
+
+    @pytest.mark.parametrize("label", list(MEASURED_SPACES))
+    @pytest.mark.parametrize("delta", SHELL_DELTAS, ids=SHELL_DELTA_IDS)
+    def test_masses_are_the_walked_shells_weighed(self, label, delta, monkeypatch):
+        make, bases, steps = MEASURED_SPACES[label]
+        for limit in WALK_LIMITS:
+            monkeypatch.setattr(spaces_base, "_WALK_POINTS", limit)
+            # one space per side, so each memo of masses by key fills in step
+            walked, counted = make(), make()
+            for x in bases:
+                for n in range(steps + 1):
+                    want = outcome(lambda: map(walked.weigh, walked.walk_shells(x, n, delta)))
+                    got = outcome(lambda: counted.shell_masses(x, n, delta))
+                    assert got == want, (limit, x, n)
+                    assert counted.calls == walked.calls, (limit, x, n)
+                    key = counted._mass_key
+                    count = len if key is None else (lambda shell: by_key(shell, key))
+                    assert outcome(lambda: counted.shell_counts(x, n, delta, key)) == outcome(
+                        lambda: map(count, walked.walk_shells(x, n, delta)))
+
+    @pytest.mark.parametrize("make, x, n, delta, key", [
+        (lambda: BranchTree(max_depth=6), (1, 0), 4, 1, None),
+        (lambda: BranchTree(max_depth=6), (1, 0), 4, 1, len),
+        (lambda: BranchTree(max_depth=6), (1, 0), 2, 2, None),
+        (lambda: RegularTree(degree=4, max_depth=9), (3, 1, 0), 2, 3, None),
+        (lambda: LogLine(max_abs=2000), 5, 3, 8, None),
+        (lambda: IntLine(max_abs=50), -3, 6, Fraction(9, 2), None),
+    ], ids=["branch_tree", "branch_tree-len", "branch_tree-2", "regular_tree-3", "log_line",
+            "int_line"])
+    def test_closed_forms_walk_nothing(self, make, x, n, delta, key, monkeypatch):
+        count = len if key is None else (lambda shell: by_key(shell, key))
+        want = [count(shell) for shell in make().walk_shells(x, n, delta)]
+        sp = make()
+
+        def fail(*args):
+            raise AssertionError("a shell was walked")
+
+        for hook in ("neighbors", "walk_shells"):
+            monkeypatch.setattr(sp, hook, fail)
+        assert list(sp.shell_counts(x, n, delta, key)) == want
 
 
 class TestWalkBudget:

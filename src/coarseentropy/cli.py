@@ -74,6 +74,7 @@ def _add_space_flags(p: argparse.ArgumentParser, prefix: str = "") -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for every command; ``main`` builds one and keeps it."""
     parser = _Parser(prog="coarseentropy",
                      description=__doc__.split("\n\nCommands")[0],
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -390,10 +391,17 @@ _COMMANDS = {
 }
 
 
+# main's parser, built at its first call: importing the module builds none
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command; in-process callers share one parser per process."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError("a command is required; see --help")
         kind, payload, code = _COMMANDS[args.command](args)

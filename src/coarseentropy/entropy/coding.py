@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import InvalidInputError
 from ..extremal import greedy_net, nearest_net
 from ..numbers import Dist, dist_to_jsonable
-from ..paths import enumerate_orbits
+from ..paths import enumerate_orbits, point_table
 from ..spaces.base import MetricSpace, PointRef, ball
 
 __all__ = ["CodingScheme", "build_coding", "code_paths", "coding_injectivity_check"]
@@ -97,22 +99,34 @@ def build_coding(space: MetricSpace, x0: PointRef, n: int, delta: Dist, R: Dist)
 
 
 def code_paths(scheme: CodingScheme, paths: Sequence) -> Dict[Tuple[int, ...], List[int]]:
-    """Group path indices by code word."""
-    groups: Dict[Tuple[int, ...], List[int]] = {}
-    for i, path in enumerate(paths):
-        pts = path.points if hasattr(path, "points") else tuple(path)
-        groups.setdefault(scheme.code(pts), []).append(i)
-    return groups
+    """Group path indices by code word, words in order of first appearance.
 
-
-def _fiber_diameter(space: MetricSpace, rows: Sequence[Tuple[PointRef, ...]]) -> Dist:
-    """Max pairwise orbit distance within a fiber, via position sets.
-
-    The orbit distance maximizes over positions independently for each
-    pair, so the fiber-wide maximum equals the largest diameter of the set
-    of points occurring at any single position.
+    The paths are read as ``point_table(paths)``, so a PathFamily's id
+    matrix is read as it stands and no DeltaPath is built.  Each sampled
+    point's cell is looked up once and the codes are the rows of
+    ``cell[ids[:, sample_times]]``.  A family of the wrong length raises
+    ``path has k steps, coding expects n`` and a sampled point outside the
+    window raises the KeyError of ``scheme.code``; a family of unequal
+    lengths raises point_table's error.
     """
-    return max(space.distance_table(dict.fromkeys(column)).max() for column in zip(*rows))
+    if not len(paths):
+        return {}
+    support, ids = point_table(paths)
+    if ids.shape[1] != scheme.n + 1:
+        raise InvalidInputError(
+            f"path has {ids.shape[1] - 1} steps, coding expects {scheme.n}")
+    sampled = ids[:, scheme.sample_times()]
+    # cells in order of first appearance, so the first point outside the
+    # window is the one scheme.code would meet first
+    used, first = np.unique(sampled, return_index=True)
+    used = used[np.argsort(first)].tolist()
+    cell = np.zeros(len(support), dtype=np.int64)
+    cell[used] = [scheme.cells[support[i]] for i in used]
+    words, first, inverse = np.unique(cell[sampled], axis=0, return_index=True,
+                                      return_inverse=True)
+    inverse = inverse.ravel()  # numpy 2.x may keep the axis as a second dimension
+    members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    return {tuple(words[g].tolist()): members[g].tolist() for g in np.argsort(first).tolist()}
 
 
 def coding_injectivity_check(space: MetricSpace, x0: PointRef, n: int, delta: Dist,
@@ -120,26 +134,31 @@ def coding_injectivity_check(space: MetricSpace, x0: PointRef, n: int, delta: Di
     """Enumerate all n-step paths, code them, and verify the coding
     separates R-separated paths: every fiber's diameter stays below R.
 
+    A fiber is a set of rows of the family's id matrix.  The orbit distance
+    maximizes over positions independently for each pair, so a fiber's
+    diameter is the largest diameter of the set of points occurring at any
+    single position: the maximum of one ``space.distance_table`` per
+    position, over that position's distinct points.
+
     Returns the scheme summary, the number of realized codes (an upper
     bound for the separated count), and the worst fiber diameter.
     """
     scheme = build_coding(space, x0, n, delta, R)
     orbits = enumerate_orbits(space, x0, n, delta)
+    support, ids = point_table(orbits.paths)
     groups = code_paths(scheme, orbits.paths)
     worst: Dist = 0
-    biggest = 0
-    for code, members in groups.items():
-        rows = [orbits.paths[i].points for i in members]
-        diam = _fiber_diameter(space, rows)
-        if diam > worst:
-            worst = diam
-        biggest = max(biggest, len(members))
+    for members in groups.values():
+        for column in ids[members].T:
+            diam = space.distance_table([support[i] for i in np.unique(column).tolist()]).max()
+            if diam > worst:
+                worst = diam
     separated_ok = space.lt(worst, R)
     return {
         "scheme": scheme.to_jsonable(),
         "paths": len(orbits.paths),
         "codes": len(groups),
-        "largest_fiber": biggest,
+        "largest_fiber": max(map(len, groups.values())),
         "max_fiber_diameter": dist_to_jsonable(worst),
         "fibers_below_R": bool(separated_ok),
     }

@@ -29,7 +29,7 @@ from ..numbers import INF, Dist, is_finite
 from ..paths import DeltaPath
 from . import base as _base
 from .base import (Graph, MeasuredSpace, MetricSpace, block_table, build_graph, check_scale,
-                   hop_shells, walk_limit_error)
+                   count_by_key, hop_shells, walk_limit_error)
 
 __all__ = [
     "UltrametricProduct",
@@ -403,14 +403,21 @@ class _RootedTree(MetricSpace):
 
     def shell_counts(self, x, n, delta, key=None):
         # by depth only at unit steps, where each depth of a shell is one
-        # distance from x; a depth of a wider shell comes from several
+        # distance from x; a depth of a wider shell comes from several, and
+        # another key needs the points, so those shells are walked.  The
+        # bands advance first, so the walk-limit error rises before the walk
+        # builds the shell that passes the limit
         r = self._walk_radius(x, n, delta)
-        if r is None or r < 1 or not (key is None or key is len and r == 1):
+        if r is None or r < 1:
             return super().shell_counts(x, n, delta, key)
         shells = self._bands(x, n, delta, r)
         if key is None:
             return (sum(count for _, count, _ in groups) for groups in shells)
-        return ({depth: (first, count) for depth, count, first in groups} for groups in shells)
+        if key is len and r == 1:
+            return ({depth: (first, count) for depth, count, first in groups}
+                    for groups in shells)
+        return (count_by_key(shell, key)
+                for _, shell in zip(shells, self.walk_shells(x, n, delta)))
 
     def _below(self, depth: int, m: int) -> int:
         """Vertices m levels below a depth-``depth`` vertex."""
@@ -877,6 +884,12 @@ class PrimeCycle(MetricSpace):
         if delta < 1:
             return []
         radius = _floor_int(delta)  # all edge weights are integers
+        # the search raises when it expands the last line point, which it
+        # does exactly when that point is nearer than the radius: say so
+        # before walking the whole window to get there
+        if self.distance(x, ("line", self.max_line)) < radius:
+            raise BudgetExceededError(
+                f"line window 0..{self.max_line} exceeded at {self.max_line}")
         dist = {x: 0}
         heap = [(0, x)]
         while heap:

@@ -6,6 +6,7 @@ exit status.  Numeric expectations are cross-checked against the library
 calls the commands wrap; the library itself is oracle-tested elsewhere.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -19,6 +20,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from coarseentropy import cli
 from coarseentropy.entropy.counts import rate_series
@@ -27,6 +30,7 @@ from coarseentropy.paths import enumerate_orbits
 from coarseentropy.serialize import orbits_from_json_lines
 from coarseentropy.spaces import base as spaces_base
 from coarseentropy.spaces import BranchTree, LogLine, make_example
+from coarseentropy.spaces.catalog import CATALOG_TAGS
 
 SMALL_TREE_LINE = '{"max_tree": 4, "schedule": "2^n"}'
 DATA = Path(__file__).resolve().parent / "data"
@@ -130,7 +134,8 @@ class TestGrowthCommand:
 
 class TestCountedGrowth:
     """Growth series that read shell counts in closed form: each answers, or
-    fails as its walk would, without a single ``neighbors`` call."""
+    fails as its walk would, without a single ``neighbors`` call unless it
+    says which shells it walks."""
 
     @pytest.fixture(autouse=True)
     def no_neighbors(self, monkeypatch):
@@ -167,6 +172,20 @@ class TestCountedGrowth:
                               "--window", "5"], capsys)
         assert (code, out) == (1, "")
         assert err == "budget exceeded: walk around () holds more than 4194304 points\n"
+
+    def test_measured_tree_at_radius_two_walks_no_shell_past_the_limit(self, capsys,
+                                                                       monkeypatch):
+        # depths of a radius-2 shell come from two distances, so the measured
+        # series walks shells 0-4 (409,113 points); the closed-form sizes
+        # refuse shell 5 before the walk builds it up to the limit
+        monkeypatch.delattr(BranchTree, "neighbors")
+        start = time.perf_counter()
+        code, out, err = run(["growth", "--space", "branch_tree", "--params",
+                              '{"measured":true}', "--delta", "2", "--window", "5"], capsys)
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (1, "")
+        assert err == "budget exceeded: walk around () holds more than 4194304 points\n"
+        assert elapsed < 3, elapsed
 
 
 class TestOrbitsCommand:
@@ -674,3 +693,109 @@ class TestOutputPlumbing:
         code, _, err = run(["frobnicate"], capsys)
         assert code == 1
         assert err.startswith("config error:")
+
+
+class TestSharedParser:
+    def test_build_parser_returns_a_new_parser_each_call(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_main_keeps_the_parser_it_built(self, capsys):
+        run(["growth", "--space", "int_line", "--window", "1"], capsys)
+        shared = cli._parser
+        run(["growth", "--bogus"], capsys)
+        run(["classify", "--space", "int_line", "--window", "4"], capsys)
+        assert cli._parser is shared is not None
+
+    def test_import_builds_no_parser_and_main_builds_one(self):
+        # a fresh interpreter counts every ArgumentParser made from the import on
+        script = (
+            "import argparse, sys\n"
+            "made = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    made.append(self)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "from coarseentropy import cli\n"
+            "print(len(made), cli._parser is None)\n"
+            "for argv in ([], ['growth', '--space', 'int_line', '--window', '1'], ['x']):\n"
+            "    cli.main(argv)\n"
+            "print(len(made), len(made) == len(cli._parser._subparsers._group_actions[0].choices) + 1)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=30, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "0 True"
+        assert proc.stdout.splitlines()[-1] == "9 True"
+
+
+# every mapped error prefix of cli.main; anything else is a traceback
+MAPPED = ("config error: ", "budget exceeded: ", "unknown point: ", "map check failed: ",
+          "error: ", "io error: ")
+# 1e-12 and 1e300 also spelled as exact decimals, which parse_dist accepts
+SCALES = ("0", "1e-12", "0.000000000001", "3/2", "1e300", "1" + "0" * 300, "inf", "-inf")
+COMMANDS = ("growth", "orbits", "rates", "witness", "classify", "qgcheck", "bgcheck",
+            "obstruct")
+
+
+def flag(name, value, joined):
+    """``--name=value``, or ``--name value``: argparse reads a value such as
+    -inf in the second form as the next option, which is a usage error."""
+    return [f"--{name}={value}"] if joined else [f"--{name}", value]
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command, "--space", draw(st.sampled_from(CATALOG_TAGS))]
+    scale = st.sampled_from(SCALES)
+    joined = st.booleans()
+    argv += flag("delta", draw(scale), draw(joined))
+    if command in ("rates", "witness", "bgcheck"):
+        argv += flag("radius", draw(scale), draw(joined))
+    if command in ("orbits", "rates"):
+        argv += ["--n", str(draw(st.integers(0, 3)))]
+    if command in ("growth", "classify", "bgcheck", "obstruct"):
+        argv += ["--window", str(draw(st.integers(0, 4)))]
+    if command == "witness":
+        argv += ["--p", str(draw(st.integers(0, 2)))]
+    if command == "obstruct":
+        argv += ["--target-space", draw(st.sampled_from(CATALOG_TAGS))]
+    if draw(st.booleans()):
+        argv.append("--strict")
+    return argv
+
+
+class TestFuzz:
+    """Every command on every catalog space at extreme scales, all in this
+    one process, so the shared parser also serves each argv after errors."""
+
+    def test_every_argv_ends_in_a_report_or_a_mapped_error(self):
+        seen = []
+
+        @seed(20)
+        @settings(max_examples=400, deadline=None, database=None)
+        @given(argv=cli_argv())
+        def case(argv):
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            elapsed = time.perf_counter() - start
+            assert code in (0, 1, 2), code
+            assert elapsed < 1, (argv, elapsed)
+            if code == 1:
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith(MAPPED), err.getvalue()
+            else:
+                assert err.getvalue() == ""
+                assert json.loads(out.getvalue())["schema"] == "v1"
+            seen.append((argv[0], argv[2], code))
+
+        case()
+        assert {c for c, _, _ in seen} == set(COMMANDS)
+        assert {t for _, t, _ in seen} == set(CATALOG_TAGS)
+        assert {code for _, _, code in seen} == {0, 1, 2}

@@ -10,6 +10,7 @@ import pytest
 from coarseentropy import (
     CATALOG_TAGS,
     BranchTree,
+    DeltaPath,
     BudgetExceededError,
     GrowthSeries,
     IntLine,
@@ -42,6 +43,7 @@ from coarseentropy import (
 )
 
 from coarseentropy.entropy import counts
+from coarseentropy.numbers import dist_to_jsonable
 from coarseentropy.spaces.base import hop_shells
 from conftest import brute_max_separated, brute_min_dense
 
@@ -321,6 +323,88 @@ class TestCoding:
         rep = coding_injectivity_check(sp, ("line", 0), 2, 2, 17)
         assert rep["fibers_below_R"] is True
         assert rep["codes"] <= rep["paths"]
+
+
+def coding_by_delta_paths(space, x0, n, delta, R):
+    """``(groups, largest fibre, worst fibre diameter)`` recomputed from
+    definitions: one DeltaPath per path, coded by ``scheme.code``, and the
+    orbit distance of every pair within each fibre."""
+    scheme = build_coding(space, x0, n, delta, R)
+    family = enumerate_orbits(space, x0, n, delta).paths
+    paths = [DeltaPath(tuple(family.support[i] for i in row), delta)
+             for row in family.ids.tolist()]
+    groups = {}
+    for i, path in enumerate(paths):
+        groups.setdefault(scheme.code(path.points), []).append(i)
+    worst = 0
+    for members in groups.values():
+        for i, j in itertools.combinations(members, 2):
+            d = orbit_distance(paths[i], paths[j], space)
+            if d > worst:
+                worst = d
+    return groups, max(map(len, groups.values())), worst
+
+
+# a 20-cycle with Fraction weights in (1/2, 1]
+WEIGHTED_CYCLE = [(v, (v + 1) % 20, Fraction(51 + 37 * v % 50, 100)) for v in range(20)]
+
+CODING_CASES = [
+    ("prime_cycle", lambda: PrimeCycle(max_line=64), ("line", 0),
+     [(2, 2, 17), (3, 2, 17), (3, 1, 8), (2, 3, 13), (2, 1, 4)]),
+    ("int_line", lambda: IntLine(max_abs=100), 0,
+     [(4, 1, 8), (3, 1, 4), (3, 2, 9), (2, Fraction(1, 2), Fraction(9, 4))]),
+    ("tree_line", lambda: make_example("tree_line", {"max_tree": 4, "schedule": "2^n"}),
+     None, [(3, 1, 4), (2, 1, 9), (3, 2, 8)]),
+    # at delta 1/2 no edge is short enough: one path, one fibre
+    ("fraction_cycle", lambda: build_weighted_graph(WEIGHTED_CYCLE), 0,
+     [(3, 1, 4), (4, 1, Fraction(9, 2)), (2, Fraction(3, 2), 6), (3, Fraction(1, 2), 2)]),
+]
+
+
+class TestCodingFromTheIdMatrix:
+    """code_paths and coding_injectivity_check read the family's id matrix;
+    they must agree with a recomputation over DeltaPaths and pair distances."""
+
+    @pytest.mark.parametrize("name, make, x0, scales", CODING_CASES,
+                             ids=[case[0] for case in CODING_CASES])
+    def test_matches_delta_path_recomputation(self, name, make, x0, scales):
+        space = make()
+        x0 = space.basepoint if x0 is None else x0
+        sizes = set()
+        for n, delta, R in scales:
+            groups, largest, worst = coding_by_delta_paths(space, x0, n, delta, R)
+            scheme = build_coding(space, x0, n, delta, R)
+            got = code_paths(scheme, enumerate_orbits(space, x0, n, delta).paths)
+            assert list(got.items()) == list(groups.items()), (n, delta, R)
+            assert all(type(c) is int for word in got for c in word)
+            rep = coding_injectivity_check(space, x0, n, delta, R)
+            assert (rep["paths"], rep["codes"], rep["largest_fiber"]) == \
+                (sum(map(len, groups.values())), len(groups), largest)
+            expect = dist_to_jsonable(worst)
+            assert (rep["max_fiber_diameter"], type(rep["max_fiber_diameter"])) == \
+                (expect, type(expect)), (n, delta, R)
+            assert rep["fibers_below_R"] is bool(space.lt(worst, R))
+            sizes.update(map(len, groups.values()))
+        assert 1 in sizes and max(sizes) > 1
+
+    def test_wrong_length_and_unknown_points_raise_as_code_does(self):
+        space = IntLine(max_abs=100)
+        scheme = build_coding(space, 0, 3, 1, 8)
+        for paths in ([(0, 1)], enumerate_orbits(space, 0, 2, 1).paths,
+                      enumerate_orbits(space, 0, 4, 1).paths):
+            with pytest.raises(InvalidInputError) as expected:
+                scheme.code(tuple(paths[0]))
+            with pytest.raises(InvalidInputError) as got:
+                code_paths(scheme, paths)
+            assert str(got.value) == str(expected.value)
+        # 9 and 12 lie outside the window of radius 3 + 2r = 7.  Codes sample
+        # times 0 and 2, so the 9 of the first path goes unread, and the 12
+        # is met before the sampled 9
+        far = [(0, 9, 1, 1), (0, 1, 12, 1), (0, 1, 9, 1)]
+        with pytest.raises(KeyError) as got:
+            code_paths(scheme, far)
+        assert got.value.args == (12,)
+        assert code_paths(scheme, []) == {}
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,14 @@ prints exactly the bytes committed under ``tests/golden/``.
 A refactor proves itself byte-identical against this corpus.  After a
 deliberate report change, regenerate it with
 ``PYTHONPATH=src python tests/test_golden.py`` and review every file that
-moved.
+moved.  ``python tests/test_golden.py --fresh`` instead runs each case as
+its own ``python -m coarseentropy.cli`` process and exits 1 if any prints
+other bytes than its golden file.
 """
 
 import io
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -106,15 +110,71 @@ def test_report_matches_golden(name, tmp_path):
         assert paths_text == read(paths_golden(name))
 
 
+# argv that fail between the goldens: an unknown flag, bad --params JSON, --p 0
+FAILING = {
+    ("growth", "--space", "int_line", "--bogus"):
+        "config error: unrecognized arguments: --bogus\n",
+    ("classify", "--space", "int_line", "--params", "{not json"):
+        "config error: --params is not valid JSON: Expecting property name enclosed in "
+        "double quotes: line 1 column 2 (char 1)\n",
+    ("witness", "--space", "tree_line", "--p", "0"): "config error: --p must be >= 1\n",
+}
+
+
+def test_goldens_repeat_in_one_process_after_failures(tmp_path):
+    # main keeps one parser per process: neither a failed argv nor an
+    # earlier report may change what a later argv prints
+    for _ in range(2):
+        for name, argv in sorted(CASES.items()):
+            for bad, message in FAILING.items():
+                assert run_case(list(bad), tmp_path) == (1, "", message, None)
+            code, out, err, paths_text = run_case(argv, tmp_path)
+            assert (code, err) == (0, "")
+            assert out == read(GOLDEN / name), name
+            if PATHS_OUT in argv:
+                assert paths_text == read(paths_golden(name))
+
+
 def test_every_golden_file_has_a_case():
     expected = set(CASES) | {paths_golden(n).name for n, argv in CASES.items()
                              if PATHS_OUT in argv}
     assert {p.name for p in GOLDEN.iterdir()} == expected
 
 
+def fresh_mismatches(name: str, argv, workdir: Path):
+    """What a separate ``python -m coarseentropy.cli`` process running the
+    case gets wrong against its golden bytes: a list of messages."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coarseentropy.cli",
+         *(str(workdir / a) if a == PATHS_OUT else a for a in argv)],
+        capture_output=True, env=env, timeout=120)
+    wrong = []
+    if proc.returncode != 0 or proc.stderr:
+        wrong.append(f"exit {proc.returncode}: {proc.stderr.decode(errors='replace')}")
+    if proc.stdout != (GOLDEN / name).read_bytes():
+        wrong.append("stdout differs from its golden file")
+    if PATHS_OUT in argv and (workdir / PATHS_OUT).read_bytes() != \
+            paths_golden(name).read_bytes():
+        wrong.append("--paths-out differs from its golden file")
+    return wrong
+
+
 if __name__ == "__main__":
     import tempfile
 
+    if sys.argv[1:] not in ([], ["--fresh"]):
+        sys.exit("usage: python tests/test_golden.py [--fresh]")
+    if sys.argv[1:] == ["--fresh"]:
+        failed = 0
+        for name, argv in sorted(CASES.items()):
+            with tempfile.TemporaryDirectory() as tmp:
+                wrong = fresh_mismatches(name, argv, Path(tmp))
+            failed += bool(wrong)
+            print(name, "; ".join(wrong) or "ok")
+        sys.exit(1 if failed else 0)
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:

@@ -750,6 +750,23 @@ class TestPrimeCycle:
         with pytest.raises(BudgetExceededError):
             sp.neighbors(("line", 8), 1)
 
+    def test_ball_that_expands_the_last_line_point_is_refused(self):
+        # the search expands every point nearer than the radius, and the last
+        # line point has no successor in the window: the ball is refused
+        # exactly when that point is nearer than floor(delta)
+        sp = PrimeCycle(max_line=16)
+        pts, adj = prime_cycle_graph(16)
+        for x in pts:
+            dist = dijkstra_oracle(adj, x)
+            for delta in (1, Fraction(5, 2), 4, 9, 17, 20, 10 ** 300):
+                if dist[("line", 16)] < int(delta):
+                    with pytest.raises(BudgetExceededError) as exc:
+                        sp.neighbors(x, delta)
+                    assert str(exc.value) == "line window 0..16 exceeded at 16"
+                else:
+                    assert sp.neighbors(x, delta) == sorted(
+                        y for y, d in dist.items() if 0 < d <= delta), (x, delta)
+
 
 # ---------------------------------------------------------------------------
 # coarse union

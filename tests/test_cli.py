@@ -48,12 +48,17 @@ def run_json(argv, capsys):
     return code, json.loads(out)
 
 
+def package_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_in_process(argv):
     """Run the CLI in a separate process, cut off after 10 s and held
     under 2 GB of address space."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = package_env()
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -709,7 +714,7 @@ class TestSharedParser:
     def test_import_builds_no_parser_and_main_builds_one(self):
         # a fresh interpreter counts every ArgumentParser made from the import on
         script = (
-            "import argparse, sys\n"
+            "import argparse\n"
             "made = []\n"
             "init = argparse.ArgumentParser.__init__\n"
             "def counting(self, *a, **k):\n"
@@ -722,11 +727,8 @@ class TestSharedParser:
             "    cli.main(argv)\n"
             "print(len(made), len(made) == len(cli._parser._subparsers._group_actions[0].choices) + 1)\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=30, env=env)
+                              timeout=30, env=package_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == "0 True"
         assert proc.stdout.splitlines()[-1] == "9 True"

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import ne
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -242,24 +244,44 @@ def catalog_pingpong(space: MetricSpace, delta: Dist, R: Dist, p: int) -> Witnes
     return build_witness(space, base, arms, p, R)
 
 
+def _shared_prefix(u: Sequence, v: Sequence) -> int:
+    """Number of leading points u and v share."""
+    return next(compress(count(), map(ne, u, v)), min(len(u), len(v)))
+
+
 def spot_check_members(family: WitnessFamily, indices: Sequence[int]) -> dict:
     """Materialize selected members, re-validate them as delta-paths, and
-    recompute their pairwise orbit distances exactly (no profile shortcut)."""
-    paths = {}
+    recompute their pairwise orbit distances exactly (no profile shortcut).
+
+    Members are checked in the order given, and each is validated from the
+    last point it shares with a member already validated: with k shared
+    points, ``validate_path(points[k-1:])``, and the whole path when k = 0.
+    Each pair's orbit distance is taken over the positions after its shared
+    prefix.  A shared step joins the same two points as one just measured,
+    and aligned equal points are 0 apart, so neither can change a result or
+    a message; a family's members all share its base, which is measured
+    once instead of once per member and pair.
+    """
+    points, shared = {}, {}
     for i in indices:
         path = family.path_at(i)
-        if not validate_path(path.points, family.delta, family.space):
+        k = 0
+        for j, other in points.items():
+            shared[j, i] = shared[i, j] = _shared_prefix(other, path.points)
+            k = max(k, shared[i, j])
+        if not validate_path(path.points[max(k - 1, 0):], family.delta, family.space):
             raise InvalidInputError(f"witness member {i} is not a valid delta-path")
         if path.start != family.base.start:
             raise InvalidInputError("witness member does not start at the basepoint")
         if path.length != family.n:
             raise InvalidInputError("witness member has the wrong length")
-        paths[i] = path
-    idx = sorted(paths)
+        points[i] = path.points
+    idx = sorted(points)
     min_pair: Optional[Dist] = None
     for a_i, i in enumerate(idx):
         for j in idx[a_i + 1:]:
-            d = orbit_distance(paths[i], paths[j], family.space)
+            k = shared[i, j]
+            d = orbit_distance(points[i][k:], points[j][k:], family.space)
             bound = family.pair_distance_bound(i, j)
             # base positions coincide and arm positions realize the profile,
             # so the exact distance must equal the profile value

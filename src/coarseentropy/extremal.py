@@ -317,7 +317,7 @@ def max_separated(items: MetricItems, R: Dist, exact_limit: int = 40) -> Extrema
         sel, nodes = _mis_bitset(n, conflict)
         result = ExtremalResult("separated", R, len(sel), tuple(sel), "exact", {"nodes": nodes})
     else:
-        sel, _ = _first_fit(items, R)
+        sel = [pick for pick, _, _ in _first_fit_covers(items, R)]
         result = ExtremalResult("separated", R, len(sel), tuple(sel),
                                 "exact" if len(sel) == n else "lower-bound",
                                 {"greedy_passes": len(sel)})
@@ -333,11 +333,11 @@ def _unpack_rows(words: np.ndarray) -> np.ndarray:
     return nonzero[byte] * 8 + bit
 
 
-def _first_fit(items: MetricItems, R: Dist) -> Tuple[List[int], np.ndarray]:
+def _first_fit_covers(items: MetricItems, R: Dist) -> Iterator[Tuple[int, int, np.ndarray]]:
     """First-uncovered greedy: each pick is the lowest item no earlier pick
     is strictly within R of, so the picks are a maximal R-separated set,
-    hence R-dense.  Also returns each item's lowest-index covering pick,
-    which is the first pick to cover it.
+    hence R-dense.  Yields ``(pick, w, cover)`` per pick: ``cover`` holds
+    the rows the pick covers first, packed from word ``w`` on.
 
     Rows are packed 64 to a word.  ``near(k, a)``, the rows whose column-k
     point is strictly within R of point ``a``, comes from a store of near
@@ -350,23 +350,30 @@ def _first_fit(items: MetricItems, R: Dist) -> Tuple[List[int], np.ndarray]:
     store = _NearSets(items, R)
     uncovered = np.full(store.words, np.uint64(2 ** 64 - 1))
     uncovered[-1] >>= np.uint64(-n % 64)  # no bits past the rows
-    assignment = np.full(n, -1, dtype=np.int64)
-    picks: List[int] = []
     w = 0
     for _ in range(n):  # at most one pick per row: each pick covers itself
         while w < store.words and not uncovered[w]:
             w += 1
         if w == store.words:
-            break
+            return
         word = int(uncovered[w])
         bit = (word & -word).bit_length() - 1
         pick = 64 * w + bit
-        picks.append(pick)
         cover = uncovered[w:].copy()
         for k, a in enumerate(items.vectors[pick].tolist()):
             cover &= store.near(k, a)[w:]
         cover[0] |= np.uint64(1 << bit)
         uncovered[w:] &= ~cover
+        yield pick, w, cover
+
+
+def _first_fit(items: MetricItems, R: Dist) -> Tuple[List[int], np.ndarray]:
+    """The picks of :func:`_first_fit_covers`, and each item's lowest-index
+    covering pick, which is the first pick to cover it."""
+    assignment = np.full(len(items), -1, dtype=np.int64)
+    picks: List[int] = []
+    for pick, w, cover in _first_fit_covers(items, R):
+        picks.append(pick)
         assignment[_unpack_rows(cover) + 64 * w] = pick
     return picks, assignment
 

@@ -583,6 +583,8 @@ class TreeLine(MetricSpace):
         self.max_line = max_line if max_line is not None else values[max_tree - 1] + 64
         if self.max_line < values[max_tree - 1]:
             raise InvalidInputError("max_line must cover the last attachment point")
+        # line points, then 2 + 4 + ... + 2**n tree vertices per tree n
+        self._window_size = self.max_line + 1 + 2 ** (max_tree + 2) - 4 - 2 * max_tree
         self.name = f"tree_line[{label},max_tree={max_tree}]"
         self.annotations = frozenset({"graph", "bounded-degree", "quasi-geodesic"})
         self.basepoint = ("line", 0)
@@ -649,6 +651,13 @@ class TreeLine(MetricSpace):
         r = _floor_int(delta)
         if r < 1:
             return []
+        # the walk raises when it expands the last line point, which it does
+        # exactly when that point is nearer than r.  A window that fits under
+        # _WALK_POINTS cannot meet the walk limit first: say so before walking
+        last = ("line", self.max_line)
+        if self._window_size <= _base._WALK_POINTS and self.distance(x, last) < r:
+            raise BudgetExceededError(
+                f"line window 0..{self.max_line} exceeded at {self.max_line}")
         return _hop_ball(self._adjacency, x, r)
 
     # -- witness helpers used by the entropy layer --------------------------

@@ -709,6 +709,27 @@ def test_first_fit_matches_the_first_uncovered_oracle(monkeypatch, make, radii):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("make, radii", [case[1:] for case in FIRST_FIT_CASES],
+                         ids=[case[0] for case in FIRST_FIT_CASES])
+def test_greedy_packing_takes_the_first_fit_picks_without_an_assignment(monkeypatch, make,
+                                                                        radii):
+    # the assignment is what _unpack_rows builds; a separated selection
+    # passes verify_separated without it
+    items = make()
+
+    def no_assignment(*args):
+        raise AssertionError("assignment built")
+
+    for R in radii:
+        picks, _ = first_fit_oracle(len(items), lambda i, j: items.dist(i, j) < R - items.tol)
+        monkeypatch.setattr(extremal, "_unpack_rows", no_assignment)
+        result = max_separated(items, R, exact_limit=0)
+        monkeypatch.undo()
+        assert result.selected == tuple(picks), R
+        assert result.stats == {"greedy_passes": len(picks)}
+        assert result.certificate == ("exact" if len(picks) == len(items) else "lower-bound")
+
+
 # (id, family, radii) for the other users of the near-set store: path
 # families over int, float and Fraction distances, a plain family (w = 1),
 # a one-item family, and a radius inside log_line's tolerance

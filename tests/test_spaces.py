@@ -44,6 +44,7 @@ from coarseentropy import (
 )
 
 from coarseentropy.spaces import base as spaces_base
+from coarseentropy.spaces import catalog
 
 from conftest import bfs_oracle, dijkstra_oracle
 
@@ -374,6 +375,55 @@ class TestTreeLine:
                 dist = bfs_oracle(adj, x)
                 expect = sorted(y for y, d in dist.items() if 0 < d <= r)
                 assert sp.neighbors(x, r) == expect
+
+    @pytest.mark.parametrize("limit", [None, 20])
+    def test_ball_that_expands_the_last_line_point_is_refused_as_the_walk_would(
+            self, monkeypatch, limit):
+        # the walk raises when it expands the last line point, which it does
+        # exactly when that point is nearer than floor(delta).  neighbors says
+        # so without walking while the 35-point window fits under the walk
+        # limit; under a limit of 20 the walk's own error must still come first
+        xs = {1: 2, 2: 5, 3: 9}
+        sp = TreeLine(max_tree=3, schedule=[2, 5, 9], max_line=12)
+        pts = treeline_points(xs, 12)
+        assert len(pts) == 35
+        if limit is not None:
+            monkeypatch.setattr(spaces_base, "_WALK_POINTS", limit)
+        walk, expanded = sp._adjacency, []
+        monkeypatch.setattr(sp, "_adjacency", lambda v: expanded.append(v) or walk(v))
+
+        def outcome(call):
+            try:
+                return call()
+            except BudgetExceededError as exc:
+                return str(exc)
+
+        refused = "line window 0..12 exceeded at 12"
+        seen = set()
+        for x in pts:
+            for delta in (*range(1, 15), Fraction(5, 2), 10 ** 300):
+                r = int(delta)
+                expected = outcome(lambda: catalog._hop_ball(walk, x, r))
+                expanded.clear()
+                assert outcome(lambda: sp.neighbors(x, delta)) == expected, (x, delta)
+                # the walk refuses exactly when the last line point is near,
+                # unless its limit fails it first
+                near = sp.distance(x, ("line", 12)) < r
+                if near and limit is None:
+                    assert expected == refused, (x, delta)
+                elif near:
+                    assert expected == refused or expected.startswith("walk around"), (x, delta)
+                else:
+                    assert expected != refused, (x, delta)
+                if limit is None:
+                    assert bool(expanded) != near, (x, delta)
+                seen.add((near, expected if isinstance(expected, str) else "ball"))
+        assert (False, "ball") in seen
+        if limit is None:
+            assert seen == {(False, "ball"), (True, refused)}
+        else:
+            assert (True, refused) in seen
+            assert (True, "walk around ('line', 0) holds more than 20 points") in seen
 
     def test_default_schedule_is_powers_of_four(self):
         sp = TreeLine(max_tree=5)

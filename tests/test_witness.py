@@ -3,16 +3,20 @@ and validation of malformed inputs — with the profile shortcut cross-checked
 against exact pairwise orbit distances."""
 
 import math
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import Callable
 
 import pytest
 
 from coarseentropy import (
     CapExceededError,
+    CoarseEntropyError,
     DeltaPath,
     IntLine,
     InvalidInputError,
     TreeLine,
+    UnknownPointError,
     WitnessFamily,
     build_weighted_graph,
     build_witness,
@@ -256,3 +260,176 @@ class TestCatalogPingpong:
         assert fam.base.length == 8  # ceil(16 / 2)
         assert fam.arm_length == 2  # ceil(4 / 2)
         fam.check_pairwise_separated()
+
+
+@dataclass(frozen=True)
+class TamperedFamily(WitnessFamily):
+    """A witness family whose members pass through ``tamper(index, points)``."""
+
+    tamper: Callable = None
+
+    def path_at(self, index):
+        path = super().path_at(index)
+        return DeltaPath(tuple(self.tamper(index, list(path.points))), path.delta)
+
+
+def tampered(fam, tamper):
+    return TamperedFamily(**{f.name: getattr(fam, f.name) for f in fields(fam)}, tamper=tamper)
+
+
+def detour_family():
+    """Unit steps on the integer line: an out-and-back base from 0 to 5, and
+    arms to +2 and -2, so p = 2 gives members of 19 points whose words
+    differ from position 11 on.  The spot check takes members 0, 2 and 3,
+    words (0, 0), (1, 0) and (1, 1)."""
+    sp = IntLine(max_abs=20)
+    base = DeltaPath((0, 1, 2, 3, 4, 5, 4, 3, 2, 1, 0), 1)
+    arms = [DeltaPath((0, 1, 2), 1), DeltaPath((0, -1, -2), 1)]
+    return build_witness(sp, base, arms, 2, 4)
+
+
+def at(members, position, value):
+    """Tamper that sets one position of the given members."""
+    def tamper(index, points):
+        if index in members:
+            points[position] = value(points[position])
+        return points
+    return tamper
+
+
+def reshaped(members, edit):
+    def tamper(index, points):
+        return edit(points) if index in members else points
+    return tamper
+
+
+def spot_check_oracle(fam, indices):
+    """The spot check with every member validated whole and every pair
+    measured over all its positions."""
+    paths = {}
+    for i in indices:
+        path = fam.path_at(i)
+        if not validate_path(path.points, fam.delta, fam.space):
+            raise InvalidInputError(f"witness member {i} is not a valid delta-path")
+        if path.start != fam.base.start:
+            raise InvalidInputError("witness member does not start at the basepoint")
+        if path.length != fam.n:
+            raise InvalidInputError("witness member has the wrong length")
+        paths[i] = path
+    idx = sorted(paths)
+    min_pair = None
+    for k, i in enumerate(idx):
+        for j in idx[k + 1:]:
+            d = orbit_distance(paths[i], paths[j], fam.space)
+            bound = fam.pair_distance_bound(i, j)
+            if d != bound:
+                raise InvalidInputError(
+                    f"members {i},{j}: exact distance {d} != profile value {bound}")
+            if min_pair is None or d < min_pair:
+                min_pair = d
+    return {"checked": len(idx), "min_pairwise": min_pair}
+
+
+def outcome(check, fam, indices):
+    try:
+        result = check(fam, indices)
+    except CoarseEntropyError as exc:
+        return type(exc), str(exc)
+    return result, type(result["min_pairwise"])
+
+
+class TestSpotCheckMembers:
+    """The spot check validates each member from where it leaves a member
+    already validated and measures each pair after its shared prefix; every
+    fault must still raise for the first failing member, with its message."""
+
+    BAD_STEP = "witness member {} is not a valid delta-path"
+    OUTSIDE = "point must be an integer with |x| <= 20: 21"
+
+    @pytest.mark.parametrize("tamper, error, message", [
+        # a point outside the window, in the base and after the divergence
+        (at({2}, 5, lambda v: 21), UnknownPointError, OUTSIDE),
+        (at({3}, 16, lambda v: 21), UnknownPointError, OUTSIDE),
+        # a step longer than delta; in every member's base the first fails
+        (at({2}, 5, lambda v: v + 3), InvalidInputError, BAD_STEP.format(2)),
+        (at({0, 2, 3}, 5, lambda v: v + 3), InvalidInputError, BAD_STEP.format(0)),
+        (at({3}, 16, lambda v: v + 3), InvalidInputError, BAD_STEP.format(3)),
+        (at({2, 3}, 18, lambda v: v + 3), InvalidInputError, BAD_STEP.format(2)),
+        # a valid path from the wrong start
+        (at({2}, 0, lambda v: 1), InvalidInputError,
+         "witness member does not start at the basepoint"),
+        # one step too many, in the base and at the end
+        (reshaped({3}, lambda p: p[:3] + p[2:]), InvalidInputError,
+         "witness member has the wrong length"),
+        (reshaped({2}, lambda p: p + [0]), InvalidInputError,
+         "witness member has the wrong length"),
+        (reshaped({2}, lambda p: p[:-1]), InvalidInputError,
+         "witness member has the wrong length"),
+        # valid members that disagree with the profile: a mirrored base,
+        # 10 apart at its turn, and an arm turned back early
+        (reshaped({2}, lambda p: [-v for v in p[:11]] + p[11:]), InvalidInputError,
+         "members 0,2: exact distance 10 != profile value 4"),
+        (at({3}, 16, lambda v: 0), InvalidInputError,
+         "members 2,3: exact distance 2 != profile value 4"),
+    ])
+    def test_faults_raise_for_the_first_failing_member(self, tamper, error, message):
+        fam = tampered(detour_family(), tamper)
+        for check in (spot_check_members, spot_check_oracle):
+            with pytest.raises(error) as exc:
+                check(fam, [0, 2, 3])
+            assert type(exc.value) is error and str(exc.value) == message
+
+    @pytest.mark.parametrize("indices", [[0, 2, 3], [3, 2, 0], [2, 0, 2, 3], [1, 3]])
+    def test_faults_raise_in_any_member_order(self, indices):
+        # every fault above, at every position of every member
+        fam = detour_family()
+        faults = [lambda v: 21, lambda v: v + 3, lambda v: v + 1, lambda v: -v, lambda v: 0]
+        raised = 0
+        for members in ({0}, {1}, {2}, {3}, {0, 1, 2, 3}, set(indices[1:])):
+            for position in range(fam.n + 1):
+                for fault in faults:
+                    bad = tampered(fam, at(members, position, fault))
+                    expected = outcome(spot_check_oracle, bad, indices)
+                    assert outcome(spot_check_members, bad, indices) == expected, (
+                        members, position)
+                    raised += isinstance(expected[0], type)
+        assert raised
+
+    @pytest.mark.parametrize("max_tree", [4, 6])
+    @pytest.mark.parametrize("delta", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_every_member_matches_the_whole_path_recomputation(self, max_tree, delta, p):
+        sp = TreeLine(max_tree=max_tree, schedule="2^n")
+        for R in (1, max_tree // 2):
+            fam = catalog_pingpong(sp, delta=delta, R=R, p=p)
+            members = list(range(fam.size))
+            for indices in (members, members[::-1]):
+                result = outcome(spot_check_members, fam, indices)
+                assert result == outcome(spot_check_oracle, fam, indices)
+                assert result[0] == {"checked": fam.size, "min_pairwise": 2 * R + 2}
+
+    def test_cli_members_match_the_whole_path_recomputation(self):
+        # the `witness --space tree_line --p 3` family at its default scales
+        fam = catalog_pingpong(make_example("tree_line"), delta=4, R=4, p=3)
+        indices = sorted({0, fam.size // 2, fam.size - 1})
+        assert indices == [0, 2048, 4095] and fam.n == 16_396
+        result = outcome(spot_check_members, fam, indices)
+        assert result == outcome(spot_check_oracle, fam, indices)
+        assert result == ({"checked": 3, "min_pairwise": 16}, int)
+
+    def test_cli_members_measure_their_shared_base_once(self, monkeypatch):
+        # one whole member, then each other member's steps and each pair's
+        # positions after the 16,385-point base: at most 2pD + 1 apiece
+        fam = catalog_pingpong(make_example("tree_line"), delta=4, R=4, p=3)
+        calls = [0]
+        distance = TreeLine.distance
+
+        def counted(self, a, b):
+            calls[0] += 1
+            return distance(self, a, b)
+
+        monkeypatch.setattr(TreeLine, "distance", counted)
+        spot_check_members(fam, sorted({0, fam.size // 2, fam.size - 1}))
+        bound = fam.n + 5 * (2 * fam.p * fam.arm_length + 1)
+        assert bound == 16_461
+        assert calls[0] <= bound

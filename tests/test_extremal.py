@@ -668,8 +668,16 @@ def test_greedy_packing_picks_the_first_uncovered_centers(monkeypatch, name, n, 
     # lowest item that no earlier pick is strictly within R of
     items = orbit_items(name, n)
     monkeypatch.setattr(extremal, "_GREEDY_LIMIT", 0)
+
+    def no_assignment(*args):
+        raise AssertionError("assignment built")
+
     for R in radii:
-        packing = max_separated(items, R, exact_limit=0)
+        # the packing unpacks no cover into an assignment, and a separated
+        # selection passes verify_separated without unpacking a row either
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(extremal, "_unpack_rows", no_assignment)
+            packing = max_separated(items, R, exact_limit=0)
         cover = min_dense(items, R)
         assert "greedy_passes" in packing.stats and "strategy_first_uncovered" in cover.stats
         assert packing.selected == cover.selected
@@ -707,27 +715,6 @@ def test_first_fit_matches_the_first_uncovered_oracle(monkeypatch, make, radii):
             picks, assignment = extremal._first_fit(items, R)
             assert (picks, assignment.tolist()) == expected, (R, budget)
         monkeypatch.undo()
-
-
-@pytest.mark.parametrize("make, radii", [case[1:] for case in FIRST_FIT_CASES],
-                         ids=[case[0] for case in FIRST_FIT_CASES])
-def test_greedy_packing_takes_the_first_fit_picks_without_an_assignment(monkeypatch, make,
-                                                                        radii):
-    # the assignment is what _unpack_rows builds; a separated selection
-    # passes verify_separated without it
-    items = make()
-
-    def no_assignment(*args):
-        raise AssertionError("assignment built")
-
-    for R in radii:
-        picks, _ = first_fit_oracle(len(items), lambda i, j: items.dist(i, j) < R - items.tol)
-        monkeypatch.setattr(extremal, "_unpack_rows", no_assignment)
-        result = max_separated(items, R, exact_limit=0)
-        monkeypatch.undo()
-        assert result.selected == tuple(picks), R
-        assert result.stats == {"greedy_passes": len(picks)}
-        assert result.certificate == ("exact" if len(picks) == len(items) else "lower-bound")
 
 
 # (id, family, radii) for the other users of the near-set store: path

@@ -278,10 +278,10 @@ def tampered(fam, tamper):
 
 
 def detour_family():
-    """Unit steps on the integer line: an out-and-back base from 0 to 5, and
-    arms to +2 and -2, so p = 2 gives members of 19 points whose words
-    differ from position 11 on.  The spot check takes members 0, 2 and 3,
-    words (0, 0), (1, 0) and (1, 1)."""
+    """Unit steps on the integer line: a base from 0 out to 5 and back, and
+    arms to +2 and -2, so p = 2 gives members of 19 points that share the
+    base's 11 and then make two round trips.  The spot check takes members
+    0, 2 and 3, words (0, 0), (1, 0) and (1, 1)."""
     sp = IntLine(max_abs=20)
     base = DeltaPath((0, 1, 2, 3, 4, 5, 4, 3, 2, 1, 0), 1)
     arms = [DeltaPath((0, 1, 2), 1), DeltaPath((0, -1, -2), 1)]
@@ -298,6 +298,7 @@ def at(members, position, value):
 
 
 def reshaped(members, edit):
+    """Tamper that replaces the point lists of the given members."""
     def tamper(index, points):
         return edit(points) if index in members else points
     return tamper
@@ -305,7 +306,7 @@ def reshaped(members, edit):
 
 def spot_check_oracle(fam, indices):
     """The spot check with every member validated whole and every pair
-    measured over all its positions."""
+    measured over all its positions (the spaces here compare exactly)."""
     paths = {}
     for i in indices:
         path = fam.path_at(i)
@@ -348,29 +349,33 @@ class TestSpotCheckMembers:
 
     @pytest.mark.parametrize("tamper, error, message", [
         # a point outside the window, in the base and after the divergence
-        (at({2}, 5, lambda v: 21), UnknownPointError, OUTSIDE),
-        (at({3}, 16, lambda v: 21), UnknownPointError, OUTSIDE),
+        pytest.param(at({2}, 5, lambda v: 21), UnknownPointError, OUTSIDE, id="outside-base"),
+        pytest.param(at({3}, 16, lambda v: 21), UnknownPointError, OUTSIDE, id="outside-arm"),
         # a step longer than delta; in every member's base the first fails
-        (at({2}, 5, lambda v: v + 3), InvalidInputError, BAD_STEP.format(2)),
-        (at({0, 2, 3}, 5, lambda v: v + 3), InvalidInputError, BAD_STEP.format(0)),
-        (at({3}, 16, lambda v: v + 3), InvalidInputError, BAD_STEP.format(3)),
-        (at({2, 3}, 18, lambda v: v + 3), InvalidInputError, BAD_STEP.format(2)),
+        pytest.param(at({2}, 5, lambda v: v + 3), InvalidInputError, BAD_STEP.format(2),
+                     id="step-base"),
+        pytest.param(at({0, 2, 3}, 5, lambda v: v + 3), InvalidInputError, BAD_STEP.format(0),
+                     id="step-every-base"),
+        pytest.param(at({3}, 16, lambda v: v + 3), InvalidInputError, BAD_STEP.format(3),
+                     id="step-arm"),
+        pytest.param(at({2, 3}, 18, lambda v: v + 3), InvalidInputError, BAD_STEP.format(2),
+                     id="step-last"),
         # a valid path from the wrong start
-        (at({2}, 0, lambda v: 1), InvalidInputError,
-         "witness member does not start at the basepoint"),
-        # one step too many, in the base and at the end
-        (reshaped({3}, lambda p: p[:3] + p[2:]), InvalidInputError,
-         "witness member has the wrong length"),
-        (reshaped({2}, lambda p: p + [0]), InvalidInputError,
-         "witness member has the wrong length"),
-        (reshaped({2}, lambda p: p[:-1]), InvalidInputError,
-         "witness member has the wrong length"),
+        pytest.param(at({2}, 0, lambda v: 1), InvalidInputError,
+                     "witness member does not start at the basepoint", id="start"),
+        # one step too many, in the base and at the end, or one too few
+        pytest.param(reshaped({3}, lambda p: p[:3] + p[2:]), InvalidInputError,
+                     "witness member has the wrong length", id="length-base"),
+        pytest.param(reshaped({2}, lambda p: p + [0]), InvalidInputError,
+                     "witness member has the wrong length", id="length-end"),
+        pytest.param(reshaped({2}, lambda p: p[:-1]), InvalidInputError,
+                     "witness member has the wrong length", id="length-short"),
         # valid members that disagree with the profile: a mirrored base,
         # 10 apart at its turn, and an arm turned back early
-        (reshaped({2}, lambda p: [-v for v in p[:11]] + p[11:]), InvalidInputError,
-         "members 0,2: exact distance 10 != profile value 4"),
-        (at({3}, 16, lambda v: 0), InvalidInputError,
-         "members 2,3: exact distance 2 != profile value 4"),
+        pytest.param(reshaped({2}, lambda p: [-v for v in p[:11]] + p[11:]), InvalidInputError,
+                     "members 0,2: exact distance 10 != profile value 4", id="profile-base"),
+        pytest.param(at({3}, 16, lambda v: 0), InvalidInputError,
+                     "members 2,3: exact distance 2 != profile value 4", id="profile-arm"),
     ])
     def test_faults_raise_for_the_first_failing_member(self, tamper, error, message):
         fam = tampered(detour_family(), tamper)
@@ -381,7 +386,8 @@ class TestSpotCheckMembers:
 
     @pytest.mark.parametrize("indices", [[0, 2, 3], [3, 2, 0], [2, 0, 2, 3], [1, 3]])
     def test_faults_raise_in_any_member_order(self, indices):
-        # every fault above, at every position of every member
+        # one-point faults at every position of one member, of all of them,
+        # or of every member checked after the first
         fam = detour_family()
         faults = [lambda v: 21, lambda v: v + 3, lambda v: v + 1, lambda v: -v, lambda v: 0]
         raised = 0

@@ -18,7 +18,6 @@ everywhere: lowest index first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -243,10 +242,11 @@ def _mis_bitset(n: int, conflict: List[int]):
     bitset form, BBMC).
 
     The items are renumbered by ascending conflict degree (ties: lowest
-    index).  At each node the candidates are coloured in that order: each
-    colour class takes the lowest uncoloured candidate, then the lowest
-    one that conflicts with every member so far, until none is left.  A
-    class is pairwise conflicting, so it holds at most one pick, and the
+    index) once, by one column permutation of their unpacked bit table.
+    At each node the candidates are coloured in that order: each colour
+    class takes the lowest uncoloured candidate, then the lowest one that
+    conflicts with every member so far, until none is left.  A class is
+    pairwise conflicting, so it holds at most one pick, and the
     candidates up to one of colour c add at most c to the set.  Candidates
     are taken from the highest colour down, include branch first, and a
     node stops as soon as its size plus the next colour cannot beat the
@@ -254,16 +254,18 @@ def _mis_bitset(n: int, conflict: List[int]):
     improvements replace it.
     """
     order = sorted(range(n), key=[m.bit_count() for m in conflict].__getitem__)
-    # character i of a mask's reversed binary string is bit i, so reading
-    # the ranks' items highest first gives the mask in rank numbering
-    pick, width = itemgetter(*reversed(order)), f"0{n}b"
-
-    def by_rank(mask: int) -> int:
-        return int("".join(pick(format(mask, width)[::-1])), 2)
-
-    adj = [by_rank(conflict[v]) for v in order]  # conflict rows in rank numbering
+    rank = dict(zip(order, range(n)))
+    # the rows in rank order, unpacked to whole words of bits, take their
+    # columns in rank order in one permutation; the bits past n stay 0
+    width = 8 * -(-n // 64)
+    rows = np.frombuffer(b"".join([conflict[v].to_bytes(width, "little") for v in order]), np.uint8)
+    bits = np.unpackbits(rows.reshape(n, width), axis=1, bitorder="little")
+    bits[:, :n] = bits.take(order, axis=1)
+    table = np.packbits(bits, axis=1, bitorder="little")
+    adj = (table.view("<u8").ravel().tolist() if width == 8 else  # conflict rows by rank
+           [int.from_bytes(row, "little") for row in table])
     seed = _greedy_independent(n, conflict)
-    best = [len(seed), by_rank(sum(1 << v for v in seed))]  # size, rank mask
+    best = [len(seed), sum(1 << rank[v] for v in seed)]  # size, rank mask
     nodes = [0]
 
     def expand(cand: int, size: int, mask: int):

@@ -23,6 +23,7 @@ import csv
 import heapq
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -53,6 +54,9 @@ PointRef = Hashable
 # through an int64 array of this many entries on its way into the table
 _TABLE_BLOCK_CELLS = 1 << 20
 
+# most cells of a pair table built from Python row lists (512 KiB of them)
+_PAIR_ROWS_CELLS = 1 << 16
+
 # most points one breadth-first walk may hold.  The depth-9 step ball of
 # branch_tree holds 4,037,913; its depth-10 shell alone holds 11! ~ 39.9M
 _WALK_POINTS = 1 << 22
@@ -60,7 +64,16 @@ _WALK_POINTS = 1 << 22
 
 def pair_table(size: int, dist: Callable[[int, int], Dist]) -> np.ndarray:
     """Symmetric object table of the exact distances ``dist(a, b)`` between
-    indices, one call per pair ``a < b``; int 0 on the diagonal."""
+    indices, one call per pair ``a < b`` in row-major order; int 0 on the
+    diagonal.  Up to ``_PAIR_ROWS_CELLS`` cells it is built from Python row
+    lists by one ``np.fromiter``; larger tables write each row and its
+    mirror column in place, so the peak stays one table, not two."""
+    if size * size <= _PAIR_ROWS_CELLS:
+        rows = [[0] * size for _ in range(size)]
+        for a, row in enumerate(rows):
+            for b in range(a + 1, size):
+                row[b] = rows[b][a] = dist(a, b)
+        return np.fromiter(chain.from_iterable(rows), object, size * size).reshape(size, size)
     table = np.zeros((size, size), dtype=object)
     for a in range(size - 1):
         row = [dist(a, b) for b in range(a + 1, size)]

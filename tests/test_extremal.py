@@ -7,6 +7,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -138,6 +139,77 @@ class TestColourBoundedSearch:
         pt = separated_count(make_example("int_line"), 0, 4, 1, 2, exact_limit=96)
         assert (pt.count, pt.certificate, pt.stats["paths"]) == (16, "exact", 81)
         assert pt.stats["nodes"] == 1
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65, 96, 128, 129])
+    def test_matches_the_string_renumbering_oracle(self, n, p):
+        # word boundaries of the bit table: one word up to 64, then two, three
+        rng = random.Random(n * 10 + int(p * 10))
+        for _ in range(3):
+            conflict = _random_conflicts(rng, n, p)
+            assert extremal._mis_bitset(n, conflict) == _string_renumbered_mis(n, conflict)
+
+    def test_random_metric_results_are_pinned(self):
+        # every exact solve of 320 random metrics, drawn as the exact-rational
+        # benchmark draws them (sizes 2..40 in turn); the digest was taken
+        # with the search that renumbered through binary strings
+        rng, out = random.Random(2024), []
+        for k in range(320):
+            n = 2 + k % 39
+            d, R = random_metric(rng, n), rng.randint(1, 14)
+            items = MetricItems(list(range(n)), lambda i, j, d=d: d[i][j])
+            results = [max_separated(items, R), max_separated(items, 2 * R)]
+            if n <= 25:
+                results.append(min_dense(items, R))
+            out += [(r.size, r.selected, r.certificate, sorted(r.stats.items())) for r in results]
+        assert len(out) == 840
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == "01866aedd051060939d6968320ffc2656f34f39059c314981dd9a2d2ba930685"
+
+
+def _string_renumbered_mis(n, conflict):
+    """The colour-bounded search as it stood when each mask was renumbered
+    by reading its reversed binary string in rank order: the oracle for the
+    bit-table renumbering.  Returns ``(selection, nodes)``."""
+    order = sorted(range(n), key=[m.bit_count() for m in conflict].__getitem__)
+    pick, width = itemgetter(*reversed(order)), f"0{n}b"
+
+    def by_rank(mask):
+        return int("".join(pick(format(mask, width)[::-1])), 2)
+
+    adj = [by_rank(conflict[v]) for v in order]
+    seed = extremal._greedy_independent(n, conflict)
+    best = [len(seed), by_rank(sum(1 << v for v in seed))]
+    nodes = [0]
+
+    def expand(cand, size, mask):
+        nodes[0] += 1
+        coloured = []
+        floor = best[0] - size
+        uncoloured, colour = cand, 0
+        while uncoloured:
+            colour += 1
+            open_ = uncoloured
+            while open_:
+                low = open_ & -open_
+                v = low.bit_length() - 1
+                uncoloured ^= low
+                open_ &= adj[v]
+                if colour > floor:
+                    coloured.append((v, colour))
+        for v, colour in reversed(coloured):
+            if size + colour <= best[0]:
+                return
+            bit = 1 << v
+            rest = cand & ~adj[v] & ~bit
+            if rest:
+                expand(rest, size + 1, mask | bit)
+            elif size + 1 > best[0]:
+                best[0], best[1] = size + 1, mask | bit
+            cand &= ~bit
+
+    expand((1 << n) - 1, 0, 0)
+    return sorted(order[r] for r in range(n) if best[1] >> r & 1), nodes[0]
 
 
 class TestMinDense:

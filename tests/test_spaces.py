@@ -1540,3 +1540,49 @@ class TestDistanceTable:
         expected = [sp.distance_table(points).tolist() for _, sp, points in TABLE_SPACES]
         monkeypatch.setattr(spaces_base, "_TABLE_BLOCK_CELLS", cells)
         assert [sp.distance_table(points).tolist() for _, sp, points in TABLE_SPACES] == expected
+
+
+def typed_distance(a, b):
+    """A pair's distance, cycling through int, Fraction, float and inf."""
+    return (a * 41 + b, Fraction(a + 1, b + 3), (a + b) / 7, math.inf)[(a + 2 * b) % 4]
+
+
+class TestPairTable:
+    # 300 points take more cells than the row lists may hold; a limit of 0
+    # sends every size to the in-place fill
+    @pytest.mark.parametrize("cells", [None, 0], ids=["default", "in-place"])
+    @pytest.mark.parametrize("size", [0, 1, 2, 40, 300])
+    def test_one_call_per_pair_in_row_major_order(self, monkeypatch, size, cells):
+        if cells is not None:
+            monkeypatch.setattr(spaces_base, "_PAIR_ROWS_CELLS", cells)
+        calls = []
+        table = spaces_base.pair_table(
+            size, lambda a, b: calls.append((a, b)) or typed_distance(a, b))
+        assert calls == [(a, b) for a in range(size) for b in range(a + 1, size)]
+        assert table.shape == (size, size) and table.dtype == object
+        cells = table.tolist()
+        for a in range(size):
+            assert cells[a][a] == 0 and type(cells[a][a]) is int
+            for b in range(a + 1, size):
+                d = typed_distance(a, b)
+                assert cells[a][b] == d and type(cells[a][b]) is type(d)
+                assert cells[b][a] is cells[a][b]
+
+    def test_typed_distance_covers_every_kind(self):
+        seen = {type(typed_distance(a, b)) for a in range(2) for b in range(a + 1, 40)}
+        assert seen == {int, Fraction, float}
+        assert any(typed_distance(a, b) == math.inf for a in range(2) for b in range(a + 1, 40))
+
+    def test_large_table_peaks_within_half_a_table_of_itself(self):
+        # the table's own pointers are the floor of any fill's peak: row
+        # lists of the whole table would double it.  Distances are small
+        # ints, which Python shares, so the values allocate nothing
+        size = 1000
+        tracemalloc.start()
+        try:
+            table = spaces_base.pair_table(size, lambda a, b: (a + b) & 255)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == 8 * size * size
+        assert peak <= 1.5 * table.nbytes

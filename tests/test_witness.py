@@ -49,6 +49,11 @@ def weighted_family(p=2):
     return sp, build_witness(sp, DeltaPath(("h",), 1), arms, p, Fraction(3, 2))
 
 
+def _shared_prefix(u, v):
+    """Number of leading points u and v share."""
+    return next((k for k, (a, b) in enumerate(zip(u, v)) if a != b), min(len(u), len(v)))
+
+
 class TestWitnessFamily:
     def test_member_shape(self):
         sp, fam = toy_family(p=2)
@@ -95,10 +100,15 @@ class TestWitnessFamily:
                     assert type(fam.profile[a][b]) is type(exact)
             if fam.size > 16:
                 continue
-            paths = list(fam.iter_paths())
+            paths = [path.points for path in fam.iter_paths()]
+            start = len(fam.base.points)
+            assert all(points[:start] == fam.base.points for points in paths)
             for i in range(fam.size):
                 for j in range(fam.size):
-                    exact = orbit_distance(paths[i], paths[j], sp)
+                    # the pair's points agree up to k, where they are 0 apart,
+                    # so the sup over the positions from k on is the whole one
+                    k = start + _shared_prefix(paths[i][start:], paths[j][start:])
+                    exact = orbit_distance(paths[i][k:], paths[j][k:], sp)
                     bound = fam.pair_distance_bound(i, j)
                     assert bound <= exact
                     if i != j:

@@ -54,7 +54,8 @@ PointRef = Hashable
 # through an int64 array of this many entries on its way into the table
 _TABLE_BLOCK_CELLS = 1 << 20
 
-# most cells of a pair table built from Python row lists (512 KiB of them)
+# most cells of a pair table built from Python row lists, whose pointers
+# then take 512 KiB besides the table
 _PAIR_ROWS_CELLS = 1 << 16
 
 # most points one breadth-first walk may hold.  The depth-9 step ball of

@@ -306,13 +306,10 @@ def step_shells(space: MetricSpace, x: PointRef, n: int,
     the shells come from the space's ``walk_shells(x, n, delta)``, which
     walks as ``hop_shells`` over ``neighbors`` does without checking the
     points the walk made.  A rooted tree refuses a walk that would leave
-    its depth window before the first shell, and at unit scale builds each
-    shell whole: a vertex past x is reached from exactly one neighbour, so
-    the next shell is x's ancestor's parent and its other children, then
-    every other frontier vertex's children in order.  The walk is lazy:
-    advancing to shell k only builds shell k, so every level of a step
-    ball comes from one pass.  Growth series and covering bounds need only
-    each shell's size or mass: they read the space's ``shell_counts`` or a
+    its depth window before the first shell.  The walk is lazy: advancing
+    to shell k only builds shell k, so every level of a step ball comes
+    from one pass.  Growth series and covering bounds need only each
+    shell's size or mass: they read the space's ``shell_counts`` or a
     measured space's ``shell_masses`` instead.
     """
     if n < 0:

@@ -216,9 +216,8 @@ class MetricSpace:
         point x, as ``hop_shells`` over ``neighbors(y, delta)`` yields them:
         the same shells in the same order, and the same errors at the same
         point.  Points the walk made are not checked again.  This default is
-        that walk; a space with a closed form may build its shells itself,
-        and a windowed space may raise at the call, before any shell, for a
-        walk that would leave its window."""
+        that walk; a windowed space may raise at the call, before any shell,
+        for a walk that would leave its window."""
         return hop_shells(lambda y: self.neighbors(y, delta), x, n)
 
     def shell_counts(self, x: PointRef, n: int, delta: Dist,
@@ -626,11 +625,15 @@ def load_edges_csv(path: str):
 
     Node labels parse to int when every label is an integer literal,
     otherwise they stay strings.  Weights parse exactly ("3", "1/2",
-    "0.25" are all exact rationals).  Returns ``(edges, weighted)``.
+    "0.25" are all exact rationals).  Returns ``(edges, weighted)``.  A
+    file that is not UTF-8, or a weight that does not parse, raises
+    InvalidInputError.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"edge file {path!r} is not UTF-8: {exc}") from exc
     if not rows:
         raise InvalidInputError(f"empty edge file: {path}")
     header = [cell.strip().lower() for cell in rows[0]]
@@ -656,7 +659,11 @@ def load_edges_csv(path: str):
     for row in raw:
         a, b = to_label(row[0]), to_label(row[1])
         if weighted:
-            edges.append((a, b, as_dist(row[2])))
+            try:
+                weight = as_dist(row[2])
+            except ValueError as exc:
+                raise InvalidInputError(f"bad weight in edge row {row!r}: {exc}") from exc
+            edges.append((a, b, weight))
         else:
             edges.append((a, b))
     return edges, weighted

@@ -396,10 +396,11 @@ class _RootedTree(MetricSpace):
         return r
 
     def walk_shells(self, x, n, delta):
-        # any scale but unit steps keeps hop_shells over neighbors and its errors
+        # at unit steps the sorted adjacency is neighbors(y, 1) without the
+        # point check and the scale parse; any other scale walks neighbors
         if self._walk_radius(x, n, delta) != 1:
             return super().walk_shells(x, n, delta)
-        return self._unit_shells(x, n)
+        return hop_shells(self._adjacency, x, n)
 
     def shell_counts(self, x, n, delta, key=None):
         # by depth only at unit steps, where each depth of a shell is one
@@ -478,32 +479,6 @@ class _RootedTree(MetricSpace):
         """Points within r of a depth-``depth`` vertex."""
         x = (0,) * depth
         return 1 + sum(count for d in range(1, r + 1) for _, count, _ in self._sphere(x, d))
-
-    def _unit_shells(self, x, n):
-        # A vertex past x is reached from exactly one neighbour, so no seen
-        # set is needed.  Shell k is the parent and the other children of
-        # lead = x[:len(x)-k+1], the ancestor that leads shell k-1, then the
-        # children of the rest of shell k-1 in order: hop_shells' discovery
-        # order.  The depth counts of a shell come before it is built, so a
-        # walk that would pass the walk limit raises at that advance
-        width = self._width
-        kids: Dict[int, List[Tuple[int]]] = {}
-        frontier = [x]
-        for k, groups in enumerate(self._bands(x, n, 1, 1)):
-            if k:
-                lead = x[:len(x) - k + 1] if k <= len(x) + 1 else None
-                if lead is None:
-                    frontier = [y + c for y in frontier for c in kids[len(y)]]
-                else:
-                    came_from = x[len(lead):len(lead) + 1]  # () at k = 1
-                    nxt = [lead[:-1]] if lead else []
-                    nxt += [lead + c for c in kids[len(lead)] if c != came_from]
-                    nxt += [y + c for y in frontier[1:] for c in kids[len(y)]]
-                    frontier = nxt
-            for depth, _, _ in groups:
-                if depth not in kids:
-                    kids[depth] = [(c,) for c in range(width(depth))]
-            yield frontier
 
 
 class RegularTree(_RootedTree):
@@ -1097,6 +1072,6 @@ def make_example(tag: str, params: Optional[dict] = None) -> MetricSpace:
             if not parts:
                 raise InvalidInputError("coarse_union needs a nonempty 'parts' list")
             return CoarseUnion([_union_part(p) for p in parts], **params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad parameters for {tag!r}: {exc}") from exc
     raise InvalidInputError(f"unknown catalog tag {tag!r}; known: {', '.join(CATALOG_TAGS)}")

@@ -646,6 +646,23 @@ class TestSpaceResolution:
         assert code == 1 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("edges, argv", [
+        (b"src,dst,weight\n0,1,abc\n", ["growth"]),
+        (b"src,dst,weight\n0,1,nan\n", ["growth"]),
+        (b"src,dst,weight\n0,1,1/0\n", ["growth"]),
+        (b"src,dst\n0,\xff\xfe\n", ["growth"]),
+        (None, ["classify", "--space", "tree_line", "--params", '{"schedule":[1,"a"]}']),
+        (None, ["classify", "--space", "coarse_union", "--params", '{"parts":[{"path":"a"}]}']),
+    ], ids=["weight-abc", "weight-nan", "weight-1/0", "not-utf8", "schedule", "union-part"])
+    def test_malformed_input_is_an_error_not_a_traceback(self, edges, argv, tmp_path, capsys):
+        if edges is not None:
+            path = tmp_path / "bad.csv"
+            path.write_bytes(edges)
+            argv = argv + ["--edges", str(path)]
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_measured_flag_must_be_a_bool(self, capsys):
         code, out, err = run(["growth", "--space", "branch_tree",
                               "--params", '{"measured":"false"}'], capsys)

@@ -45,6 +45,9 @@ class WitnessFamily:
     p: int
     R: Dist
     profile: Tuple[Tuple[Dist, ...], ...] = field(repr=False)
+    # the (space, base) pair that build_witness validated; the spot check
+    # trusts the base only while both are still this family's own
+    validated: Tuple = field(default=(), repr=False, compare=False)
 
     @property
     def delta(self) -> Dist:
@@ -207,7 +210,7 @@ def build_witness(space: MetricSpace, base: DeltaPath, arms: Sequence[DeltaPath]
     # the orbit distance is the sup over positions
     prof = np.maximum.reduce(tables)
     return WitnessFamily(space=space, base=base, arms=tuple(arms), p=p, R=R,
-                         profile=tuple(map(tuple, prof)))
+                         profile=tuple(map(tuple, prof)), validated=(space, base))
 
 
 def pingpong_witness(space: MetricSpace, x0, base: DeltaPath, arms: Sequence[DeltaPath],
@@ -244,9 +247,21 @@ def catalog_pingpong(space: MetricSpace, delta: Dist, R: Dist, p: int) -> Witnes
     return build_witness(space, base, arms, p, R)
 
 
-def _shared_prefix(u: Sequence, v: Sequence) -> int:
-    """Number of leading points u and v share."""
-    return next(compress(count(), map(ne, u, v)), min(len(u), len(v)))
+def _shared_prefix(u: Tuple, v: Tuple, start: int = 0) -> int:
+    """Number of leading points u and v share, given that they share the
+    first ``start``; one tuple comparison settles a rest they share."""
+    n = min(len(u), len(v))
+    if u[start:n] == v[start:n]:
+        return n
+    return next(compress(count(start), map(ne, u[start:n], v[start:n])))
+
+
+def _validated_base(family: WitnessFamily) -> Tuple:
+    """The base points ``build_witness`` validated for this family, or ()
+    when the family was built, or has had its space or base replaced,
+    some other way."""
+    space, base = family.validated or (None, None)
+    return base.points if space is family.space and base is family.base else ()
 
 
 def spot_check_members(family: WitnessFamily, indices: Sequence[int]) -> dict:
@@ -254,20 +269,25 @@ def spot_check_members(family: WitnessFamily, indices: Sequence[int]) -> dict:
     recompute their pairwise orbit distances exactly (no profile shortcut).
 
     Members are checked in the order given, and each is validated from the
-    last point it shares with a member already validated: with k shared
-    points, ``validate_path(points[k-1:])``, and the whole path when k = 0.
-    Each pair's orbit distance is taken over the positions after its shared
-    prefix.  A shared step joins the same two points as one just measured,
-    and aligned equal points are 0 apart, so neither can change a result or
-    a message; a family's members all share its base, which is measured
-    once instead of once per member and pair.
+    last point it shares with a member already validated, or with a base
+    that ``build_witness`` validated, whichever share is longer: with k
+    shared points, ``validate_path(points[k-1:])``, and the whole path when
+    k = 0.  Each pair's orbit distance is taken over the positions after its
+    shared prefix.  A shared step joins the same two points as one already
+    measured, and aligned equal points are 0 apart, so neither can change a
+    result or a message; a family's members all share its base, which is
+    measured once per command instead of once per member and pair.
     """
-    points, shared = {}, {}
+    base = _validated_base(family)
+    points, shared, on_base = {}, {}, {}
     for i in indices:
         path = family.path_at(i)
-        k = 0
+        k = on_base[i] = _shared_prefix(base, path.points)
         for j, other in points.items():
-            shared[j, i] = shared[i, j] = _shared_prefix(other, path.points)
+            # both members agree with the base, and so with each other, up
+            # to the shorter of their shares with it
+            shared[j, i] = shared[i, j] = _shared_prefix(
+                other, path.points, min(on_base[i], on_base[j]))
             k = max(k, shared[i, j])
         if not validate_path(path.points[max(k - 1, 0):], family.delta, family.space):
             raise InvalidInputError(f"witness member {i} is not a valid delta-path")

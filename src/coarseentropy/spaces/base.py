@@ -20,10 +20,11 @@ and add an explicit budget window.
 from __future__ import annotations
 
 import csv
+import functools
 import heapq
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations, repeat, starmap
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -54,30 +55,53 @@ PointRef = Hashable
 # through an int64 array of this many entries on its way into the table
 _TABLE_BLOCK_CELLS = 1 << 20
 
-# most cells of a pair table built from Python row lists, whose pointers
-# then take 512 KiB besides the table
-_PAIR_ROWS_CELLS = 1 << 16
+# a pair table of up to this many points is one gather from its values;
+# its pair positions, at most 1 + 255 * 256 / 2, fit int16
+_PAIR_SIDE = 256
+_PAIR_ROWS_CELLS = _PAIR_SIDE * _PAIR_SIDE
 
 # most points one breadth-first walk may hold.  The depth-9 step ball of
 # branch_tree holds 4,037,913; its depth-10 shell alone holds 11! ~ 39.9M
 _WALK_POINTS = 1 << 22
 
 
+@functools.cache
+def _pair_positions() -> np.ndarray:
+    """Read-only int16 matrix, ``_PAIR_SIDE`` square (128 KiB, built once):
+    0 on the diagonal and ``1 + j*(j-1)/2 + i`` at (i, j) and (j, i) for
+    i < j, the place of pair (i, j) after a 0 when the pairs run column by
+    column, (0, 1), (0, 2), (1, 2), (0, 3), ....
+
+    Reflected by i -> n-1-i and read backwards, the row-major pairs of an
+    n-point table run in exactly that order, so the top-left n by n block,
+    reversed on both axes, places the reversed values of any n <= 256."""
+    # built in int16, so that the build peaks at a few such matrices
+    i = np.arange(_PAIR_SIDE, dtype=np.int32)
+    first = (i * (i - 1) // 2 + 1).astype(np.int16)  # the place of (0, j)
+    upper = np.triu(np.add.outer(i.astype(np.int16), first), 1)
+    positions = upper + upper.T
+    positions.setflags(write=False)
+    return positions
+
+
 def pair_table(size: int, dist: Callable[[int, int], Dist]) -> np.ndarray:
     """Symmetric object table of the exact distances ``dist(a, b)`` between
     indices, one call per pair ``a < b`` in row-major order; int 0 on the
-    diagonal.  Up to ``_PAIR_ROWS_CELLS`` cells it is built from Python row
-    lists by one ``np.fromiter``; larger tables write each row and its
-    mirror column in place, so the peak stays one table, not two."""
+    diagonal.  Each value goes through numpy once, by ``np.fromiter``.
+
+    Up to ``_PAIR_ROWS_CELLS`` cells, one ``starmap`` over the pairs takes
+    the values and the table is one gather from them, by
+    ``_pair_positions``.  Larger tables take each row's values by one
+    ``np.fromiter`` and write them to the row and its mirror column in
+    place, so the peak stays one table and a row.
+    """
     if size * size <= _PAIR_ROWS_CELLS:
-        rows = [[0] * size for _ in range(size)]
-        for a, row in enumerate(rows):
-            for b in range(a + 1, size):
-                row[b] = rows[b][a] = dist(a, b)
-        return np.fromiter(chain.from_iterable(rows), object, size * size).reshape(size, size)
+        values = np.fromiter(chain(starmap(dist, combinations(range(size), 2)), (0,)), object,
+                             size * (size - 1) // 2 + 1)
+        return values[::-1][_pair_positions()[:size, :size][::-1, ::-1]]
     table = np.zeros((size, size), dtype=object)
     for a in range(size - 1):
-        row = [dist(a, b) for b in range(a + 1, size)]
+        row = np.fromiter(map(dist, repeat(a), range(a + 1, size)), object, size - a - 1)
         table[a, a + 1:] = row
         table[a + 1:, a] = row
     return table

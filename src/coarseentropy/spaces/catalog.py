@@ -377,6 +377,12 @@ class _RootedTree(MetricSpace):
         if len(x) + r > self.max_depth:
             raise BudgetExceededError(
                 f"radius {r} ball around depth-{len(x)} vertex exceeds depth window {self.max_depth}")
+        # every vertex has two or more children, so the ball holds the
+        # 2**(r+1) - 1 vertices down to r levels below x: refuse a walk of
+        # more than the walk limit before it starts (r = 1 lists, not walks)
+        limit = _base._WALK_POINTS
+        if r > 1 and r >= limit.bit_length():
+            raise walk_limit_error(x, limit)
         return _hop_ball(self._adjacency, x, r)
 
     def _walk_radius(self, x, n, delta) -> Optional[int]:
@@ -630,9 +636,16 @@ class TreeLine(MetricSpace):
         # exactly when that point is nearer than r.  A window that fits under
         # _WALK_POINTS cannot meet the walk limit first: say so before walking
         last = ("line", self.max_line)
-        if self._window_size <= _base._WALK_POINTS and self.distance(x, last) < r:
+        limit = _base._WALK_POINTS
+        far = self.distance(x, last) >= r
+        if self._window_size <= limit and not far:
             raise BudgetExceededError(
                 f"line window 0..{self.max_line} exceeded at {self.max_line}")
+        # with that point no nearer than r, the ball holds the r - e + 1 line
+        # points from x's exit, e away, onwards: refuse more than the walk
+        # limit before walking them
+        if far and r - (0 if x[0] == "line" else len(x[2])) >= limit:
+            raise walk_limit_error(x, limit)
         return _hop_ball(self._adjacency, x, r)
 
     # -- witness helpers used by the entropy layer --------------------------
@@ -661,8 +674,9 @@ class TreeLine(MetricSpace):
         x_att = self.attachment(n)
         if x_att > self.max_line:
             raise BudgetExceededError("attachment point outside the line window")
-        L = -(-x_att // step)
-        base = DeltaPath(tuple(("line", min(i * step, x_att)) for i in range(L + 1)), delta)
+        # ceil(x_att / step) steps of `step`, the last cut short at x_att
+        base = DeltaPath(tuple(zip(itertools.repeat("line"), range(0, x_att, step)))
+                         + (("line", x_att),), delta)
         # geodesic from the root to a leaf below y has one vertex per level
         depth = -(-n // step)
         arms = []
@@ -748,24 +762,17 @@ def branch_tree_measured(max_depth: int = 10) -> MeasuredSpace:
 # prime-cycle decorated half line
 
 
-def _prime_powers(limit: int) -> Dict[int, Tuple[int, int]]:
-    """Map q -> (p, k) for every prime power q = p**k <= limit."""
-    sieve = list(range(limit + 1))
-    for i in range(2, int(limit ** 0.5) + 1):
-        if sieve[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if sieve[j] == j:
-                    sieve[j] = i
-    out: Dict[int, Tuple[int, int]] = {}
-    for q in range(2, limit + 1):
-        p = sieve[q]
-        k, rest = 0, q
-        while rest % p == 0:
-            rest //= p
-            k += 1
-        if rest == 1:
-            out[q] = (p, k)
-    return out
+def _prime_power(q: int) -> Optional[Tuple[int, int]]:
+    """(p, k) when q = p**k for a prime p, else None.  p is q's smallest
+    prime factor, found by trial division up to the integer square root."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
 
 
 class PrimeCycle(MetricSpace):
@@ -782,7 +789,8 @@ class PrimeCycle(MetricSpace):
         if max_line < 2:
             raise InvalidInputError("max_line must be >= 2")
         self.max_line = max_line
-        self._powers = _prime_powers(max_line)
+        # q -> _prime_power(q), for the q in the window a run has asked about
+        self._powers: Dict[int, Optional[Tuple[int, int]]] = {}
         self.name = f"prime_cycle[N={max_line}]"
         self.annotations = frozenset(
             {"weighted-graph", "not-coarsely-bounded-geometry", "coding-map-zero"})
@@ -798,10 +806,19 @@ class PrimeCycle(MetricSpace):
             _, p, k, i = x
             ok = (isinstance(p, int) and isinstance(k, int) and isinstance(i, int)
                   and 2 <= p <= self.max_line and 1 <= k <= self.max_line.bit_length())
-            if ok and self._powers.get(p ** k) == (p, k) and 1 <= i <= p * k - 1:
+            if ok and self._power(p ** k) == (p, k) and 1 <= i <= p * k - 1:
                 return
             raise UnknownPointError(f"bad cycle vertex: {x!r}")
         raise UnknownPointError(f"not a prime_cycle point: {x!r}")
+
+    def _power(self, q: int) -> Optional[Tuple[int, int]]:
+        """(p, k) when q = p**k <= max_line for a prime p, else None;
+        memoised, so each q costs one trial division per space."""
+        try:
+            return self._powers[q]
+        except KeyError:
+            pk = self._powers[q] = _prime_power(q) if q <= self.max_line else None
+            return pk
 
     @staticmethod
     def _exit_cost(p: int, k: int, i: int) -> int:
@@ -841,7 +858,7 @@ class PrimeCycle(MetricSpace):
             if m + 1 > self.max_line:
                 raise BudgetExceededError(f"line window 0..{self.max_line} exceeded at {m}")
             out.append((("line", m + 1), 1))
-            pk = self._powers.get(m)
+            pk = self._power(m)
             if pk is not None:
                 p, k = pk
                 cyc = p * k
@@ -874,6 +891,12 @@ class PrimeCycle(MetricSpace):
         if self.distance(x, ("line", self.max_line)) < radius:
             raise BudgetExceededError(
                 f"line window 0..{self.max_line} exceeded at {self.max_line}")
+        # past that, the ball holds the line points from x's exit to the
+        # line onwards, radius - exit + 1 of them: refuse more than the walk
+        # limit before searching
+        exit_cost = 0 if x[0] == "line" else self._exit_cost(*x[1:])
+        if radius - exit_cost >= _base._WALK_POINTS:
+            raise walk_limit_error(x, _base._WALK_POINTS)
         dist = {x: 0}
         heap = [(0, x)]
         while heap:
@@ -891,18 +914,17 @@ class PrimeCycle(MetricSpace):
         return sorted(dist)
 
     def cycle_points(self, p: int, k: int) -> List[Tuple]:
-        q = p ** k
-        if q not in self._powers or self._powers[q] != (p, k):
+        if self._power(p ** k) != (p, k):
             raise InvalidInputError(f"{p}**{k} is not a prime power within the window")
         return [self._cycle_vertex(p, k, pos) for pos in range(p * k)]
 
     def bg_witness_family(self, s, depth):
         # every p-th vertex of G_{p^depth} for the smallest prime p > s:
         # pairwise weighted distance exactly p, diameter p
-        if depth < 1:
+        if depth < 1 or not s < self.max_line:
             return None
-        p = 2
-        while not (p > s and self._powers.get(p) == (p, 1)):
+        p = max(2, math.floor(s) + 1)
+        while self._power(p) != (p, 1):
             p += 1
             if p > self.max_line:
                 return None

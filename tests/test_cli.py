@@ -766,10 +766,42 @@ def flag(name, value, joined):
     return [f"--{name}={value}"] if joined else [f"--{name}", value]
 
 
+# integer catalog parameters that no size may turn into a traceback or a
+# hang.  ultrametric_product's max_index, regular_tree's degree and
+# tree_line's max_tree still do at these sizes, so they are left out
+HUGE_PARAMS = {"log_line": "max_abs", "int_line": "max_abs", "regular_tree": "max_depth",
+               "tree_line": "max_line", "branch_tree": "max_depth", "prime_cycle": "max_line"}
+HUGE = (10 ** 8, 10 ** 300)
+
+
+def report_or_mapped_error(argv):
+    """Run argv in process: within 1 s, exit 0, 1 or 2, a mapped prefix on
+    exit 1 and a v1 report otherwise.  Returns the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2), code
+    assert elapsed < 1, (argv, elapsed)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(MAPPED), err.getvalue()
+    else:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["schema"] == "v1"
+    return code
+
+
 @st.composite
-def cli_argv(draw):
+def cli_argv(draw, huge=False):
+    """A random argv; with ``huge``, on a space of ``HUGE_PARAMS`` with its
+    parameter at a size from ``HUGE``."""
     command = draw(st.sampled_from(COMMANDS))
-    argv = [command, "--space", draw(st.sampled_from(CATALOG_TAGS))]
+    tag = draw(st.sampled_from(sorted(HUGE_PARAMS) if huge else CATALOG_TAGS))
+    argv = [command, "--space", tag]
+    if huge:
+        argv += ["--params", json.dumps({HUGE_PARAMS[tag]: draw(st.sampled_from(HUGE))})]
     scale = st.sampled_from(SCALES)
     joined = st.booleans()
     argv += flag("delta", draw(scale), draw(joined))
@@ -799,22 +831,23 @@ class TestFuzz:
         @settings(max_examples=400, deadline=None, database=None)
         @given(argv=cli_argv())
         def case(argv):
-            out, err = io.StringIO(), io.StringIO()
-            start = time.perf_counter()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
-            elapsed = time.perf_counter() - start
-            assert code in (0, 1, 2), code
-            assert elapsed < 1, (argv, elapsed)
-            if code == 1:
-                assert out.getvalue() == ""
-                assert err.getvalue().startswith(MAPPED), err.getvalue()
-            else:
-                assert err.getvalue() == ""
-                assert json.loads(out.getvalue())["schema"] == "v1"
-            seen.append((argv[0], argv[2], code))
+            seen.append((argv[0], argv[2], report_or_mapped_error(argv)))
 
         case()
         assert {c for c, _, _ in seen} == set(COMMANDS)
         assert {t for _, t, _ in seen} == set(CATALOG_TAGS)
         assert {code for _, _, code in seen} == {0, 1, 2}
+
+    def test_huge_integer_parameters_end_in_a_report_or_a_mapped_error(self):
+        seen = []
+
+        @seed(21)
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(argv=cli_argv(huge=True))
+        def case(argv):
+            report_or_mapped_error(argv)
+            seen.append((argv[2], argv[4]))
+
+        case()
+        assert set(seen) == {(tag, json.dumps({key: value}))
+                             for tag, key in HUGE_PARAMS.items() for value in HUGE}

@@ -746,8 +746,41 @@ def prime_cycle_graph(max_line):
 
 class TestPrimeCycle:
     def test_prime_power_table(self):
+        # the memoised test answers as the oracle's table does, and nothing
+        # past the window is a prime power of the space
         sp = PrimeCycle(max_line=128)
-        assert sp._powers == prime_powers_oracle(128)
+        oracle = prime_powers_oracle(128)
+        assert {q: sp._power(q) for q in range(-2, 260)} == {
+            q: oracle.get(q) for q in range(-2, 260)}
+
+    def test_a_huge_window_tests_only_the_numbers_a_run_reaches(self):
+        sp = PrimeCycle(max_line=10 ** 300)
+        assert sp._powers == {}
+        # the search expands the line points 0..9, each asked about once
+        ball = sp.neighbors(("line", 0), 10)
+        assert ("cyc", 3, 2, 1) in ball and ("cyc", 11, 1, 1) not in ball
+        assert sorted(sp._powers) == list(range(10))
+        # trial division stops at the smallest prime factor or the root;
+        # 2**997 is past the window
+        for q, pk in ((10 ** 9 + 7, (10 ** 9 + 7, 1)), (3 ** 19, (3, 19)),
+                      (3 * (10 ** 9 + 7), None), (2 ** 996, (2, 996)), (2 ** 997, None)):
+            assert sp._power(q) == pk
+        assert sp.cycle_points(3, 19)[1] == ("cyc", 3, 19, 1)
+        assert sp.bg_witness_family(10 ** 9, 1) == ([("line", 10 ** 9 + 7)], 10 ** 9 + 7)
+
+    def test_a_ball_past_the_walk_limit_is_refused_before_the_search(self, monkeypatch):
+        monkeypatch.setattr(spaces_base, "_WALK_POINTS", 64)
+        sp = PrimeCycle(max_line=10 ** 300)
+        # ("cyc", 2, 3, 4) is 2 from its exit ("line", 8), so the ball of
+        # radius 66 holds the 65 line points 8..72 and is refused
+        x = ("cyc", 2, 3, 4)
+        assert sp.distance(x, ("line", 8)) == 2 and len(sp.neighbors(x, 64)) > 64
+        with pytest.raises(BudgetExceededError) as exc:
+            sp.neighbors(x, 66)
+        assert str(exc.value) == f"walk around {x!r} holds more than 64 points"
+        with pytest.raises(BudgetExceededError):
+            sp.neighbors(("line", 0), 64)
+        assert len(sp.neighbors(("line", 0), 63)) > 63
 
     def test_all_pairs_match_dijkstra_oracle(self):
         sp = PrimeCycle(max_line=16)
@@ -1547,9 +1580,45 @@ def typed_distance(a, b):
     return (a * 41 + b, Fraction(a + 1, b + 3), (a + b) / 7, math.inf)[(a + 2 * b) % 4]
 
 
+class TestBallsPastTheWalkLimit:
+    """A ball refused before its walk carries the error the walk raises."""
+
+    @pytest.mark.parametrize("space, x", [
+        (RegularTree(max_depth=10 ** 8), ()),
+        (RegularTree(degree=5, max_depth=10 ** 8), (2, 0, 3)),
+        (BranchTree(max_depth=10 ** 300), ()),
+        (BranchTree(max_depth=10 ** 8), (1, 0)),
+        (TreeLine(max_tree=3, max_line=10 ** 300), ("line", 0)),
+        (TreeLine(max_tree=3, max_line=10 ** 8), ("tree", 3, (1, 0))),
+    ], ids=["regular", "regular-deep", "branch", "branch-deep", "tree_line", "tree_line-tree"])
+    def test_matches_the_walk(self, monkeypatch, space, x):
+        monkeypatch.setattr(spaces_base, "_WALK_POINTS", 64)
+        refused = 0
+        for r in range(1, 70):
+            walked = outcome(lambda: sorted(
+                y for shell in list(spaces_base.hop_shells(space._adjacency, x, r))[1:]
+                for y in shell))
+            assert outcome(lambda: space.neighbors(x, r)) == walked, r
+            refused += walked[0] == "call"
+        assert refused
+        # past the window or the limit, at once
+        with pytest.raises(BudgetExceededError):
+            space.neighbors(x, 10 ** 300)
+
+
+def row_list_pair_table(size, dist):
+    """The fill ``pair_table`` had for up to 256 points, kept as the
+    reference: Python row lists, each pair's value written to both cells."""
+    rows = [[0] * size for _ in range(size)]
+    for a, row in enumerate(rows):
+        for b in range(a + 1, size):
+            row[b] = rows[b][a] = dist(a, b)
+    return rows
+
+
 class TestPairTable:
-    # 300 points take more cells than the row lists may hold; a limit of 0
-    # sends every size to the in-place fill
+    # 300 points take more cells than one gather serves; a limit of 0 sends
+    # every size to the in-place fill
     @pytest.mark.parametrize("cells", [None, 0], ids=["default", "in-place"])
     @pytest.mark.parametrize("size", [0, 1, 2, 40, 300])
     def test_one_call_per_pair_in_row_major_order(self, monkeypatch, size, cells):
@@ -1567,6 +1636,24 @@ class TestPairTable:
                 d = typed_distance(a, b)
                 assert cells[a][b] == d and type(cells[a][b]) is type(d)
                 assert cells[b][a] is cells[a][b]
+
+    def test_fills_match_the_row_list_fill_at_every_size(self):
+        # sizes 0 to 300 take the gather, the switch at 256 and the in-place
+        # fill: the values, their types, the shared cells and the call order
+        values = [[typed_distance(a, b) for b in range(300)] for a in range(300)]
+        for size in range(301):
+            calls, expected_calls = [], []
+            table = spaces_base.pair_table(
+                size, lambda a, b: calls.append((a, b)) or values[a][b])
+            expected = row_list_pair_table(
+                size, lambda a, b: expected_calls.append((a, b)) or values[a][b])
+            assert calls == expected_calls
+            assert table.shape == (size, size) and table.dtype == object
+            cells = table.tolist()
+            assert cells == expected
+            assert [list(map(type, row)) for row in cells] == [
+                list(map(type, row)) for row in expected]
+            assert all(cells[b][a] is cells[a][b] for a, b in calls)
 
     def test_typed_distance_covers_every_kind(self):
         seen = {type(typed_distance(a, b)) for a in range(2) for b in range(a + 1, 40)}
@@ -1586,3 +1673,16 @@ class TestPairTable:
             tracemalloc.stop()
         assert table.nbytes == 8 * size * size
         assert peak <= 1.5 * table.nbytes
+
+    def test_large_fill_peaks_at_one_table_and_a_row(self):
+        # each row goes through one array of its values, so the fill holds
+        # the table and one row; a whole triangle alive beside the table
+        # would take half a table more
+        size = 600
+        tracemalloc.start()
+        try:
+            table = spaces_base.pair_table(size, lambda a, b: (a + b) & 255)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * table.nbytes

@@ -2,8 +2,10 @@
 and validation of malformed inputs — with the profile shortcut cross-checked
 against exact pairwise orbit distances."""
 
+import contextlib
+import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -28,6 +30,7 @@ from coarseentropy import (
     spot_check_members,
     validate_path,
 )
+from coarseentropy import cli
 from coarseentropy.entropy import witness
 
 
@@ -449,3 +452,34 @@ class TestSpotCheckMembers:
         bound = fam.n + 5 * (2 * fam.p * fam.arm_length + 1)
         assert bound == 16_461
         assert calls[0] <= bound
+
+    def test_cli_command_measures_the_base_once(self, monkeypatch):
+        # build_witness validates the 16,385-point base and the spot check
+        # starts each member past it: 33,232 calls when both walked it
+        calls = [0]
+        distance = TreeLine.distance
+
+        def counted(self, a, b):
+            calls[0] += 1
+            return distance(self, a, b)
+
+        monkeypatch.setattr(TreeLine, "distance", counted)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["witness", "--space", "tree_line", "--p", "3"]) == 0
+        assert err.getvalue() == ""
+        assert 16_385 < calls[0] <= 17_000
+
+    @pytest.mark.parametrize("build", ["constructor", "replace"])
+    def test_a_base_build_witness_did_not_validate_is_validated_whole(self, build):
+        fam = detour_family()
+        bad = DeltaPath(fam.base.points[:5] + (8,) + fam.base.points[6:], 1)
+        if build == "constructor":
+            fam = WitnessFamily(space=fam.space, base=bad, arms=fam.arms, p=fam.p, R=fam.R,
+                                profile=fam.profile)
+        else:
+            fam = replace(fam, base=bad)
+        for check in (spot_check_members, spot_check_oracle):
+            with pytest.raises(InvalidInputError) as exc:
+                check(fam, [0, 2, 3])
+            assert str(exc.value) == self.BAD_STEP.format(0)

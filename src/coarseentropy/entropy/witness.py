@@ -45,9 +45,9 @@ class WitnessFamily:
     p: int
     R: Dist
     profile: Tuple[Tuple[Dist, ...], ...] = field(repr=False)
-    # the (space, base) pair that build_witness validated; the spot check
-    # trusts the base only while both are still this family's own
-    validated: Tuple = field(default=(), repr=False, compare=False)
+    # set by build_witness once it has validated the base; not an init
+    # field, so a family built or replaced any other way starts False
+    validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def delta(self) -> Dist:
@@ -209,8 +209,10 @@ def build_witness(space: MetricSpace, base: DeltaPath, arms: Sequence[DeltaPath]
                     f"arm endpoints {i} and {j} are only {d} apart, below R={R}")
     # the orbit distance is the sup over positions
     prof = np.maximum.reduce(tables)
-    return WitnessFamily(space=space, base=base, arms=tuple(arms), p=p, R=R,
-                         profile=tuple(map(tuple, prof)), validated=(space, base))
+    fam = WitnessFamily(space=space, base=base, arms=tuple(arms), p=p, R=R,
+                        profile=tuple(map(tuple, prof)))
+    object.__setattr__(fam, "validated", True)
+    return fam
 
 
 def pingpong_witness(space: MetricSpace, x0, base: DeltaPath, arms: Sequence[DeltaPath],
@@ -256,14 +258,6 @@ def _shared_prefix(u: Tuple, v: Tuple, start: int = 0) -> int:
     return next(compress(count(start), map(ne, u[start:n], v[start:n])))
 
 
-def _validated_base(family: WitnessFamily) -> Tuple:
-    """The base points ``build_witness`` validated for this family, or ()
-    when the family was built, or has had its space or base replaced,
-    some other way."""
-    space, base = family.validated or (None, None)
-    return base.points if space is family.space and base is family.base else ()
-
-
 def spot_check_members(family: WitnessFamily, indices: Sequence[int]) -> dict:
     """Materialize selected members, re-validate them as delta-paths, and
     recompute their pairwise orbit distances exactly (no profile shortcut).
@@ -278,7 +272,7 @@ def spot_check_members(family: WitnessFamily, indices: Sequence[int]) -> dict:
     result or a message; a family's members all share its base, which is
     measured once per command instead of once per member and pair.
     """
-    base = _validated_base(family)
+    base = family.base.points if family.validated else ()
     points, shared, on_base = {}, {}, {}
     for i in indices:
         path = family.path_at(i)

@@ -56,30 +56,25 @@ PointRef = Hashable
 _TABLE_BLOCK_CELLS = 1 << 20
 
 # a pair table of up to this many points is one gather from its values;
-# its pair positions, at most 1 + 255 * 256 / 2, fit int16
+# its pair positions, at most 255 * 256 / 2, fit int16
 _PAIR_SIDE = 256
-_PAIR_ROWS_CELLS = _PAIR_SIDE * _PAIR_SIDE
 
 # most points one breadth-first walk may hold.  The depth-9 step ball of
 # branch_tree holds 4,037,913; its depth-10 shell alone holds 11! ~ 39.9M
 _WALK_POINTS = 1 << 22
 
 
-@functools.cache
-def _pair_positions() -> np.ndarray:
-    """Read-only int16 matrix, ``_PAIR_SIDE`` square (128 KiB, built once):
-    0 on the diagonal and ``1 + j*(j-1)/2 + i`` at (i, j) and (j, i) for
-    i < j, the place of pair (i, j) after a 0 when the pairs run column by
-    column, (0, 1), (0, 2), (1, 2), (0, 3), ....
-
-    Reflected by i -> n-1-i and read backwards, the row-major pairs of an
-    n-point table run in exactly that order, so the top-left n by n block,
-    reversed on both axes, places the reversed values of any n <= 256."""
-    # built in int16, so that the build peaks at a few such matrices
-    i = np.arange(_PAIR_SIDE, dtype=np.int32)
-    first = (i * (i - 1) // 2 + 1).astype(np.int16)  # the place of (0, j)
-    upper = np.triu(np.add.outer(i.astype(np.int16), first), 1)
-    positions = upper + upper.T
+@functools.lru_cache(maxsize=64)
+def _pair_positions(size: int) -> np.ndarray:
+    """Read-only int16 matrix, ``size`` square: 0 on the diagonal, and at
+    (a, b) and (b, a) for a < b the place of pair (a, b) in the row-major
+    pair list after a leading 0.  An n-point matrix holds 2n**2 bytes, so
+    the cache holds at most 64 * 128 KiB = 8 MiB; the 2- to 40-point tables
+    of random metrics take 43 KiB."""
+    positions = np.zeros((size, size), dtype=np.int16)
+    upper = np.triu_indices(size, 1)
+    positions[upper] = np.arange(1, len(upper[0]) + 1)
+    positions.T[upper] = positions[upper]
     positions.setflags(write=False)
     return positions
 
@@ -89,16 +84,16 @@ def pair_table(size: int, dist: Callable[[int, int], Dist]) -> np.ndarray:
     indices, one call per pair ``a < b`` in row-major order; int 0 on the
     diagonal.  Each value goes through numpy once, by ``np.fromiter``.
 
-    Up to ``_PAIR_ROWS_CELLS`` cells, one ``starmap`` over the pairs takes
-    the values and the table is one gather from them, by
-    ``_pair_positions``.  Larger tables take each row's values by one
+    Up to ``_PAIR_SIDE`` points, one ``starmap`` over the pairs takes the
+    values, after a 0, and the table is one gather from them, by
+    ``_pair_positions(size)``.  Larger tables take each row's values by one
     ``np.fromiter`` and write them to the row and its mirror column in
     place, so the peak stays one table and a row.
     """
-    if size * size <= _PAIR_ROWS_CELLS:
-        values = np.fromiter(chain(starmap(dist, combinations(range(size), 2)), (0,)), object,
+    if size <= _PAIR_SIDE:
+        values = np.fromiter(chain((0,), starmap(dist, combinations(range(size), 2))), object,
                              size * (size - 1) // 2 + 1)
-        return values[::-1][_pair_positions()[:size, :size][::-1, ::-1]]
+        return values[_pair_positions(size)]
     table = np.zeros((size, size), dtype=object)
     for a in range(size - 1):
         row = np.fromiter(map(dist, repeat(a), range(a + 1, size)), object, size - a - 1)

@@ -762,12 +762,25 @@ def branch_tree_measured(max_depth: int = 10) -> MeasuredSpace:
 # prime-cycle decorated half line
 
 
+# most divisors one prime-power test tries: every number below 2**32 is
+# settled, and a larger one with no factor up to this bound is refused
+_TRIAL_DIVISORS = 1 << 16
+
+
 def _prime_power(q: int) -> Optional[Tuple[int, int]]:
     """(p, k) when q = p**k for a prime p, else None.  p is q's smallest
-    prime factor, found by trial division up to the integer square root."""
+    prime factor, found by trial division up to the integer square root;
+    raises BudgetExceededError when that root passes ``_TRIAL_DIVISORS``
+    and no divisor up to the bound is found."""
     if q < 2:
         return None
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    root = math.isqrt(q)
+    p = next((d for d in range(2, min(root, _TRIAL_DIVISORS) + 1) if q % d == 0), None)
+    if p is None:
+        if root > _TRIAL_DIVISORS:
+            raise BudgetExceededError(
+                f"testing {q} for a prime power needs trial division past {_TRIAL_DIVISORS}")
+        p = q
     k = 0
     while q % p == 0:
         q //= p
@@ -894,9 +907,12 @@ class PrimeCycle(MetricSpace):
         # past that, the ball holds the line points from x's exit to the
         # line onwards, radius - exit + 1 of them: refuse more than the walk
         # limit before searching
+        # limit before searching; the search itself raises once it holds
+        # more than the limit after expanding a point
+        limit = _base._WALK_POINTS
         exit_cost = 0 if x[0] == "line" else self._exit_cost(*x[1:])
-        if radius - exit_cost >= _base._WALK_POINTS:
-            raise walk_limit_error(x, _base._WALK_POINTS)
+        if radius - exit_cost >= limit:
+            raise walk_limit_error(x, limit)
         dist = {x: 0}
         heap = [(0, x)]
         while heap:
@@ -910,6 +926,8 @@ class PrimeCycle(MetricSpace):
                 if nd <= radius and nd < dist.get(w, INF):
                     dist[w] = nd
                     heapq.heappush(heap, (nd, w))
+            if len(dist) > limit:
+                raise walk_limit_error(x, limit)
         dist.pop(x, None)
         return sorted(dist)
 
@@ -924,6 +942,10 @@ class PrimeCycle(MetricSpace):
         if depth < 1 or not s < self.max_line:
             return None
         p = max(2, math.floor(s) + 1)
+        # the prime found is no smaller, so its power is too large whenever
+        # this one's is: say so before the search
+        if depth >= self.max_line.bit_length() or p ** depth > self.max_line:
+            return None
         while self._power(p) != (p, 1):
             p += 1
             if p > self.max_line:

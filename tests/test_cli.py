@@ -851,3 +851,9 @@ class TestFuzz:
         case()
         assert set(seen) == {(tag, json.dumps({key: value}))
                              for tag, key in HUGE_PARAMS.items() for value in HUGE}
+
+    @pytest.mark.parametrize("delta", [10 ** 9, 10 ** 20, 10 ** 40])
+    def test_a_huge_window_at_a_huge_separation_ends(self, delta):
+        # bgcheck on prime_cycle looks for the smallest prime above delta
+        report_or_mapped_error(["bgcheck", "--space", "prime_cycle", "--params",
+                                json.dumps({"max_line": 10 ** 300}), "--delta", str(delta)])

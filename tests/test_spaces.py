@@ -768,19 +768,50 @@ class TestPrimeCycle:
         assert sp.cycle_points(3, 19)[1] == ("cyc", 3, 19, 1)
         assert sp.bg_witness_family(10 ** 9, 1) == ([("line", 10 ** 9 + 7)], 10 ** 9 + 7)
 
-    def test_a_ball_past_the_walk_limit_is_refused_before_the_search(self, monkeypatch):
-        monkeypatch.setattr(spaces_base, "_WALK_POINTS", 64)
+    def test_a_prime_power_test_past_the_trial_bound_is_refused(self):
         sp = PrimeCycle(max_line=10 ** 300)
-        # ("cyc", 2, 3, 4) is 2 from its exit ("line", 8), so the ball of
-        # radius 66 holds the 65 line points 8..72 and is refused
+        # 2**61 - 1 is prime, so no divisor up to the bound shows
+        m61 = 2 ** 61 - 1
+        with pytest.raises(BudgetExceededError):
+            sp._power(m61)
+        assert m61 not in sp._powers
+        # a small factor settles a larger number, and the bound settles
+        # every number below 2**32, the largest prime there included
+        assert sp._power(3 * m61) is None and sp._power(3 ** 100) == (3, 100)
+        assert sp._power(2 ** 32 - 5) == (2 ** 32 - 5, 1)
+        # past 10**40 the search for a prime meets the bound, unless the
+        # power of 10**40 + 1 already leaves the window
+        sp = PrimeCycle(max_line=10 ** 300)
+        assert sp.bg_witness_family(10 ** 40, 8) is None and sp._powers == {}
+        with pytest.raises(BudgetExceededError):
+            sp.bg_witness_family(10 ** 40, 7)
+
+    def test_a_ball_past_the_walk_limit_is_refused(self, monkeypatch):
         x = ("cyc", 2, 3, 4)
-        assert sp.distance(x, ("line", 8)) == 2 and len(sp.neighbors(x, 64)) > 64
+        balls = {r: PrimeCycle(max_line=10 ** 300).neighbors(x, r) for r in range(1, 66)}
+        monkeypatch.setattr(spaces_base, "_WALK_POINTS", 64)
+        error = f"walk around {x!r} holds more than 64 points"
+        # x is 2 from its exit ("line", 8), so the ball of radius 66 holds
+        # the 65 line points 8..72: refused before the search asks about any
+        sp = PrimeCycle(max_line=10 ** 300)
+        assert sp.distance(x, ("line", 8)) == 2
         with pytest.raises(BudgetExceededError) as exc:
             sp.neighbors(x, 66)
-        assert str(exc.value) == f"walk around {x!r} holds more than 64 points"
+        assert str(exc.value) == error and sorted(sp._powers) == [8]
         with pytest.raises(BudgetExceededError):
             sp.neighbors(("line", 0), 64)
-        assert len(sp.neighbors(("line", 0), 63)) > 63
+        # below that bound the search refuses exactly the balls that hold
+        # more than 64 points with x
+        refused = 0
+        for r, ball in balls.items():
+            if len(ball) + 1 > 64:
+                with pytest.raises(BudgetExceededError) as exc:
+                    sp.neighbors(x, r)
+                assert str(exc.value) == error
+                refused += 1
+            else:
+                assert sp.neighbors(x, r) == ball
+        assert 0 < refused < len(balls)
 
     def test_all_pairs_match_dijkstra_oracle(self):
         sp = PrimeCycle(max_line=16)
@@ -1617,13 +1648,13 @@ def row_list_pair_table(size, dist):
 
 
 class TestPairTable:
-    # 300 points take more cells than one gather serves; a limit of 0 sends
-    # every size to the in-place fill
-    @pytest.mark.parametrize("cells", [None, 0], ids=["default", "in-place"])
+    # 300 points are more than one gather serves; a limit of 0 sends every
+    # size but 0 to the in-place fill
+    @pytest.mark.parametrize("side", [None, 0], ids=["default", "in-place"])
     @pytest.mark.parametrize("size", [0, 1, 2, 40, 300])
-    def test_one_call_per_pair_in_row_major_order(self, monkeypatch, size, cells):
-        if cells is not None:
-            monkeypatch.setattr(spaces_base, "_PAIR_ROWS_CELLS", cells)
+    def test_one_call_per_pair_in_row_major_order(self, monkeypatch, size, side):
+        if side is not None:
+            monkeypatch.setattr(spaces_base, "_PAIR_SIDE", side)
         calls = []
         table = spaces_base.pair_table(
             size, lambda a, b: calls.append((a, b)) or typed_distance(a, b))

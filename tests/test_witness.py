@@ -287,7 +287,8 @@ class TamperedFamily(WitnessFamily):
 
 
 def tampered(fam, tamper):
-    return TamperedFamily(**{f.name: getattr(fam, f.name) for f in fields(fam)}, tamper=tamper)
+    return TamperedFamily(**{f.name: getattr(fam, f.name) for f in fields(fam) if f.init},
+                          tamper=tamper)
 
 
 def detour_family():

@@ -271,7 +271,7 @@ def _mis_bitset(n: int, conflict: List[int]):
     def expand(cand: int, size: int, mask: int):
         nodes[0] += 1
         if nodes[0] > _NODE_BUDGET:
-            raise InvalidInputError("independent-set search exceeded its node budget")
+            raise BudgetExceededError("independent-set search exceeded its node budget")
         # (rank, colour) of the candidates whose colour could beat the best
         coloured: List[Tuple[int, int]] = []
         floor = best[0] - size
@@ -445,7 +445,7 @@ def _exact_cover(n: int, cov: List[int]):
     def dfs(uncov: int, budget: int, chosen: List[int]) -> bool:
         nodes[0] += 1
         if nodes[0] > _NODE_BUDGET:
-            raise InvalidInputError("set-cover search exceeded its node budget")
+            raise BudgetExceededError("set-cover search exceeded its node budget")
         if uncov == 0:
             return True
         if budget == 0 or -(-uncov.bit_count() // maxcov) > budget:

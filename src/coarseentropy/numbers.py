@@ -19,6 +19,10 @@ Dist = Union[int, Fraction, float]
 
 INF = math.inf
 
+# most digits parse_dist reads in a number, as int() does by default
+_MAX_DIGITS = 4300
+_DIGITS_BOUND = 10 ** _MAX_DIGITS
+
 
 def as_dist(value) -> Dist:
     """Normalize a user-supplied numeric value to a Dist.
@@ -46,13 +50,20 @@ def as_dist(value) -> Dist:
 
 
 def parse_dist(text: str) -> Dist:
-    """Parse "7", "17/4", "2.5" or "inf" into a Dist (exact where possible)."""
+    """Parse "7", "17/4", "2.5", "1e-12" or "inf" into a Dist (exact where
+    possible).  As ``int()`` does, refuse more than ``_MAX_DIGITS`` digits:
+    in the numerator or denominator, or in a power of ten."""
     text = text.strip()
     if text.lower() in ("inf", "infinity"):
         return INF
     try:
-        if "/" in text or "." in text:
+        if "/" in text or "." in text or "e" in text.lower():
+            exponent = text.lower().partition("e")[2]
+            if exponent and abs(int(exponent)) > _MAX_DIGITS:
+                raise ValueError("exponent too large")
             frac = Fraction(text)
+            if max(abs(frac.numerator), frac.denominator) >= _DIGITS_BOUND:
+                raise ValueError("too many digits")
             return int(frac) if frac.denominator == 1 else frac
         return int(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -104,17 +104,17 @@ def _json_token(value: Any) -> str:
 
 
 def _decimal_of(value: Any) -> str:
-    """Best-effort decimal rendering of a numeric scalar; empty otherwise."""
+    """Best-effort decimal rendering of a numeric scalar; empty otherwise,
+    also past the float range."""
     if isinstance(value, bool) or value is None:
         return ""
-    if isinstance(value, (int, float)):
-        return repr(float(value))
-    if isinstance(value, str):
-        try:
-            num = parse_dist(value)
-        except (ValueError, TypeError):
-            return ""
-        return repr(float(num))
+    try:
+        if isinstance(value, (int, float)):
+            return repr(float(value))
+        if isinstance(value, str):
+            return repr(float(parse_dist(value)))
+    except (ValueError, TypeError, OverflowError):
+        pass
     return ""
 
 

@@ -16,7 +16,6 @@ truncating.  Point encodings are canonical and totally ordered:
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -106,10 +105,11 @@ class UltrametricProduct(MetricSpace):
 
     vertex_transitive = True
     growth_tag = "exponential"
+    MAX_INDEX = 64  # every point is a tuple this long
 
     def __init__(self, max_index: int = 16):
-        if max_index < 1:
-            raise InvalidInputError("max_index must be >= 1")
+        if not 1 <= max_index <= self.MAX_INDEX:
+            raise InvalidInputError(f"max_index must be between 1 and {self.MAX_INDEX}")
         self.max_index = max_index
         self.name = f"ultrametric_product[K={max_index}]"
         self.annotations = frozenset({"ultrametric", "bounded-components"})
@@ -635,16 +635,15 @@ class TreeLine(MetricSpace):
         # the walk raises when it expands the last line point, which it does
         # exactly when that point is nearer than r.  A window that fits under
         # _WALK_POINTS cannot meet the walk limit first: say so before walking
-        last = ("line", self.max_line)
+        to_last = self.distance(x, ("line", self.max_line))
         limit = _base._WALK_POINTS
-        far = self.distance(x, last) >= r
-        if self._window_size <= limit and not far:
+        if self._window_size <= limit and to_last < r:
             raise BudgetExceededError(
                 f"line window 0..{self.max_line} exceeded at {self.max_line}")
-        # with that point no nearer than r, the ball holds the r - e + 1 line
-        # points from x's exit, e away, onwards: refuse more than the walk
-        # limit before walking them
-        if far and r - (0 if x[0] == "line" else len(x[2])) >= limit:
+        # the walk holds the line points from x's exit, e away, up to
+        # min(r, to_last) away before it ends or expands the last one:
+        # refuse more than the walk limit of them before walking
+        if min(r, to_last) - (0 if x[0] == "line" else len(x[2])) >= limit:
             raise walk_limit_error(x, limit)
         return _hop_ball(self._adjacency, x, r)
 
@@ -861,75 +860,73 @@ class PrimeCycle(MetricSpace):
         pos %= p * k
         return ("line", p ** k) if pos == 0 else ("cyc", p, k, pos)
 
-    def _adjacency(self, v):
-        """Lazy weighted adjacency; raises when the line window is exceeded."""
-        out = []
-        if v[0] == "line":
-            m = v[1]
-            if m > 0:
-                out.append((("line", m - 1), 1))
-            if m + 1 > self.max_line:
-                raise BudgetExceededError(f"line window 0..{self.max_line} exceeded at {m}")
-            out.append((("line", m + 1), 1))
-            pk = self._power(m)
-            if pk is not None:
-                p, k = pk
-                cyc = p * k
-                arc = {self._cycle_vertex(p, k, 1), self._cycle_vertex(p, k, cyc - 1)}
-                for w in sorted(arc):
-                    if w != v:
-                        out.append((w, 1))
-                for j in range(1, cyc):
-                    out.append((("cyc", p, k, j), p))
-        else:
-            _, p, k, i = v
-            cyc = p * k
-            for w in {self._cycle_vertex(p, k, i - 1), self._cycle_vertex(p, k, i + 1)}:
-                if w != v:
-                    out.append((w, 1))
-            for j in range(cyc):
-                w = self._cycle_vertex(p, k, j)
-                if w != v:
-                    out.append((w, p))
-        return out
-
     def neighbors(self, x, delta):
         self.check_point(x)
         if delta < 1:
             return []
-        radius = _floor_int(delta)  # all edge weights are integers
-        # the search raises when it expands the last line point, which it
-        # does exactly when that point is nearer than the radius: say so
-        # before walking the whole window to get there
+        radius = _floor_int(delta)  # all distances are integers
+        # the ball passes the window when the last line point is nearer
         if self.distance(x, ("line", self.max_line)) < radius:
             raise BudgetExceededError(
                 f"line window 0..{self.max_line} exceeded at {self.max_line}")
-        # past that, the ball holds the line points from x's exit to the
-        # line onwards, radius - exit + 1 of them: refuse more than the walk
-        # limit before searching
-        # limit before searching; the search itself raises once it holds
-        # more than the limit after expanding a point
+        # x meets the line at q0 after exit_cost steps, and the ball holds the
+        # line points within reach of q0: refuse more than the limit of those
         limit = _base._WALK_POINTS
-        exit_cost = 0 if x[0] == "line" else self._exit_cost(*x[1:])
-        if radius - exit_cost >= limit:
+        if x[0] == "line":
+            q0, exit_cost, cycles = x[1], 0, []
+        else:
+            _, p, k, i = x
+            q0, exit_cost = p ** k, self._exit_cost(p, k, i)
+            cycles = [(p, k, i, radius, -exit_cost)]  # x's own, measured from x
+        reach = radius - exit_cost
+        if reach >= limit:
             raise walk_limit_error(x, limit)
-        dist = {x: 0}
-        heap = [(0, x)]
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > dist.get(v, INF):
-                continue
-            if d + 1 > radius:
-                continue
-            for w, weight in self._adjacency(v):
-                nd = d + weight
-                if nd <= radius and nd < dist.get(w, INF):
-                    dist[w] = nd
-                    heapq.heappush(heap, (nd, w))
-            if len(dist) > limit:
-                raise walk_limit_error(x, limit)
-        dist.pop(x, None)
-        return sorted(dist)
+        # cycles holds (p, k, centre, room, s) for each cycle in the ball: its
+        # vertices within room of the centre, every one once a chord reaches
+        # (p <= room); the cycle glued at q, s = |q - q0| steps along the
+        # line, has room reach - s.  The tests and the walk-limit error come
+        # as a search outward by distance raises them: it tests each line
+        # point nearer than the radius as it expands it, q0 and then q0 - t
+        # before q0 + t, and refuses once it holds more than the limit: x,
+        # the line points within t of q0 (and q0 - t - 1 once q0 - t is
+        # expanded), and of each cycle met its whole ball or, while no chord
+        # reaches, its arcs of t - s + 1 beside the centre.  At the last
+        # step it holds the ball.
+        whole = arcs = starts = met = 0  # held whole; growing arcs, sum of their s
+        ends: Dict[int, List[Tuple[int, int]]] = {}  # step -> arcs whole from then
+        last = max(reach, 0)
+        for t in range(last + 1):
+            for size, s in ends.pop(t, ()):
+                whole, arcs, starts = whole + size, arcs - 1, starts - s
+            for m in (q0 - t, q0 + t) if t else (q0,):
+                if m < 0:
+                    continue
+                for cp, ck, _, room, s in cycles[met:]:
+                    size = cp * ck - 1 if cp <= room else min(cp * ck - 1, 2 * room)
+                    full = t if cp <= room else s + (size + 1) // 2 - 1
+                    if full <= t:
+                        whole += size
+                    else:
+                        arcs, starts = arcs + 1, starts + s
+                        ends.setdefault(full, []).append((size, s))
+                met = len(cycles)
+                # an arc met s steps from q0 holds 2 (t - s + 1) vertices
+                if (1 + t + min(q0, t) + (m > q0 and t < q0) + whole
+                        + 2 * (arcs * (t + 1) - starts)) > limit:
+                    raise walk_limit_error(x, limit)
+                if t == last:
+                    break
+                pk = self._power(m)
+                if pk is not None and (m != q0 or x[0] == "line"):
+                    cycles.append((*pk, 0, reach - t, t))
+        ball = []  # sorted: cycle vertices (position 0 is the line point q), lines
+        for cp, ck, centre, room, _ in sorted(cycles):
+            n = cp * ck
+            span = range(n) if cp <= room else range(centre - room, centre + room + 1)
+            ball += [("cyc", cp, ck, j) for j in sorted({j % n for j in span}) if j]
+        ball += [("line", m) for m in range(max(0, q0 - reach), q0 + reach + 1)]
+        ball.remove(x)
+        return ball
 
     def cycle_points(self, p: int, k: int) -> List[Tuple]:
         if self._power(p ** k) != (p, k):

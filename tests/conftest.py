@@ -104,8 +104,9 @@ def random_metric(rng: random.Random, n: int, scale: int = 12):
 # independent shortest-path oracles
 
 
-def dijkstra_oracle(adjacency, source):
-    """Exact single-source distances over ``adjacency(v) -> [(w, weight)]``."""
+def dijkstra_oracle(adjacency, source, radius=float("inf")):
+    """Exact single-source distances over ``adjacency(v) -> [(w, weight)]``,
+    for the points within ``radius`` of the source."""
     counter = itertools.count()
     dist = {source: 0}
     heap = [(0, next(counter), source)]
@@ -115,7 +116,7 @@ def dijkstra_oracle(adjacency, source):
             continue
         for w, weight in adjacency(v):
             nd = d + weight
-            if nd < dist.get(w, float("inf")):
+            if nd <= radius and nd < dist.get(w, float("inf")):
                 dist[w] = nd
                 heapq.heappush(heap, (nd, next(counter), w))
     return dist

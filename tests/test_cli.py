@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from coarseentropy import cli
+from coarseentropy import cli, extremal
 from coarseentropy.entropy.counts import rate_series
 from coarseentropy.entropy.witness import catalog_pingpong
 from coarseentropy.paths import enumerate_orbits
@@ -193,6 +193,30 @@ class TestCountedGrowth:
         assert elapsed < 3, elapsed
 
 
+# the report of a weighted search for the same ball
+PRIME_CYCLE_ORBITS = """\
+{
+  "kind": "orbit-set-summary",
+  "report": {
+    "config": {
+      "cap": 1000000,
+      "delta": 1000,
+      "n": 1,
+      "params": {
+        "max_line": 1000000
+      },
+      "space": "prime_cycle"
+    },
+    "count": 53779,
+    "distinct_endpoints": 53779,
+    "exhaustive": true,
+    "x0": "('line', 0)"
+  },
+  "schema": "v1"
+}
+"""
+
+
 class TestOrbitsCommand:
     def test_int_line_counts(self, capsys):
         code, doc = run_json(
@@ -230,6 +254,16 @@ class TestOrbitsCommand:
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == ("budget exceeded: enumeration cap 1000000 exceeded "
                                "for n=2, delta=17\n")
+
+    def test_prime_cycle_wide_ball_in_a_large_window_is_quick(self, capsys):
+        # the radius-1000 ball around ("line", 0) holds 53,778 points; a
+        # weighted search for it took about 10 s
+        start = time.perf_counter()
+        code, out, err = run(["orbits", "--space", "prime_cycle", "--params",
+                              '{"max_line": 1000000}', "--delta", "1000", "--n", "1"], capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert out == PRIME_CYCLE_ORBITS
 
     def test_long_single_path(self, capsys):
         code, doc = run_json(
@@ -312,6 +346,16 @@ class TestRatesCommand:
         assert done.stderr.startswith("budget exceeded: 999999-step ball of radius 1 around "
                                       "depth-0 vertex exceeds depth window 10")
 
+
+    @pytest.mark.parametrize("space, mode, search", [
+        ("regular_tree", "separated", "independent-set"), ("int_line", "dense", "set-cover")])
+    def test_node_budget_overrun_is_a_budget_error(self, capsys, monkeypatch, space, mode,
+                                                   search):
+        monkeypatch.setattr(extremal, "_NODE_BUDGET", 1)
+        code, out, err = run(["rates", "--space", space, "--n", "2", "--radius", "2",
+                              "--mode", mode], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"budget exceeded: {search} search exceeded its node budget\n"
 
 class TestWitnessCommand:
     def test_small_tree_line_family(self, capsys):
@@ -754,7 +798,7 @@ class TestSharedParser:
 # every mapped error prefix of cli.main; anything else is a traceback
 MAPPED = ("config error: ", "budget exceeded: ", "unknown point: ", "map check failed: ",
           "error: ", "io error: ")
-# 1e-12 and 1e300 also spelled as exact decimals, which parse_dist accepts
+# 1e-12 and 1e300 also spelled as exact decimals: parse_dist reads both alike
 SCALES = ("0", "1e-12", "0.000000000001", "3/2", "1e300", "1" + "0" * 300, "inf", "-inf")
 COMMANDS = ("growth", "orbits", "rates", "witness", "classify", "qgcheck", "bgcheck",
             "obstruct")
@@ -767,10 +811,11 @@ def flag(name, value, joined):
 
 
 # integer catalog parameters that no size may turn into a traceback or a
-# hang.  ultrametric_product's max_index, regular_tree's degree and
-# tree_line's max_tree still do at these sizes, so they are left out
+# hang.  regular_tree's degree and tree_line's max_tree still do at these
+# sizes, so they are left out
 HUGE_PARAMS = {"log_line": "max_abs", "int_line": "max_abs", "regular_tree": "max_depth",
-               "tree_line": "max_line", "branch_tree": "max_depth", "prime_cycle": "max_line"}
+               "tree_line": "max_line", "branch_tree": "max_depth", "prime_cycle": "max_line",
+               "ultrametric_product": "max_index"}
 HUGE = (10 ** 8, 10 ** 300)
 
 

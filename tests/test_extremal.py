@@ -129,9 +129,19 @@ class TestColourBoundedSearch:
         conflict = [0b10010, 0b00101, 0b01010, 0b10100, 0b01001]
         assert extremal._mis_bitset(5, conflict)[1] > 1
         monkeypatch.setattr(extremal, "_NODE_BUDGET", 1)
-        with pytest.raises(InvalidInputError,
+        with pytest.raises(BudgetExceededError,
                            match="^independent-set search exceeded its node budget$"):
             extremal._mis_bitset(5, conflict)
+
+    def test_node_budget_stops_the_cover_search(self, monkeypatch):
+        # items 0 and 2 cover each other, 1 and 3 only themselves: the bound
+        # of 2 centres sends the search past the greedy cover of 3
+        cov = [0b0101, 0b0010, 0b0101, 0b1000]
+        assert extremal._exact_cover(4, cov) == ([0, 1, 3], 5)
+        monkeypatch.setattr(extremal, "_NODE_BUDGET", 1)
+        with pytest.raises(BudgetExceededError,
+                           match="^set-cover search exceeded its node budget$"):
+            extremal._exact_cover(4, cov)
 
     def test_pinned_node_count(self):
         # the 81-path int_line family at R=2: the greedy seed is optimal and

@@ -1,6 +1,8 @@
 """Distance value normalization, parsing, and JSON rendering."""
 
 import math
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -62,6 +64,25 @@ def test_parse_dist_rejects_garbage():
         parse_dist("seven")
     with pytest.raises(ValueError):
         parse_dist("1/0")
+
+
+@pytest.mark.parametrize("text", [
+    "1e40", "1E5", "1e-12", "2.5e3", "-3e2", "1e+3", "1.5E-2", "1e4299", "1e-4299"])
+def test_parse_dist_reads_exponents_exactly(text):
+    value = parse_dist(text)
+    assert value == Fraction(Decimal(text))
+    assert isinstance(value, int) == (Fraction(Decimal(text)).denominator == 1)
+
+
+@pytest.mark.parametrize("text", [
+    "1e4300", "1e-4300", "1.0e5000000", "1e-5000000", "0." + "0" * 4299 + "1", "1" * 4301],
+    ids=["1e4300", "1e-4300", "1.0e5000000", "1e-5000000", "4300 places", "4301 digits"])
+def test_parse_dist_refuses_more_digits_than_int_reads(text):
+    # 10**4300 has 4301 digits; a huge exponent is refused before any power
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^cannot parse distance"):
+        parse_dist(text)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_dist_to_jsonable():

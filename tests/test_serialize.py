@@ -145,6 +145,12 @@ class TestToCsv:
         # "inf" serializes as the token "inf" whose decimal reading is inf.
         assert rows == {"s": "", "flag": "", "none": "", "inf": repr(math.inf)}
 
+    def test_decimal_blank_past_the_float_range(self):
+        # exponent strings read as numbers too, within and past float range
+        doc = {"big": 10 ** 400, "tiny": Fraction(1, 10 ** 400), "e": "1e5", "far": "1e400"}
+        rows = {r[0]: r[2] for r in self._rows(doc)[1:]}
+        assert rows == {"big": "", "tiny": repr(0.0), "e": repr(1e5), "far": ""}
+
     def test_json_and_csv_carry_identical_numeric_values(self):
         doc = envelope("demo", {"count": 34681, "rate": Fraction(3, 7), "x": 0.125})
         parsed = json.loads(to_json(doc))

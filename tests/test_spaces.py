@@ -1,8 +1,10 @@
 """Catalog spaces and finite-space builders, checked against independent
 BFS/Dijkstra oracles built straight from each space's definition."""
 
+import functools
 import math
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -97,6 +99,12 @@ class TestUltrametricProduct:
         sp = UltrametricProduct(max_index=4)
         with pytest.raises(BudgetExceededError):
             sp.neighbors(sp.basepoint, 5)
+
+    def test_window_beyond_the_bound_is_refused(self):
+        assert UltrametricProduct(max_index=64).basepoint == (0,) * 64
+        for bad in (0, 65, 10 ** 30):
+            with pytest.raises(InvalidInputError, match="^max_index must be between 1 and 64$"):
+                UltrametricProduct(max_index=bad)
 
     def test_bad_points_rejected(self):
         sp = UltrametricProduct(max_index=3)
@@ -425,6 +433,38 @@ class TestTreeLine:
             assert (True, refused) in seen
             assert (True, "walk around ('line', 0) holds more than 20 points") in seen
 
+    @pytest.mark.parametrize("limit", [6, 12])
+    def test_a_walk_past_its_limit_before_the_last_line_point_is_refused_first(
+            self, monkeypatch, limit):
+        # a window past the walk limit: the walk meets its limit before it
+        # expands the last line point once the line points from x's exit up
+        # to that point, or up to floor(delta) if nearer, pass the limit.
+        # neighbors says so without walking, and otherwise walks as before
+        xs = {1: 2, 2: 5, 3: 9}
+        sp = TreeLine(max_tree=3, schedule=[2, 5, 9], max_line=40)
+        monkeypatch.setattr(spaces_base, "_WALK_POINTS", limit)
+        walk, expanded = sp._adjacency, []
+        monkeypatch.setattr(sp, "_adjacency", lambda v: expanded.append(v) or walk(v))
+
+        def outcome(call):
+            try:
+                return call()
+            except BudgetExceededError as exc:
+                return str(exc)
+
+        unwalked = set()
+        for x in treeline_points(xs, 40):
+            exit_cost = 0 if x[0] == "line" else len(x[2])
+            for delta in (*range(1, 50), 10 ** 300):
+                expected = outcome(lambda: catalog._hop_ball(walk, x, delta))
+                expanded.clear()
+                assert outcome(lambda: sp.neighbors(x, delta)) == expected, (x, delta)
+                if min(delta, sp.distance(x, ("line", 40))) - exit_cost >= limit:
+                    assert expected == f"walk around {x!r} holds more than {limit} points"
+                    assert not expanded
+                    unwalked.add(sp.distance(x, ("line", 40)) < delta)
+        assert unwalked == {False, True}
+
     def test_default_schedule_is_powers_of_four(self):
         sp = TreeLine(max_tree=5)
         assert [sp.attachment(n) for n in range(1, 6)] == [4, 16, 64, 256, 1024]
@@ -744,6 +784,27 @@ def prime_cycle_graph(max_line):
     return pts, adj
 
 
+@functools.lru_cache(maxsize=2)
+def prime_cycle_oracle_balls(max_line, radius, depth):
+    """{x: [(y, d), ...]} over the points x of the window at most ``depth``
+    from the line (every point when None): the points y within radius of x
+    on the oracle graph, sorted, at distance d."""
+    pts, adj = prime_cycle_graph(max_line)
+    short = {}
+
+    def within(v):
+        # no path within radius takes a longer edge
+        if v not in short:
+            short[v] = [(w, d) for w, d in adj(v) if d <= radius]
+        return short[v]
+
+    def exit_cost(x):
+        return 0 if x[0] == "line" else min(x[3], x[1] * x[2] - x[3], x[1])
+
+    return {x: sorted(dijkstra_oracle(within, x, radius).items()) for x in pts
+            if depth is None or exit_cost(x) <= depth}
+
+
 class TestPrimeCycle:
     def test_prime_power_table(self):
         # the memoised test answers as the oracle's table does, and nothing
@@ -812,6 +873,81 @@ class TestPrimeCycle:
             else:
                 assert sp.neighbors(x, r) == ball
         assert 0 < refused < len(balls)
+
+    @pytest.mark.parametrize("limit", [3, 12, 80, None])
+    @pytest.mark.parametrize("max_line, depth", [(64, None), (512, 21)])
+    def test_every_ball_matches_the_oracle_graph(self, monkeypatch, max_line, depth, limit):
+        # radii 1-20 around every point of the 64 window, and around every
+        # point of the 512 window at most 21 from the line: deeper balls are
+        # two arcs in their own cycle, as around the 64 window's deepest
+        # points.  The window's end is refused first, then a ball that
+        # holds more than the walk limit with x
+        if limit is not None:
+            monkeypatch.setattr(spaces_base, "_WALK_POINTS", limit)
+        limit = spaces_base._WALK_POINTS
+        last = ("line", max_line)
+        past = f"line window 0..{max_line} exceeded at {max_line}"
+        sp = PrimeCycle(max_line=max_line)
+        for x, near in prime_cycle_oracle_balls(max_line, 20, depth).items():
+            dist = dict(near)
+            for r in range(1, 21):
+                try:
+                    got = sp.neighbors(x, r)
+                except BudgetExceededError as exc:
+                    got = str(exc)
+                ball = [y for y, d in near if 0 < d <= r]
+                if dist.get(last, r) < r:
+                    assert got == past, (x, r)
+                elif len(ball) + 1 > limit:
+                    assert got == f"walk around {x!r} holds more than {limit} points", (x, r)
+                else:
+                    assert got == ball, (x, r)
+
+    # outcomes recorded from the weighted search that neighbors replaced.
+    # Near 2**61: 2**61 - 1 is prime, past the trial bound, and 2**61 glues
+    # a 122-vertex cycle of chord weight 2.  At 257**8 no chord reaches, so
+    # the search holds the cycle's arcs as they grow: 257**8 - 2 is tested,
+    # and refused, before the ball passes the limit of 13.  Ints are line
+    # offsets from base; "walk" is the walk-limit error, and an offset alone
+    # the refusal of base + offset.
+    @pytest.mark.parametrize("base, offset, delta, limit, outcome, asked", [
+        (2 ** 61, 0, 1, 6, [("cyc", 2, 61, 1), ("cyc", 2, 61, 121), -1, 1], [0]),
+        (2 ** 61, 1, 2, 13, [("cyc", 2, 61, 1), ("cyc", 2, 61, 121), -1, 0, 2, 3], [0, 1, 2]),
+        (2 ** 61, -3, 2, 6, [-5, -4, -2, -1], [-4, -3, -2]),
+        (2 ** 61, 2, 3, 13, [("cyc", 2, 61, 1), ("cyc", 2, 61, 121), -1, 0, 1, 3, 4, 5],
+         [0, 1, 2, 3, 4]),
+        (2 ** 61, 0, 2, 13, "walk", [0]),
+        (2 ** 61, 1, 2, 6, "walk", [0, 1, 2]),
+        (2 ** 61, -2, 2, 6, -1, [-3, -2]),
+        (2 ** 61, -3, 3, 6, -1, [-5, -4, -3, -2]),
+        (257 ** 8, 0, 5, 13, -2, [-1, 0, 1]),
+        (257 ** 8, 0, 5, 40, -2, [-1, 0, 1]),
+    ])
+    def test_huge_window_outcomes_recorded_from_the_search(
+            self, monkeypatch, base, offset, delta, limit, outcome, asked):
+        monkeypatch.setattr(spaces_base, "_WALK_POINTS", limit)
+        sp = PrimeCycle(max_line=10 ** 300)
+        x = ("line", base + offset)
+        if isinstance(outcome, list):
+            assert sp.neighbors(x, delta) == sorted(
+                ("line", base + y) if isinstance(y, int) else y for y in outcome)
+        else:
+            with pytest.raises(BudgetExceededError) as exc:
+                sp.neighbors(x, delta)
+            assert str(exc.value) == (
+                f"walk around {x!r} holds more than {limit} points" if outcome == "walk" else
+                f"testing {base + outcome} for a prime power needs trial division past 65536")
+        assert sorted(sp._powers) == [base + q for q in asked]
+
+    def test_a_wide_ball_in_a_large_window_is_quick(self):
+        # a weighted search listed every vertex of a glued cycle again at
+        # each vertex of it that it expanded: past a minute at radius 4000
+        sp = PrimeCycle(max_line=10 ** 6)
+        start = time.perf_counter()
+        ball = sp.neighbors(("line", 0), 4000)
+        assert time.perf_counter() - start < 1
+        assert len(ball) == 699_870 and ball[-1] == ("line", 4000)
+        assert len(sp.neighbors(("line", 0), 1000)) == 53_778
 
     def test_all_pairs_match_dijkstra_oracle(self):
         sp = PrimeCycle(max_line=16)

@@ -105,7 +105,7 @@ class UltrametricProduct(MetricSpace):
 
     vertex_transitive = True
     growth_tag = "exponential"
-    MAX_INDEX = 64  # every point is a tuple this long
+    MAX_INDEX = 20  # a ball holds up to 2**max_index points
 
     def __init__(self, max_index: int = 16):
         if not 1 <= max_index <= self.MAX_INDEX:

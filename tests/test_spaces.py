@@ -1,7 +1,6 @@
 """Catalog spaces and finite-space builders, checked against independent
 BFS/Dijkstra oracles built straight from each space's definition."""
 
-import functools
 import math
 import sys
 import time
@@ -784,11 +783,10 @@ def prime_cycle_graph(max_line):
     return pts, adj
 
 
-@functools.lru_cache(maxsize=2)
 def prime_cycle_oracle_balls(max_line, radius, depth):
-    """{x: [(y, d), ...]} over the points x of the window at most ``depth``
-    from the line (every point when None): the points y within radius of x
-    on the oracle graph, sorted, at distance d."""
+    """Yield (x, [(y, d), ...]) for the points x of the window at most
+    ``depth`` from the line (every point when None): the points y within
+    radius of x on the oracle graph, sorted, at distance d."""
     pts, adj = prime_cycle_graph(max_line)
     short = {}
 
@@ -798,11 +796,10 @@ def prime_cycle_oracle_balls(max_line, radius, depth):
             short[v] = [(w, d) for w, d in adj(v) if d <= radius]
         return short[v]
 
-    def exit_cost(x):
-        return 0 if x[0] == "line" else min(x[3], x[1] * x[2] - x[3], x[1])
-
-    return {x: sorted(dijkstra_oracle(within, x, radius).items()) for x in pts
-            if depth is None or exit_cost(x) <= depth}
+    for x in pts:
+        exit_cost = 0 if x[0] == "line" else min(x[3], x[1] * x[2] - x[3], x[1])
+        if depth is None or exit_cost <= depth:
+            yield x, sorted(dijkstra_oracle(within, x, radius).items())
 
 
 class TestPrimeCycle:
@@ -874,34 +871,34 @@ class TestPrimeCycle:
                 assert sp.neighbors(x, r) == ball
         assert 0 < refused < len(balls)
 
-    @pytest.mark.parametrize("limit", [3, 12, 80, None])
     @pytest.mark.parametrize("max_line, depth", [(64, None), (512, 21)])
-    def test_every_ball_matches_the_oracle_graph(self, monkeypatch, max_line, depth, limit):
+    def test_every_ball_matches_the_oracle_graph(self, monkeypatch, max_line, depth):
         # radii 1-20 around every point of the 64 window, and around every
         # point of the 512 window at most 21 from the line: deeper balls are
         # two arcs in their own cycle, as around the 64 window's deepest
         # points.  The window's end is refused first, then a ball that
         # holds more than the walk limit with x
-        if limit is not None:
-            monkeypatch.setattr(spaces_base, "_WALK_POINTS", limit)
-        limit = spaces_base._WALK_POINTS
         last = ("line", max_line)
         past = f"line window 0..{max_line} exceeded at {max_line}"
         sp = PrimeCycle(max_line=max_line)
-        for x, near in prime_cycle_oracle_balls(max_line, 20, depth).items():
+        for x, near in prime_cycle_oracle_balls(max_line, 20, depth):
             dist = dict(near)
-            for r in range(1, 21):
-                try:
-                    got = sp.neighbors(x, r)
-                except BudgetExceededError as exc:
-                    got = str(exc)
-                ball = [y for y, d in near if 0 < d <= r]
-                if dist.get(last, r) < r:
-                    assert got == past, (x, r)
-                elif len(ball) + 1 > limit:
-                    assert got == f"walk around {x!r} holds more than {limit} points", (x, r)
-                else:
-                    assert got == ball, (x, r)
+            for limit in (3, 12, 80, spaces_base._WALK_POINTS):
+                with monkeypatch.context() as patch:
+                    patch.setattr(spaces_base, "_WALK_POINTS", limit)
+                    for r in range(1, 21):
+                        try:
+                            got = sp.neighbors(x, r)
+                        except BudgetExceededError as exc:
+                            got = str(exc)
+                        ball = [y for y, d in near if 0 < d <= r]
+                        if dist.get(last, r) < r:
+                            assert got == past, (x, r, limit)
+                        elif len(ball) + 1 > limit:
+                            walk = f"walk around {x!r} holds more than {limit} points"
+                            assert got == walk, (x, r, limit)
+                        else:
+                            assert got == ball, (x, r, limit)
 
     # outcomes recorded from the weighted search that neighbors replaced.
     # Near 2**61: 2**61 - 1 is prime, past the trial bound, and 2**61 glues

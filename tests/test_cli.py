@@ -193,7 +193,8 @@ class TestCountedGrowth:
         assert elapsed < 3, elapsed
 
 
-# the report of a weighted search for the same ball
+# the orbits report on prime_cycle's radius-1000 ball in a 10**6 window,
+# as a weighted search for the ball computed it
 PRIME_CYCLE_ORBITS = """\
 {
   "kind": "orbit-set-summary",
@@ -346,7 +347,6 @@ class TestRatesCommand:
         assert done.stderr.startswith("budget exceeded: 999999-step ball of radius 1 around "
                                       "depth-0 vertex exceeds depth window 10")
 
-
     @pytest.mark.parametrize("space, mode, search", [
         ("regular_tree", "separated", "independent-set"), ("int_line", "dense", "set-cover")])
     def test_node_budget_overrun_is_a_budget_error(self, capsys, monkeypatch, space, mode,
@@ -356,6 +356,7 @@ class TestRatesCommand:
                               "--mode", mode], capsys)
         assert (code, out) == (1, "")
         assert err == f"budget exceeded: {search} search exceeded its node budget\n"
+
 
 class TestWitnessCommand:
     def test_small_tree_line_family(self, capsys):

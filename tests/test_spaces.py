@@ -1053,6 +1053,57 @@ class TestCoarseUnion:
         with pytest.raises(InvalidInputError, match=r"^part 2 is unbounded \(disconnected\?\)$"):
             CoarseUnion(parts)
 
+    @pytest.mark.parametrize("bad, message", [
+        ((1, 0), "not a coarse_union point: (1, 0)"),
+        (("part", 1), "not a coarse_union point: ('part', 1)"),
+        (("node", 1, 0), "not a coarse_union point: ('node', 1, 0)"),
+        (("part", 0, 0), "part index out of range: ('part', 0, 0)"),
+        (("part", 4, 0), "part index out of range: ('part', 4, 0)"),
+        (("part", "1", 0), "part index out of range: ('part', '1', 0)"),
+        (("part", 1, 7), "7 is not a vertex of path[3]"),
+        (("part", 3, 2), "2 is not a vertex of w"),
+    ])
+    def test_check_point_messages(self, bad, message):
+        cu = CoarseUnion([path_graph(3), cycle_graph(4),
+                          build_weighted_graph([(0, 1, Fraction(1, 2))], name="w")])
+        good = ("part", 1, 0)
+        for call in (lambda: cu.check_point(bad), lambda: cu.distance(good, bad),
+                     lambda: cu.distance(bad, good), lambda: cu.neighbors(bad, 1)):
+            with pytest.raises(UnknownPointError) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_neighbors_and_table_across_parts_match_the_formula(self):
+        # diameters 2, 2, 1/2 and 3: across parts the max-formula decides,
+        # inside a part the part's own metric
+        parts = [path_graph(3), cycle_graph(4),
+                 build_weighted_graph([(0, 1, Fraction(1, 2))]),
+                 complete_graph(2), path_graph(4)]
+        cu = CoarseUnion(parts)
+        diams = [2, 2, Fraction(1, 2), 1, 3]
+        assert cu.part_diameters == tuple(diams)
+        pts = [("part", i, p) for i, part in enumerate(parts, start=1) for p in part.points]
+        assert cu.points == tuple(pts)
+
+        def expected(a, b):
+            if a[1] == b[1]:
+                return parts[a[1] - 1].distance(a[2], b[2])
+            return max(a[1], b[1], diams[a[1] - 1], diams[b[1] - 1])
+
+        table = cu.distance_table(pts)
+        assert [[(v, type(v)) for v in row] for row in table.tolist()] == [
+            [(expected(a, b), type(expected(a, b))) for b in pts] for a in pts]
+        for delta in (-math.inf, 0, Fraction(1, 2), 1, 2, Fraction(5, 2), 3, 4, 5, 6,
+                      math.inf):
+            for x in pts:
+                assert cu.neighbors(x, delta) == [y for y in pts
+                                                  if y != x and expected(x, y) <= delta]
+        # part 5's diameter 3 keeps every other part at least 5 away from it
+        assert cu.neighbors(("part", 5, 0), 4) == [("part", 5, 1), ("part", 5, 2),
+                                                   ("part", 5, 3)]
+        assert cu.distance(("part", 3, 0), ("part", 3, 1)) == Fraction(1, 2)
+        assert cu.distance(("part", 1, 2), ("part", 1, 2)) == 0
+
 
 # ---------------------------------------------------------------------------
 # graph builders, finite spaces, csv ingestion
@@ -1214,6 +1265,15 @@ class TestFiniteSpaces:
         sp = IntLine(max_abs=50)
         assert ball(sp, 5, 2) == [3, 4, 5, 6, 7]
         assert ball(sp, 5, -1) == []
+
+    def test_unknown_point_messages(self):
+        space = build_finite_space(["a", "b"], lambda x, y: 1, name="pair")
+        for call in (lambda: space.check_point("c"), lambda: space.distance("a", "c"),
+                     lambda: space.distance("c", "a"), lambda: space.distance("c", "c"),
+                     lambda: space.neighbors("c", 1)):
+            with pytest.raises(UnknownPointError) as err:
+                call()
+            assert str(err.value) == "'c' is not a point of pair"
 
     def test_finite_space_diameter(self):
         sub = subspace(path_graph(4), [0, 1, 2, 3])

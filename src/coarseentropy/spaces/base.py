@@ -267,29 +267,21 @@ class MetricSpace:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def _pairkey(a, b):
-    return (a, b) if repr(a) <= repr(b) else (b, a)
+class _FiniteSpace(MetricSpace):
+    """A finite point set, measured by one cached row of distances per
+    source: the subclasses give ``_search`` and the noun of their unknown
+    point message."""
 
+    _noun = "point"
 
-class FiniteMetricSpace(MetricSpace):
-    """A finite point set with an explicit metric.
-
-    ``dist_fn`` is only trusted after ``validate_metric`` passes it in the
-    builder; the class itself just caches values.
-    """
-
-    def __init__(self, points: Sequence[PointRef], dist_fn: Callable[[PointRef, PointRef], Dist],
-                 name: str = "finite", annotations: Iterable[str] = (),
-                 vertex_transitive: bool = False):
+    def __init__(self, points: Iterable[PointRef], name: str, annotations: Iterable[str]):
         self._points = tuple(sorted(set(points)))
         if not self._points:
             raise InvalidInputError("a finite space needs at least one point")
         self._point_set = frozenset(self._points)
-        self._dist_fn = dist_fn
-        self._cache: Dict[Tuple[PointRef, PointRef], Dist] = {}
+        self._rows: Dict[PointRef, Dict[PointRef, Dist]] = {}
         self.name = name
         self.annotations = frozenset(annotations)
-        self.vertex_transitive = vertex_transitive
         self.basepoint = self._points[0]
 
     @property
@@ -298,60 +290,18 @@ class FiniteMetricSpace(MetricSpace):
 
     def check_point(self, x):
         if x not in self._point_set:
-            raise UnknownPointError(f"{x!r} is not a point of {self.name}")
-
-    def distance(self, a, b):
-        if a == b:
-            self.check_point(a)
-            return 0
-        self.check_point(a)
-        self.check_point(b)
-        key = _pairkey(a, b)
-        got = self._cache.get(key)
-        if got is None:
-            got = as_dist(self._dist_fn(a, b))
-            self._cache[key] = got
-        return got
-
-    def neighbors(self, x, delta):
-        self.check_point(x)
-        check_scale(delta)
-        return sorted(y for y in self._points if y != x and self.le(self.distance(x, y), delta))
-
-    def diameter(self) -> Dist:
-        return self.distance_table(self._points).max()
-
-
-class _FiniteGraph(MetricSpace):
-    """Finite graph over a sorted adjacency, measured by one cached
-    single-source search per source.  The subclasses give ``_search``."""
-
-    def __init__(self, adjacency: Dict[PointRef, tuple], name: str, annotations: Iterable[str]):
-        self._adj = {v: tuple(sorted(ns)) for v, ns in sorted(adjacency.items(), key=lambda kv: kv[0])}
-        self._vertices = tuple(sorted(self._adj))
-        self._vertex_set = frozenset(self._vertices)
-        self._dist_cache: Dict[PointRef, Dict[PointRef, Dist]] = {}
-        self.name = name
-        self.annotations = frozenset(annotations)
-        self.basepoint = self._vertices[0]
-
-    @property
-    def points(self):
-        return self._vertices
-
-    def check_point(self, x):
-        if x not in self._vertex_set:
-            raise UnknownPointError(f"{x!r} is not a vertex of {self.name}")
+            raise UnknownPointError(f"{x!r} is not a {self._noun} of {self.name}")
 
     def _search(self, source) -> Dict[PointRef, Dist]:
-        """Distance from source to every vertex of its component."""
+        """Distance from source to the points it reaches; a point left out
+        is infinitely far."""
         raise NotImplementedError
 
     def _distances_from(self, source) -> Dict[PointRef, Dist]:
-        done = self._dist_cache.get(source)
-        if done is None:
-            done = self._dist_cache[source] = self._search(source)
-        return done
+        row = self._rows.get(source)
+        if row is None:
+            row = self._rows[source] = self._search(source)
+        return row
 
     def distance(self, a, b):
         self.check_point(a)
@@ -363,18 +313,42 @@ class _FiniteGraph(MetricSpace):
     def neighbors(self, x, delta):
         self.check_point(x)
         check_scale(delta)
-        dist = self._distances_from(x)
-        return sorted(y for y, d in dist.items() if y != x and self.le(d, delta))
+        row = self._distances_from(x)
+        return sorted(y for y, d in row.items() if y != x and self.le(d, delta))
 
 
-class Graph(_FiniteGraph):
+class FiniteMetricSpace(_FiniteSpace):
+    """A finite point set with an explicit metric.
+
+    ``dist_fn`` is only trusted after ``validate_metric`` passes it in the
+    builder; the class itself just caches values, one row per source.
+    """
+
+    def __init__(self, points: Sequence[PointRef], dist_fn: Callable[[PointRef, PointRef], Dist],
+                 name: str = "finite", annotations: Iterable[str] = (),
+                 vertex_transitive: bool = False):
+        super().__init__(points, name, annotations)
+        self._dist_fn = dist_fn
+        self.vertex_transitive = vertex_transitive
+
+    def _search(self, source):
+        return {p: as_dist(self._dist_fn(source, p)) for p in self._points if p != source}
+
+    def diameter(self) -> Dist:
+        return self.distance_table(self._points).max()
+
+
+class Graph(_FiniteSpace):
     """Finite unweighted graph with the shortest-path (hop) metric."""
+
+    _noun = "vertex"
 
     def __init__(self, adjacency: Dict[PointRef, Tuple[PointRef, ...]], name: str = "graph",
                  annotations: Iterable[str] = (), vertex_transitive: bool = False):
+        self._adj = {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
         # a finite graph trivially has bounded degree; the flags matter when
         # a handle stands in for a whole family, which catalog spaces declare
-        super().__init__(adjacency, name, {"graph", "bounded-degree"} | set(annotations))
+        super().__init__(self._adj, name, {"graph", "bounded-degree"} | set(annotations))
         self.vertex_transitive = vertex_transitive
 
     def adjacency(self, x):
@@ -386,19 +360,22 @@ class Graph(_FiniteGraph):
 
     def _search(self, source):
         # no shortest path has more than one step per vertex
-        shells = hop_shells(self._adj.__getitem__, source, len(self._vertices))
+        shells = hop_shells(self._adj.__getitem__, source, len(self._points))
         return {v: hops for hops, shell in enumerate(shells) for v in shell}
 
     def is_connected(self) -> bool:
-        return len(self._distances_from(self._vertices[0])) == len(self._vertices)
+        return len(self._distances_from(self._points[0])) == len(self._points)
 
 
-class WeightedGraph(_FiniteGraph):
+class WeightedGraph(_FiniteSpace):
     """Finite graph with positive rational edge weights, Dijkstra metric."""
+
+    _noun = "vertex"
 
     def __init__(self, adjacency: Dict[PointRef, Tuple[Tuple[PointRef, Dist], ...]],
                  name: str = "weighted_graph", annotations: Iterable[str] = ()):
-        super().__init__(adjacency, name, {"weighted-graph"} | set(annotations))
+        self._adj = {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
+        super().__init__(self._adj, name, {"weighted-graph"} | set(annotations))
 
     def _search(self, source):
         dist: Dict[PointRef, Dist] = {}

@@ -27,8 +27,8 @@ from ..errors import BudgetExceededError, InvalidInputError, UnknownPointError
 from ..numbers import INF, Dist, is_finite
 from ..paths import DeltaPath
 from . import base as _base
-from .base import (Graph, MeasuredSpace, MetricSpace, block_table, build_graph, check_scale,
-                   count_by_key, hop_shells, walk_limit_error)
+from .base import (Graph, MeasuredSpace, MetricSpace, _FiniteSpace, block_table, build_graph,
+                   check_scale, count_by_key, hop_shells, walk_limit_error)
 
 __all__ = [
     "UltrametricProduct",
@@ -966,7 +966,7 @@ class PrimeCycle(MetricSpace):
 # coarse union of finite pieces
 
 
-class CoarseUnion(MetricSpace):
+class CoarseUnion(_FiniteSpace):
     """Disjoint union of finite bounded spaces under the max-formula metric.
 
     Points of distinct parts n != m are at distance
@@ -988,16 +988,8 @@ class CoarseUnion(MetricSpace):
             if not diam < INF:
                 raise InvalidInputError(f"part {idx} is unbounded (disconnected?)")
             self._diams.append(diam)
-        self._points = tuple(("part", idx, p)
-                             for idx, part in enumerate(self._parts, start=1)
-                             for p in part.points)
-        self.name = name
-        self.annotations = frozenset({"bounded-components"})
-        self.basepoint = self._points[0]
-
-    @property
-    def points(self):
-        return self._points
+        super().__init__((("part", idx, p) for idx, part in enumerate(self._parts, start=1)
+                          for p in part.points), name, {"bounded-components"})
 
     @property
     def part_diameters(self):
@@ -1011,17 +1003,11 @@ class CoarseUnion(MetricSpace):
             raise UnknownPointError(f"part index out of range: {x!r}")
         self._parts[idx - 1].check_point(x[2])
 
-    def distance(self, a, b):
-        self.check_point(a)
-        self.check_point(b)
-        if a[1] == b[1]:
-            return self._parts[a[1] - 1].distance(a[2], b[2])
-        return max(a[1], b[1], self._diams[a[1] - 1], self._diams[b[1] - 1])
-
-    def neighbors(self, x, delta):
-        self.check_point(x)
-        check_scale(delta)
-        return sorted(y for y in self._points if y != x and self.le(self.distance(x, y), delta))
+    def _search(self, source):
+        _, idx, p = source
+        part, diam = self._parts[idx - 1], self._diams[idx - 1]
+        return {y: part.distance(p, y[2]) if y[1] == idx
+                else max(idx, y[1], diam, self._diams[y[1] - 1]) for y in self._points}
 
 
 # ---------------------------------------------------------------------------

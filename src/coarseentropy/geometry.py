@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, InvalidInputError, UnknownPointError
 from .extremal import POINT_LIMIT, greedy_net, max_band_clique, nearest_net
-from .numbers import Dist, dist_to_jsonable
+from .numbers import Dist, dist_to_jsonable, is_finite
 from .paths import hop_search
 from .spaces.base import Graph, MetricSpace, PointRef, ball, build_graph
 
@@ -164,6 +164,9 @@ def quasi_geodesic_check(space: MetricSpace, delta: Dist,
         space.check_point(a)
         space.check_point(b)
         d = space.distance(a, b)
+        if not is_finite(d):
+            raise InvalidInputError(
+                f"{a!r} and {b!r} lie in different components: no path length to check")
         budget = _ceil_dist(d)
         hops: Optional[int] = None
         method = "bfs"

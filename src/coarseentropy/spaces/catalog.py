@@ -189,6 +189,10 @@ class _IntegerLine(MetricSpace):
             return []
         if x - s < -self.max_abs or x + s > self.max_abs:
             raise self._window_error(x)
+        # a walk that expands x holds these 2s points and x: refuse more than
+        # the walk limit of them before building them
+        if 2 * s >= _base._WALK_POINTS:
+            raise walk_limit_error(x, _base._WALK_POINTS)
         return [x + off for off in range(-s, s + 1) if off != 0]
 
     def shell_counts(self, x, n, delta, key=None):
@@ -502,6 +506,10 @@ class RegularTree(_RootedTree):
             raise InvalidInputError(f"degree must be an integer: {degree!r}")
         if degree < 3:
             raise InvalidInputError("degree must be >= 3 (smaller cases are lines/points)")
+        # a radius-1 ball is the adjacency list, which no walk sees: it holds
+        # degree + 1 points, at most the walk limit
+        if degree >= _base._WALK_POINTS:
+            raise InvalidInputError(f"degree must be at most {_base._WALK_POINTS - 1}")
         self.degree = degree
         super().__init__(max_depth, f"regular_tree[d={degree},depth<={max_depth}]",
                          {"graph", "bounded-degree", "quasi-geodesic"})
@@ -548,10 +556,15 @@ class TreeLine(MetricSpace):
     """
 
     growth_tag = "exponential-sup"
+    # the largest max_tree whose 4^n window, line and trees, fits under the
+    # walk limit: 1,052,713 points
+    MAX_TREE = 10
 
     def __init__(self, max_tree: int = 8, schedule="4^n", max_line: Optional[int] = None):
         if max_tree < 1:
             raise InvalidInputError("max_tree must be >= 1")
+        if max_tree > self.MAX_TREE:
+            raise InvalidInputError(f"max_tree must be at most {self.MAX_TREE}")
         values, label = _named_schedule(schedule)
         if values is None:
             base = 4 if label == "4^n" else 2
@@ -673,6 +686,11 @@ class TreeLine(MetricSpace):
         x_att = self.attachment(n)
         if x_att > self.max_line:
             raise BudgetExceededError("attachment point outside the line window")
+        # an explicit schedule may attach far out: refuse a base of more
+        # points than the walk limit before building it
+        if -(-x_att // step) >= _base._WALK_POINTS:
+            raise BudgetExceededError(
+                f"the base path to {x_att} holds more than {_base._WALK_POINTS} points")
         # ceil(x_att / step) steps of `step`, the last cut short at x_att
         base = DeltaPath(tuple(zip(itertools.repeat("line"), range(0, x_att, step)))
                          + (("line", x_att),), delta)

@@ -812,11 +812,11 @@ def flag(name, value, joined):
 
 
 # integer catalog parameters that no size may turn into a traceback or a
-# hang.  regular_tree's degree and tree_line's max_tree still do at these
-# sizes, so they are left out
-HUGE_PARAMS = {"log_line": "max_abs", "int_line": "max_abs", "regular_tree": "max_depth",
-               "tree_line": "max_line", "branch_tree": "max_depth", "prime_cycle": "max_line",
-               "ultrametric_product": "max_index"}
+# hang, by tag
+HUGE_PARAMS = {"log_line": ("max_abs",), "int_line": ("max_abs",),
+               "regular_tree": ("max_depth", "degree"), "tree_line": ("max_line", "max_tree"),
+               "branch_tree": ("max_depth",), "prime_cycle": ("max_line",),
+               "ultrametric_product": ("max_index",)}
 HUGE = (10 ** 8, 10 ** 300)
 
 
@@ -839,15 +839,38 @@ def report_or_mapped_error(argv):
     return code
 
 
+WEIGHTS = ("1", "2", "1/2", "0.25", "5/3", "1e-3")
+
+
 @st.composite
-def cli_argv(draw, huge=False):
-    """A random argv; with ``huge``, on a space of ``HUGE_PARAMS`` with its
-    parameter at a size from ``HUGE``."""
+def edge_file(draw, directory):
+    """The path of a small random edge CSV, weighted or not, written under
+    ``directory``: up to 12 edges on vertices 0..7."""
+    weighted = draw(st.booleans())
+    edges = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(
+        lambda e: e[0] != e[1]), min_size=1, max_size=12))
+    rows = ["src,dst,weight" if weighted else "src,dst"]
+    rows += [f"{a},{b},{draw(st.sampled_from(WEIGHTS))}" if weighted else f"{a},{b}"
+             for a, b in edges]
+    path = directory / f"edges{len(list(directory.iterdir()))}.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+@st.composite
+def cli_argv(draw, huge=False, edges=None):
+    """A random argv; with ``huge``, on a space of ``HUGE_PARAMS`` with one
+    of its parameters at a size from ``HUGE``; with ``edges``, a strategy of
+    edge file paths, on one of those files."""
     command = draw(st.sampled_from(COMMANDS))
-    tag = draw(st.sampled_from(sorted(HUGE_PARAMS) if huge else CATALOG_TAGS))
-    argv = [command, "--space", tag]
+    if edges is not None:
+        argv = [command, "--edges", draw(edges)]
+    else:
+        tag = draw(st.sampled_from(sorted(HUGE_PARAMS) if huge else CATALOG_TAGS))
+        argv = [command, "--space", tag]
     if huge:
-        argv += ["--params", json.dumps({HUGE_PARAMS[tag]: draw(st.sampled_from(HUGE))})]
+        key = draw(st.sampled_from(HUGE_PARAMS[tag]))
+        argv += ["--params", json.dumps({key: draw(st.sampled_from(HUGE))})]
     scale = st.sampled_from(SCALES)
     joined = st.booleans()
     argv += flag("delta", draw(scale), draw(joined))
@@ -896,7 +919,30 @@ class TestFuzz:
 
         case()
         assert set(seen) == {(tag, json.dumps({key: value}))
-                             for tag, key in HUGE_PARAMS.items() for value in HUGE}
+                             for tag, keys in HUGE_PARAMS.items() for key in keys
+                             for value in HUGE}
+
+    def test_edge_files_end_in_a_report_or_a_mapped_error(self, tmp_path):
+        seen = []
+
+        @seed(22)
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(argv=cli_argv(edges=edge_file(tmp_path)))
+        def case(argv):
+            weighted = Path(argv[2]).read_text().startswith("src,dst,weight")
+            seen.append((argv[0], weighted, report_or_mapped_error(argv)))
+
+        case()
+        assert {c for c, _, _ in seen} == set(COMMANDS)
+        assert {w for _, w, _ in seen} == {False, True}
+        assert {code for _, _, code in seen} == {0, 1, 2}
+
+    def test_a_huge_step_on_a_huge_line_ends(self):
+        # one step moves 10**300 either way: refused before its neighbour
+        # list is built
+        assert report_or_mapped_error(
+            ["rates", "--space", "int_line", "--params", json.dumps({"max_abs": 10 ** 300}),
+             "--delta=1e300", "--radius=1e300", "--n", "3"]) == 1
 
     @pytest.mark.parametrize("delta", [10 ** 9, 10 ** 20, 10 ** 40])
     def test_a_huge_window_at_a_huge_separation_ends(self, delta):

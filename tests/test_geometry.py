@@ -14,6 +14,7 @@ from coarseentropy import (
     LogLine,
     PrimeCycle,
     bounded_geometry_evidence,
+    build_graph,
     build_weighted_graph,
     cycle_graph,
     default_sample_pairs,
@@ -135,6 +136,12 @@ class TestQuasiGeodesicCheck:
         sp = IntLine(max_abs=10)
         with pytest.raises(InvalidInputError):
             quasi_geodesic_check(sp, 0)
+
+    def test_a_pair_in_different_components_is_an_error(self):
+        g = build_graph([(0, 1), (2, 3)])
+        with pytest.raises(InvalidInputError,
+                           match="^0 and 2 lie in different components: no path length to check$"):
+            quasi_geodesic_check(g, 1, sample_pairs=[(0, 1), (0, 2)])
 
 
 class TestDefaultSamplePairs:

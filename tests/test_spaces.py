@@ -189,6 +189,35 @@ class TestLineMessages:
             cls(max_abs=10).check_point(bad)
         assert str(err.value) == f"point must be an integer with |x| <= 10: {bad!r}"
 
+    @pytest.mark.parametrize("cls, delta", [(IntLine, 4), (LogLine, Fraction(233, 100))])
+    def test_a_step_past_the_walk_limit_is_refused_as_the_walk_would(
+            self, cls, delta, monkeypatch):
+        # one step moves 4 either way: a walk that expands 0 holds 9 points
+        sp = cls(max_abs=100)
+        for limit in (9, 8):
+            monkeypatch.setattr(spaces_base, "_WALK_POINTS", limit)
+            outcomes = []
+            for call in (lambda: sp.neighbors(0, delta),
+                         lambda: list(spaces_base.hop_shells(
+                             lambda y: sp.neighbors(y, delta), 0, 1))):
+                try:
+                    outcomes.append(call())
+                except BudgetExceededError as exc:
+                    outcomes.append(str(exc))
+            if limit == 9:
+                assert outcomes == [[-4, -3, -2, -1, 1, 2, 3, 4],
+                                    [[0], [-4, -3, -2, -1, 1, 2, 3, 4]]]
+            else:
+                assert outcomes == ["walk around 0 holds more than 8 points"] * 2
+
+    @pytest.mark.parametrize("cls, delta", [(IntLine, 10 ** 299), (LogLine, 900)])
+    def test_a_huge_step_in_a_huge_window_is_refused_at_once(self, cls, delta):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError,
+                           match=f"^walk around 0 holds more than {spaces_base._WALK_POINTS} points$"):
+            cls(max_abs=10 ** 300).neighbors(0, delta)
+        assert time.perf_counter() - start < 1
+
     @pytest.mark.parametrize("cls", [IntLine, LogLine])
     def test_step_below_one_gives_no_hop_count(self, cls):
         sp = cls(max_abs=10)
@@ -300,6 +329,17 @@ class TestRegularTree:
     def test_small_degree_rejected(self):
         with pytest.raises(InvalidInputError):
             RegularTree(degree=2)
+
+    def test_degree_is_bounded_by_the_walk_limit(self, monkeypatch):
+        # a radius-1 ball holds degree + 1 points, at most the walk limit
+        limit = spaces_base._WALK_POINTS
+        for degree in (limit, 10 ** 8, 10 ** 300):
+            with pytest.raises(InvalidInputError, match=f"^degree must be at most {limit - 1}$"):
+                RegularTree(degree=degree)
+        monkeypatch.setattr(spaces_base, "_WALK_POINTS", 10)
+        assert len(RegularTree(degree=9).neighbors((0,), 1)) == 9
+        with pytest.raises(InvalidInputError, match="^degree must be at most 9$"):
+            RegularTree(degree=10)
 
     @pytest.mark.parametrize("make, message", [
         (lambda: RegularTree(degree=3.5), "degree must be an integer: 3.5"),
@@ -478,6 +518,33 @@ class TestTreeLine:
             TreeLine(max_tree=2, schedule="3^n")
         with pytest.raises(InvalidInputError):
             TreeLine(max_tree=2, schedule=[2, 5], max_line=3)
+
+    def test_max_tree_is_bounded(self):
+        # at 10 the 4^n window, line and trees, holds fewer points than the
+        # walk limit; at 11 it holds more
+        assert TreeLine(max_tree=10)._window_size == 1_052_713 < spaces_base._WALK_POINTS
+        for max_tree in (11, 10 ** 8, 10 ** 300):
+            start = time.perf_counter()
+            with pytest.raises(InvalidInputError, match="^max_tree must be at most 10$"):
+                TreeLine(max_tree=max_tree)
+            assert time.perf_counter() - start < 1
+
+    def test_a_base_path_past_the_walk_limit_is_refused_before_it_is_built(
+            self, monkeypatch):
+        sp = TreeLine(max_tree=2, schedule=[4, 10 ** 12])
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=(
+                f"^the base path to {10 ** 12} holds more than "
+                f"{spaces_base._WALK_POINTS} points$")):
+            sp.pingpong_arms(1, 1)
+        assert time.perf_counter() - start < 1
+        # the base to 12 in steps of 2 holds 7 points
+        sp = TreeLine(max_tree=2, schedule=[4, 12])
+        monkeypatch.setattr(spaces_base, "_WALK_POINTS", 7)
+        assert len(sp.pingpong_arms(2, 1)[0].points) == 7
+        monkeypatch.setattr(spaces_base, "_WALK_POINTS", 6)
+        with pytest.raises(BudgetExceededError, match="^the base path to 12 holds more than 6 points$"):
+            sp.pingpong_arms(2, 1)
 
     def test_level_vertices(self):
         sp = TreeLine(max_tree=2, schedule="2^n")
@@ -1265,6 +1332,24 @@ class TestFiniteSpaces:
         sp = IntLine(max_abs=50)
         assert ball(sp, 5, 2) == [3, 4, 5, 6, 7]
         assert ball(sp, 5, -1) == []
+
+    @staticmethod
+    def asymmetric(a, b):
+        # the line metric on 0, 1, 2, except that d(1, 0) reads 2
+        return 2 if (a, b) == (1, 0) else abs(a - b)
+
+    def test_an_asymmetric_metric_is_refused(self):
+        with pytest.raises(InvalidInputError, match=r"^d not symmetric on \(0,1\)$"):
+            build_finite_space([0, 1, 2], self.asymmetric)
+
+    def test_a_distance_does_not_depend_on_the_pairs_asked_before(self):
+        fresh = FiniteMetricSpace([0, 1, 2], self.asymmetric)
+        assert fresh.distance(1, 0) == 2
+        asked = FiniteMetricSpace([0, 1, 2], self.asymmetric)
+        assert asked.distance(0, 1) == 1
+        assert asked.distance(1, 0) == 2
+        assert asked.neighbors(1, 1) == [2]
+        assert asked.neighbors(0, 1) == [1]
 
     def test_unknown_point_messages(self):
         space = build_finite_space(["a", "b"], lambda x, y: 1, name="pair")

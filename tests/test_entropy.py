@@ -34,6 +34,7 @@ from coarseentropy import (
     fit_log_slope,
     growth_series,
     make_example,
+    net_retraction,
     orbit_distance,
     path_graph,
     rate_series,
@@ -44,7 +45,7 @@ from coarseentropy import (
 
 from coarseentropy.entropy import counts
 from coarseentropy.numbers import dist_to_jsonable
-from coarseentropy.spaces.base import hop_shells
+from coarseentropy.spaces.base import ball, hop_shells
 from conftest import brute_max_separated, brute_min_dense
 
 
@@ -405,6 +406,108 @@ class TestCodingFromTheIdMatrix:
             code_paths(scheme, far)
         assert got.value.args == (12,)
         assert code_paths(scheme, []) == {}
+
+
+# Nets, coding cells and net retractions as the pair loops chose them, one
+# list entry per window point in window order: the basepoint, then the rest
+# of the ball sorted.  log_line has tolerance 1e-9 and 23 cells with tied
+# net points; the Fraction cycle has no closed-form table; prime_cycle starts
+# at a cycle vertex, so its window spans cycles of several primes
+
+LOG_LINE_NET = [
+    0, -49, -45, -41, -37, -33, -29, -25, -21, -17, -13, -9, -5, 4, 8, 12, 16, 20, 24, 28,
+    32, 36, 40, 44, 48,
+]
+
+LOG_LINE_CELLS = [
+    0, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 7, 7, 7, 7, 8,
+    8, 8, 8, 9, 9, 9, 9, 10, 10, 10, 10, 11, 11, 11, 11, 12, 12, 12, 12, 0, 0, 0, 0, 13, 13,
+    13, 13, 14, 14, 14, 14, 15, 15, 15, 15, 16, 16, 16, 16, 17, 17, 17, 17, 18, 18, 18, 18,
+    19, 19, 19, 19, 20, 20, 20, 20, 21, 21, 21, 21, 22, 22, 22, 22, 23, 23, 23, 23, 24, 24,
+    24,
+]
+
+LOG_LINE_RETRACTION_NET = [
+    0, -49, -47, -45, -43, -41, -39, -37, -35, -33, -31, -29, -27, -25, -23, -21, -19, -17,
+    -15, -13, -11, -9, -7, -5, -3, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30,
+    32, 34, 36, 38, 40, 42, 44, 46, 48,
+]
+
+LOG_LINE_RETRACTION = [
+    0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 13, 13,
+    14, 14, 15, 15, 16, 16, 17, 17, 18, 18, 19, 19, 20, 20, 21, 21, 22, 22, 23, 23, 24, 24,
+    0, 0, 25, 25, 26, 26, 27, 27, 28, 28, 29, 29, 30, 30, 31, 31, 32, 32, 33, 33, 34, 34,
+    35, 35, 36, 36, 37, 37, 38, 38, 39, 39, 40, 40, 41, 41, 42, 42, 43, 43, 44, 44, 45, 45,
+    46, 46, 47, 47, 48, 48,
+]
+
+FRACTION_CYCLE_NET = [
+    0, 2, 4, 6, 14, 16, 18,
+]
+
+FRACTION_CYCLE_CELLS = [
+    0, 0, 1, 2, 2, 3, 3, 4, 5, 5, 6, 6, 0,
+]
+
+FRACTION_CYCLE_RETRACTION_NET = [
+    0, 3, 5, 14, 17,
+]
+
+FRACTION_CYCLE_RETRACTION = [
+    0, 0, 1, 1, 1, 2, 2, 3, 3, 4, 4, 4, 0,
+]
+
+PRIME_CYCLE_NET = [
+    ('cyc', 2, 3, 3), ('cyc', 2, 1, 1), ('cyc', 2, 2, 2), ('cyc', 2, 4, 1), ('cyc', 3, 2,
+    2), ('cyc', 5, 1, 2), ('cyc', 7, 1, 2), ('cyc', 11, 1, 1), ('cyc', 11, 1, 6), ('cyc',
+    13, 1, 2), ('cyc', 13, 1, 8),
+]
+
+PRIME_CYCLE_CELLS = [
+    0, 1, 2, 2, 2, 0, 0, 0, 0, 3, 3, 3, 3, 3, 3, 3, 1, 1, 4, 4, 4, 4, 4, 5, 5, 5, 5, 6, 6,
+    6, 6, 6, 6, 7, 7, 7, 8, 8, 8, 8, 8, 7, 7, 9, 9, 9, 9, 9, 10, 10, 10, 10, 9, 3, 3, 1, 1,
+    1, 1, 2, 5, 5, 6, 0, 4, 7, 7, 7, 9, 3, 3, 3, 3, 3,
+]
+
+PRIME_CYCLE_RETRACTION_NET = [
+    ('cyc', 2, 3, 3), ('cyc', 2, 1, 1), ('cyc', 2, 4, 1), ('cyc', 3, 2, 3), ('cyc', 5, 1,
+    2), ('cyc', 7, 1, 3), ('cyc', 11, 1, 1), ('cyc', 13, 1, 3), ('cyc', 13, 1, 9),
+]
+
+PRIME_CYCLE_RETRACTION = [
+    0, 1, 1, 1, 1, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 1, 1, 3, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5,
+    5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 8, 8, 8, 8, 8, 2, 2, 1, 1, 1,
+    1, 1, 4, 4, 0, 0, 0, 6, 6, 6, 6, 2, 2, 2, 2, 2,
+]
+
+
+PINNED_NETS = [
+    ("log_line", lambda: make_example("log_line"), 0, (1, 1, 4 * math.log2(5)), 0.5,
+     (LOG_LINE_NET, LOG_LINE_CELLS, LOG_LINE_RETRACTION_NET, LOG_LINE_RETRACTION)),
+    ("fraction_cycle", lambda: build_weighted_graph(WEIGHTED_CYCLE), 0, (3, 1, 4),
+     Fraction(1, 2), (FRACTION_CYCLE_NET, FRACTION_CYCLE_CELLS, FRACTION_CYCLE_RETRACTION_NET,
+                      FRACTION_CYCLE_RETRACTION)),
+    ("prime_cycle", lambda: PrimeCycle(max_line=64), ("cyc", 2, 3, 3), (2, 2, 17), 2,
+     (PRIME_CYCLE_NET, PRIME_CYCLE_CELLS, PRIME_CYCLE_RETRACTION_NET, PRIME_CYCLE_RETRACTION)),
+]
+
+
+@pytest.mark.parametrize("name, make, x0, scales, r, pinned", PINNED_NETS,
+                         ids=[case[0] for case in PINNED_NETS])
+def test_nets_cells_and_retractions_are_pinned(name, make, x0, scales, r, pinned):
+    net, cells, retraction_net, retraction = pinned
+    space = make()
+    n, delta, R = scales
+    scheme = build_coding(space, x0, n, delta, R)
+    window = [x0] + [p for p in ball(space, x0, n * delta + 2 * scheme.r) if p != x0]
+    assert scheme.net == tuple(net)
+    assert list(scheme.cells) == window
+    assert list(scheme.cells.values()) == cells
+    assert all(type(c) is int for c in scheme.cells.values())
+    got_net, got_retraction = net_retraction(space, r, window)
+    assert got_net == retraction_net
+    assert list(got_retraction) == window
+    assert [got_net.index(got_retraction[p]) for p in window] == retraction
 
 
 # ---------------------------------------------------------------------------

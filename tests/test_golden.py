@@ -64,6 +64,8 @@ CASES = {
     "classify_tree_line.json": ["classify", "--space", "tree_line"],
     "classify_prime_cycle.json": ["classify", "--space", "prime_cycle",
                                   "--params", '{"max_line": 64}'],
+    # the default max_line of 512, as the ball-growth benchmark runs it
+    "classify_prime_cycle_default.json": ["classify", "--space", "prime_cycle"],
     "classify_log_line.json": ["classify", "--space", "log_line"],
     "qgcheck_log_line.json": ["qgcheck", "--space", "log_line"],
     "qgcheck_int_line.csv": ["qgcheck", "--space", "int_line", "--format", "csv"],

@@ -24,8 +24,7 @@ from .entropy import (ClassificationReport, ClassifyConfig, CodingScheme,
 from .errors import (BudgetExceededError, CapExceededError, CoarseEntropyError,
                      InvalidInputError, NotDistancePreservingError, UnknownPointError)
 from .extremal import (ExtremalResult, MetricItems, greedy_net, max_band_clique,
-                       max_separated, min_dense, nearest_net, verify_dense,
-                       verify_separated)
+                       max_separated, min_dense, verify_dense, verify_separated)
 from .geometry import (BGEvidence, bounded_geometry_evidence, default_sample_pairs,
                        net_retraction, quasi_geodesic_check, rips_graph)
 from .numbers import INF, Dist, as_dist, dist_to_jsonable, is_finite, parse_dist
@@ -65,7 +64,7 @@ __all__ = [
     "enumerate_orbits", "step_shells", "step_ball", "delta_component",
     # extremal
     "MetricItems", "ExtremalResult", "max_separated", "min_dense",
-    "verify_separated", "verify_dense", "greedy_net", "nearest_net", "max_band_clique",
+    "verify_separated", "verify_dense", "greedy_net", "max_band_clique",
     # entropy
     "RatePoint", "separated_count", "dense_count", "covering_bound", "rate_series",
     "WitnessFamily", "build_witness", "pingpong_witness", "catalog_pingpong",

@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..extremal import greedy_net, nearest_net
+from ..extremal import _net_cells
 from ..numbers import Dist, dist_to_jsonable
 from ..paths import enumerate_orbits, point_table
 from ..spaces.base import MetricSpace, PointRef, ball
@@ -92,10 +92,10 @@ def build_coding(space: MetricSpace, x0: PointRef, n: int, delta: Dist, R: Dist)
     radius = n * delta + 2 * r
     # basepoint first so the net is seeded at x0, rest in sorted order
     window = [x0] + [p for p in ball(space, x0, radius) if p != x0]
-    net = greedy_net(space, window, r)
-    cells = {p: idx for p, (idx, _) in zip(window, nearest_net(space, window, net))}
+    net, cell, _ = _net_cells(space, window, r)
     return CodingScheme(space=space, x0=x0, n=n, delta=delta, R=R, r=r, q=q,
-                        net=tuple(net), cells=cells)
+                        net=tuple(window[i] for i in net),
+                        cells=dict(zip(window, cell.tolist())))
 
 
 def code_paths(scheme: CodingScheme, paths: Sequence) -> Dict[Tuple[int, ...], List[int]]:
@@ -137,8 +137,9 @@ def coding_injectivity_check(space: MetricSpace, x0: PointRef, n: int, delta: Di
     A fiber is a set of rows of the family's id matrix.  The orbit distance
     maximizes over positions independently for each pair, so a fiber's
     diameter is the largest diameter of the set of points occurring at any
-    single position: the maximum of one ``space.distance_table`` per
-    position, over that position's distinct points.
+    single position.  Those diameters are gathers from one
+    ``space.distance_table`` over the family's support, one gather for all
+    the position sets of one size.
 
     Returns the scheme summary, the number of realized codes (an upper
     bound for the separated count), and the worst fiber diameter.
@@ -147,12 +148,22 @@ def coding_injectivity_check(space: MetricSpace, x0: PointRef, n: int, delta: Di
     orbits = enumerate_orbits(space, x0, n, delta)
     support, ids = point_table(orbits.paths)
     groups = code_paths(scheme, orbits.paths)
+    table = space.distance_table(support)
+    # the distinct points at each (fiber, position) slot, as runs of the
+    # sorted keys slot * |support| + point
+    fiber = np.empty(len(ids), dtype=np.int64)
+    for g, members in enumerate(groups.values()):
+        fiber[members] = g
+    slots = fiber[:, None] * ids.shape[1] + np.arange(ids.shape[1])
+    slot, point = np.divmod(np.unique(slots * len(support) + ids), len(support))
+    first, count = np.unique(slot, return_index=True, return_counts=True)[1:]
     worst: Dist = 0
-    for members in groups.values():
-        for column in ids[members].T:
-            diam = space.distance_table([support[i] for i in np.unique(column).tolist()]).max()
-            if diam > worst:
-                worst = diam
+    # one gather of every pair within every run of c points
+    for c in np.unique(count[count > 1]).tolist():
+        runs = point[first[count == c][:, None] + np.arange(c)]
+        diam = table[runs[:, :, None], runs[:, None, :]].max()
+        if diam > worst:
+            worst = diam
     separated_ok = space.lt(worst, R)
     return {
         "scheme": scheme.to_jsonable(),

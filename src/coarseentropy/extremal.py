@@ -33,7 +33,6 @@ __all__ = [
     "max_separated",
     "min_dense",
     "greedy_net",
-    "nearest_net",
     "max_band_clique",
     "verify_separated",
     "verify_dense",
@@ -570,41 +569,44 @@ def _verify_assignment(items: MetricItems, R: Dist, sel: List[int],
 # greedy nets on spaces and band cliques (geometry support)
 
 
+def _net_cells(space: MetricSpace, window: Sequence[PointRef],
+               s: Dist) -> Tuple[List[int], np.ndarray, np.ndarray]:
+    """A maximal s-separated net of the (nonempty) window, and each point's
+    cell in it, read off one ``space.distance_table(window)``.
+
+    The net holds window indices: the first point, then the others in
+    sorted order, each unless it is within s of an earlier net point by
+    ``space.lt``.  A point's cell is the earliest net index, unless a later
+    net point is closer by ``space.lt``; the third value holds each point's
+    distance to its cell's net point, as ``distance`` gives it.
+    """
+    pts = list(window)
+    table = space.distance_table(pts)
+    net = [0]
+    blocked = space.lt(table[0], s)
+    for i in sorted(range(1, len(pts)), key=pts.__getitem__):
+        if not blocked[i] and pts[i] != pts[0]:
+            net.append(i)
+            blocked |= space.lt(table[i], s)
+    cell = np.zeros(len(pts), dtype=np.int64)
+    near = table[:, 0]
+    for k, z in enumerate(net[1:], 1):
+        closer = space.lt(table[:, z], near)
+        cell[closer] = k
+        near = np.where(closer, table[:, z], near)
+    return net, cell, near
+
+
 def greedy_net(space: MetricSpace, window: Sequence[PointRef], s: Dist) -> List[PointRef]:
     """Maximal s-separated subset of the window containing its first point.
 
     The first window entry seeds the net; remaining points are scanned in
     sorted order.  The returned list keeps construction order, which
-    downstream retractions use for deterministic tie-breaking.
+    downstream retractions use for deterministic tie-breaking.  This is the
+    net of ``_net_cells``, so it reads the window's whole distance table.
     """
     pts = list(window)
-    if not pts:
-        return []
-    first = pts[0]
-    net = [first]
-    for p in sorted(pts[1:]):
-        if p == first:
-            continue
-        if all(space.ge(space.distance(p, z), s) for z in net):
-            net.append(p)
-    return net
-
-
-def nearest_net(space: MetricSpace, window: Sequence[PointRef],
-                net: Sequence[PointRef]) -> List[Tuple[int, Dist]]:
-    """For each window point, the index of its nearest point in the
-    (nonempty) net and the distance to it.  Ties go to the earliest net
-    point: a later one wins only when ``space.lt`` puts it strictly closer.
-    """
-    out = []
-    for p in window:
-        best = None
-        for idx, z in enumerate(net):
-            d = space.distance(p, z)
-            if best is None or space.lt(d, best[1]):
-                best = (idx, d)
-        out.append(best)
-    return out
+    return [pts[i] for i in _net_cells(space, pts, s)[0]] if pts else []
 
 
 def max_band_clique(space: MetricSpace, points: Sequence[PointRef], low: Dist,

@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import BudgetExceededError, InvalidInputError, UnknownPointError
-from .extremal import POINT_LIMIT, greedy_net, max_band_clique, nearest_net
+from .extremal import POINT_LIMIT, _net_cells, max_band_clique
 from .numbers import Dist, dist_to_jsonable, is_finite
 from .paths import hop_search
 from .spaces.base import Graph, MetricSpace, PointRef, ball, build_graph
@@ -224,13 +226,10 @@ def rips_graph(space: MetricSpace, delta: Dist, window: Sequence[PointRef]) -> G
     pts = list(dict.fromkeys(window))
     for p in pts:
         space.check_point(p)
-    edges = []
-    for i, a in enumerate(pts):
-        for b in pts[i + 1:]:
-            d = space.distance(a, b)
-            if d > 0 and space.le(d, delta):
-                edges.append((a, b))
-    return build_graph(edges, vertices=pts)
+    table = space.distance_table(pts)
+    # row-major over the pairs i < j: the order of a loop over the pairs
+    near = np.triu((table > 0) & space.le(table, delta), 1)
+    return build_graph([(pts[i], pts[j]) for i, j in zip(*np.nonzero(near))], vertices=pts)
 
 
 def net_retraction(space: MetricSpace, r: Dist, window: Sequence[PointRef]):
@@ -246,9 +245,10 @@ def net_retraction(space: MetricSpace, r: Dist, window: Sequence[PointRef]):
     if not pts:
         raise InvalidInputError("window must be nonempty")
     scale = 3 * r
-    net = greedy_net(space, pts, scale)
+    net, cell, near = _net_cells(space, pts, scale)
+    net = [pts[i] for i in net]
     retraction: Dict[PointRef, PointRef] = {}
-    for p, (idx, d) in zip(pts, nearest_net(space, pts, net)):
+    for p, idx, d in zip(pts, cell.tolist(), near.tolist()):
         if not space.le(d, scale):
             raise InvalidInputError(
                 f"net is not {scale}-dense on the window: {p!r} is {d} away")

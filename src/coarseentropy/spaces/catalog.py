@@ -874,6 +874,29 @@ class PrimeCycle(MetricSpace):
         return (self._exit_cost(p, k, i) + abs(p ** k - p2 ** k2)
                 + self._exit_cost(p2, k2, j))
 
+    def distance_table(self, points):
+        # each point reaches the line at q after e steps: a line point m at
+        # q = m with e = 0, a cycle vertex at q = p**k with its exit cost.
+        # Two vertices of one cycle are min(arc, p*k - arc, p) apart, every
+        # other pair e + |q - q'| + e'.  Every value is at most 3 max(q), so
+        # int64 holds them below that bound, and Python ints above it
+        pts = self._checked(points)
+        cols = [(x[1], 0, 0, 0, 0) if x[0] == "line" else
+                (x[1] ** x[2], self._exit_cost(*x[1:]), x[3], x[1] * x[2], x[1]) for x in pts]
+        top = max((c[0] for c in cols), default=0)
+        q, e, pos, length, p = np.array(cols, dtype=np.int64 if 3 * top < 2 ** 63 else object
+                                        ).reshape(len(pts), 5).T
+        on_cycle = length > 0
+
+        def rows(lo, hi):
+            arc = np.abs(pos[lo:hi, None] - pos[None, :])
+            inside = np.minimum(np.minimum(arc, length[lo:hi, None] - arc), p[lo:hi, None])
+            across = e[lo:hi, None] + np.abs(q[lo:hi, None] - q[None, :]) + e[None, :]
+            same = (q[lo:hi, None] == q[None, :]) & on_cycle[lo:hi, None] & on_cycle[None, :]
+            return np.where(same, inside, across)
+
+        return block_table(len(pts), rows)
+
     def _cycle_vertex(self, p: int, k: int, pos: int):
         pos %= p * k
         return ("line", p ** k) if pos == 0 else ("cyc", p, k, pos)

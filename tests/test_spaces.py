@@ -2,6 +2,7 @@
 BFS/Dijkstra oracles built straight from each space's definition."""
 
 import math
+import random
 import sys
 import time
 import tracemalloc
@@ -1865,7 +1866,8 @@ class TestDistanceTable:
         table = sp.distance_table([-2 ** 70, 2 ** 70, 0])
         assert table[0, 1] == 2 ** 71 and type(table[0, 1]) is int
 
-    @pytest.mark.parametrize("label", ["int_line", "regular_tree", "branch_tree"])
+    @pytest.mark.parametrize("label", ["int_line", "regular_tree", "branch_tree",
+                                       "prime_cycle"])
     def test_closed_forms_check_each_point_once(self, monkeypatch, label):
         sp, points = {lbl: (s, pts) for lbl, s, pts in TABLE_SPACES}[label]
         checked = []
@@ -1882,6 +1884,67 @@ class TestDistanceTable:
         expected = [sp.distance_table(points).tolist() for _, sp, points in TABLE_SPACES]
         monkeypatch.setattr(spaces_base, "_TABLE_BLOCK_CELLS", cells)
         assert [sp.distance_table(points).tolist() for _, sp, points in TABLE_SPACES] == expected
+
+
+def pairwise_table(sp, points):
+    """The table of ``sp.distance`` over the points, int 0 on the diagonal."""
+    return [[0 if i == j else sp.distance(a, b) for j, b in enumerate(points)]
+            for i, a in enumerate(points)]
+
+
+class TestPrimeCycleTable:
+    """PrimeCycle.distance_table's closed form against pairwise distance."""
+
+    @staticmethod
+    def assert_matches(sp, points):
+        table = sp.distance_table(points)
+        assert table.shape == (len(points), len(points)) and table.dtype == object
+        got = table.tolist()
+        assert got == pairwise_table(sp, points)
+        assert all(type(d) is int for row in got for d in row)
+
+    @pytest.mark.parametrize("x0, radius", [(("line", 0), 12), (("cyc", 5, 2, 7), 9),
+                                            (("cyc", 2, 5, 4), 11)])
+    def test_random_subsets_of_balls(self, x0, radius):
+        sp = PrimeCycle(max_line=512)
+        window = ball(sp, x0, radius)
+        rng = random.Random(repr(x0))
+        for size in (1, 2, 5, 17, len(window)):
+            self.assert_matches(sp, rng.sample(window, size))
+
+    def test_two_cycles_and_their_line_points(self):
+        # G_8 and G_9 with their glued line points 8 and 9, and the line
+        # between and beside them
+        sp = PrimeCycle(max_line=64)
+        points = (sp.cycle_points(2, 3) + sp.cycle_points(3, 2)
+                  + [("line", m) for m in (0, 7, 10, 64)])
+        rng = random.Random(89)
+        for _ in range(5):
+            self.assert_matches(sp, rng.sample(points, len(points)))
+
+    # the table goes through int64 while three times the largest attach
+    # point fits, and through Python ints past that: 2**61 and the first
+    # line point fit, 257**8, 2**64 and the second do not
+    @pytest.mark.parametrize("p, k, far", [(2, 61, 2 ** 63 // 3), (2, 61, 2 ** 63 // 3 + 1),
+                                           (257, 8, 2 ** 64)])
+    def test_huge_windows_keep_exact_ints(self, p, k, far):
+        sp = PrimeCycle(max_line=10 ** 300)
+        q = p ** k
+        points = (sp.cycle_points(p, k)[::p * k // 20 + 1] + [("cyc", p, k, p * k - 1)]
+                  + [("line", q + d) for d in (-3, -1, 1, 2)] + [("line", 0), ("line", far)])
+        self.assert_matches(sp, random.Random(k).sample(points, len(points)))
+
+    @pytest.mark.parametrize("bad", [("line", 65), ("line", -1), ("cyc", 2, 3, 6),
+                                     ("cyc", 4, 1, 1), ("cyc", 2, 3, 0), ("tree", 1), "x"])
+    def test_unknown_point_raises_as_distance_does(self, bad):
+        sp = PrimeCycle(max_line=64)
+        good = [("line", 3), ("cyc", 2, 3, 2)]
+        for points in ([bad], good + [bad, ("line", 99)], [bad, ("cyc", 7, 1, 9)] + good):
+            with pytest.raises(UnknownPointError) as expected:
+                sp.distance(bad, good[0])
+            with pytest.raises(UnknownPointError) as got:
+                sp.distance_table(points)
+            assert str(got.value) == str(expected.value)
 
 
 def typed_distance(a, b):

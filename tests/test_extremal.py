@@ -20,6 +20,7 @@ from coarseentropy import (
     IntLine,
     InvalidInputError,
     MetricItems,
+    PrimeCycle,
     build_graph,
     build_weighted_graph,
     complete_graph,
@@ -1008,6 +1009,23 @@ class TestGreedyNet:
     def test_empty_window(self):
         sp = IntLine(max_abs=10)
         assert greedy_net(sp, [], 1) == []
+
+    def test_the_rest_is_scanned_sorted(self):
+        sp = IntLine(max_abs=10)
+        # sorted, 3 joins and blocks 5; in window order 5 would block 3 and 6
+        assert greedy_net(sp, [0, 5, 3, 6], 3) == [0, 3, 6]
+
+    @pytest.mark.parametrize("window, s", [([7, 0, 3, 9, 1, 4, 2], 3),
+                                           ([("line", 9), ("cyc", 3, 2, 4), ("line", 2),
+                                             ("cyc", 2, 3, 1), ("cyc", 3, 2, 1)], 2)])
+    def test_cells_hold_their_distance(self, window, s):
+        sp = IntLine(max_abs=10) if isinstance(window[0], int) else PrimeCycle(max_line=16)
+        net, cell, near = extremal._net_cells(sp, window, s)
+        assert [window[i] for i in net] == greedy_net(sp, window, s)
+        for p, k, d in zip(window, cell.tolist(), near.tolist()):
+            dists = [sp.distance(p, window[z]) for z in net]
+            assert k == dists.index(min(dists))
+            assert (d, type(d)) == (dists[k], type(dists[k]))
 
 
 def counting(space):

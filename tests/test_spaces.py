@@ -1924,9 +1924,9 @@ class TestPrimeCycleTable:
 
     # the table goes through int64 while three times the largest attach
     # point fits, and through Python ints past that: 2**61 and the first
-    # line point fit, 257**8, 2**64 and the second do not
+    # line point fit, the second line point, 2**63 and 257**8 do not
     @pytest.mark.parametrize("p, k, far", [(2, 61, 2 ** 63 // 3), (2, 61, 2 ** 63 // 3 + 1),
-                                           (257, 8, 2 ** 64)])
+                                           (2, 63, 1), (257, 8, 2 ** 64)])
     def test_huge_windows_keep_exact_ints(self, p, k, far):
         sp = PrimeCycle(max_line=10 ** 300)
         q = p ** k

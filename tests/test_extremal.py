@@ -21,6 +21,7 @@ from coarseentropy import (
     InvalidInputError,
     MetricItems,
     PrimeCycle,
+    ball,
     build_graph,
     build_weighted_graph,
     complete_graph,
@@ -729,6 +730,91 @@ def test_pinned_selections(name, n, R, solver, size, certificate, digest):
     res = solve(orbit_items(name, n), R)
     assert (res.size, res.certificate, _selection_digest(res.selected)) == \
         (size, certificate, digest)
+
+
+EXACT_RADII = (1, Fraction(3, 2), 2, 3, 4)
+
+# (space, n, sizes, nodes, sha256 of every result's repr): the pinned
+# families small enough to solve exactly, max_separated then min_dense at
+# each of EXACT_RADII with exact_limit at the family size
+PINNED_EXACT_SOLVES = [
+    ("int_line", 3, [27, 27, 8, 3, 8, 3, 3, 2, 2, 1], [1, 0, 1, 16, 1, 16, 1, 10, 1, 0],
+     "726ab52c0ab6a60ede42db7b3ab2c4e4ddb6be2a9bd873969ba40d19fdb19110"),
+    ("regular_tree", 2, [16, 16, 9, 3, 9, 3, 3, 1, 3, 1], [1, 0, 9, 99, 9, 99, 3, 0, 3, 0],
+     "8285bccc4a6e4372ff9162ac391b36194b2705328561c61fc1f3deb573098815"),
+    ("weighted_cycle", 3, [8, 3, 4, 2, 3, 2, 2, 1, 2, 1], [8, 208, 4, 30, 1, 0, 2, 0, 2, 0],
+     "11cdc68428dbf43672b92b9245516fe5cff044777ed6c7de3456ed2d85b01c0f"),
+    ("log_line", 3, [27, 27, 8, 3, 3, 2, 1, 1, 1, 1], [1, 0, 1, 16, 1, 10, 1, 0, 1, 0],
+     "5954421428bce15ac1d7d9a3cf28c9a13ce1b0087eef1b8d898ead58f2967918"),
+]
+
+
+@pytest.mark.parametrize("name, n, sizes, nodes, digest", PINNED_EXACT_SOLVES)
+def test_exact_solves_are_pinned(name, n, sizes, nodes, digest):
+    # size, selection, certificate and every stat, node counts included: a
+    # change to a search's order or bound shows here
+    items = orbit_items(name, n)
+    out = []
+    for R in EXACT_RADII:
+        for solve in (max_separated, min_dense):
+            res = solve(items, R, exact_limit=len(items))
+            out.append((res.size, res.selected, res.certificate, sorted(res.stats.items())))
+    assert [o[0] for o in out] == sizes
+    assert [o[3] for o in out] == [[("nodes", k)] for k in nodes]
+    assert {o[2] for o in out} == {"exact"}
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
+
+
+# (space, s, D, depth, window size, result): max_band_clique over the balls
+# that bgcheck searches, at branch_tree's default s = D = 2 (whose catalog
+# witnesses skip the search), two wider bands, and int_line's golden band
+PINNED_BAND_CLIQUES = [
+    ("branch_tree", 2, 2, 1, 3, (2, (1, 2), "exact", {"nodes": 2})),
+    ("branch_tree", 2, 2, 2, 9, (4, (0, 2, 3, 4), "exact", {"nodes": 1})),
+    ("branch_tree", 2, 2, 3, 33, (5, (17, 29, 30, 31, 32), "exact", {"nodes": 5})),
+    ("branch_tree", 2, 2, 4, 153, (6, (2, 4, 5, 6, 7, 8), "lower-bound", {"anchors": 64})),
+    ("branch_tree", 2, 4, 3, 33, (14, (1, 17, 19, 20, 21, 22, 24, 25, 26, 27, 29, 30, 31, 32),
+                                  "exact", {"nodes": 14})),
+    ("branch_tree", 1, 3, 3, 33, (9, (0, 1, 2, 3, 4, 5, 6, 7, 12), "exact", {"nodes": 1})),
+    ("int_line", 2, 4, 1, 3, (2, (0, 2), "exact", {"nodes": 1})),
+    ("int_line", 2, 4, 2, 5, (3, (0, 2, 4), "exact", {"nodes": 1})),
+    ("int_line", 2, 4, 3, 7, (3, (0, 2, 4), "exact", {"nodes": 1})),
+    ("int_line", 2, 4, 4, 9, (3, (0, 2, 4), "exact", {"nodes": 1})),
+]
+
+
+@pytest.mark.parametrize("name, s, D, depth, size, expected", PINNED_BAND_CLIQUES)
+def test_band_cliques_are_pinned(name, s, D, depth, size, expected):
+    sp = make_example(name)
+    window = ball(sp, sp.basepoint, depth)
+    assert len(window) == size
+    res = max_band_clique(sp, window, s, D)
+    assert (res.size, res.selected, res.certificate, res.stats) == expected
+
+
+# (family, n, radii): path families over int, float (tolerance 1e-9) and
+# Fraction distances
+ITEM_TABLE_CASES = [
+    ("int_line", 3, (1, 2, 3, 4)),
+    ("log_line", 3, (1e-10, 1, 1.5, 2, 3)),
+    ("weighted_cycle", 3, (Fraction(1, 2), 1, Fraction(3, 2), Fraction(201, 100), 3)),
+]
+
+
+@pytest.mark.parametrize("name, n, radii", ITEM_TABLE_CASES,
+                         ids=[f"{name}-n{n}" for name, n, _ in ITEM_TABLE_CASES])
+def test_item_table_matches_the_orbit_distances(name, n, radii):
+    # entry (i, j): path j is strictly within R - tol of path i, by the
+    # pair loop of orbit_distance over the paths themselves
+    sp = weighted_cycle() if name == "weighted_cycle" else make_example(name)
+    items = orbit_items(name, n)
+    paths = list(items.items)
+    for R in radii:
+        expected = np.array([[orbit_distance(u, v, sp) < R - items.tol for v in paths]
+                             for u in paths])
+        masks = extremal._cover_masks(items, R)
+        got = np.array([[bool(m >> j & 1) for j in range(len(paths))] for m in masks])
+        assert (got == expected).all(), R
 
 
 # (family, n, radii): 64 to 6,561 paths over int, float and Fraction distances

@@ -2,22 +2,24 @@
 
 The solvers work on :class:`MetricItems`, an indexed finite family over a
 table of points.  Each scale R is compared once, in exact arithmetic, into
-a boolean table, ``close(R)``.  Every solver and verifier reads it through
-one kind of store: for a family, a scale and some column items, the packed
-sets of column positions strictly within R of each point, per column of
-the paths, gathered when first needed.  Each verifier builds its own store
-and never reads a solver's.  Python bigints appear only as the exact
-searches' input, built once from the packed rows.  Exact solving
-happens below ``exact_limit`` (maximum independent set in the conflict
-graph for packing, minimum set cover over open R-balls for covering);
-above the limit deterministic greedy versions return certified one-sided
-bounds instead of silently pretending to be exact.  Tie-breaking
-everywhere: lowest index first.
+a boolean table, ``close(R)``.  The exact searches read one boolean item
+table gathered from it, the AND over the columns of the paths; their
+Python-int masks are packed once from that table.  The greedy solvers and
+every verifier read ``close(R)`` through one kind of store: for a family, a
+scale and some column items, the packed sets of column positions strictly
+within R of each point, per column of the paths, gathered when first
+needed.  Each verifier builds its own store and reads neither a solver's
+store nor the item table.  Exact solving happens below ``exact_limit``
+(maximum independent set in the conflict graph for packing, minimum set
+cover over open R-balls for covering); above the limit deterministic
+greedy versions return certified one-sided bounds instead of silently
+pretending to be exact.  Tie-breaking everywhere: lowest index first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -225,46 +227,58 @@ class ExtremalResult:
 # bitset maximum independent set
 
 
-def _greedy_independent(n: int, conflict: List[int]) -> List[int]:
-    chosen: List[int] = []
-    banned = 0
-    for v in range(n):
-        if not banned >> v & 1:
-            chosen.append(v)
-            banned |= conflict[v] | 1 << v
-    return chosen
+def _row_masks(table: np.ndarray) -> List[int]:
+    """Bit j of mask i is entry (i, j) of a boolean table, packed once."""
+    n = table.shape[1]
+    width = 8 * -(-n // 64)
+    rows = np.zeros((len(table), width), dtype=np.uint8)
+    rows[:, :-(-n // 8)] = np.packbits(table, axis=1, bitorder="little")
+    return (rows.view("<u8").ravel().tolist() if width == 8 else  # one word a row is one mask
+            [int.from_bytes(row, "little") for row in rows])
 
 
-def _mis_bitset(n: int, conflict: List[int]):
+def _item_table(items: MetricItems, R: Dist) -> np.ndarray:
+    """Boolean ``(N, N)`` item table: entry (i, j) holds when item j is
+    strictly within R of item i, the AND over the columns k of ``close(R)``
+    gathered by the column-k points on both axes."""
+    close, table = items.close(R), None
+    for col in items.vectors.T:
+        part = close.take(col, axis=0).take(col, axis=1)
+        table = part if table is None else np.logical_and(table, part, out=table)
+    return table
+
+
+def _mis_bitset(conflict: np.ndarray):
     """Maximum independent set via branch and bound on bitmasks, bounded by
     a greedy colouring (Tomita and Seki's MCQ, in San Segundo et al.'s
     bitset form, BBMC).
 
-    The items are renumbered by ascending conflict degree (ties: lowest
-    index) once, by one column permutation of their unpacked bit table.
-    At each node the candidates are coloured in that order: each colour
-    class takes the lowest uncoloured candidate, then the lowest one that
-    conflicts with every member so far, until none is left.  A class is
-    pairwise conflicting, so it holds at most one pick, and the
-    candidates up to one of colour c add at most c to the set.  Candidates
-    are taken from the highest colour down, include branch first, and a
-    node stops as soon as its size plus the next colour cannot beat the
-    best.  The lowest-index greedy pass seeds the best; only strict
-    improvements replace it.
+    ``conflict`` is a symmetric boolean table with an empty diagonal.  The
+    items are renumbered by ascending conflict degree (ties: lowest index)
+    once, by one gather of the table on both axes, and each ranked row is
+    packed into one Python-int mask.  At each node the candidates are
+    coloured in that order: each colour class takes the lowest uncoloured
+    candidate, then the lowest one that conflicts with every member so far,
+    until none is left.  A class is pairwise conflicting, so it holds at
+    most one pick, and the candidates up to one of colour c add at most c
+    to the set.  Candidates are taken from the highest colour down, include
+    branch first, and a node stops as soon as its size plus the next colour
+    cannot beat the best.  The lowest-index greedy pass, run over the
+    ranked masks in index order, seeds the best; only strict improvements
+    replace it.
     """
-    order = sorted(range(n), key=[m.bit_count() for m in conflict].__getitem__)
-    rank = dict(zip(order, range(n)))
-    # the rows in rank order, unpacked to whole words of bits, take their
-    # columns in rank order in one permutation; the bits past n stay 0
-    width = 8 * -(-n // 64)
-    rows = np.frombuffer(b"".join([conflict[v].to_bytes(width, "little") for v in order]), np.uint8)
-    bits = np.unpackbits(rows.reshape(n, width), axis=1, bitorder="little")
-    bits[:, :n] = bits.take(order, axis=1)
-    table = np.packbits(bits, axis=1, bitorder="little")
-    adj = (table.view("<u8").ravel().tolist() if width == 8 else  # conflict rows by rank
-           [int.from_bytes(row, "little") for row in table])
-    seed = _greedy_independent(n, conflict)
-    best = [len(seed), sum(1 << rank[v] for v in seed)]  # size, rank mask
+    n = len(conflict)
+    order = np.argsort(conflict.sum(axis=1), kind="stable")
+    adj = _row_masks(conflict.take(order, axis=0).take(order, axis=1))  # conflict rows by rank
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    banned = seed = size = 0
+    for r in rank.tolist():
+        if not banned >> r & 1:
+            seed |= 1 << r
+            size += 1
+            banned |= adj[r] | 1 << r
+    best = [size, seed]  # size, rank mask
     nodes = [0]
 
     def expand(cand: int, size: int, mask: int):
@@ -297,7 +311,7 @@ def _mis_bitset(n: int, conflict: List[int]):
             cand &= ~bit
 
     expand((1 << n) - 1, 0, 0)
-    sel = sorted(order[r] for r in range(n) if best[1] >> r & 1)
+    sel = sorted(v for r, v in enumerate(order.tolist()) if best[1] >> r & 1)
     return sel, nodes[0]
 
 
@@ -314,8 +328,9 @@ def max_separated(items: MetricItems, R: Dist, exact_limit: int = 40) -> Extrema
     if n == 0:
         return ExtremalResult("separated", R, 0, (), "exact")
     if n <= exact_limit:
-        conflict = [mask & ~(1 << i) for i, mask in enumerate(_cover_masks(items, R))]
-        sel, nodes = _mis_bitset(n, conflict)
+        conflict = _item_table(items, R)
+        np.fill_diagonal(conflict, False)
+        sel, nodes = _mis_bitset(conflict)
         result = ExtremalResult("separated", R, len(sel), tuple(sel), "exact", {"nodes": nodes})
     else:
         sel = [pick for pick, _, _ in _first_fit_covers(items, R)]
@@ -412,7 +427,8 @@ def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int]) -> No
 
 
 def _cover_masks(items: MetricItems, R: Dist) -> List[int]:
-    """Bitmask of the items strictly within R of each item."""
+    """Bitmask of the items strictly within R of each item, from a store of
+    near sets: the max-coverage greedy's input."""
     every = np.arange(len(items))
     cov: List[int] = []
     for _, hit in _NearSets(items, R).blocks(every):
@@ -422,12 +438,15 @@ def _cover_masks(items: MetricItems, R: Dist) -> List[int]:
     return cov
 
 
-def _exact_cover(n: int, cov: List[int]):
+def _exact_cover(table: np.ndarray):
     """Minimum set cover by iterative deepening on the cover size.
 
-    Branches on the lowest-index uncovered element; candidate centers in
-    index order, so the first optimum found is the canonical witness.
+    Centre c covers the items of row c of the boolean ``table``, packed into
+    one mask.  Branches on the lowest-index uncovered element; candidate
+    centers in index order, so the first optimum found is the canonical
+    witness.
     """
+    n, cov = len(table), _row_masks(table)
     full = (1 << n) - 1
     coverers: List[List[int]] = [[] for _ in range(n)]
     for c in range(n):
@@ -501,7 +520,7 @@ def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25) -> ExtremalRes
         return ExtremalResult("dense", R, 0, (), "exact")
     assignment = None
     if n <= exact_limit:
-        sel, nodes = _exact_cover(n, _cover_masks(items, R))
+        sel, nodes = _exact_cover(_item_table(items, R))
         certificate, stats = "exact", {"nodes": nodes}
     elif n <= _GREEDY_LIMIT:
         sel = sorted(_greedy_cover_masks(n, _cover_masks(items, R)))
@@ -569,25 +588,36 @@ def _verify_assignment(items: MetricItems, R: Dist, sel: List[int],
 # greedy nets on spaces and band cliques (geometry support)
 
 
+def _below(row: np.ndarray, bound: Dist) -> np.ndarray:
+    """``row < bound`` entry by entry, exactly.  Against a Fraction num/den,
+    a row of Python ints and Fractions is compared as ``row * den < num``,
+    which needs no Fraction comparison per entry."""
+    if isinstance(bound, Fraction) and set(map(type, row.tolist())) <= {int, Fraction}:
+        return row * bound.denominator < bound.numerator
+    return row < bound
+
+
 def _net_cells(space: MetricSpace, window: Sequence[PointRef],
                s: Dist) -> Tuple[List[int], np.ndarray, np.ndarray]:
     """A maximal s-separated net of the (nonempty) window, and each point's
     cell in it, read off one ``space.distance_table(window)``.
 
     The net holds window indices: the first point, then the others in
-    sorted order, each unless it is within s of an earlier net point by
-    ``space.lt``.  A point's cell is the earliest net index, unless a later
-    net point is closer by ``space.lt``; the third value holds each point's
-    distance to its cell's net point, as ``distance`` gives it.
+    sorted order, each unless it is within s of an earlier net point, below
+    ``s - space.tol`` as ``space.lt`` compares.  A point's cell is the
+    earliest net index, unless a later net point is closer by ``space.lt``;
+    the third value holds each point's distance to its cell's net point, as
+    ``distance`` gives it.
     """
     pts = list(window)
     table = space.distance_table(pts)
+    bound = s - space.tol
     net = [0]
-    blocked = space.lt(table[0], s)
+    blocked = _below(table[0], bound)
     for i in sorted(range(1, len(pts)), key=pts.__getitem__):
         if not blocked[i] and pts[i] != pts[0]:
             net.append(i)
-            blocked |= space.lt(table[i], s)
+            blocked |= _below(table[i], bound)
     cell = np.zeros(len(pts), dtype=np.int64)
     near = table[:, 0]
     for k, z in enumerate(net[1:], 1):
@@ -633,13 +663,11 @@ def max_band_clique(space: MetricSpace, points: Sequence[PointRef], low: Dist,
         return got
 
     if n <= _BAND_EXACT_LIMIT:
-        conflict = [0] * n
+        conflict = np.zeros((n, n), dtype=bool)
         for i in range(n):
             for j in range(i + 1, n):
-                if not in_band(i, j):
-                    conflict[i] |= 1 << j
-                    conflict[j] |= 1 << i
-        sel, nodes = _mis_bitset(n, conflict)
+                conflict[i, j] = conflict[j, i] = not in_band(i, j)
+        sel, nodes = _mis_bitset(conflict)
         return ExtremalResult("band-clique", low, len(sel), tuple(sel), "exact", {"nodes": nodes})
     best: List[int] = []
     anchors = min(n, 64)

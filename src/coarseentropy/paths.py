@@ -157,13 +157,18 @@ class OrbitSet:
 
 
 def validate_path(points: Sequence[PointRef], delta: Dist, space: MetricSpace) -> bool:
-    """True iff consecutive points are within delta (up to space tolerance)."""
+    """True iff consecutive points are within delta (up to space tolerance).
+
+    Every point is checked once, in order, before any step is measured by
+    ``space.step_distance``.
+    """
     pts = list(points)
     if not pts:
         return False
     for p in pts:
         space.check_point(p)
-    return all(space.le(space.distance(pts[i], pts[i + 1]), delta) for i in range(len(pts) - 1))
+    step, le = space.step_distance, space.le
+    return all(le(step(a, b), delta) for a, b in zip(pts, pts[1:]))
 
 
 def validate_pseudoorbit(points: Sequence[PointRef], delta: Dist, space: MetricSpace,

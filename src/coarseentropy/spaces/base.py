@@ -189,6 +189,14 @@ class MetricSpace:
     def check_point(self, x: PointRef) -> None:
         """Raise UnknownPointError if x is not a point of this space."""
 
+    def step_distance(self, a: PointRef, b: PointRef) -> Dist:
+        """``distance`` between two points that ``check_point`` has passed.
+
+        This default is ``distance``, which may check them again.  Spaces
+        whose ``distance`` checks both points override it without the check.
+        """
+        return self.distance(a, b)
+
     def distance_table(self, points: Sequence[PointRef]) -> np.ndarray:
         """Symmetric object table of ``distance`` between the given points,
         with the same values and types and int 0 on the diagonal.
@@ -430,6 +438,9 @@ class MeasuredSpace(MetricSpace):
 
     def distance(self, a, b):
         return self.space.distance(a, b)
+
+    def step_distance(self, a, b):
+        return self.space.step_distance(a, b)
 
     def neighbors(self, x, delta):
         return self.space.neighbors(x, delta)

@@ -605,6 +605,9 @@ class TreeLine(MetricSpace):
     def distance(self, a, b):
         self.check_point(a)
         self.check_point(b)
+        return self.step_distance(a, b)
+
+    def step_distance(self, a, b):
         if a[0] == "line" and b[0] == "line":
             return abs(a[1] - b[1])
         if a[0] == "line":

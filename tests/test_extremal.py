@@ -3,6 +3,7 @@ plus the combinatorial identities that relate them."""
 
 import hashlib
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -104,6 +105,11 @@ def _brute_independent(n, conflict):
     return 0
 
 
+def _table(n, masks):
+    """The boolean table whose row a holds bit b of ``masks[a]``."""
+    return np.array([[bool(masks[a] >> b & 1) for b in range(n)] for a in range(n)])
+
+
 def _random_conflicts(rng, n, p):
     conflict = [0] * n
     for a, b in itertools.combinations(range(n), 2):
@@ -119,7 +125,7 @@ class TestColourBoundedSearch:
         rng = random.Random(int(p * 10) + 1607)
         for n in [1] + [rng.randint(2, 14) for _ in range(12)]:
             conflict = _random_conflicts(rng, n, p)
-            sel, nodes = extremal._mis_bitset(n, conflict)
+            sel, nodes = extremal._mis_bitset(_table(n, conflict))
             assert len(sel) == _brute_independent(n, conflict)
             assert sel == sorted(set(sel)) and all(0 <= v < n for v in sel)
             assert all(not conflict[a] >> b & 1 for a, b in itertools.combinations(sel, 2))
@@ -129,21 +135,21 @@ class TestColourBoundedSearch:
         # a 5-cycle: the greedy seed {0, 2} is optimal, but one colour class
         # cannot hold a cycle, so the root's bound of 3 forces a branch
         conflict = [0b10010, 0b00101, 0b01010, 0b10100, 0b01001]
-        assert extremal._mis_bitset(5, conflict)[1] > 1
+        assert extremal._mis_bitset(_table(5, conflict))[1] > 1
         monkeypatch.setattr(extremal, "_NODE_BUDGET", 1)
         with pytest.raises(BudgetExceededError,
                            match="^independent-set search exceeded its node budget$"):
-            extremal._mis_bitset(5, conflict)
+            extremal._mis_bitset(_table(5, conflict))
 
     def test_node_budget_stops_the_cover_search(self, monkeypatch):
         # items 0 and 2 cover each other, 1 and 3 only themselves: the bound
         # of 2 centres sends the search past the greedy cover of 3
         cov = [0b0101, 0b0010, 0b0101, 0b1000]
-        assert extremal._exact_cover(4, cov) == ([0, 1, 3], 5)
+        assert extremal._exact_cover(_table(4, cov)) == ([0, 1, 3], 5)
         monkeypatch.setattr(extremal, "_NODE_BUDGET", 1)
         with pytest.raises(BudgetExceededError,
                            match="^set-cover search exceeded its node budget$"):
-            extremal._exact_cover(4, cov)
+            extremal._exact_cover(_table(4, cov))
 
     def test_pinned_node_count(self):
         # the 81-path int_line family at R=2: the greedy seed is optimal and
@@ -159,7 +165,8 @@ class TestColourBoundedSearch:
         rng = random.Random(n * 10 + int(p * 10))
         for _ in range(3):
             conflict = _random_conflicts(rng, n, p)
-            assert extremal._mis_bitset(n, conflict) == _string_renumbered_mis(n, conflict)
+            assert extremal._mis_bitset(_table(n, conflict)) == \
+                _string_renumbered_mis(n, conflict)
 
     def test_random_metric_results_are_pinned(self):
         # every exact solve of 320 random metrics, drawn as the exact-rational
@@ -190,7 +197,11 @@ def _string_renumbered_mis(n, conflict):
         return int("".join(pick(format(mask, width)[::-1])), 2)
 
     adj = [by_rank(conflict[v]) for v in order]
-    seed = extremal._greedy_independent(n, conflict)
+    seed, banned = [], 0  # the lowest-index greedy pass
+    for v in range(n):
+        if not banned >> v & 1:
+            seed.append(v)
+            banned |= conflict[v] | 1 << v
     best = [len(seed), by_rank(sum(1 << v for v in seed))]
     nodes = [0]
 
@@ -262,7 +273,7 @@ class TestMinDense:
         def no_cover(*args):
             raise AssertionError("cover work started")
 
-        for name in ("_cover_masks", "_first_fit"):
+        for name in ("_cover_masks", "_item_table", "_first_fit"):
             monkeypatch.setattr(extremal, name, no_cover)
         with pytest.raises(InvalidInputError, match="R must exceed the comparison tolerance"):
             min_dense(items, R)
@@ -605,7 +616,7 @@ class TestCoverCertificates:
         assert strategy in min_dense(items, R).stats
         real = getattr(extremal, solver)
         if solver == "_exact_cover":
-            monkeypatch.setattr(extremal, solver, lambda n_, cov: (real(n_, cov)[0][:-1], 0))
+            monkeypatch.setattr(extremal, solver, lambda table: (real(table)[0][:-1], 0))
         else:
             monkeypatch.setattr(extremal, solver, lambda n_, cov: real(n_, cov)[:-1])
         kept = []
@@ -805,16 +816,17 @@ ITEM_TABLE_CASES = [
                          ids=[f"{name}-n{n}" for name, n, _ in ITEM_TABLE_CASES])
 def test_item_table_matches_the_orbit_distances(name, n, radii):
     # entry (i, j): path j is strictly within R - tol of path i, by the
-    # pair loop of orbit_distance over the paths themselves
+    # pair loop of orbit_distance over the paths themselves; the exact
+    # searches read the item table, the max-coverage greedy the masks
     sp = weighted_cycle() if name == "weighted_cycle" else make_example(name)
     items = orbit_items(name, n)
     paths = list(items.items)
     for R in radii:
         expected = np.array([[orbit_distance(u, v, sp) < R - items.tol for v in paths]
                              for u in paths])
-        masks = extremal._cover_masks(items, R)
-        got = np.array([[bool(m >> j & 1) for j in range(len(paths))] for m in masks])
-        assert (got == expected).all(), R
+        table = extremal._item_table(items, R)
+        assert table.dtype == bool and (table == expected).all(), R
+        assert (_table(len(paths), extremal._cover_masks(items, R)) == expected).all(), R
 
 
 # (family, n, radii): 64 to 6,561 paths over int, float and Fraction distances
@@ -1070,6 +1082,36 @@ class TestFromOrbits:
             MetricItems.from_orbits(sp, [])
         with pytest.raises(InvalidInputError):
             MetricItems.from_orbits(sp, [(0, 1), (0, 1, 2)])
+
+
+class TestBelowTheScale:
+    """``_below`` reads a row against a scale as ``row < bound`` does."""
+
+    VALUES = [0, 1, 4, 5, 2 ** 70, Fraction(17, 4), Fraction(16, 4), Fraction(35, 8),
+              Fraction(1, 3), 4.25, 0.3, 4.249999999999999, math.inf]
+
+    @pytest.mark.parametrize("bound", [4, Fraction(17, 4), Fraction(3, 10), 4.25, 0.3,
+                                       Fraction(2 ** 70 + 1, 3)])
+    def test_matches_the_entrywise_comparison(self, rng, bound):
+        # rows of ints, of ints and Fractions, and with floats or inf among them
+        pools = [self.VALUES[:5], self.VALUES[:9], self.VALUES]
+        for pool in pools:
+            for _ in range(20):
+                row = np.empty(rng.randint(1, 12), dtype=object)
+                row[:] = [rng.choice(pool) for _ in range(len(row))]
+                got = extremal._below(row, bound)
+                assert got.dtype == bool
+                assert got.tolist() == [x < bound for x in row.tolist()], (row, bound)
+
+    def test_an_int_row_needs_no_fraction_comparison(self, monkeypatch):
+        row = np.array([0, 3, 4, 5, 9], dtype=object)
+
+        def refused(*args):
+            raise AssertionError("Fraction compared")
+
+        for name in ("__lt__", "__gt__", "__le__", "__ge__"):
+            monkeypatch.setattr(Fraction, name, refused)
+        assert extremal._below(row, Fraction(17, 4)).tolist() == [True, True, True, False, False]
 
 
 class TestGreedyNet:

@@ -21,6 +21,7 @@ from coarseentropy import (
     PathFamily,
     RegularTree,
     TreeLine,
+    UnknownPointError,
     branch_tree_measured,
     build_graph,
     build_weighted_graph,
@@ -104,6 +105,28 @@ class TestValidation:
         sp = IntLine(max_abs=3)
         with pytest.raises(Exception):
             validate_path((0, 99), 1, sp)
+
+    @pytest.mark.parametrize("delta", [1, 3])
+    def test_validate_path_checks_each_point_once(self, delta):
+        # down into tree 1 and back along the line: each point is checked
+        # once, in order, and the steps are measured by step_distance, which
+        # gives what distance gives
+        sp = TreeLine(max_tree=2)
+        pts = [("line", 0), ("line", 3), ("line", 4), ("tree", 1, (0,)), ("line", 4),
+               ("line", 6)]
+        expected = all(sp.distance(a, b) <= delta for a, b in zip(pts, pts[1:]))
+        assert expected == (delta == 3)
+        for a, b in itertools.product(pts + [("tree", 2, (1, 0))], repeat=2):
+            assert (sp.step_distance(a, b), type(sp.step_distance(a, b))) == \
+                (sp.distance(a, b), type(sp.distance(a, b)))
+        checked = []
+        check = sp.check_point
+        sp.check_point = lambda x: checked.append(x) or check(x)
+        assert validate_path(pts, delta, sp) == expected
+        assert checked == pts
+        # the first unknown point raises, though an earlier step is too long
+        with pytest.raises(UnknownPointError, match=r"^bad tree vertex: \('tree', 1, \(0, 1\)\)$"):
+            validate_path(pts[:3] + [("tree", 1, (0, 1)), ("line", 999)], 1, sp)
 
     def test_validate_pseudoorbit_with_mapping(self):
         sp = IntLine(max_abs=20)

@@ -456,15 +456,17 @@ class TestSpotCheckMembers:
 
     def test_cli_command_measures_the_base_once(self, monkeypatch):
         # build_witness validates the 16,385-point base and the spot check
-        # starts each member past it: 33,232 calls when both walked it
+        # starts each member past it: 33,232 calls when both walked it.
+        # Every TreeLine distance is measured by step_distance, which
+        # validate_path calls on points it has checked
         calls = [0]
-        distance = TreeLine.distance
+        step_distance = TreeLine.step_distance
 
         def counted(self, a, b):
             calls[0] += 1
-            return distance(self, a, b)
+            return step_distance(self, a, b)
 
-        monkeypatch.setattr(TreeLine, "distance", counted)
+        monkeypatch.setattr(TreeLine, "step_distance", counted)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             assert cli.main(["witness", "--space", "tree_line", "--p", "3"]) == 0

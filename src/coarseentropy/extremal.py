@@ -270,15 +270,12 @@ def _mis_bitset(conflict: np.ndarray):
     n = len(conflict)
     order = np.argsort(conflict.sum(axis=1), kind="stable")
     adj = _row_masks(conflict.take(order, axis=0).take(order, axis=1))  # conflict rows by rank
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    banned = seed = size = 0
-    for r in rank.tolist():
+    banned = seed = 0
+    for r in order.argsort().tolist():  # each item's rank, in index order
         if not banned >> r & 1:
             seed |= 1 << r
-            size += 1
             banned |= adj[r] | 1 << r
-    best = [size, seed]  # size, rank mask
+    best = [seed.bit_count(), seed]  # size, rank mask
     nodes = [0]
 
     def expand(cand: int, size: int, mask: int):
@@ -448,14 +445,8 @@ def _exact_cover(table: np.ndarray):
     """
     n, cov = len(table), _row_masks(table)
     full = (1 << n) - 1
-    coverers: List[List[int]] = [[] for _ in range(n)]
-    for c in range(n):
-        m = cov[c]
-        while m:
-            e = (m & -m).bit_length() - 1
-            m &= m - 1
-            coverers[e].append(c)
-    maxcov = max(c.bit_count() for c in cov)
+    coverers = [np.flatnonzero(col).tolist() for col in table.T]  # by item, centres ascending
+    maxcov = int(table.sum(axis=1).max())
     greedy = _greedy_cover_masks(n, cov)
     lower = -(-n // maxcov)
     nodes = [0]

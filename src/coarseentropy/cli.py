@@ -344,6 +344,8 @@ def _cmd_bgcheck(args) -> Tuple[str, Dict[str, Any], int]:
     space, cfg = _resolve_space(args)
     s = _parse_delta(args.delta) if args.delta is not None else None
     D = _parse_scale(args.radius) if args.radius is not None else None
+    if (s is None or D is None) and space.bg_evidence_defaults() is None:
+        raise UsageError("bgcheck needs --delta and --radius on spaces without catalog defaults")
     depths = None
     if args.window is not None:
         if args.window < 2:

@@ -9,11 +9,13 @@ every verifier read ``close(R)`` through one kind of store: for a family, a
 scale and some column items, the packed sets of column positions strictly
 within R of each point, per column of the paths, gathered when first
 needed.  Each verifier builds its own store and reads neither a solver's
-store nor the item table.  Exact solving happens below ``exact_limit``
-(maximum independent set in the conflict graph for packing, minimum set
-cover over open R-balls for covering); above the limit deterministic
-greedy versions return certified one-sided bounds instead of silently
-pretending to be exact.  Tie-breaking everywhere: lowest index first.
+store nor the item table: every pair of picks is checked for packing, and
+every item against every centre for covering.  Exact solving happens below
+``exact_limit`` (maximum independent set in the conflict graph for
+packing, minimum set cover over open R-balls for covering); above the
+limit deterministic greedy versions return certified one-sided bounds
+instead of silently pretending to be exact.  Tie-breaking everywhere:
+lowest index first.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ _GREEDY_LIMIT = 1500
 
 # largest family max_band_clique solves exactly
 _BAND_EXACT_LIMIT = 40
+
+# the types numpy reads as integers but a selection may not hold
+_BOOLS = frozenset({bool, np.bool_})
 
 
 def _check_point_limit(size: int) -> None:
@@ -330,7 +335,7 @@ def max_separated(items: MetricItems, R: Dist, exact_limit: int = 40) -> Extrema
         sel, nodes = _mis_bitset(conflict)
         result = ExtremalResult("separated", R, len(sel), tuple(sel), "exact", {"nodes": nodes})
     else:
-        sel = [pick for pick, _, _ in _first_fit_covers(items, R)]
+        sel = _first_fit(items, R)
         result = ExtremalResult("separated", R, len(sel), tuple(sel),
                                 "exact" if len(sel) == n else "lower-bound",
                                 {"greedy_passes": len(sel)})
@@ -346,11 +351,10 @@ def _unpack_rows(words: np.ndarray) -> np.ndarray:
     return nonzero[byte] * 8 + bit
 
 
-def _first_fit_covers(items: MetricItems, R: Dist) -> Iterator[Tuple[int, int, np.ndarray]]:
+def _first_fit(items: MetricItems, R: Dist) -> List[int]:
     """First-uncovered greedy: each pick is the lowest item no earlier pick
     is strictly within R of, so the picks are a maximal R-separated set,
-    hence R-dense.  Yields ``(pick, w, cover)`` per pick: ``cover`` holds
-    the rows the pick covers first, packed from word ``w`` on.
+    hence R-dense.
 
     Rows are packed 64 to a word.  ``near(k, a)``, the rows whose column-k
     point is strictly within R of point ``a``, comes from a store of near
@@ -363,32 +367,33 @@ def _first_fit_covers(items: MetricItems, R: Dist) -> Iterator[Tuple[int, int, n
     store = _NearSets(items, R)
     uncovered = np.full(store.words, np.uint64(2 ** 64 - 1))
     uncovered[-1] >>= np.uint64(-n % 64)  # no bits past the rows
-    w = 0
-    for _ in range(n):  # at most one pick per row: each pick covers itself
-        while w < store.words and not uncovered[w]:
-            w += 1
-        if w == store.words:
-            return
-        word = int(uncovered[w])
-        bit = (word & -word).bit_length() - 1
-        pick = 64 * w + bit
-        cover = uncovered[w:].copy()
-        for k, a in enumerate(items.vectors[pick].tolist()):
-            cover &= store.near(k, a)[w:]
-        cover[0] |= np.uint64(1 << bit)
-        uncovered[w:] &= ~cover
-        yield pick, w, cover
-
-
-def _first_fit(items: MetricItems, R: Dist) -> Tuple[List[int], np.ndarray]:
-    """The picks of :func:`_first_fit_covers`, and each item's lowest-index
-    covering pick, which is the first pick to cover it."""
-    assignment = np.full(len(items), -1, dtype=np.int64)
     picks: List[int] = []
-    for pick, w, cover in _first_fit_covers(items, R):
-        picks.append(pick)
-        assignment[_unpack_rows(cover) + 64 * w] = pick
-    return picks, assignment
+    for w in range(store.words):
+        while uncovered[w]:  # each pick covers itself
+            word = int(uncovered[w])
+            bit = (word & -word).bit_length() - 1
+            pick = 64 * w + bit
+            picks.append(pick)
+            cover = uncovered[w:].copy()
+            for k, a in enumerate(items.vectors[pick].tolist()):
+                cover &= store.near(k, a)[w:]
+            cover[0] |= np.uint64(1 << bit)
+            uncovered[w:] &= ~cover
+    return picks
+
+
+def _indices(items: MetricItems, selected: Sequence[int]) -> np.ndarray:
+    """The selection as an index array.  Raises unless every entry is an
+    integer, not a bool, from 0 to N - 1: numpy would wrap a negative index
+    and truncate a float."""
+    n, sel = len(items), np.asarray(selected)
+    if sel.size and not (sel.ndim == 1 and sel.dtype.kind in "iu"
+                         and _BOOLS.isdisjoint(map(type, selected))
+                         and 0 <= min(selected) and max(selected) < n):
+        bad = next((x for x in selected if type(x) in _BOOLS
+                    or not isinstance(x, (int, np.integer)) or not 0 <= x < n), selected)
+        raise InvalidInputError(f"selections hold item indices from 0 to {n - 1}; got {bad!r}")
+    return sel
 
 
 def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int]) -> None:
@@ -403,9 +408,9 @@ def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int]) -> No
     blocks of about ``_BLOCK_CELLS`` pairs, and only the selection's columns
     are gathered.  The failing pair reported is the first position, in
     selection order, with another position strictly within R, and the
-    lowest such other position.
+    lowest such other position.  Every entry must be an item index.
     """
-    sel = np.asarray(selected, dtype=np.int64)
+    sel = _indices(items, selected)
     if sel.size < 2:
         return
     store = _NearSets(items, R, sel)
@@ -496,9 +501,8 @@ def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25) -> ExtremalRes
     ascending order); max-coverage greedy up to ``_GREEDY_LIMIT``; beyond
     that a first-uncovered pass whose centers are both R-separated and
     R-dense.  Their covers are "upper-bound", or "exact" with one centre.
-    The verifier checks every item against every center of the exact and
-    max-coverage covers; the first-uncovered pass hands it each item's
-    first covering pick, which costs one comparison per item.
+    :func:`verify_dense` checks every item against every centre of each
+    cover.
     """
     if not R > 0:
         raise InvalidInputError("R must be positive")
@@ -509,7 +513,6 @@ def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25) -> ExtremalRes
     n = len(items)
     if n == 0:
         return ExtremalResult("dense", R, 0, (), "exact")
-    assignment = None
     if n <= exact_limit:
         sel, nodes = _exact_cover(_item_table(items, R))
         certificate, stats = "exact", {"nodes": nodes}
@@ -517,62 +520,33 @@ def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25) -> ExtremalRes
         sel = sorted(_greedy_cover_masks(n, _cover_masks(items, R)))
         certificate, stats = "upper-bound", {"strategy_max_coverage": 1}
     else:
-        sel, assignment = _first_fit(items, R)
+        sel = _first_fit(items, R)
         certificate, stats = "upper-bound", {"strategy_first_uncovered": 1}
     if len(sel) == 1:  # a nonempty family needs a centre
         certificate = "exact"
     result = ExtremalResult("dense", R, len(sel), tuple(sel), certificate, stats)
-    verify_dense(items, R, result.selected, assignment)
+    verify_dense(items, R, result.selected)
     return result
 
 
-def verify_dense(items: MetricItems, R: Dist, selected: Sequence[int],
-                 assignment: Optional[Sequence[int]] = None) -> None:
+def verify_dense(items: MetricItems, R: Dist, selected: Sequence[int]) -> None:
     """Independent check that the selection is R-dense (raises on failure).
 
-    Without an ``assignment``, every item is compared with every center
-    through a store of its own over the centers: an item is covered when
-    the AND of its near sets over the columns holds a center.  The ANDs are
-    taken in row blocks of about ``_BLOCK_CELLS`` pairs.  With one (item i's
-    center is ``assignment[i]``), the check costs one comparison per item:
-    every assigned center must be selected and each item strictly within R
-    of it.
+    Every item is compared with every centre through a store of its own
+    over the centres: an item is covered when the AND of its near sets over
+    the columns holds a centre.  The ANDs are taken in row blocks of about
+    ``_BLOCK_CELLS`` pairs.  Every entry must be an item index.
     """
-    sel = list(selected)
-    n = len(items)
-    if not sel:
+    sel, n = _indices(items, selected), len(items)
+    if not sel.size:
         if n:
             raise InvalidInputError("empty selection cannot cover a nonempty family")
         return
-    if assignment is not None:
-        _verify_assignment(items, R, sel, assignment)
-        return
-    for lo, hit in _NearSets(items, R, np.asarray(sel, dtype=np.int64)).blocks(np.arange(n)):
+    for lo, hit in _NearSets(items, R, sel).blocks(np.arange(n)):
         covered = hit.any(axis=1)
         if not covered.all():
             raise InvalidInputError(f"covering check failed: item {lo + int(np.argmin(covered))} "
                                     f"is not within {R} of the cover")
-
-
-def _verify_assignment(items: MetricItems, R: Dist, sel: List[int],
-                       assignment: Sequence[int]) -> None:
-    n = len(items)
-    if len(assignment) != n:
-        raise InvalidInputError(
-            f"cover assignment has {len(assignment)} entries for {n} items")
-    centers = np.asarray(assignment)
-    strays = np.flatnonzero(~np.isin(centers, sel))
-    if strays.size:
-        stray = int(strays[0])
-        raise InvalidInputError(
-            f"covering check failed: item {stray} is assigned to {assignment[stray]}, "
-            f"which is not in the cover")
-    v = items.vectors
-    far = np.flatnonzero(~items.close(R)[v, v[centers.astype(np.int64)]].all(axis=1))
-    if far.size:
-        i = int(far[0])
-        raise InvalidInputError(
-            f"covering check failed: item {i} is not within {R} of its center {assignment[i]}")
 
 
 # ---------------------------------------------------------------------------

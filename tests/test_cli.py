@@ -500,6 +500,16 @@ class TestBgcheckCommand:
         assert code == 2 and err == ""
         assert json.loads(out)["report"]["verdict"] == "inconclusive"
 
+    @pytest.mark.parametrize("space", ["int_line", "log_line", "regular_tree",
+                                       "ultrametric_product", "tree_line"])
+    @pytest.mark.parametrize("given", [[], ["--delta", "1"], ["--radius", "8"]],
+                             ids=["neither", "delta", "radius"])
+    def test_spaces_without_defaults_name_the_flags(self, capsys, space, given):
+        code, out, err = run(["bgcheck", "--space", space, *given], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("config error: bgcheck needs --delta and --radius on spaces without "
+                       "catalog defaults\n")
+
     def test_window_below_two_rejected(self, capsys):
         code, _, err = run(
             ["bgcheck", "--space", "int_line", "--delta", "1", "--radius", "8",

@@ -428,7 +428,7 @@ class TestPackedSeparationCheck:
         size = len(items)
         failed = passed = 0
         for R in radii:
-            picks, _ = extremal._first_fit(items, R)
+            picks = extremal._first_fit(items, R)
             for trial in range(12):
                 # sizes on both sides of one 64-row word; duplicates allowed
                 k = rng.choice([2, 5, 63, 64, 65, 130, min(size, 300)])
@@ -454,7 +454,7 @@ class TestPackedSeparationCheck:
 
     def test_selection_over_several_row_blocks(self, monkeypatch):
         items = orbit_items("int_line", 7)
-        picks, _ = extremal._first_fit(items, 2)
+        picks = extremal._first_fit(items, 2)
         near = next(i for i in range(len(items)) if i not in picks and items.dist(i, picks[-1]) < 2)
         bad = picks[:-1] + [near] + picks[-1:]
         expected = pairwise_failure(items, 2, bad)
@@ -545,131 +545,109 @@ def raw_copy(items):
 
 
 class TestCoverCertificates:
-    """verify_dense with an assignment: one center per item, all checked."""
+    """verify_dense on solver covers and mutations of them: every item is
+    checked against every centre."""
 
     @pytest.fixture(params=["orbits", "raw"])
     def cover(self, request):
         items = orbit_items("int_line", 4)
         if request.param == "raw":
             items = raw_copy(items)
-        res = min_dense(items, 3)
-        assignment = [min(c for c in res.selected if items.dist(i, c) < 3)
-                      for i in range(len(items))]
-        return items, res.selected, assignment
+        return items, min_dense(items, 3).selected
 
-    def test_accepts_the_lowest_index_assignment(self, cover):
-        items, sel, assignment = cover
-        verify_dense(items, 3, sel, assignment)
-
-    def test_rejects_an_entry_outside_the_selection(self, cover):
-        items, sel, assignment = cover
-        bad = list(assignment)
-        i = len(items) - 1
-        bad[i] = next(c for c in range(len(items)) if c not in sel and items.dist(i, c) < 3)
-        with pytest.raises(InvalidInputError, match="not in the cover"):
-            verify_dense(items, 3, sel, bad)
+    def test_accepts_the_cover(self, cover):
+        items, sel = cover
+        verify_dense(items, 3, sel)
 
     def test_rejects_a_center_at_distance_R_or_more(self, monkeypatch, cover):
-        items, sel, assignment = cover
-        i, far = next((i, c) for i in reversed(range(len(items))) for c in sel
-                      if items.dist(i, c) == 3)
-        bad = list(assignment)
-        bad[i] = far
-        with pytest.raises(InvalidInputError, match=f"item {i} is not within 3"):
-            verify_dense(items, 3, sel, bad)
-        # the assignment is checked in full, whatever the block size
-        monkeypatch.setattr(extremal, "_BLOCK_CELLS", 1)
-        with pytest.raises(InvalidInputError, match=f"item {i} is not within 3"):
-            verify_dense(items, 3, sel, bad)
-
-    def test_rejects_a_wrong_length(self, cover):
-        items, sel, assignment = cover
-        for bad in (assignment[:-1], assignment + [sel[0]], []):
-            with pytest.raises(InvalidInputError, match="entries for"):
-                verify_dense(items, 3, sel, bad)
-
-    @pytest.mark.parametrize("name, n, R", [("int_line", 7, 4)])
-    def test_solvers_assign_the_lowest_index_covering_center(self, monkeypatch, name, n, R):
-        # 2,187 items, above _GREEDY_LIMIT: the first-uncovered pass is the
-        # one tier that hands over an assignment
-        items = orbit_items(name, n)
-        seen = []
-        real = extremal.verify_dense
-
-        def spy(items_, R_, selected, assignment=None):
-            seen.append(list(assignment))
-            return real(items_, R_, selected, assignment)
-
-        monkeypatch.setattr(extremal, "verify_dense", spy)
-        res = min_dense(items, R)
-        assert "strategy_first_uncovered" in res.stats
-        assert seen == [[min(c for c in res.selected if items.dist(i, c) < R)
-                         for i in range(len(items))]]
+        # the last centre swapped for an item exactly 3 from the last item
+        # that only it covered, which leaves that item uncovered
+        items, sel = cover
+        n = len(items)
+        alone = [i for i in range(n)
+                 if [items.dist(i, c) < 3 for c in sel] == [False] * (len(sel) - 1) + [True]]
+        i = alone[-1]
+        far = next(c for c in range(n) if c not in sel and items.dist(i, c) == 3)
+        bad = sel[:-1] + (far,)
+        first = next(j for j in range(n) if all(items.dist(j, c) >= 3 for c in bad))
+        assert first <= i
+        # every item is checked, whatever the block size
+        for cells in (4_000_000, 1):
+            monkeypatch.setattr(extremal, "_BLOCK_CELLS", cells)
+            with pytest.raises(InvalidInputError) as err:
+                verify_dense(items, 3, bad)
+            assert str(err.value) == f"covering check failed: item {first} is not within 3 " \
+                                     "of the cover"
 
     @pytest.mark.parametrize("solver, n, strategy", [
-        ("_exact_cover", 2, "nodes"), ("_greedy_cover_masks", 4, "strategy_max_coverage")])
+        ("_exact_cover", 2, "nodes"), ("_greedy_cover_masks", 4, "strategy_max_coverage"),
+        ("_first_fit", 7, "strategy_first_uncovered")])
     def test_small_tiers_check_every_item(self, monkeypatch, solver, n, strategy):
-        # 9 and 81 items, covers of 2 and 7 centres: each tier's cover, with
-        # its last centre dropped, leaves an item uncovered, and the check
-        # against every centre finds it
+        # 9, 81 and 2,187 items, covers of 2, 7 and 128 centres: each tier's
+        # cover, with its last centre dropped, leaves an item uncovered, and
+        # the check against every centre finds it at every store size
         items, R = orbit_items("int_line", n), 2
         assert strategy in min_dense(items, R).stats
         real = getattr(extremal, solver)
         if solver == "_exact_cover":
             monkeypatch.setattr(extremal, solver, lambda table: (real(table)[0][:-1], 0))
-        else:
+        elif solver == "_greedy_cover_masks":
             monkeypatch.setattr(extremal, solver, lambda n_, cov: real(n_, cov)[:-1])
+        else:
+            monkeypatch.setattr(extremal, solver, lambda items_, R_: real(items_, R_)[:-1])
         kept = []
         real_verify = extremal.verify_dense
 
-        def spy(items_, R_, selected, assignment=None):
-            kept.extend(selected)
-            return real_verify(items_, R_, selected, assignment)
+        def spy(items_, R_, selected):
+            kept.append(selected)
+            return real_verify(items_, R_, selected)
 
         monkeypatch.setattr(extremal, "verify_dense", spy)
-        with pytest.raises(InvalidInputError) as err:
-            min_dense(items, R)
-        first = next(i for i in range(len(items)) if all(items.dist(i, c) >= R for c in kept))
-        assert str(err.value) == f"covering check failed: item {first} is not within 2 of the cover"
+        for cells, budget in STORE_SIZES:
+            monkeypatch.setattr(extremal, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(extremal, "_NEAR_MEMO_BYTES", budget)
+            with pytest.raises(InvalidInputError) as err:
+                min_dense(items, R)
+            first = next(i for i in range(len(items))
+                         if all(items.dist(i, c) >= R for c in kept[-1]))
+            assert str(err.value) == \
+                f"covering check failed: item {first} is not within 2 of the cover"
+        assert len(kept) == len(STORE_SIZES) and len(set(kept)) == 1
 
 
-def scan_stray(selected, assignment):
-    """The scan the array check replaced: the first entry not in the set of
-    selected centres."""
-    chosen = set(selected)
-    return next((i for i, c in enumerate(assignment) if c not in chosen), None)
+# a line of 6 items: 0 and 3 are a separated cover at R = 3
+LINE_6 = [[abs(i - j) for j in range(6)] for i in range(6)]
 
 
-class TestAssignmentEntries:
-    """The first stray centre, found by array operations on any
-    assignment, is the one the scan finds."""
+class TestSelectionEntries:
+    """Both verifiers refuse a selection entry that is not an item index:
+    numpy would wrap a negative one, truncate a float and raise its own
+    IndexError past the end."""
 
-    # items 0..5 on a line at R = 2, each assigned its lowest covering center
-    SEL = (1, 2, 4)
-    GOOD = [1, 1, 2, 2, 4, 4]
-
+    @pytest.mark.parametrize("verify", [verify_dense, verify_separated],
+                             ids=["verify_dense", "verify_separated"])
     @pytest.mark.parametrize("form", ["list", "array"])
-    @pytest.mark.parametrize("entry", [-1, 6, 3, 2.0, 2.5, True])
-    def test_same_stray_as_the_scan(self, form, entry):
-        items = items_from_matrix([[abs(i - j) for j in range(6)] for i in range(6)])
-        assignment = list(self.GOOD)
-        # entry 3 is the case; entry 5, outside the cover, is the next stray
-        assignment[3], assignment[5] = entry, 0
-        given = assignment if form == "list" else np.array(assignment)
-        stray = scan_stray(self.SEL, given)
-        assert stray == (5 if entry in (2.0, True) else 3)
-        message = (f"covering check failed: item {stray} is assigned to {given[stray]}, "
-                   "which is not in the cover")
+    @pytest.mark.parametrize("entry", [-3, -1, 6, 7, 2.0, 2.5, True, np.True_, 2 ** 70],
+                             ids=["-3", "-1", "6", "7", "2.0", "2.5", "True", "np.True_", "2**70"])
+    def test_refused(self, verify, form, entry):
+        items = items_from_matrix(LINE_6)
+        verify(items, 3, [0, 3])
+        # the entry after two good ones in a list, or alone in an array
+        given = [0, 3, entry] if form == "list" else np.array([entry])
         with pytest.raises(InvalidInputError) as err:
-            verify_dense(items, 2, self.SEL, given)
-        assert str(err.value) == message
+            verify(items, 3, given)
+        assert str(err.value) == \
+            f"selections hold item indices from 0 to 5; got {given[-1]!r}"
 
-    def test_integer_arrays_of_any_width(self):
-        items = items_from_matrix([[abs(i - j) for j in range(6)] for i in range(6)])
-        for dtype in (np.int32, np.int64, np.uint8):
-            verify_dense(items, 2, self.SEL, np.array(self.GOOD, dtype=dtype))
-        with pytest.raises(InvalidInputError, match="item 0 is assigned to -1,"):
-            verify_dense(items, 2, self.SEL, np.full(6, -1))
+    @pytest.mark.parametrize("verify", [verify_dense, verify_separated],
+                             ids=["verify_dense", "verify_separated"])
+    def test_integer_arrays_of_any_width(self, verify):
+        items = items_from_matrix(LINE_6)
+        for given in ((0, 3), range(0, 6, 3), *(np.array([0, 3], dtype=dtype)
+                                                for dtype in (np.int32, np.int64, np.uint8))):
+            verify(items, 3, given)
+        with pytest.raises(InvalidInputError, match="got np.int64[(]-1[)]"):
+            verify(items, 3, np.full(2, -1))
 
 
 def _selection_digest(selected):
@@ -850,16 +828,16 @@ def test_greedy_packing_picks_the_first_uncovered_centers(monkeypatch, name, n, 
     items = orbit_items(name, n)
     monkeypatch.setattr(extremal, "_GREEDY_LIMIT", 0)
 
-    def no_assignment(*args):
-        raise AssertionError("assignment built")
+    def no_unpack(*args):
+        raise AssertionError("row unpacked")
 
     for R in radii:
-        # the packing unpacks no cover into an assignment, and a separated
-        # selection passes verify_separated without unpacking a row either
+        # neither pass unpacks a row, and a separated selection passes
+        # verify_separated without unpacking one either
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(extremal, "_unpack_rows", no_assignment)
+            patch.setattr(extremal, "_unpack_rows", no_unpack)
             packing = max_separated(items, R, exact_limit=0)
-        cover = min_dense(items, R)
+            cover = min_dense(items, R)
         assert "greedy_passes" in packing.stats and "strategy_first_uncovered" in cover.stats
         assert packing.selected == cover.selected
 
@@ -893,8 +871,7 @@ def test_first_fit_matches_the_first_uncovered_oracle(monkeypatch, make, radii):
         for budget in (None, 8, 2 * entry):
             if budget is not None:
                 monkeypatch.setattr(extremal, "_NEAR_MEMO_BYTES", budget)
-            picks, assignment = extremal._first_fit(items, R)
-            assert (picks, assignment.tolist()) == expected, (R, budget)
+            assert extremal._first_fit(items, R) == expected, (R, budget)
         monkeypatch.undo()
 
 
@@ -945,7 +922,7 @@ def test_verify_dense_matches_the_pairwise_distances(monkeypatch, rng, make, rad
     failed = passed = 0
     for R in radii:
         close = pairwise_close(items, R)
-        picks, _ = extremal._first_fit(items, R)
+        picks = extremal._first_fit(items, R)
         selections = [[rng.randrange(n) for _ in range(k)] for k in (1, 2, 5, 70)]
         selections += [picks, picks[:-1] or picks]
         for sel in selections:

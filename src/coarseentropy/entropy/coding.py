@@ -20,7 +20,7 @@ import numpy as np
 from ..errors import InvalidInputError
 from ..extremal import _net_cells
 from ..numbers import Dist, dist_to_jsonable
-from ..paths import enumerate_orbits, point_table
+from ..paths import PathFamily, enumerate_orbits
 from ..spaces.base import MetricSpace, PointRef, ball
 
 __all__ = ["CodingScheme", "build_coding", "code_paths", "coding_injectivity_check"]
@@ -101,17 +101,18 @@ def build_coding(space: MetricSpace, x0: PointRef, n: int, delta: Dist, R: Dist)
 def code_paths(scheme: CodingScheme, paths: Sequence) -> Dict[Tuple[int, ...], List[int]]:
     """Group path indices by code word, words in order of first appearance.
 
-    The paths are read as ``point_table(paths)``, so a PathFamily's id
-    matrix is read as it stands and no DeltaPath is built.  Each sampled
-    point's cell is looked up once and the codes are the rows of
+    The paths are read as ``PathFamily.of(paths, scheme.delta)``, so an
+    OrbitSet's family is read as it stands and no DeltaPath is built.  Each
+    sampled point's cell is looked up once and the codes are the rows of
     ``cell[ids[:, sample_times]]``.  A family of the wrong length raises
     ``path has k steps, coding expects n`` and a sampled point outside the
-    window raises the KeyError of ``scheme.code``; a family of unequal
-    lengths raises point_table's error.
+    window raises the KeyError of ``scheme.code``; paths of unequal lengths
+    raise ``PathFamily.of``'s error.
     """
     if not len(paths):
         return {}
-    support, ids = point_table(paths)
+    family = PathFamily.of(paths, scheme.delta)
+    support, ids = family.support, family.ids
     if ids.shape[1] != scheme.n + 1:
         raise InvalidInputError(
             f"path has {ids.shape[1] - 1} steps, coding expects {scheme.n}")
@@ -146,7 +147,7 @@ def coding_injectivity_check(space: MetricSpace, x0: PointRef, n: int, delta: Di
     """
     scheme = build_coding(space, x0, n, delta, R)
     orbits = enumerate_orbits(space, x0, n, delta)
-    support, ids = point_table(orbits.paths)
+    support, ids = orbits.paths.support, orbits.paths.ids
     groups = code_paths(scheme, orbits.paths)
     table = space.distance_table(support)
     # the distinct points at each (fiber, position) slot, as runs of the

@@ -18,10 +18,12 @@ forward equals applying f^n pointwise.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Set, Tuple
+
+import numpy as np
 
 from ..errors import InvalidInputError, NotDistancePreservingError
-from ..paths import DeltaPath, OrbitSet, orbit_distance, validate_path, validate_pseudoorbit
+from ..paths import OrbitSet, PathFamily
 from ..spaces.base import MetricSpace, PointRef
 
 __all__ = ["map_iterates", "transfer_orbits", "check_distance_preserved", "round_trip_check"]
@@ -62,11 +64,6 @@ class _CheckedMap:
                 f"map sends d({a!r},{b!r})={before} to d(f a,f b)={after}")
         self.checked_pairs.add(key)
 
-    def iterate(self, x: PointRef, k: int) -> PointRef:
-        for _ in range(k):
-            x = self.apply(x)
-        return x
-
 
 def map_iterates(space: MetricSpace, f: MapFn, x: PointRef, n: int) -> Tuple[PointRef, ...]:
     """The forward orbit (x, f(x), ..., f^n(x)) with every point validated."""
@@ -80,20 +77,12 @@ def map_iterates(space: MetricSpace, f: MapFn, x: PointRef, n: int) -> Tuple[Poi
     return tuple(out)
 
 
-def _position_sets(rows: Sequence[Tuple[PointRef, ...]]) -> List[List[PointRef]]:
-    width = len(rows[0])
-    return [sorted({r[i] for r in rows}, key=repr) for i in range(width)]
-
-
-def _check_iterated_isometry(cm: _CheckedMap, points: Sequence[PointRef], k: int) -> None:
-    """Verify f preserves all pairwise distances along k applications
-    starting from the given point set."""
-    current = list(points)
-    for _ in range(k):
-        for a_i, a in enumerate(current):
-            for b in current[a_i + 1:]:
-                cm.check_pair(a, b)
-        current = [cm.apply(x) for x in current]
+def _columns(family: PathFamily) -> Iterator[Tuple[List[PointRef], np.ndarray]]:
+    """For each column of the family: its distinct points, and each row's
+    index into them."""
+    for column in family.ids.T:
+        used, inverse = np.unique(column, return_inverse=True)
+        yield [family.support[a] for a in used.tolist()], inverse
 
 
 def transfer_orbits(space: MetricSpace, f: MapFn, orbits: OrbitSet,
@@ -103,67 +92,81 @@ def transfer_orbits(space: MetricSpace, f: MapFn, orbits: OrbitSet,
     Forward input: identity delta-paths; output delta-pseudoorbits of f.
     Backward input: delta-pseudoorbits of f; output identity delta-paths.
     Orbit distances are preserved exactly; this is enforced by checking f
-    on every point pair used at any transfer stage.
+    on every point pair of a column at every application.  Each column's
+    distinct points and each distinct image step are handled once.
     """
     if direction not in ("forward", "backward"):
         raise InvalidInputError(f"direction must be 'forward' or 'backward': {direction!r}")
-    if not orbits.paths:
+    family, n, delta = orbits.paths, orbits.n, orbits.delta
+    if not len(family):
         raise InvalidInputError("empty orbit family")
-    rows = [p.points for p in orbits.paths]
-    n = orbits.n
-    delta = orbits.delta
+    for p in family.support:
+        space.check_point(p)
     cm = _CheckedMap(space, f)
 
-    # distance preservation on every used pair: the family's points at
-    # position i travel through (n - i or i) applications of f
-    for i, column in enumerate(_position_sets(rows)):
-        k = i if direction == "forward" else n - i
-        _check_iterated_isometry(cm, column, k)
+    # the points at position i travel through i (forward) or n - i
+    # (backward) applications of f, each checked on every pair of them
+    index: Dict[PointRef, int] = {}
+    columns = []
+    for i, (points, inverse) in enumerate(_columns(family)):
+        for _ in range(i if direction == "forward" else n - i):
+            for a_i, a in enumerate(points):
+                for b in points[a_i + 1:]:
+                    cm.check_pair(a, b)
+            points = [cm.apply(x) for x in points]
+        columns.append(np.array([index.setdefault(y, len(index)) for y in points])[inverse])
+    image = PathFamily(tuple(index), np.stack(columns, axis=1), delta)
 
-    out_paths: List[DeltaPath] = []
-    for row in rows:
-        if direction == "forward":
-            new_points = tuple(cm.iterate(x, i) for i, x in enumerate(row))
-            if not validate_pseudoorbit(new_points, delta, space, cm.apply):
-                raise NotDistancePreservingError(
-                    f"forward transfer of {row!r} is not a delta-pseudoorbit of the map")
-        else:
-            new_points = tuple(cm.iterate(x, n - i) for i, x in enumerate(row))
-            if not validate_path(new_points, delta, space):
-                raise NotDistancePreservingError(
-                    f"backward transfer of {row!r} is not a delta-path")
-        out_paths.append(DeltaPath(new_points, delta))
+    # a forward step measures d(f(y_i), y_{i+1}), a backward one d(y_i, y_{i+1})
+    move = cm.apply if direction == "forward" else (lambda y: y)
+    pairs = np.stack((image.ids[:, :-1], image.ids[:, 1:]), axis=2).reshape(-1, 2)
+    steps, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    good = np.array([space.le(space.step_distance(move(image.support[a]), image.support[b]), delta)
+                     for a, b in steps.tolist()], dtype=bool)
+    ok = good[inverse.ravel()].reshape(len(image), n).all(axis=1)
+    if not ok.all():
+        row = family[int(np.argmin(ok))].points
+        failure = "a delta-pseudoorbit of the map" if direction == "forward" else "a delta-path"
+        raise NotDistancePreservingError(f"{direction} transfer of {row!r} is not {failure}")
 
-    if len({p.points for p in out_paths}) != len(out_paths):
+    if len(np.unique(image.ids, axis=0)) != len(image):
         raise NotDistancePreservingError(
             "transfer collapsed two distinct paths onto one image")
     label = "pseudo-orbit-of-map" if direction == "forward" else "identity"
-    x0 = out_paths[0].start if direction == "backward" else orbits.x0
-    return OrbitSet(tuple(out_paths), x0=x0, n=n, delta=delta,
-                    exhaustive=False, map_label=label)
+    x0 = image.support[image.ids[0, 0]] if direction == "backward" else orbits.x0
+    return OrbitSet(image, x0=x0, n=n, delta=delta, exhaustive=False, map_label=label)
+
+
+def _orbit_distances(space: MetricSpace, family: PathFamily) -> np.ndarray:
+    """The (m, m) table of orbit distances between the family's rows: the
+    elementwise max over the columns of one gather from each column's
+    ``distance_table``."""
+    table = np.zeros((len(family), len(family)), dtype=object)
+    for points, inverse in _columns(family):
+        table = np.maximum(table, space.distance_table(points)[inverse[:, None], inverse])
+    return table
 
 
 def check_distance_preserved(space: MetricSpace, source: OrbitSet, image: OrbitSet) -> int:
     """Exhaustively compare orbit distances between a family and its image.
 
-    Returns the number of pairs compared; raises on any discrepancy or if
-    the comparison would exceed ``_PAIR_CAP`` pairs.
+    Returns the number of pairs compared; raises on any discrepancy, naming
+    the first failing pair i < j in row order, or if the comparison would
+    exceed ``_PAIR_CAP`` pairs.
     """
     m = len(source.paths)
     if len(image.paths) != m:
         raise InvalidInputError("families must have equal sizes")
     if m * (m - 1) // 2 > _PAIR_CAP:
         raise InvalidInputError(f"pair count exceeds cap {_PAIR_CAP}; reduce the family")
-    pairs = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            before = orbit_distance(source.paths[i], source.paths[j], space)
-            after = orbit_distance(image.paths[i], image.paths[j], space)
-            if not (space.le(after, before) and space.ge(after, before)):
-                raise NotDistancePreservingError(
-                    f"paths {i},{j}: orbit distance {before} became {after}")
-            pairs += 1
-    return pairs
+    before = _orbit_distances(space, source.paths)
+    after = _orbit_distances(space, image.paths)
+    bad = np.triu(~((after <= before + space.tol) & (after >= before - space.tol)), 1)
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
+        raise NotDistancePreservingError(
+            f"paths {i},{j}: orbit distance {before[i, j]} became {after[i, j]}")
+    return m * (m - 1) // 2
 
 
 def round_trip_check(space: MetricSpace, f: MapFn, orbits: OrbitSet) -> dict:
@@ -171,12 +174,10 @@ def round_trip_check(space: MetricSpace, f: MapFn, orbits: OrbitSet) -> dict:
     applying f^n pointwise and that orbit distances survive both legs."""
     forward = transfer_orbits(space, f, orbits, "forward")
     back = transfer_orbits(space, f, forward, "backward")
-    cm = _CheckedMap(space, f)
-    n = orbits.n
-    for src, rt in zip(orbits.paths, back.paths):
-        expect = tuple(cm.iterate(x, n) for x in src.points)
-        if rt.points != expect:
-            raise InvalidInputError("round trip differs from pointwise f^n")
+    shifted = [map_iterates(space, f, x, orbits.n)[-1] for x in orbits.paths.support]
+    expect = [tuple(map(shifted.__getitem__, row)) for row in orbits.paths.ids.tolist()]
+    if back.point_rows() != expect:
+        raise InvalidInputError("round trip differs from pointwise f^n")
     pairs = check_distance_preserved(space, orbits, forward)
     check_distance_preserved(space, orbits, back)
     return {"paths": len(orbits.paths), "pairs_compared": pairs,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError
 from .numbers import Dist
-from .paths import PathFamily, point_table
+from .paths import PathFamily
 from .spaces.base import MetricSpace, PointRef, pair_table
 
 __all__ = [
@@ -90,7 +90,7 @@ class MetricItems:
     """
 
     def __init__(self, items: Sequence, dist_fn: Callable[[int, int], Dist], tol: Dist = 0):
-        self.items = items if isinstance(items, PathFamily) else tuple(items)
+        self.items = tuple(items)
         self.tol = tol
         self.vectors = np.arange(len(self.items)).reshape(-1, 1)
         self._dist_fn = dist_fn
@@ -123,20 +123,17 @@ class MetricItems:
     def from_orbits(cls, space: MetricSpace, orbits):
         """Items are paths under the orbit (sup) distance.
 
-        ``orbits`` is a :class:`PathFamily`, whose id matrix is used as it
-        stands, or any sequence of DeltaPaths or point sequences, which is
-        indexed into a point table once.  The point-distance table is built
-        here by ``space.distance_table``; a family over more than
-        ``POINT_LIMIT`` points raises :class:`BudgetExceededError` before it
-        is allocated.
+        ``orbits`` is read as ``PathFamily.of(orbits, None)``: an OrbitSet's
+        family as it stands, any other paths indexed once.  ``vectors`` is its
+        id matrix and ``dmat`` is ``space.distance_table`` over its support;
+        a family over more than ``POINT_LIMIT`` points raises
+        :class:`BudgetExceededError` before the table is allocated.
         """
-        support, ids = point_table(orbits)
-        items = orbits if isinstance(orbits, PathFamily) else \
-            tuple(tuple(support[k] for k in row) for row in ids.tolist())
-        family = cls(items, None, tol=space.tol)
-        family.vectors = ids
-        _check_point_limit(len(support))
-        family._dmat = space.distance_table(support)
+        paths = PathFamily.of(orbits, None)
+        family = cls((), None, tol=space.tol)
+        family.items, family.vectors = paths, paths.ids
+        _check_point_limit(len(paths.support))
+        family._dmat = space.distance_table(paths.support)
         return family
 
 

@@ -24,7 +24,6 @@ if TYPE_CHECKING:  # circular at runtime: spaces.catalog builds DeltaPath object
 __all__ = [
     "DeltaPath",
     "PathFamily",
-    "point_table",
     "OrbitSet",
     "validate_path",
     "validate_pseudoorbit",
@@ -109,23 +108,20 @@ class PathFamily(SequenceABC):
         for row in self.ids.tolist():
             yield DeltaPath(tuple(map(point, row)), self.delta)
 
-
-def point_table(paths) -> Tuple[Tuple[PointRef, ...], np.ndarray]:
-    """``(support, ids)`` of a family of same-length paths.
-
-    A :class:`PathFamily` is returned as it stands.  Any other iterable of
-    DeltaPaths or point sequences is indexed once, points numbered in order
-    of first appearance.
-    """
-    if isinstance(paths, PathFamily):
-        return paths.support, paths.ids
-    index: Dict[PointRef, int] = {}
-    rows = [[index.setdefault(x, len(index)) for x in p] for p in paths]
-    if not rows:
-        raise InvalidInputError("empty orbit family")
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise InvalidInputError("orbit families need equal path lengths")
-    return tuple(index), np.array(rows, dtype=np.int32)
+    @classmethod
+    def of(cls, paths, delta: Dist) -> PathFamily:
+        """``paths`` as a family: a PathFamily as it stands, or any other
+        nonempty iterable of DeltaPaths or point sequences of one length,
+        indexed once with points numbered in order of first appearance."""
+        if isinstance(paths, PathFamily):
+            return paths
+        index: Dict[PointRef, int] = {}
+        rows = [[index.setdefault(x, len(index)) for x in p] for p in paths]
+        if not rows:
+            raise InvalidInputError("empty orbit family")
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise InvalidInputError("orbit families need equal path lengths")
+        return cls(tuple(index), np.array(rows, dtype=np.int32), delta)
 
 
 @dataclass(frozen=True)
@@ -135,16 +131,21 @@ class OrbitSet:
     ``map_label`` records which map the members are pseudoorbits of
     ("identity" for plain delta-paths; transfer maps produce sets labelled
     by the mapped dynamics).  ``exhaustive`` is True only when the set is
-    known to be all of P(n, delta, x0).  ``paths`` is any sequence of
-    DeltaPaths: a tuple, or a :class:`PathFamily` for enumerated sets.
+    known to be all of P(n, delta, x0).  ``paths`` is given as any sequence
+    of DeltaPaths or point sequences and held as ``PathFamily.of(paths, delta)``.
     """
 
-    paths: Sequence[DeltaPath]
+    paths: PathFamily
     x0: PointRef
     n: int
     delta: Dist
     exhaustive: bool = False
     map_label: str = "identity"
+
+    def __post_init__(self):
+        # of() refuses an empty family, whose width only n gives
+        paths = self.paths if len(self.paths) else PathFamily((), np.zeros((0, self.n + 1)), self.delta)
+        object.__setattr__(self, "paths", PathFamily.of(paths, self.delta))
 
     def __len__(self):
         return len(self.paths)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .numbers import as_dist, dist_to_jsonable, parse_dist
-from .paths import DeltaPath, OrbitSet, point_table
+from .paths import OrbitSet
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -195,7 +195,7 @@ def orbits_to_json_lines(orbits: OrbitSet) -> str:
         # each point is encoded once; a block of path lines is one join over
         # "\n[", the point texts with ", " between them, and "]", exactly as
         # json.dumps lays out a list
-        support, ids = point_table(orbits.paths)
+        support, ids = orbits.paths.support, orbits.paths.ids
         text = np.array([json.dumps(point_to_jsonable(p), sort_keys=True, ensure_ascii=False)
                          for p in support], dtype=object)
         width = ids.shape[1]
@@ -250,10 +250,10 @@ def orbits_from_json_lines(text: str) -> OrbitSet:
         if points[:1] != (x0,):
             raise InvalidInputError(
                 f"orbit file line {number}: the path does not start at x0 = {x0!r}")
-        paths.append(DeltaPath(points, delta))
+        paths.append(points)
     if len(paths) != header.get("count"):
         raise InvalidInputError(
             f"orbit file header announces {header.get('count')} paths, found {len(paths)}")
-    return OrbitSet(tuple(paths), x0=x0, n=n, delta=delta,
+    return OrbitSet(paths, x0=x0, n=n, delta=delta,
                     exhaustive=bool(header.get("exhaustive", False)),
                     map_label=str(header.get("map_label", "identity")))

@@ -32,11 +32,15 @@ from coarseentropy import (
     hop_metric,
     make_example,
     orbit_distance,
+    orbits_from_json_lines,
+    orbits_to_json_lines,
     pad_path,
     path_graph,
+    pingpong_witness,
     reverse,
     step_ball,
     step_shells,
+    transfer_orbits,
     validate_path,
     validate_pseudoorbit,
 )
@@ -502,3 +506,48 @@ class TestOrbitSet:
         assert os_.point_rows() == [(0, 1), (0, 0)]
         assert len(os_) == 2
         assert [p for p in os_] == list(paths)
+
+    def test_every_producer_holds_a_path_family(self):
+        sp = IntLine(max_abs=20)
+        enumerated = enumerate_orbits(sp, 0, 2, 1)
+        expected = [(0, 0 + a, 0 + a + b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+        expected.sort()
+        read = orbits_from_json_lines(orbits_to_json_lines(enumerated))
+        forward = transfer_orbits(sp, lambda x: x + 1, enumerated, "forward")
+        backward = transfer_orbits(sp, lambda x: x + 1, forward, "backward")
+        base = DeltaPath((0,), 5)
+        arms = [DeltaPath((0, 5), 5), DeltaPath((0, -5), 5)]
+        witness, _ = pingpong_witness(sp, 0, base, arms, 2, 10)
+        given_paths = (DeltaPath((0, 1), 1), DeltaPath((0, 0), 1))
+        producers = [
+            (enumerated, expected),
+            (read, expected),
+            (forward, [(x, y + 1, z + 2) for x, y, z in expected]),
+            (backward, [(x + 2, y + 2, z + 2) for x, y, z in expected]),
+            (witness, [(0, a, 0, b, 0) for a in (5, -5) for b in (5, -5)]),
+            (OrbitSet(given_paths, x0=0, n=1, delta=1), [(0, 1), (0, 0)]),
+        ]
+        for orbits, rows in producers:
+            assert isinstance(orbits.paths, PathFamily)
+            assert orbits.point_rows() == rows
+            assert orbits.paths.ids.shape == (len(rows), orbits.n + 1)
+            assert [p.points for p in orbits.paths] == rows
+            assert all(p.delta == orbits.delta for p in orbits.paths)
+
+    def test_an_empty_file_holds_an_empty_family(self):
+        empty = OrbitSet((), x0=0, n=3, delta=1)
+        read = orbits_from_json_lines(orbits_to_json_lines(empty))
+        for orbits in (empty, read):
+            assert isinstance(orbits.paths, PathFamily)
+            assert orbits.paths.ids.shape == (0, 4)
+            assert orbits.point_rows() == [] and len(orbits) == 0
+
+    def test_of_indexes_points_by_first_appearance(self):
+        family = PathFamily.of([(2, 1), DeltaPath((2, 3), 1), (1, 1)], 1)
+        assert family.support == (2, 1, 3)
+        assert family.ids.tolist() == [[0, 1], [0, 2], [1, 1]]
+        assert PathFamily.of(family, 5) is family
+        with pytest.raises(InvalidInputError, match="empty orbit family"):
+            PathFamily.of([], 1)
+        with pytest.raises(InvalidInputError, match="equal path lengths"):
+            PathFamily.of([(0, 1), (0, 1, 2)], 1)

@@ -66,6 +66,21 @@ class TestForwardTransfer:
         image = transfer_orbits(g, f, orbits, "forward")
         check_distance_preserved(g, orbits, image)
 
+    def test_an_invalid_step_names_the_first_row_using_it(self):
+        from coarseentropy import OrbitSet
+        sp = IntLine(max_abs=10)
+        shift = lambda x: x + 1
+        # (0, 3) and (0, 2) are no delta-paths, so their images are no pseudoorbits
+        orbits = OrbitSet([(0, 1), (0, 3), (0, 2)], x0=0, n=1, delta=1)
+        with pytest.raises(NotDistancePreservingError, match=r"^forward transfer of \(0, 3\) "
+                                                             r"is not a delta-pseudoorbit of the map$"):
+            transfer_orbits(sp, shift, orbits, "forward")
+        # backward, (0, y) goes to (1, y): a delta-path only for y in 0..2
+        orbits = OrbitSet([(0, 1), (0, -1), (0, 3), (0, -2)], x0=0, n=1, delta=1)
+        with pytest.raises(NotDistancePreservingError,
+                           match=r"^backward transfer of \(0, -1\) is not a delta-path$"):
+            transfer_orbits(sp, shift, orbits, "backward")
+
     def test_non_isometry_is_rejected(self):
         sp = IntLine(max_abs=200)
         orbits = enumerate_orbits(sp, 0, 2, 1)
@@ -127,6 +142,20 @@ class TestCheckDistancePreserved:
         src = OrbitSet((DeltaPath((0, 0), 1), DeltaPath((0, 1), 1)), x0=0, n=1, delta=1)
         img = OrbitSet((DeltaPath((0, 0), 1), DeltaPath((0, 3), 3)), x0=0, n=1, delta=3)
         with pytest.raises(NotDistancePreservingError):
+            check_distance_preserved(sp, src, img)
+
+    def test_names_the_first_failing_pair(self):
+        from coarseentropy import OrbitSet
+        sp = IntLine(max_abs=10)
+        src = OrbitSet([(0, 0), (0, 1), (0, 2), (0, 3)], x0=0, n=1, delta=3)
+        # the pairs from row 0 and (1, 2) keep their distance; (1, 3) and (2, 3) do not
+        img = OrbitSet([(0, 0), (0, 1), (0, 2), (0, -3)], x0=0, n=1, delta=3)
+        with pytest.raises(NotDistancePreservingError,
+                           match=r"^paths 1,3: orbit distance 2 became 4$"):
+            check_distance_preserved(sp, src, img)
+        img = OrbitSet([(0, 0), (0, 1), (0, 3), (0, -3)], x0=0, n=1, delta=3)
+        with pytest.raises(NotDistancePreservingError,
+                           match=r"^paths 0,2: orbit distance 2 became 3$"):
             check_distance_preserved(sp, src, img)
 
     def test_pair_cap(self, monkeypatch):

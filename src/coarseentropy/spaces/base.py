@@ -404,9 +404,9 @@ class WeightedGraph(_FiniteSpace):
 class MeasuredSpace(MetricSpace):
     """A space handle together with a point measure (exact rationals).
 
-    Delegates every metric query to the wrapped space, whose ``check_point``
-    is its own; adds ``mass`` for a single point and ``mass_of`` for a
-    finite point set.
+    Every metric query, ``check_point`` included, is the wrapped space's
+    own method, bound at construction; adds ``mass`` for a single point and
+    ``mass_of`` for a finite point set.
 
     ``mass_key``, when given, declares that ``mass_fn(x)`` depends only on
     ``mass_key(x)`` (a hashable class label, e.g. the depth of a tree
@@ -432,33 +432,12 @@ class MeasuredSpace(MetricSpace):
         self.growth_tag = space.growth_tag
         self.annotations = space.annotations | frozenset(annotations) | frozenset({"measured"})
         self.basepoint = space.basepoint
-        # the wrapped space's own check, bound once: mass and mass_of run it
-        # on every point without a forwarding frame
-        self.check_point = space.check_point
-
-    def distance(self, a, b):
-        return self.space.distance(a, b)
-
-    def step_distance(self, a, b):
-        return self.space.step_distance(a, b)
-
-    def neighbors(self, x, delta):
-        return self.space.neighbors(x, delta)
-
-    def distance_table(self, points):
-        return self.space.distance_table(points)
-
-    def hop_lower_bound(self, a, b, delta):
-        return self.space.hop_lower_bound(a, b, delta)
-
-    def hop_distance(self, a, b, delta):
-        return self.space.hop_distance(a, b, delta)
-
-    def walk_shells(self, x, n, delta):
-        return self.space.walk_shells(x, n, delta)
-
-    def shell_counts(self, x, n, delta, key=None):
-        return self.space.shell_counts(x, n, delta, key)
+        # the wrapped space's own check and queries, bound once: mass and
+        # mass_of run the check on every point without a forwarding frame
+        for query in ("check_point", "distance", "step_distance", "neighbors", "distance_table",
+                      "hop_lower_bound", "hop_distance", "walk_shells", "shell_counts",
+                      "bg_witness_family", "bg_evidence_defaults"):
+            setattr(self, query, getattr(space, query))
 
     def shell_masses(self, x, n, delta) -> Iterator[Fraction]:
         """For each shell of ``walk_shells(x, n, delta)``, lazily: its mass,
@@ -468,12 +447,6 @@ class MeasuredSpace(MetricSpace):
         if self._mass_key is None:
             return map(self.weigh, self.space.walk_shells(x, n, delta))
         return map(self._weigh_classes, self.space.shell_counts(x, n, delta, self._mass_key))
-
-    def bg_witness_family(self, s, depth):
-        return self.space.bg_witness_family(s, depth)
-
-    def bg_evidence_defaults(self):
-        return self.space.bg_evidence_defaults()
 
     def _checked_mass(self, x) -> Fraction:
         value = self._mass_fn(x)
@@ -591,10 +564,14 @@ def build_finite_space(points: Sequence[PointRef], dist_fn, name: str = "finite"
 
 
 def validate_metric(space: FiniteMetricSpace) -> None:
-    """Exhaustively check metric axioms on a finite space (raises on failure)."""
+    """Exhaustively check metric axioms on a finite space (raises on failure).
+
+    The diagonal is asked of the metric itself: ``distance`` answers 0 for
+    a point and itself without consulting it.
+    """
     pts = space.points
     for a in pts:
-        if space.distance(a, a) != 0:
+        if space._dist_fn(a, a) != 0:
             raise InvalidInputError(f"d({a!r},{a!r}) != 0")
     for i, a in enumerate(pts):
         for b in pts[i + 1:]:

@@ -140,15 +140,11 @@ class UltrametricProduct(MetricSpace):
         if kmax > self.max_index:
             raise BudgetExceededError(
                 f"delta={delta} reaches coordinates beyond the window K={self.max_index}")
-        out = []
-        base = list(x)
-        for mask in range(1, 1 << kmax):
-            pt = base[:]
-            for i in range(kmax):
-                if mask >> i & 1:
-                    pt[i] = (i + 1) - pt[i]  # flip between 0 and i+1
-            out.append(tuple(pt))
-        return sorted(out)
+        # every choice of the low kmax coordinates but x's own; with the
+        # rest fixed, product's order is the sorted order
+        low, high = x[:kmax], x[kmax:]
+        return [pt + high for pt in itertools.product(*((0, k) for k in range(1, kmax + 1)))
+                if pt != low]
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ import importlib
 
 import pytest
 
+from fractions import Fraction
+
 from coarseentropy import (
     ClassificationReport,
     ClassifyConfig,
     IntLine,
+    MeasuredSpace,
     MetricSpace,
     RegularTree,
     branch_tree_measured,
@@ -148,6 +151,40 @@ class TestRuleGating:
         assert rep.evidence["thresholds"] == {"zero": 0.05, "positive": 0.2}
         assert rep.caveat == ("fitted growth slope falls between the zero and "
                               "positive thresholds")
+
+    def test_failed_coding_check_is_inconclusive(self, monkeypatch):
+        # every real space passes the check: two 4-step 2-paths from one
+        # start stay 16 < 17 apart, so only a stub can fail it
+        failed = {"fibers_below_R": False, "codes": 3}
+        monkeypatch.setattr(CLASSIFY, "coding_injectivity_check", lambda *args: failed)
+        rep = classify(make_example("prime_cycle", {"max_line": 64}))
+        assert (rep.verdict, rep.rule, rep.certified) == ("inconclusive", None, False)
+        assert rep.caveat == ("catalog coding annotation present but the finite "
+                              "coding check failed")
+        assert rep.evidence == {"coding_check": failed}
+
+    def test_uncorroborated_measured_volume_is_inconclusive(self):
+        # a unit measure on the line, annotated finite and exponential: its
+        # ball masses 1, 3, 5, ... grow linearly
+        line = MeasuredSpace(IntLine(max_abs=100), lambda x: Fraction(1),
+                             annotations={"vol-finite"})
+        line.growth_tag = "exponential"
+        rep = classify(line)
+        assert (rep.verdict, rep.rule, rep.certified) == ("inconclusive", None, False)
+        assert rep.caveat.startswith("measured-volume annotation present")
+        assert rep.evidence["series"]["values"] == [2 * l + 1 for l in range(9)]
+        assert rep.evidence["fitted_slope"] < 0.2
+
+    def test_unwitnessed_unbounded_geometry_is_inconclusive(self):
+        # the line has bounded geometry, so its band families stay small
+        line = IntLine(max_abs=100)
+        line.annotations = line.annotations | {"not-coarsely-bounded-geometry"}
+        line.bg_evidence_defaults = lambda: (1, 2, (1, 2, 3, 4))
+        rep = classify(line)
+        assert (rep.verdict, rep.rule, rep.certified) == ("inconclusive", None, False)
+        assert rep.caveat == ("unbounded-geometry annotation present but witness "
+                              "families did not verify")
+        assert rep.evidence["bg_evidence"]["verdict"] != "unbounded-evidence"
 
     def test_report_jsonable(self):
         doc = classify(make_example("ultrametric_product")).to_jsonable()

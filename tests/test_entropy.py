@@ -207,6 +207,19 @@ class TestCoveringBound:
         assert covering_bound(sp, 0, 1, Fraction(7, 2), [3]) is None
         assert covering_bound(sp, 0, 1, 1, [3]) is None  # k = 0
 
+    def test_float_scales_read_the_ratio_to_a_tolerance(self):
+        sp = IntLine(max_abs=100)
+        # 4.5 / 1.5 is 3.0 exactly: k = 2 and V = |[-2, 2]| = 5, as at 3 / 1
+        out = covering_bound(sp, 0, 1.5, 4.5, [2, 3])
+        assert (out["k"], out["ball_size"]) == (2, 5)
+        assert out["bounds"] == {2: 25, 3: pytest.approx(5.0 ** 2.5)}
+        # 0.3 / 0.1 is 2.9999999999999996 in floats, still read as k = 2
+        assert 0.3 / 0.1 != 3
+        assert covering_bound(sp, 0, 0.1, 0.3, [2])["k"] == 2
+        # a ratio that is not an integer has no k
+        assert covering_bound(sp, 0, 1.0, 2.5, [3]) is None
+        assert covering_bound(sp, 0, 1.5, 4.0, [3]) is None
+
     def test_non_transitive_spaces_not_certified(self):
         sp = TreeLine(max_tree=2, schedule="2^n")
         out = covering_bound(sp, ("line", 0), 1, 2, [2])

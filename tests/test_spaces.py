@@ -1,6 +1,7 @@
 """Catalog spaces and finite-space builders, checked against independent
 BFS/Dijkstra oracles built straight from each space's definition."""
 
+import itertools
 import math
 import random
 import sys
@@ -89,6 +90,15 @@ class TestUltrametricProduct:
             assert len(nbrs) == 2 ** delta - 1
             assert all(sp.distance(x, y) <= delta for y in nbrs)
             assert nbrs == sorted(nbrs)
+
+    def test_neighbors_match_brute_force(self):
+        sp = UltrametricProduct(max_index=6)
+        points = list(itertools.product(*((0, k) for k in range(1, 7))))
+        assert len(points) == 64
+        for delta in range(7):
+            for x in points:
+                assert sp.neighbors(x, delta) == sorted(
+                    y for y in points if y != x and sp.distance(x, y) <= delta)
 
     def test_ball_doubles_per_radius_step(self):
         sp = UltrametricProduct(max_index=8)
@@ -1322,6 +1332,16 @@ class TestFiniteSpaces:
         with pytest.raises(InvalidInputError):
             validate_metric(FiniteMetricSpace(pts, degenerate))
 
+    def test_a_nonzero_diagonal_is_refused(self):
+        # distance() answers 0 for a point and itself, so only the metric
+        # itself can show d(b, b) = 1
+        def positive_diagonal(x, y):
+            return 1 if x == y == "b" else int(x != y)
+
+        with pytest.raises(InvalidInputError, match=r"^d\('b','b'\) != 0$"):
+            build_finite_space(["a", "b", "c"], positive_diagonal)
+        assert build_finite_space(["a", "b"], lambda x, y: int(x != y)).distance("b", "b") == 0
+
     def test_subspace_induces_distances(self):
         sp = IntLine(max_abs=50)
         sub = subspace(sp, [0, 3, 10])
@@ -1353,7 +1373,7 @@ class TestFiniteSpaces:
         assert asked.neighbors(0, 1) == [1]
 
     def test_unknown_point_messages(self):
-        space = build_finite_space(["a", "b"], lambda x, y: 1, name="pair")
+        space = build_finite_space(["a", "b"], lambda x, y: int(x != y), name="pair")
         for call in (lambda: space.check_point("c"), lambda: space.distance("a", "c"),
                      lambda: space.distance("c", "a"), lambda: space.distance("c", "c"),
                      lambda: space.neighbors("c", 1)):

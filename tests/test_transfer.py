@@ -1,6 +1,8 @@
 """Transfer of path families along distance-preserving maps: preservation
 guarantees, round trips, and rejection of non-isometries."""
 
+from fractions import Fraction
+
 import pytest
 
 from coarseentropy import (
@@ -8,6 +10,7 @@ from coarseentropy import (
     InvalidInputError,
     NotDistancePreservingError,
     UnknownPointError,
+    build_weighted_graph,
     check_distance_preserved,
     cycle_graph,
     enumerate_orbits,
@@ -157,6 +160,15 @@ class TestCheckDistancePreserved:
         with pytest.raises(NotDistancePreservingError,
                            match=r"^paths 0,2: orbit distance 2 became 3$"):
             check_distance_preserved(sp, src, img)
+
+    def test_tables_match_pairwise_orbit_distances(self):
+        # the pairwise loop the tables replace, kept as the reference
+        g = build_weighted_graph([(k, (k + 1) % 6, Fraction(k + 1, 3)) for k in range(6)])
+        orbits = enumerate_orbits(g, 0, 3, 1)
+        assert len(orbits) > 20
+        paths = list(orbits.paths)
+        assert transfer._orbit_distances(g, orbits.paths).tolist() == \
+            [[orbit_distance(u, v, g) for v in paths] for u in paths]
 
     def test_pair_cap(self, monkeypatch):
         sp = IntLine(max_abs=30)

@@ -1,6 +1,8 @@
 """Transfer of path families along distance-preserving maps: preservation
 guarantees, round trips, and rejection of non-isometries."""
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from coarseentropy import (
     enumerate_orbits,
     map_iterates,
     orbit_distance,
+    path_graph,
     round_trip_check,
     transfer_orbits,
     validate_path,
@@ -107,6 +110,85 @@ class TestForwardTransfer:
         empty = OrbitSet((), x0=0, n=1, delta=1)
         with pytest.raises(InvalidInputError):
             transfer_orbits(sp, lambda x: x, empty, "forward")
+
+
+def pairwise_map_failure(space, f, orbits, direction):
+    """The reference isometry check: each column's distinct points in id
+    order, applied f i (forward) or n - i (backward) times, every pair of
+    them measured before and after each application.  The message of the
+    first pair whose distance changes, or None."""
+    family = orbits.paths
+    for i, column in enumerate(family.ids.T):
+        points = [family.support[a] for a in sorted(set(column.tolist()))]
+        for _ in range(i if direction == "forward" else orbits.n - i):
+            for k, a in enumerate(points):
+                for b in points[k + 1:]:
+                    before, after = space.distance(a, b), space.distance(f(a), f(b))
+                    if after != before:
+                        return f"map sends d({a!r},{b!r})={before} to d(f a,f b)={after}"
+            points = [f(x) for x in points]
+    return None
+
+
+class TestMapCheck:
+    SIX_CYCLE = [(k, (k + 1) % 6, Fraction(k + 1, 3)) for k in range(6)]
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("space, f, n, message", [
+        (IntLine(max_abs=50), lambda x: 2 * x, 2, "d(0,-1)=1 to d(f a,f b)=2"),
+        (IntLine(max_abs=50), lambda x: 0, 2, "d(0,-1)=1 to d(f a,f b)=0"),
+        (IntLine(max_abs=50), abs, 3, "d(-1,1)=2 to d(f a,f b)=0"),
+        (build_weighted_graph(SIX_CYCLE), lambda x: (x + 1) % 6, 2,
+         "d(0,1)=1/3 to d(f a,f b)=2/3"),
+    ], ids=["double", "constant", "abs", "weighted-rotation"])
+    def test_names_the_first_pair_the_map_moves(self, space, f, n, message, direction):
+        # the identity family goes in both ways: backward, the map check
+        # fires before the step check could refuse the family
+        orbits = enumerate_orbits(space, 0, n, 1)
+        with pytest.raises(NotDistancePreservingError,
+                           match="^" + re.escape("map sends " + message) + "$"):
+            transfer_orbits(space, f, orbits, direction)
+
+    def test_the_map_is_called_once_per_distinct_point(self):
+        sp = IntLine(max_abs=50)
+        calls = []
+
+        def shift(x):
+            calls.append(x)
+            return x + 1
+
+        orbits = enumerate_orbits(sp, 0, 3, 1)
+        forward = transfer_orbits(sp, shift, orbits, "forward")
+        assert len(calls) == len(set(calls)) == 9
+        calls.clear()
+        transfer_orbits(sp, shift, forward, "backward")
+        assert len(calls) == len(set(calls)) == 5
+
+    def test_fails_exactly_where_the_pairwise_check_does(self):
+        rng = random.Random(33)
+        outcomes = {True: 0, False: 0}
+        for size, graph in [(5, cycle_graph(5)), (6, cycle_graph(6)), (5, path_graph(5)),
+                            (6, path_graph(6))]:
+            vertices = list(range(size))
+            maps = [{v: (v + 1) % size for v in vertices}, {v: size - 1 - v for v in vertices}]
+            maps += [dict(zip(vertices, rng.sample(vertices, size))) for _ in range(4)]
+            maps += [{v: rng.choice(vertices) for v in vertices} for _ in range(4)]
+            for table in maps:
+                for n in (1, 2, 3):
+                    orbits = enumerate_orbits(graph, 0, n, 1)
+                    for direction in ("forward", "backward"):
+                        expect = pairwise_map_failure(graph, table.__getitem__, orbits, direction)
+                        outcomes[expect is None] += 1
+                        if expect is None:
+                            try:
+                                transfer_orbits(graph, table.__getitem__, orbits, direction)
+                            except NotDistancePreservingError as e:
+                                assert not str(e).startswith("map sends")
+                        else:
+                            with pytest.raises(NotDistancePreservingError,
+                                               match="^" + re.escape(expect) + "$"):
+                                transfer_orbits(graph, table.__getitem__, orbits, direction)
+        assert min(outcomes.values()) > 20
 
 
 class TestBackwardTransfer:

@@ -10,15 +10,15 @@ into the identity delta-path
 
     (f^n(y_0), f^{n-1}(y_1), ..., y_n).
 
-Both constructions are validated on their outputs, and the map is checked
-to preserve distances on every point pair the construction actually uses
-(exhaustively; failures raise NotDistancePreservingError).  Backward after
-forward equals applying f^n pointwise.
+Both constructions are validated on their outputs, and at every
+application of f the distance table of the points it moves is compared
+with the table of their images (failures raise NotDistancePreservingError).
+Backward after forward equals applying f^n pointwise.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,47 +34,25 @@ MapFn = Callable[[PointRef], PointRef]
 _PAIR_CAP = 200_000
 
 
-class _CheckedMap:
-    """Wraps f with a value cache and a distance-preservation pair cache."""
-
-    def __init__(self, space: MetricSpace, f: MapFn):
-        self.space = space
-        self.f = f
-        self.values: Dict[PointRef, PointRef] = {}
-        self.checked_pairs: Set[Tuple[PointRef, PointRef]] = set()
-
-    def apply(self, x: PointRef) -> PointRef:
-        y = self.values.get(x)
-        if y is None:
-            y = self.f(x)
-            self.space.check_point(y)
-            self.values[x] = y
-        return y
-
-    def check_pair(self, a: PointRef, b: PointRef) -> None:
-        if a == b:
-            return
-        key = (a, b) if repr(a) <= repr(b) else (b, a)
-        if key in self.checked_pairs:
-            return
-        before = self.space.distance(a, b)
-        after = self.space.distance(self.apply(a), self.apply(b))
-        if not (self.space.le(after, before) and self.space.ge(after, before)):
-            raise NotDistancePreservingError(
-                f"map sends d({a!r},{b!r})={before} to d(f a,f b)={after}")
-        self.checked_pairs.add(key)
-
-
 def map_iterates(space: MetricSpace, f: MapFn, x: PointRef, n: int) -> Tuple[PointRef, ...]:
     """The forward orbit (x, f(x), ..., f^n(x)) with every point validated."""
-    if n < 0:
-        raise InvalidInputError(f"n must be nonnegative: {n!r}")
+    if not isinstance(n, int) or n < 0:
+        raise InvalidInputError(f"n must be a nonnegative integer: {n!r}")
     space.check_point(x)
-    cm = _CheckedMap(space, f)
     out = [x]
     for _ in range(n):
-        out.append(cm.apply(out[-1]))
+        out.append(f(out[-1]))
+        space.check_point(out[-1])
     return tuple(out)
+
+
+def _first_moved(space: MetricSpace, before: np.ndarray,
+                 after: np.ndarray) -> Optional[Tuple[int, int]]:
+    """The first pair i < j in row order whose entry differs between two
+    distance tables by more than the space tolerance, or None."""
+    tol = space.tol
+    moved = np.argwhere(np.triu(~((after <= before + tol) & (after >= before - tol)), 1))
+    return tuple(moved[0].tolist()) if len(moved) else None
 
 
 def _columns(family: PathFamily) -> Iterator[Tuple[List[PointRef], np.ndarray]]:
@@ -91,9 +69,10 @@ def transfer_orbits(space: MetricSpace, f: MapFn, orbits: OrbitSet,
 
     Forward input: identity delta-paths; output delta-pseudoorbits of f.
     Backward input: delta-pseudoorbits of f; output identity delta-paths.
-    Orbit distances are preserved exactly; this is enforced by checking f
-    on every point pair of a column at every application.  Each column's
-    distinct points and each distinct image step are handled once.
+    Orbit distances are preserved exactly; this is enforced by comparing,
+    at every application of f, the distance table of a column's points with
+    the table of their images.  f is called once per distinct point, and
+    each distinct image step is checked once.
     """
     if direction not in ("forward", "backward"):
         raise InvalidInputError(f"direction must be 'forward' or 'backward': {direction!r}")
@@ -102,23 +81,38 @@ def transfer_orbits(space: MetricSpace, f: MapFn, orbits: OrbitSet,
         raise InvalidInputError("empty orbit family")
     for p in family.support:
         space.check_point(p)
-    cm = _CheckedMap(space, f)
+    values: Dict[PointRef, PointRef] = {}
+
+    def apply(x: PointRef) -> PointRef:
+        y = values.get(x)
+        if y is None:
+            y = f(x)
+            space.check_point(y)
+            values[x] = y
+        return y
 
     # the points at position i travel through i (forward) or n - i
-    # (backward) applications of f, each checked on every pair of them
+    # (backward) applications of f; each one's "after" table is the next
+    # one's "before" table
     index: Dict[PointRef, int] = {}
     columns = []
     for i, (points, inverse) in enumerate(_columns(family)):
-        for _ in range(i if direction == "forward" else n - i):
-            for a_i, a in enumerate(points):
-                for b in points[a_i + 1:]:
-                    cm.check_pair(a, b)
-            points = [cm.apply(x) for x in points]
+        times = i if direction == "forward" else n - i
+        before = space.distance_table(points) if times else None
+        for _ in range(times):
+            moved = [apply(x) for x in points]
+            after = space.distance_table(moved)
+            pair = _first_moved(space, before, after)
+            if pair:
+                a, b = pair
+                raise NotDistancePreservingError(f"map sends d({points[a]!r},{points[b]!r})="
+                                                 f"{before[a, b]} to d(f a,f b)={after[a, b]}")
+            points, before = moved, after
         columns.append(np.array([index.setdefault(y, len(index)) for y in points])[inverse])
     image = PathFamily(tuple(index), np.stack(columns, axis=1), delta)
 
     # a forward step measures d(f(y_i), y_{i+1}), a backward one d(y_i, y_{i+1})
-    move = cm.apply if direction == "forward" else (lambda y: y)
+    move = apply if direction == "forward" else (lambda y: y)
     pairs = np.stack((image.ids[:, :-1], image.ids[:, 1:]), axis=2).reshape(-1, 2)
     steps, inverse = np.unique(pairs, axis=0, return_inverse=True)
     good = np.array([space.le(space.step_distance(move(image.support[a]), image.support[b]), delta)
@@ -157,13 +151,15 @@ def check_distance_preserved(space: MetricSpace, source: OrbitSet, image: OrbitS
     m = len(source.paths)
     if len(image.paths) != m:
         raise InvalidInputError("families must have equal sizes")
+    if image.paths.ids.shape[1] != source.paths.ids.shape[1]:
+        raise InvalidInputError("families must have equal path lengths")
     if m * (m - 1) // 2 > _PAIR_CAP:
         raise InvalidInputError(f"pair count exceeds cap {_PAIR_CAP}; reduce the family")
     before = _orbit_distances(space, source.paths)
     after = _orbit_distances(space, image.paths)
-    bad = np.triu(~((after <= before + space.tol) & (after >= before - space.tol)), 1)
-    if bad.any():
-        i, j = np.argwhere(bad)[0].tolist()
+    pair = _first_moved(space, before, after)
+    if pair:
+        i, j = pair
         raise NotDistancePreservingError(
             f"paths {i},{j}: orbit distance {before[i, j]} became {after[i, j]}")
     return m * (m - 1) // 2

@@ -39,6 +39,12 @@ class TestMapIterates:
         with pytest.raises(InvalidInputError):
             map_iterates(sp, lambda x: x, 0, -1)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", None])
+    def test_a_non_integer_count_is_refused(self, n):
+        sp = IntLine(max_abs=5)
+        with pytest.raises(InvalidInputError, match=r"^n must be a nonnegative integer: "):
+            map_iterates(sp, lambda x: x + 1, 0, n)
+
 
 class TestForwardTransfer:
     def test_translation_preserves_orbit_distances(self):
@@ -220,6 +226,17 @@ class TestCheckDistancePreserved:
         b = enumerate_orbits(sp, 0, 2, 1)
         with pytest.raises(InvalidInputError):
             check_distance_preserved(sp, a, b)
+
+    def test_rejects_unequal_path_lengths(self):
+        from coarseentropy import OrbitSet
+        sp = IntLine(max_abs=10)
+        src = OrbitSet([(0, 1), (0, 0)], x0=0, n=1, delta=1)
+        for longer in ([(0, 1, 2), (0, 0, 0)], [(0, 1, 1), (0, 0, 0)]):
+            img = OrbitSet(longer, x0=0, n=2, delta=1)
+            with pytest.raises(InvalidInputError, match=r"^families must have equal path lengths$"):
+                check_distance_preserved(sp, src, img)
+            with pytest.raises(InvalidInputError, match=r"^families must have equal path lengths$"):
+                check_distance_preserved(sp, img, src)
 
     def test_rejects_distorted_families(self):
         from coarseentropy import DeltaPath, OrbitSet

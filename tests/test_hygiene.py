@@ -6,7 +6,8 @@ or annotations) or lists it in ``__all__``, which is how the package
 ``__init__`` files re-export.  ``from __future__`` imports are exempt.
 A module-level def, class or constant counts as used when any module of
 the package reads it, as a name or as an attribute, or any ``__all__``
-lists it.  Every parameter of a module-level function is read in its
+lists it; so does every ``_``-prefixed method of a class (dunders
+aside), which nothing outside the package may call.  Every parameter of a module-level function is read in its
 body; methods are exempt, since an interface stub on a base class is
 meant to ignore its arguments.  Every defaulted parameter of a
 module-level function is passed by some call under ``src/``, ``bench/``
@@ -90,15 +91,38 @@ def read_names(tree):
     return out
 
 
+def package_trees():
+    return {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(PACKAGE.rglob("*.py"))}
+
+
 def unread_definitions():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-             for path in sorted(PACKAGE.rglob("*.py"))}
+    trees = package_trees()
     used = set()
     for tree in trees.values():
         used |= read_names(tree) | exported_names(tree)
     return [f"{path.relative_to(PACKAGE.parent)}:{line}: {name}"
             for path, tree in trees.items()
             for name, line in module_level_names(tree) if name not in used]
+
+
+def private_methods(tree):
+    """(class.method, method, line) for every ``_``-prefixed, non-dunder
+    method."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and item.name.startswith("_") and not item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item.name, item.lineno
+
+
+def unread_private_methods():
+    trees = package_trees()
+    used = set().union(*map(read_names, trees.values()))
+    return [f"{path.relative_to(PACKAGE.parent)}:{line}: {label}"
+            for path, tree in trees.items()
+            for label, name, line in private_methods(tree) if name not in used]
 
 
 def unread_parameters():
@@ -177,6 +201,11 @@ def test_no_unused_imports():
 def test_no_unread_definitions():
     unread = unread_definitions()
     assert unread == [], "module-level names nothing reads:\n" + "\n".join(unread)
+
+
+def test_no_unread_private_methods():
+    unread = unread_private_methods()
+    assert unread == [], "private methods nothing reads:\n" + "\n".join(unread)
 
 
 def test_no_unread_parameters():

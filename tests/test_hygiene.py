@@ -6,13 +6,14 @@ or annotations) or lists it in ``__all__``, which is how the package
 ``__init__`` files re-export.  ``from __future__`` imports are exempt.
 A module-level def, class or constant counts as used when any module of
 the package reads it, as a name or as an attribute, or any ``__all__``
-lists it; so does every ``_``-prefixed method of a class (dunders
-aside), which nothing outside the package may call.  Every parameter of a module-level function is read in its
-body; methods are exempt, since an interface stub on a base class is
-meant to ignore its arguments.  Every defaulted parameter of a
-module-level function is passed by some call under ``src/``, ``bench/``
-or ``demos/``; one that no call passes is a setting with one value in use,
-which belongs in a module constant.
+lists it.  A ``_``-prefixed method of a class (dunders aside) must be
+read the same way, since nothing outside the package may call it.  Every
+parameter of a module-level function is read in its body; methods are
+exempt, since an interface stub on a base class is meant to ignore its
+arguments.  Every defaulted parameter of a module-level function is
+passed by some call under ``src/``, ``bench/`` or ``demos/``; one that no
+call passes is a setting with one value in use, which belongs in a module
+constant.
 """
 
 import ast

@@ -4,13 +4,15 @@ The solvers work on :class:`MetricItems`, an indexed finite family over a
 table of points.  Each scale R is compared once, in exact arithmetic, into
 a boolean table, ``close(R)``.  The exact searches read one boolean item
 table gathered from it, the AND over the columns of the paths; their
-Python-int masks are packed once from that table.  The greedy solvers and
-every verifier read ``close(R)`` through one kind of store: for a family, a
-scale and some column items, the packed sets of column positions strictly
-within R of each point, per column of the paths, gathered when first
-needed.  Each verifier builds its own store and reads neither a solver's
-store nor the item table: every pair of picks is checked for packing, and
-every item against every centre for covering.  Exact solving happens below
+Python-int masks are packed once from that table.  The max-coverage greedy
+and every verifier read ``close(R)`` through one kind of store: for a
+family, a scale and some column items, the packed sets of column positions
+strictly within R of each point, per column of the paths, gathered when
+first needed.  The first-uncovered greedy packs the same near sets over all
+the items as Python-int masks of its own, under the same memory budget.
+Each verifier builds its own store and reads neither a solver's sets nor
+the item table: every pair of picks is checked for packing, and every item
+against every centre for covering.  Exact solving happens below
 ``exact_limit`` (maximum independent set in the conflict graph for
 packing, minimum set cover over open R-balls for covering); above the
 limit deterministic greedy versions return certified one-sided bounds
@@ -138,33 +140,36 @@ class MetricItems:
 
 
 class _NearSets:
-    """Packed near sets of one family at scale R over its items, or ``cols``.
+    """Packed near sets of one family at scale R over its items, or ``cols``:
+    the store that max-coverage and both verifiers read.
 
-    ``near(k, a)`` holds the positions j of the column items whose column-k
-    point is strictly within R of point ``a``, as bit ``j % 64`` of word
-    ``j // 64`` (0 past the columns).  A set is gathered from ``close(R)``,
-    over the columns' points only, when first needed.  The held sets share
-    ``_NEAR_MEMO_BYTES`` and are all dropped together when the next ones
-    might not fit; one row block's sets for one column always fit.
+    The near set of column k and point a holds the positions j of the
+    column items whose column-k point is strictly within R of a, as bit
+    ``j % 64`` of word ``j // 64`` (0 past the columns).  A set is gathered
+    from ``close(R)``, over the columns' points only, when a row block first
+    needs it.  The held sets share ``_NEAR_MEMO_BYTES`` and are all dropped
+    together when the next ones might not fit; one row block's sets for one
+    column always fit.
     """
 
     def __init__(self, items: MetricItems, R: Dist, cols: Union[slice, np.ndarray] = slice(None)):
         self.close, self.vectors = items.close(R), items.vectors
         self.cols = np.ascontiguousarray(self.vectors[cols].T)  # contiguous gathers
         (width, size), points = self.cols.shape, len(self.close)
-        self.words = -(-size // 64)
-        self.step = max(1, _BLOCK_CELLS // (64 * self.words))  # rows per block
+        words = -(-size // 64)
+        self.step = max(1, _BLOCK_CELLS // (64 * words))  # rows per block
         # rows of one gather: its booleans take about the bytes of one packed block
         self.gather = max(1, _BLOCK_CELLS // (8 * (points + size)))
         self.slot = np.full((width, points), -1, dtype=np.int64)  # -1: not held
-        held = max(self.step, _NEAR_MEMO_BYTES // (8 * self.words))
+        held = max(self.step, _NEAR_MEMO_BYTES // (8 * words))
         # allocated, not written: a row's pages are touched when its set is packed
-        self.sets = np.empty((min(held, width * points), self.words), dtype="<u8")
+        self.sets = np.empty((min(held, width * points), words), dtype="<u8")
         self.octets = self.sets.view(np.uint8)
         self.filled = 0
 
     def _pack(self, k: int, new: np.ndarray, needed: np.ndarray) -> None:
-        """Packs ``near(k, a)`` for each new point a, or each needed one on a drop."""
+        """Packs the near set of (k, a) for each new point a, or each needed
+        one on a drop."""
         if self.filled + new.size > len(self.sets):
             self.slot.fill(-1)
             self.filled, new = 0, needed
@@ -178,18 +183,11 @@ class _NearSets:
         self.filled = start + new.size
         self.slot[k][new] = np.arange(start, self.filled)
 
-    def near(self, k: int, a: int) -> np.ndarray:
-        at = self.slot.item(k, a)
-        if at < 0:
-            self._pack(k, np.array([a]), np.array([a]))
-            at = self.slot.item(k, a)
-        return self.sets[at]
-
     def blocks(self, rows: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
         """Yields ``(lo, hit)`` for consecutive blocks of about ``_BLOCK_CELLS``
-        pairs: ``hit[r]`` is the AND over the columns k of ``near(k, a)`` for
-        the column-k point a of item ``rows[lo + r]``, the column positions
-        strictly within R of that item."""
+        pairs: ``hit[r]`` is the AND over the columns k of the near sets of
+        (k, a) for the column-k point a of item ``rows[lo + r]``, the column
+        positions strictly within R of that item."""
         for lo in range(0, len(rows), self.step):
             part = self.vectors.take(rows[lo:lo + self.step], axis=0)
             hit = None
@@ -353,29 +351,34 @@ def _first_fit(items: MetricItems, R: Dist) -> List[int]:
     is strictly within R of, so the picks are a maximal R-separated set,
     hence R-dense.
 
-    Rows are packed 64 to a word.  ``near(k, a)``, the rows whose column-k
-    point is strictly within R of point ``a``, comes from a store of near
-    sets over all the items, which packs each set once while it is held.
-    A pick covers the uncovered rows in every ``near(k, v[pick, k])``, and
-    itself.  No row below a pick is uncovered, so each pick only reads the
-    words from its own.
+    The uncovered rows are one Python-int mask.  The near set of column k
+    and point a, the rows whose column-k point is strictly within R of a,
+    is packed into one more, straight from row a of ``close(R)`` gathered by
+    the column, when a pick first needs it.  The held sets are dropped all
+    together when the next one would pass ``_NEAR_MEMO_BYTES``.  A pick
+    covers itself and the uncovered rows in the AND of its columns' sets.
     """
-    n = len(items)
-    store = _NearSets(items, R)
-    uncovered = np.full(store.words, np.uint64(2 ** 64 - 1))
-    uncovered[-1] >>= np.uint64(-n % 64)  # no bits past the rows
+    n, close = len(items), items.close(R)
+    cols = np.ascontiguousarray(items.vectors.T)  # contiguous gathers
+    octets = -(-n // 8)  # bytes of one packed set
+    held: Dict[Tuple[int, int], int] = {}  # (k, a): the near set of column k and point a
+    uncovered = (1 << n) - 1
     picks: List[int] = []
-    for w in range(store.words):
-        while uncovered[w]:  # each pick covers itself
-            word = int(uncovered[w])
-            bit = (word & -word).bit_length() - 1
-            pick = 64 * w + bit
-            picks.append(pick)
-            cover = uncovered[w:].copy()
-            for k, a in enumerate(items.vectors[pick].tolist()):
-                cover &= store.near(k, a)[w:]
-            cover[0] |= np.uint64(1 << bit)
-            uncovered[w:] &= ~cover
+    while uncovered:
+        pick = (uncovered & -uncovered).bit_length() - 1
+        picks.append(pick)
+        uncovered ^= 1 << pick
+        hit = uncovered
+        for key in enumerate(items.vectors[pick].tolist()):
+            near = held.get(key)
+            if near is None:
+                if (len(held) + 1) * octets > _NEAR_MEMO_BYTES:
+                    held.clear()
+                k, a = key
+                near = held[key] = int.from_bytes(
+                    np.packbits(close[a].take(cols[k]), bitorder="little").tobytes(), "little")
+            hit &= near
+        uncovered ^= hit  # hit lies within uncovered
     return picks
 
 

@@ -179,7 +179,16 @@ def point_from_jsonable(obj: Any) -> Any:
 
 
 def orbits_to_json_lines(orbits: OrbitSet) -> str:
-    """One JSON document per line: a header line, then one path per line."""
+    """One JSON document per line: a header line, then one path per line.
+
+    Each support point is encoded once, as three tokens that carry their
+    own separators, exactly as ``json.dumps`` lays out a list: ``"\\n[" + t``
+    for the first point of a path, ``", " + t`` for a middle one and
+    ``", " + t + "]"`` for the last (``"\\n[" + t + "]"`` when a path is one
+    point).  A block of ``_PATH_ROWS_PER_BLOCK`` path lines is one join over
+    the tokens the block's ids pick, each column shifted to its kind of
+    token, so no list of every row is built beside the text.
+    """
     header = {
         "schema": SCHEMA_VERSION,
         "kind": "orbit-set",
@@ -192,21 +201,19 @@ def orbits_to_json_lines(orbits: OrbitSet) -> str:
     }
     parts = [json.dumps(header, sort_keys=True, ensure_ascii=False)]
     if orbits.paths:
-        # each point is encoded once; a block of path lines is one join over
-        # "\n[", the point texts with ", " between them, and "]", exactly as
-        # json.dumps lays out a list
         support, ids = orbits.paths.support, orbits.paths.ids
-        text = np.array([json.dumps(point_to_jsonable(p), sort_keys=True, ensure_ascii=False)
-                         for p in support], dtype=object)
+        text = [json.dumps(point_to_jsonable(p), sort_keys=True, ensure_ascii=False)
+                for p in support]
         width = ids.shape[1]
+        # (before, after) each column's point: first, middle and last kinds
+        kinds = [("\n[" if k == 0 else ", ", "]" if k == width - 1 else "") for k in range(width)]
+        distinct = list(dict.fromkeys(kinds))
+        tokens = np.array([before + t + after for before, after in distinct for t in text],
+                          dtype=object)
+        shift = np.array([distinct.index(kind) * len(text) for kind in kinds], dtype=ids.dtype)
         for lo in range(0, len(ids), _PATH_ROWS_PER_BLOCK):
             block = ids[lo:lo + _PATH_ROWS_PER_BLOCK]
-            cells = np.empty((len(block), 2 * width + 1), dtype=object)
-            cells[:, 0] = "\n["
-            cells[:, 1::2] = text[block]
-            cells[:, 2:-1:2] = ", "
-            cells[:, -1] = "]"
-            parts.append("".join(cells.ravel().tolist()))
+            parts.append("".join(tokens.take(block + shift).ravel().tolist()))
     return "".join(parts) + "\n"
 
 

@@ -489,6 +489,16 @@ class TestPackedSeparationCheck:
         finally:
             tracemalloc.stop()
         assert peak < 500_000, peak
+        # first-fit holds its own sets under the same budget: 2 x 2,000 of
+        # 250 bytes each, were they all held
+        tracemalloc.start()
+        try:
+            picks = extremal._first_fit(items, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000, peak
+        assert picks == list(range(m))
         bad = [*range(m), m - 1]
         assert separation_failure(items, 1, bad) == pairwise_failure(items, 1, bad) == \
             f"separation check failed: items {m - 1} and {m - 1} at distance 0"

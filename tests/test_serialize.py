@@ -372,18 +372,6 @@ def assert_matches_reference(orbits):
         zip(got.splitlines(), want.splitlines())) if a != b), "line counts differ")
 
 
-# points json escapes, points ensure_ascii=False keeps raw, and tuples of both
-ESCAPED_POINTS = ('a"b', 'c\\d', 'e\nf', 'é', '∞', ('a"b', 'é'), ('∞', ('c\\d', 'e\nf')))
-
-
-def escaped_paths(width):
-    """Paths of ``width`` points over ESCAPED_POINTS: path i starts at point
-    i and runs on cyclically, so every point is first, middle and last."""
-    m = len(ESCAPED_POINTS)
-    return OrbitSet([DeltaPath(tuple(ESCAPED_POINTS[(i + k) % m] for k in range(width)), 1)
-                     for i in range(m)], x0=ESCAPED_POINTS[0], n=width - 1, delta=1)
-
-
 class TestOrbitJsonLinesBytes:
     def test_int_points(self):
         assert_matches_reference(enumerate_orbits(make_example("int_line"), 0, n=5, delta=2))
@@ -409,14 +397,6 @@ class TestOrbitJsonLinesBytes:
     def test_empty_family(self):
         assert_matches_reference(OrbitSet((), x0=0, n=1, delta=1))
 
-    @pytest.mark.parametrize("width", [1, 2, 3, 5])
-    def test_escaped_and_non_ascii_points(self, width):
-        # one point a path, then the widths where the first, middle and last
-        # points meet
-        orbits = escaped_paths(width)
-        assert_matches_reference(orbits)
-        assert '"a\\"b"' in orbits_to_json_lines(orbits) and "∞" in orbits_to_json_lines(orbits)
-
     def test_bench_orbits_family(self):
         # the 59,049 int_line paths of the benchmark's orbits command
         assert_matches_reference(enumerate_orbits(make_example("int_line"), 0, n=10, delta=1))
@@ -431,8 +411,16 @@ class TestOrbitJsonLinesBytes:
         assert_matches_reference(enumerate_orbits(tree, tree.basepoint, n=6, delta=1))
         one = OrbitSet((DeltaPath((0,), 1),), x0=0, n=0, delta=1)
         assert_matches_reference(one)
+        # points json escapes, points ensure_ascii=False keeps raw and tuples
+        # of both, in paths of one point and at the widths where the first,
+        # middle and last points meet; path i starts at point i and runs on
+        # cyclically, so every point is first, middle and last
+        points = ('a"b', 'c\\d', 'e\nf', 'é', '∞', ('a"b', 'é'), ('∞', ('c\\d', 'e\nf')))
+        m = len(points)
         for width in (1, 2, 3, 5):
-            assert_matches_reference(escaped_paths(width))
+            paths = [DeltaPath(tuple(points[(i + k) % m] for k in range(width)), 1)
+                     for i in range(m)]
+            assert_matches_reference(OrbitSet(paths, x0=points[0], n=width - 1, delta=1))
 
 
 class TestEdgeFiles:

@@ -5,14 +5,15 @@ table of points.  Each scale R is compared once, in exact arithmetic, into
 a boolean table, ``close(R)``.  The exact searches read one boolean item
 table gathered from it, the AND over the columns of the paths; their
 Python-int masks are packed once from that table.  The max-coverage greedy
-and every verifier read ``close(R)`` through one kind of store: for a
-family, a scale and some column items, the packed sets of column positions
-strictly within R of each point, per column of the paths, gathered when
-first needed.  The first-uncovered greedy packs the same near sets over all
-the items as Python-int masks of its own, under the same memory budget.
-Each verifier builds its own store and reads neither a solver's sets nor
-the item table: every pair of picks is checked for packing, and every item
-against every centre for covering.  Exact solving happens below
+and every verifier read ``close(R)`` through one helper, ``_near_words``:
+for some rows and some column items, one table per column of the paths
+holds the packed set of column positions strictly within R of each point,
+and a row's set is the AND over the columns of one table row each.  The
+first-uncovered greedy packs the same near sets over all the items as
+Python-int masks of its own, under the same memory budget.  Each verifier
+builds its own tables and reads neither a solver's sets nor the item
+table: every pair of picks is checked for packing, and every item against
+every centre for covering.  Exact solving happens below
 ``exact_limit`` (maximum independent set in the conflict graph for
 packing, minimum set cover over open R-balls for covering); above the
 limit deterministic greedy versions return certified one-sided bounds
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError
 from .numbers import Dist
-from .paths import PathFamily
+from .paths import OrbitSet, PathFamily
 from .spaces.base import MetricSpace, PointRef, pair_table
 
 __all__ = [
@@ -49,12 +50,12 @@ __all__ = [
 # squared entries, and every boolean table per scale as many bytes
 POINT_LIMIT = 4096
 
-# bytes of packed near sets one store may hold; it drops them all when the
-# next ones might not fit
+# bytes of packed near sets held at once: the tables of one chunk of
+# positions in _near_words, the Python ints of _first_fit
 _NEAR_MEMO_BYTES = 64 << 20
 
-# item pairs one row block of a store's AND holds; blocks bound memory,
-# never which pairs are checked
+# item pairs one row block of _near_words holds; blocks bound memory, never
+# which pairs are checked
 _BLOCK_CELLS = 4_000_000
 
 # branch-and-bound nodes an exact search may expand before it gives up
@@ -125,13 +126,14 @@ class MetricItems:
     def from_orbits(cls, space: MetricSpace, orbits):
         """Items are paths under the orbit (sup) distance.
 
-        ``orbits`` is read as ``PathFamily.of(orbits, None)``: an OrbitSet's
-        family as it stands, any other paths indexed once.  ``vectors`` is its
-        id matrix and ``dmat`` is ``space.distance_table`` over its support;
-        a family over more than ``POINT_LIMIT`` points raises
-        :class:`BudgetExceededError` before the table is allocated.
+        An OrbitSet's family and a PathFamily are taken as they stand; any
+        other paths are indexed once, by ``PathFamily.of(orbits, None)``.
+        ``vectors`` is the family's id matrix and ``dmat`` is
+        ``space.distance_table`` over its support; a family over more than
+        ``POINT_LIMIT`` points raises :class:`BudgetExceededError` before the
+        table is allocated.
         """
-        paths = PathFamily.of(orbits, None)
+        paths = PathFamily.of(orbits.paths if isinstance(orbits, OrbitSet) else orbits, None)
         family = cls((), None, tol=space.tol)
         family.items, family.vectors = paths, paths.ids
         _check_point_limit(len(paths.support))
@@ -139,69 +141,53 @@ class MetricItems:
         return family
 
 
-class _NearSets:
-    """Packed near sets of one family at scale R over its items, or ``cols``:
-    the store that max-coverage and both verifiers read.
+def _near_words(items: MetricItems, R: Dist, rows: Union[slice, np.ndarray],
+                cols: Union[slice, np.ndarray]) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Yields ``(word, lo, hit)``: ``hit[r]`` holds words ``word`` onwards of
+    the packed set of positions j of the column items ``cols`` strictly
+    within R of item ``rows[lo + r]`` (bit ``j % 64`` of word ``j // 64``).
 
-    The near set of column k and point a holds the positions j of the
-    column items whose column-k point is strictly within R of a, as bit
-    ``j % 64`` of word ``j // 64`` (0 past the columns).  A set is gathered
-    from ``close(R)``, over the columns' points only, when a row block first
-    needs it.  The held sets share ``_NEAR_MEMO_BYTES`` and are all dropped
-    together when the next ones might not fit; one row block's sets for one
-    column always fit.
+    Per chunk of positions, column k's table holds the near sets of points
+    0 to m_k - 1 (1 + the rows' largest column-k point), or of only the
+    points the rows use when it is large, packed from ``close(R)`` gathered
+    by the positions' column-k points in pieces of about ``_BLOCK_CELLS / 8``
+    booleans; a row's hit is the AND over the columns of one table row each.
+    Chunks of whole words keep the tables within ``_NEAR_MEMO_BYTES`` (one
+    word at least), and row blocks hold about ``_BLOCK_CELLS`` pairs.
     """
-
-    def __init__(self, items: MetricItems, R: Dist, cols: Union[slice, np.ndarray] = slice(None)):
-        self.close, self.vectors = items.close(R), items.vectors
-        self.cols = np.ascontiguousarray(self.vectors[cols].T)  # contiguous gathers
-        (width, size), points = self.cols.shape, len(self.close)
-        words = -(-size // 64)
-        self.step = max(1, _BLOCK_CELLS // (64 * words))  # rows per block
-        # rows of one gather: its booleans take about the bytes of one packed block
-        self.gather = max(1, _BLOCK_CELLS // (8 * (points + size)))
-        self.slot = np.full((width, points), -1, dtype=np.int64)  # -1: not held
-        held = max(self.step, _NEAR_MEMO_BYTES // (8 * words))
-        # allocated, not written: a row's pages are touched when its set is packed
-        self.sets = np.empty((min(held, width * points), words), dtype="<u8")
-        self.octets = self.sets.view(np.uint8)
-        self.filled = 0
-
-    def _pack(self, k: int, new: np.ndarray, needed: np.ndarray) -> None:
-        """Packs the near set of (k, a) for each new point a, or each needed
-        one on a drop."""
-        if self.filled + new.size > len(self.sets):
-            self.slot.fill(-1)
-            self.filled, new = 0, needed
-        col, start = self.cols[k], self.filled
-        for lo in range(start, start + new.size, self.gather):
-            part = new[lo - start:lo - start + self.gather]
-            bits = np.packbits(self.close.take(part, axis=0).take(col, axis=1), axis=1,
-                               bitorder="little")
-            self.octets[lo:lo + part.size, :bits.shape[1]] = bits
-            self.octets[lo:lo + part.size, bits.shape[1]:] = 0  # no bits past the columns
-        self.filled = start + new.size
-        self.slot[k][new] = np.arange(start, self.filled)
-
-    def blocks(self, rows: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-        """Yields ``(lo, hit)`` for consecutive blocks of about ``_BLOCK_CELLS``
-        pairs: ``hit[r]`` is the AND over the columns k of the near sets of
-        (k, a) for the column-k point a of item ``rows[lo + r]``, the column
-        positions strictly within R of that item."""
-        for lo in range(0, len(rows), self.step):
-            part = self.vectors.take(rows[lo:lo + self.step], axis=0)
+    close, vectors = items.close(R), items.vectors[rows]
+    # the positions' ids, one row per column for contiguous gathers
+    targets = np.ascontiguousarray((vectors if cols is rows else items.vectors[cols]).T)
+    size, columns = targets.shape[1], []  # per column: the points packed, each row's table row
+    for at in vectors.T:
+        m = len(close)
+        if m * size > len(at):  # packing costs more than a pass over the rows
+            m = int(at.max()) + 1
+        points = np.arange(m)
+        if m * size > 64 * len(at):  # a row's scatter costs about 64 packed bits
+            used = np.zeros(m, dtype=bool)
+            used[at] = True
+            points, at = used.nonzero()[0], (np.cumsum(used) - 1)[at]
+        columns.append((points, at))
+    chunk = max(1, _NEAR_MEMO_BYTES // (8 * sum(len(points) for points, _ in columns)))  # words
+    for word in range(0, -(-size // 64), chunk):
+        part = targets[:, 64 * word:64 * (word + chunk)]
+        width, octets = -(-part.shape[1] // 64), -(-part.shape[1] // 8)
+        piece = max(1, _BLOCK_CELLS // (8 * (len(close) + part.shape[1])))  # table rows
+        tables = []
+        for (points, _), target in zip(columns, part):
+            table = np.zeros((len(points), 8 * width), dtype=np.uint8)
+            for lo in range(0, len(points), piece):
+                bits = close.take(points[lo:lo + piece], axis=0).take(target, axis=1)
+                table[lo:lo + piece, :octets] = np.packbits(bits, axis=1, bitorder="little")
+            tables.append(table.view("<u8"))
+        step = max(1, _BLOCK_CELLS // (64 * width))  # rows per block
+        for lo in range(0, len(vectors), step):
             hit = None
-            for k, slot in enumerate(self.slot):
-                need = part[:, k]
-                wanted = np.zeros(slot.size, dtype=bool)
-                wanted[need] = True
-                points = wanted.nonzero()[0]
-                new = points[slot[points] < 0] if self.filled else points
-                if new.size:
-                    self._pack(k, new, points)
-                sets = self.sets.take(slot[need], axis=0)
+            for table, (_, at) in zip(tables, columns):
+                sets = table.take(at[lo:lo + step], axis=0)
                 hit = sets if hit is None else np.bitwise_and(hit, sets, out=hit)
-            yield lo, hit
+            yield word, lo, hit
 
 
 @dataclass(frozen=True)
@@ -338,14 +324,6 @@ def max_separated(items: MetricItems, R: Dist, exact_limit: int = 40) -> Extrema
     return result
 
 
-def _unpack_rows(words: np.ndarray) -> np.ndarray:
-    """Ascending indices of the set bits of a packed row set."""
-    octets = words.view(np.uint8)
-    nonzero = np.flatnonzero(octets)
-    byte, bit = np.nonzero(np.unpackbits(octets[nonzero, None], axis=1, bitorder="little"))
-    return nonzero[byte] * 8 + bit
-
-
 def _first_fit(items: MetricItems, R: Dist) -> List[int]:
     """First-uncovered greedy: each pick is the lowest item no earlier pick
     is strictly within R of, so the picks are a maximal R-separated set,
@@ -399,29 +377,32 @@ def _indices(items: MetricItems, selected: Sequence[int]) -> np.ndarray:
 def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int]) -> None:
     """Independent check of an R-separated selection (raises).
 
-    Reads only ``close(R)`` and the selection, through a store of near sets
-    of its own over the selection's positions: the AND of a position's sets
-    over the columns holds the positions strictly within R of it, which
-    must be only itself.  Every table puts 0 on its diagonal, so a position
-    holds itself exactly when ``close(R)`` does on its diagonal, and a row
-    fails when it holds more bits than that.  The ANDs are taken in row
-    blocks of about ``_BLOCK_CELLS`` pairs, and only the selection's columns
-    are gathered.  The failing pair reported is the first position, in
-    selection order, with another position strictly within R, and the
-    lowest such other position.  Every entry must be an item index.
+    Reads only ``close(R)`` and the selection, through ``_near_words`` over
+    the selection's positions with the selection as rows: a row's set holds
+    the positions strictly within R of it, which must be only itself.
+    Every table puts 0 on its diagonal, so a position holds itself exactly
+    when ``close(R)`` does on its diagonal, and a row fails when its set,
+    counted over every chunk of positions, holds more bits than that.  The
+    failing pair reported is the first position, in selection order, with
+    another position strictly within R, and the lowest such other position,
+    read for that one row from ``close(R)``.  Every entry must be an item
+    index.
     """
     sel = _indices(items, selected)
     if sel.size < 2:
         return
-    store = _NearSets(items, R, sel)
-    own = store.close.item(0)  # whether every point is strictly within R of itself
-    for lo, hit in store.blocks(sel):
-        bad = (np.bitwise_count(hit).sum(axis=1) > own).nonzero()[0]
-        if bad.size:
-            at = lo + int(bad[0])
-            i, j = int(sel[at]), int(sel[next(p for p in _unpack_rows(hit[bad[0]]) if p != at)])
-            raise InvalidInputError(
-                f"separation check failed: items {i} and {j} at distance {items.dist(i, j)}")
+    close = items.close(R)
+    count = np.zeros(sel.size, dtype=np.uint64)  # positions strictly within R of each
+    for _, lo, hit in _near_words(items, R, sel, sel):
+        count[lo:lo + len(hit)] += np.bitwise_count(hit).sum(axis=1)
+    bad = (count > close.item(0)).nonzero()[0]  # item(0): whether a point holds itself
+    if bad.size:
+        at, v = int(bad[0]), items.vectors
+        near = np.logical_and.reduce(close[v[sel[at], :, None], v[sel].T])
+        near[at] = False
+        i, j = int(sel[at]), int(sel[near.argmax()])
+        raise InvalidInputError(
+            f"separation check failed: items {i} and {j} at distance {items.dist(i, j)}")
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +410,20 @@ def verify_separated(items: MetricItems, R: Dist, selected: Sequence[int]) -> No
 
 
 def _cover_masks(items: MetricItems, R: Dist) -> List[int]:
-    """Bitmask of the items strictly within R of each item, from a store of
-    near sets: the max-coverage greedy's input."""
-    every = np.arange(len(items))
+    """Bitmask of the items strictly within R of each item, from
+    ``_near_words`` over all the items: the max-coverage greedy's input.
+    Each chunk of positions adds its words to every mask, shifted to the
+    chunk's first word."""
     cov: List[int] = []
-    for _, hit in _NearSets(items, R).blocks(every):
+    for word, lo, hit in _near_words(items, R, slice(None), slice(None)):
         data, size = hit.tobytes(), 8 * hit.shape[1]  # one word a row is one mask
-        cov.extend(hit.ravel().tolist() if size == 8 else
-                   (int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)))
+        masks = (hit.ravel().tolist() if size == 8 else
+                 [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)])
+        if word:  # a later chunk of positions: its words go above the first chunk's
+            for r, mask in enumerate(masks, lo):
+                cov[r] |= mask << 64 * word
+        else:
+            cov.extend(masks)
     return cov
 
 
@@ -532,21 +519,22 @@ def min_dense(items: MetricItems, R: Dist, exact_limit: int = 25) -> ExtremalRes
 def verify_dense(items: MetricItems, R: Dist, selected: Sequence[int]) -> None:
     """Independent check that the selection is R-dense (raises on failure).
 
-    Every item is compared with every centre through a store of its own
-    over the centres: an item is covered when the AND of its near sets over
-    the columns holds a centre.  The ANDs are taken in row blocks of about
-    ``_BLOCK_CELLS`` pairs.  Every entry must be an item index.
+    Every item is compared with every centre through ``_near_words`` over
+    the centres, with every item as a row: an item is covered when its set
+    holds a centre in some chunk of positions, and the first uncovered item
+    is reported.  Every entry must be an item index.
     """
     sel, n = _indices(items, selected), len(items)
     if not sel.size:
         if n:
             raise InvalidInputError("empty selection cannot cover a nonempty family")
         return
-    for lo, hit in _NearSets(items, R, sel).blocks(np.arange(n)):
-        covered = hit.any(axis=1)
-        if not covered.all():
-            raise InvalidInputError(f"covering check failed: item {lo + int(np.argmin(covered))} "
-                                    f"is not within {R} of the cover")
+    covered = np.zeros(n, dtype=bool)
+    for _, lo, hit in _near_words(items, R, slice(None), sel):
+        covered[lo:lo + len(hit)] |= hit.any(axis=1)
+    if not covered.all():
+        raise InvalidInputError(f"covering check failed: item {int(np.argmin(covered))} "
+                                f"is not within {R} of the cover")
 
 
 # ---------------------------------------------------------------------------

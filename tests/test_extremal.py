@@ -838,14 +838,14 @@ def test_greedy_packing_picks_the_first_uncovered_centers(monkeypatch, name, n, 
     items = orbit_items(name, n)
     monkeypatch.setattr(extremal, "_GREEDY_LIMIT", 0)
 
-    def no_unpack(*args):
-        raise AssertionError("row unpacked")
+    def no_pair(*args):
+        raise AssertionError("failing pair sought")
 
     for R in radii:
-        # neither pass unpacks a row, and a separated selection passes
-        # verify_separated without unpacking one either
+        # a separated selection passes verify_separated without the search
+        # for a failing pair, which ends in items.dist
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(extremal, "_unpack_rows", no_unpack)
+            patch.setattr(items, "dist", no_pair)
             packing = max_separated(items, R, exact_limit=0)
             cover = min_dense(items, R)
         assert "greedy_passes" in packing.stats and "strategy_first_uncovered" in cover.stats
@@ -952,6 +952,81 @@ def test_verify_dense_matches_the_pairwise_distances(monkeypatch, rng, make, rad
             passed += not far
     assert failed or n == 1
     assert passed or items.tol >= max(radii)
+
+
+def chunk_words(items, R, rows, cols):
+    """The first words of the position chunks _near_words packs."""
+    return sorted({word for word, _, _ in extremal._near_words(items, R, rows, cols)})
+
+
+class TestPositionChunks:
+    """Budgets that split the positions into three or more chunks of one
+    word: every reader joins the chunks as the pairwise distances say."""
+
+    def test_failing_partner_in_a_later_chunk(self, monkeypatch):
+        # 200 separated picks, four chunks; an item near the pick at
+        # position 5 goes to position 150, so the first failing row holds
+        # itself in chunk 0 and its partner, the new item, in chunk 2
+        items = orbit_items("int_line", 8)
+        sel = extremal._first_fit(items, 2)[:200]
+        assert len(sel) == 200
+        near = next(i for i in range(len(items))
+                    if i not in sel and items.dist(i, sel[5]) < 2)
+        bad = sel[:150] + [near] + sel[150:]
+        expected = pairwise_failure(items, 2, bad)
+        assert expected == separation_failure(items, 2, bad)
+        first = next(p for p, i in enumerate(sel) if items.dist(i, near) < 2)
+        assert first <= 5
+        assert expected.startswith(f"separation check failed: items {sel[first]} and {near} ")
+        for budget in (0, 100):
+            monkeypatch.setattr(extremal, "_NEAR_MEMO_BYTES", budget)
+            assert chunk_words(items, 2, np.array(bad), np.array(bad)) == [0, 1, 2, 3]
+            for cells in (4_000_000, 500):
+                monkeypatch.setattr(extremal, "_BLOCK_CELLS", cells)
+                assert separation_failure(items, 2, sel) is None
+                assert separation_failure(items, 2, bad) == expected, (budget, cells)
+
+    @pytest.mark.parametrize("name, n, radii", [
+        ("int_line", 5, (1, 2, 3)),
+        ("weighted_cycle", 5, (Fraction(1, 2), Fraction(3, 2))),
+    ])
+    def test_cover_masks_join_the_chunks(self, monkeypatch, name, n, radii):
+        # 243 items: four chunks of positions, so each mask is joined from
+        # four words; the max-coverage greedy then ends with the cover it
+        # finds under the default budget
+        items = orbit_items(name, n)
+        for R in radii:
+            expected = [sum(1 << j for j, near in enumerate(row) if near)
+                        for row in pairwise_close(items, R)]
+            cover = min_dense(items, R, exact_limit=0)
+            assert "strategy_max_coverage" in cover.stats
+            for cells, budget in STORE_SIZES[1:]:
+                monkeypatch.setattr(extremal, "_BLOCK_CELLS", cells)
+                monkeypatch.setattr(extremal, "_NEAR_MEMO_BYTES", budget)
+                assert chunk_words(items, R, slice(None), slice(None)) == [0, 1, 2, 3]
+                assert extremal._cover_masks(items, R) == expected, (R, cells, budget)
+                assert min_dense(items, R, exact_limit=0) == cover
+            monkeypatch.undo()
+
+    def test_dense_check_stays_within_its_budget(self, monkeypatch):
+        # 2,000 items, each on its own point in both columns, against all
+        # 2,000 as centres: 32 chunks of one word and blocks of 1,024 rows
+        m = 2000
+        items = MetricItems.from_orbits(IntLine(), [(x, m - 1 - x) for x in range(m)])
+        monkeypatch.setattr(extremal, "_BLOCK_CELLS", 1 << 16)
+        monkeypatch.setattr(extremal, "_NEAR_MEMO_BYTES", 0)
+        verify_dense(items, 1, range(m))  # numpy's lazy imports
+        assert len(chunk_words(items, 1, slice(None), np.arange(m))) == 32
+        tracemalloc.start()
+        try:
+            verify_dense(items, 1, range(m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000, peak
+        with pytest.raises(InvalidInputError,
+                           match="^covering check failed: item 1500 is not within 1 of the cover$"):
+            verify_dense(items, 1, [*range(1500), *range(1501, m)])
 
 
 def test_greedy_packing_is_fast_on_a_large_tree_family():
@@ -1062,6 +1137,26 @@ class TestFromOrbits:
         centers = [paths[c] for c in res.selected]
         for p in paths:
             assert any(orbit_distance(p, c, sp) < R for c in centers)
+
+    def test_an_orbit_set_is_taken_as_it_stands(self, monkeypatch):
+        # the set's own family, neither re-indexed nor built member by member
+        sp = make_example("int_line")
+        orbits = enumerate_orbits(sp, 0, 6, 1)
+
+        def no_member(*args):
+            raise AssertionError("a member was built")
+
+        monkeypatch.setattr(type(orbits.paths), "__getitem__", no_member)
+        monkeypatch.setattr(type(orbits.paths), "__iter__", no_member)
+        items = MetricItems.from_orbits(sp, orbits)
+        assert items.items is orbits.paths and items.vectors is orbits.paths.ids
+        monkeypatch.undo()
+        by_paths = MetricItems.from_orbits(sp, orbits.paths)
+        by_points = MetricItems.from_orbits(sp, orbits.point_rows())
+        for R in (2, 3):
+            assert min_dense(items, R) == min_dense(by_paths, R) == min_dense(by_points, R)
+            assert max_separated(items, R, exact_limit=0) == \
+                max_separated(by_points, R, exact_limit=0)
 
     def test_rejects_ragged_or_empty_families(self):
         sp = IntLine(max_abs=10)

@@ -236,9 +236,10 @@ def test_private_method_rule_reaches_every_method_of_a_private_class():
                      "    def _own(self): pass\n")
     assert [(c, m) for c, m, _ in private_methods(tree)] == [
         ("_Probe", "visible"), ("_Probe", "_hidden"), ("Open", "_own")]
-    # argparse calls the parser's error hook; a store's method has no such caller
+    # argparse calls the parser's error hook; a line's neighbors overrides only
+    # the package's own base class
     assert overrides_outside("coarseentropy.cli", "_Parser", "error")
-    assert not overrides_outside("coarseentropy.extremal", "_NearSets", "blocks")
+    assert not overrides_outside("coarseentropy.spaces.catalog", "_IntegerLine", "neighbors")
 
 
 def test_no_unread_parameters():

@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coarseentropy import (
@@ -16,6 +17,7 @@ from coarseentropy import (
     check_distance_preserved,
     cycle_graph,
     enumerate_orbits,
+    make_example,
     map_iterates,
     orbit_distance,
     path_graph,
@@ -219,6 +221,15 @@ class TestBackwardTransfer:
         assert rep["round_trip"] == "pointwise-iterate"
 
 
+def object_orbit_distances(space, family):
+    """The object-dtype orbit-distance table, kept as the reference for the
+    int64 one."""
+    table = np.zeros((len(family), len(family)), dtype=object)
+    for points, inverse in transfer._columns(family):
+        table = np.maximum(table, space.distance_table(points)[inverse[:, None], inverse])
+    return table
+
+
 class TestCheckDistancePreserved:
     def test_rejects_size_mismatch(self):
         sp = IntLine(max_abs=10)
@@ -268,6 +279,62 @@ class TestCheckDistancePreserved:
         paths = list(orbits.paths)
         assert transfer._orbit_distances(g, orbits.paths).tolist() == \
             [[orbit_distance(u, v, g) for v in paths] for u in paths]
+
+    def test_int_tables_match_the_object_path(self, monkeypatch):
+        # int_line families of 3 to 27 paths against their shifts and random
+        # rows: the int64 tables hold the object tables' values, and the
+        # check ends with the same bytes either way
+        from coarseentropy import OrbitSet
+        rng = random.Random(11)
+        sp = IntLine(max_abs=40)
+
+        def outcome(src, img):
+            try:
+                return check_distance_preserved(sp, src, img)
+            except NotDistancePreservingError as exc:
+                return str(exc)
+
+        results = []
+        for n in (1, 2, 3):
+            src = enumerate_orbits(sp, 0, n, 1)
+            rows = src.point_rows()
+            images = [OrbitSet([tuple(x + 1 for x in r) for r in rows], x0=1, n=n, delta=1)]
+            images += [OrbitSet([tuple(rng.randint(-4, 4) for _ in r) for r in rows],
+                                x0=0, n=n, delta=8) for _ in range(12)]
+            for img in images:
+                table = transfer._orbit_distances(sp, img.paths)
+                got = (table.tolist(), outcome(src, img))
+                with monkeypatch.context() as patch:
+                    patch.setattr(transfer, "_orbit_distances", object_orbit_distances)
+                    reference = transfer._orbit_distances(sp, img.paths)
+                    expected = (reference.tolist(), outcome(src, img))
+                assert (table.dtype, reference.dtype) == (np.int64, object)
+                assert got == expected
+                results.append(expected[1])
+        # the three shifts pass, and random rows fail
+        assert [r for r in results if not isinstance(r, str)] == [3, 36, 351]
+
+    def test_other_tables_stay_objects(self):
+        # Fractions, floats and ints past 2**53 keep the object path
+        from coarseentropy import OrbitSet
+        g = build_weighted_graph([(k, (k + 1) % 6, Fraction(k + 1, 3)) for k in range(6)])
+        log_line = make_example("log_line")
+        big = IntLine(max_abs=2 ** 60)
+        cases = [(g, enumerate_orbits(g, 0, 2, 1), Fraction),
+                 (log_line, enumerate_orbits(log_line, 0, 2, 1), float),
+                 (big, OrbitSet([(0, 0), (0, 2 ** 55), (0, 2 ** 55 + 1)], x0=0, n=1, delta=2 ** 56),
+                  int)]
+        for space, orbits, kind in cases:
+            table = transfer._orbit_distances(space, orbits.paths)
+            paths = list(orbits.paths)
+            assert table.dtype == object
+            assert table.tolist() == [[orbit_distance(u, v, space) for v in paths] for u in paths]
+            assert kind in {type(d) for d in table.flat}
+        shifted = OrbitSet([(0, 0), (0, 2 ** 55), (0, 2 ** 55 + 2)], x0=0, n=1, delta=2 ** 56)
+        with pytest.raises(NotDistancePreservingError,
+                           match=r"^paths 0,2: orbit distance 36028797018963969 became "
+                                 r"36028797018963970$"):
+            check_distance_preserved(big, cases[2][1], shifted)
 
     def test_pair_cap(self, monkeypatch):
         sp = IntLine(max_abs=30)

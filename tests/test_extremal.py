@@ -21,6 +21,7 @@ from coarseentropy import (
     IntLine,
     InvalidInputError,
     MetricItems,
+    OrbitSet,
     PrimeCycle,
     ball,
     build_graph,
@@ -1157,6 +1158,9 @@ class TestFromOrbits:
             assert min_dense(items, R) == min_dense(by_paths, R) == min_dense(by_points, R)
             assert max_separated(items, R, exact_limit=0) == \
                 max_separated(by_points, R, exact_limit=0)
+        # an empty set's family is empty, as its paths are
+        empty = MetricItems.from_orbits(sp, OrbitSet((), x0=0, n=2, delta=1))
+        assert len(empty) == 0 and min_dense(empty, 2).size == 0
 
     def test_rejects_ragged_or_empty_families(self):
         sp = IntLine(max_abs=10)

@@ -148,9 +148,10 @@ def _near_words(items: MetricItems, R: Dist, rows: Union[slice, np.ndarray],
     within R of item ``rows[lo + r]`` (bit ``j % 64`` of word ``j // 64``).
 
     Per chunk of positions, column k's table holds the near sets of points
-    0 to m_k - 1 (1 + the rows' largest column-k point), or of only the
-    points the rows use when it is large, packed from ``close(R)`` gathered
-    by the positions' column-k points in pieces of about ``_BLOCK_CELLS / 8``
+    0 to m_k - 1 (1 + the rows' largest column-k point, or every point when
+    that packs faster than a pass over the rows), or of only the points the
+    rows use when it is large, packed from ``close(R)`` gathered by the
+    positions' column-k points in pieces of about ``_BLOCK_CELLS / 8``
     booleans; a row's hit is the AND over the columns of one table row each.
     Chunks of whole words keep the tables within ``_NEAR_MEMO_BYTES`` (one
     word at least), and row blocks hold about ``_BLOCK_CELLS`` pairs.

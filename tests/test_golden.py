@@ -42,8 +42,13 @@ CASES = {
                                        "--window", "2"],
     "growth_regular_tree_delta2.json": ["growth", "--space", "regular_tree", "--delta", "2",
                                         "--window", "3"],
+    # prime_cycle balls that hold whole glued cycles and arcs of them
+    "growth_prime_cycle_delta5.json": ["growth", "--space", "prime_cycle", "--delta", "5",
+                                       "--window", "8"],
     "orbits_int_line.json": ["orbits", "--space", "int_line", "--n", "5",
                              "--paths-out", PATHS_OUT],
+    "orbits_prime_cycle_delta4.json": ["orbits", "--space", "prime_cycle", "--delta", "4",
+                                       "--n", "2", "--paths-out", PATHS_OUT],
     "rates_int_line_separated.json": ["rates", "--space", "int_line", "--n", "0,3,6",
                                       "--radius", "4"],
     "rates_int_line_dense.json": ["rates", "--space", "int_line", "--n", "0,3,6",

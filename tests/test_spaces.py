@@ -978,6 +978,28 @@ class TestPrimeCycle:
                         else:
                             assert got == ball, (x, r, limit)
 
+    def test_the_walk_limit_is_met_exactly(self, monkeypatch):
+        # a ball answers under a limit of its size with x and is refused
+        # under one point less, around every point of the window
+        sp = PrimeCycle(max_line=64)
+        checks = 0
+        for x in prime_cycle_graph(64)[0]:
+            for r in range(1, 21):
+                try:
+                    ball = sp.neighbors(x, r)
+                except BudgetExceededError as exc:
+                    assert str(exc) == "line window 0..64 exceeded at 64"
+                    continue
+                with monkeypatch.context() as patch:
+                    patch.setattr(spaces_base, "_WALK_POINTS", len(ball) + 1)
+                    assert sp.neighbors(x, r) == ball, (x, r)
+                    patch.setattr(spaces_base, "_WALK_POINTS", len(ball))
+                    with pytest.raises(BudgetExceededError) as exc:
+                        sp.neighbors(x, r)
+                    assert str(exc.value) == f"walk around {x!r} holds more than {len(ball)} points"
+                checks += 2
+        assert checks == 22_740
+
     # outcomes recorded from the weighted search that neighbors replaced.
     # Near 2**61: 2**61 - 1 is prime, past the trial bound, and 2**61 glues
     # a 122-vertex cycle of chord weight 2.  At 257**8 no chord reaches, so

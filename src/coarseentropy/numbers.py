@@ -28,9 +28,10 @@ def as_dist(value) -> Dist:
     """Normalize a user-supplied numeric value to a Dist.
 
     Integers stay integers, Fractions stay Fractions and are reduced to
-    int when integral, and finite floats stay floats as given (callers that
-    need exactness should pass rationals).  Infinity becomes ``INF`` and
-    NaN is rejected.
+    int when integral, and other floats stay floats as given (callers that
+    need exactness should pass rationals).  So infinity stays ``INF``, and
+    -inf stays negative for the callers' positivity checks to refuse.  NaN
+    is rejected.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a distance")
@@ -39,8 +40,6 @@ def as_dist(value) -> Dist:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, float):
-        if math.isinf(value):
-            return INF
         if math.isnan(value):
             raise ValueError("NaN is not a distance")
         return value
@@ -82,7 +81,7 @@ def dist_to_jsonable(value: Dist):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, float):
         if math.isinf(value):
-            return "inf"
+            return "inf" if value > 0 else "-inf"
         return value
     raise TypeError(f"not a distance: {value!r}")
 

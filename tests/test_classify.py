@@ -144,6 +144,22 @@ class TestRuleGating:
         assert (rep.verdict, rep.rule, rep.evidence) == ("inconclusive", None, {})
         assert rep.caveat.startswith("no classification rule applies")
 
+    def test_a_vertex_transitive_graph_without_bounded_degree_takes_its_own_rule(self):
+        # the line annotated only as a graph: vertex-transitive, with no
+        # degree bound, so the growth rules answer under their shared name
+        line = IntLine()
+        line.annotations = frozenset({"graph"})
+        rep = classify(line)
+        assert (rep.verdict, rep.rule, rep.certified) == ("zero", "vertex-transitive-growth",
+                                                          False)
+        assert rep.caveat == SLOPE_CAVEAT
+        assert rep.evidence["fitted_slope"] < rep.evidence["thresholds"]["zero"]
+        line.growth_tag = "linear"
+        rep = classify(line)
+        assert (rep.verdict, rep.rule, rep.certified, rep.caveat) == (
+            "zero", "vertex-transitive-growth", True, None)
+        assert rep.evidence == {"source": "analytic-growth-tag", "growth_tag": "linear"}
+
     def test_slope_between_thresholds_is_inconclusive(self):
         rep = classify(IntLine(), ClassifyConfig(l_max=8))
         assert (rep.verdict, rep.rule, rep.certified) == ("inconclusive", None, False)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coarseentropy import InvalidInputError, build_finite_space, build_weighted_graph
 from coarseentropy.numbers import INF, as_dist, dist_to_jsonable, is_finite, parse_dist
 
 
@@ -34,6 +35,18 @@ def test_as_dist_rejects_bool_and_nan():
         as_dist(True)
     with pytest.raises(ValueError):
         as_dist(float("nan"))
+
+
+def test_as_dist_keeps_the_sign_of_infinity():
+    assert as_dist(math.inf) == INF
+    assert as_dist(-math.inf) == -math.inf
+
+
+def test_minus_infinity_is_refused_as_not_positive():
+    with pytest.raises(InvalidInputError, match=r"^edge weight must be positive: \(0, 1, -inf\)$"):
+        build_weighted_graph([(0, 1, -math.inf)])
+    with pytest.raises(InvalidInputError, match=r"^d\(0,1\) = -inf is not positive$"):
+        build_finite_space([0, 1], lambda a, b: 0 if a == b else -math.inf)
 
 
 def test_as_dist_parses_strings():
@@ -90,6 +103,7 @@ def test_dist_to_jsonable():
     assert dist_to_jsonable(Fraction(17, 4)) == "17/4"
     assert dist_to_jsonable(Fraction(4, 2)) == 2
     assert dist_to_jsonable(INF) == "inf"
+    assert dist_to_jsonable(-math.inf) == "-inf"
     assert dist_to_jsonable(0.5) == 0.5
     with pytest.raises(TypeError):
         dist_to_jsonable(True)

@@ -13,6 +13,7 @@ from coarseentropy import (
     InvalidInputError,
     NotDistancePreservingError,
     UnknownPointError,
+    build_finite_space,
     build_weighted_graph,
     check_distance_preserved,
     cycle_graph,
@@ -94,6 +95,18 @@ class TestForwardTransfer:
         with pytest.raises(NotDistancePreservingError,
                            match=r"^backward transfer of \(0, -1\) is not a delta-path$"):
             transfer_orbits(sp, shift, orbits, "backward")
+
+    def test_two_paths_sent_onto_one_image_are_refused(self):
+        from coarseentropy import OrbitSet
+        # 1 and 2 are a quarter apart, within the tolerance of a half: a map
+        # that sends 2 to 1 moves no distance past it, yet merges two paths
+        dist = {frozenset({0, 1}): 1, frozenset({0, 2}): 1, frozenset({1, 2}): Fraction(1, 4)}
+        sp = build_finite_space([0, 1, 2], lambda a, b: 0 if a == b else dist[frozenset({a, b})])
+        sp.tol = Fraction(1, 2)
+        orbits = OrbitSet([(0, 1), (0, 2)], x0=0, n=1, delta=1)
+        with pytest.raises(NotDistancePreservingError,
+                           match=r"^transfer collapsed two distinct paths onto one image$"):
+            transfer_orbits(sp, {0: 0, 1: 1, 2: 1}.__getitem__, orbits, "forward")
 
     def test_non_isometry_is_rejected(self):
         sp = IntLine(max_abs=200)

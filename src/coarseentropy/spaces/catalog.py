@@ -905,62 +905,47 @@ class PrimeCycle(MetricSpace):
         if delta < 1:
             return []
         radius = _floor_int(delta)  # all distances are integers
-        # the ball passes the window when the last line point is nearer
-        if self.distance(x, ("line", self.max_line)) < radius:
-            raise BudgetExceededError(
-                f"line window 0..{self.max_line} exceeded at {self.max_line}")
         # x meets the line at q0 after exit_cost steps, and the ball holds the
-        # line points within reach of q0: refuse more than the limit of those
-        limit = _base._WALK_POINTS
+        # line points within reach of q0
         if x[0] == "line":
             q0, exit_cost, cycles = x[1], 0, []
         else:
             _, p, k, i = x
             q0, exit_cost = p ** k, self._exit_cost(p, k, i)
-            cycles = [(p, k, i, radius, -exit_cost)]  # x's own, measured from x
+            cycles = [(p, k, i, radius)]  # x's own, measured from x
         reach = radius - exit_cost
-        if reach >= limit:
-            raise walk_limit_error(x, limit)
-        # cycles holds (p, k, centre, room, s) for each cycle in the ball: its
+        # the ball passes the window when the last line point is nearer
+        if q0 + reach > self.max_line:
+            raise BudgetExceededError(
+                f"line window 0..{self.max_line} exceeded at {self.max_line}")
+        # cycles holds (p, k, centre, room) for each cycle in the ball: its
         # vertices within room of the centre, every one once a chord reaches
-        # (p <= room); the cycle glued at q, s = |q - q0| steps along the
-        # line, has room reach - s.  The tests and the walk-limit error come
-        # as a search outward by distance raises them: it tests each line
-        # point nearer than the radius as it expands it, q0 and then q0 - t
-        # before q0 + t, and refuses once it holds more than the limit: x,
-        # the line points within t of q0 (and q0 - t - 1 once q0 - t is
-        # expanded), and of each cycle met its whole ball or, while no chord
-        # reaches, its arcs of t - s + 1 beside the centre.  At the last
-        # step it holds the ball.
-        whole = arcs = starts = met = 0  # held whole; growing arcs, sum of their s
-        ends: Dict[int, List[Tuple[int, int]]] = {}  # step -> arcs whole from then
-        last = max(reach, 0)
-        for t in range(last + 1):
-            for size, s in ends.pop(t, ()):
-                whole, arcs, starts = whole + size, arcs - 1, starts - s
+        # (p <= room).  held counts the ball with x as the cycles are found:
+        # the line points, x's own cycle without its line point q0, and each
+        # cycle glued at q, t < reach steps along the line, with room
+        # reach - t.  Past the limit the ball is refused before the next
+        # prime-power test, and the line points are tested q0, then q0 - t
+        # before q0 + t
+        limit = _base._WALK_POINTS
+        held = max(0, reach + min(q0, reach) + 1)
+        if x[0] != "line":
+            n = p * k
+            # an arc of 2 radius + 1, less q0 when it reaches the line
+            held += n - 1 if p <= radius or 2 * radius >= n - 1 else 2 * radius + 1 - (reach >= 0)
+        if held > limit:
+            raise walk_limit_error(x, limit)
+        for t in range(max(reach, 0)):
             for m in (q0 - t, q0 + t) if t else (q0,):
-                if m < 0:
-                    continue
-                for cp, ck, _, room, s in cycles[met:]:
-                    size = cp * ck - 1 if cp <= room else min(cp * ck - 1, 2 * room)
-                    full = t if cp <= room else s + (size + 1) // 2 - 1
-                    if full <= t:
-                        whole += size
-                    else:
-                        arcs, starts = arcs + 1, starts + s
-                        ends.setdefault(full, []).append((size, s))
-                met = len(cycles)
-                # an arc met s steps from q0 holds 2 (t - s + 1) vertices
-                if (1 + t + min(q0, t) + (m > q0 and t < q0) + whole
-                        + 2 * (arcs * (t + 1) - starts)) > limit:
-                    raise walk_limit_error(x, limit)
-                if t == last:
-                    break
-                pk = self._power(m)
+                pk = self._power(m) if m >= 0 else None
                 if pk is not None and (m != q0 or x[0] == "line"):
-                    cycles.append((*pk, 0, reach - t, t))
+                    cp, ck = pk
+                    room = reach - t
+                    held += cp * ck - 1 if cp <= room else min(cp * ck - 1, 2 * room)
+                    if held > limit:
+                        raise walk_limit_error(x, limit)
+                    cycles.append((cp, ck, 0, room))
         ball = []  # sorted: cycle vertices (position 0 is the line point q), lines
-        for cp, ck, centre, room, _ in sorted(cycles):
+        for cp, ck, centre, room in sorted(cycles):
             n = cp * ck
             span = range(n) if cp <= room else range(centre - room, centre + room + 1)
             ball += [("cyc", cp, ck, j) for j in sorted({j % n for j in span}) if j]

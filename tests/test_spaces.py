@@ -1000,13 +1000,13 @@ class TestPrimeCycle:
                 checks += 2
         assert checks == 22_740
 
-    # outcomes recorded from the weighted search that neighbors replaced.
+    # outcomes on a huge window, where a prime-power test can be refused.
     # Near 2**61: 2**61 - 1 is prime, past the trial bound, and 2**61 glues
-    # a 122-vertex cycle of chord weight 2.  At 257**8 no chord reaches, so
-    # the search holds the cycle's arcs as they grow: 257**8 - 2 is tested,
-    # and refused, before the ball passes the limit of 13.  Ints are line
-    # offsets from base; "walk" is the walk-limit error, and an offset alone
-    # the refusal of base + offset.
+    # a 122-vertex cycle of chord weight 2.  At 257**8 no chord reaches
+    # within 5: the cycle adds its two arcs of 5 when it is found, past a
+    # limit of 13 before any other test, while under 40 the test of
+    # 257**8 - 2 is refused.  Ints are line offsets from base; "walk" is the
+    # walk-limit error, and an offset alone the refusal of base + offset.
     @pytest.mark.parametrize("base, offset, delta, limit, outcome, asked", [
         (2 ** 61, 0, 1, 6, [("cyc", 2, 61, 1), ("cyc", 2, 61, 121), -1, 1], [0]),
         (2 ** 61, 1, 2, 13, [("cyc", 2, 61, 1), ("cyc", 2, 61, 121), -1, 0, 2, 3], [0, 1, 2]),
@@ -1014,13 +1014,13 @@ class TestPrimeCycle:
         (2 ** 61, 2, 3, 13, [("cyc", 2, 61, 1), ("cyc", 2, 61, 121), -1, 0, 1, 3, 4, 5],
          [0, 1, 2, 3, 4]),
         (2 ** 61, 0, 2, 13, "walk", [0]),
-        (2 ** 61, 1, 2, 6, "walk", [0, 1, 2]),
+        (2 ** 61, 1, 2, 6, "walk", [0, 1]),
         (2 ** 61, -2, 2, 6, -1, [-3, -2]),
-        (2 ** 61, -3, 3, 6, -1, [-5, -4, -3, -2]),
-        (257 ** 8, 0, 5, 13, -2, [-1, 0, 1]),
+        (2 ** 61, -3, 3, 6, "walk", []),
+        (257 ** 8, 0, 5, 13, "walk", [0]),
         (257 ** 8, 0, 5, 40, -2, [-1, 0, 1]),
     ])
-    def test_huge_window_outcomes_recorded_from_the_search(
+    def test_huge_window_outcomes_follow_the_running_count(
             self, monkeypatch, base, offset, delta, limit, outcome, asked):
         monkeypatch.setattr(spaces_base, "_WALK_POINTS", limit)
         sp = PrimeCycle(max_line=10 ** 300)

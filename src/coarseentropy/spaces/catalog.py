@@ -929,9 +929,8 @@ class PrimeCycle(MetricSpace):
         limit = _base._WALK_POINTS
         held = max(0, reach + min(q0, reach) + 1)
         if x[0] != "line":
-            n = p * k
-            # an arc of 2 radius + 1, less q0 when it reaches the line
-            held += n - 1 if p <= radius or 2 * radius >= n - 1 else 2 * radius + 1 - (reach >= 0)
+            # at most an arc of 2 radius + 1, less q0 when it reaches the line
+            held += p * k - 1 if p <= radius else min(p * k - 1, 2 * radius + 1 - (reach >= 0))
         if held > limit:
             raise walk_limit_error(x, limit)
         for t in range(max(reach, 0)):

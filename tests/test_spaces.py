@@ -996,7 +996,8 @@ class TestPrimeCycle:
                     patch.setattr(spaces_base, "_WALK_POINTS", len(ball))
                     with pytest.raises(BudgetExceededError) as exc:
                         sp.neighbors(x, r)
-                    assert str(exc.value) == f"walk around {x!r} holds more than {len(ball)} points"
+                    assert str(exc.value) == (
+                        f"walk around {x!r} holds more than {len(ball)} points")
                 checks += 2
         assert checks == 22_740
 

@@ -83,7 +83,7 @@ def _finite_points(space: MetricSpace) -> Optional[tuple]:
 
 def _max_component_diameter(space: MetricSpace, pts: Sequence) -> Dist:
     """Largest finite pairwise distance = max over components of diameter."""
-    return max(d for d in space.distance_table(pts).flat if is_finite(d))
+    return max(d for d in space.distance_table(pts).ravel().tolist() if is_finite(d))
 
 
 def _is_ultrametric_finite(space: MetricSpace) -> Optional[int]:

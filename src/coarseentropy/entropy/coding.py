@@ -162,7 +162,7 @@ def coding_injectivity_check(space: MetricSpace, x0: PointRef, n: int, delta: Di
     # one gather of every pair within every run of c points
     for c in np.unique(count[count > 1]).tolist():
         runs = point[first[count == c][:, None] + np.arange(c)]
-        diam = table[runs[:, :, None], runs[:, None, :]].max()
+        diam = max(table[runs[:, :, None], runs[:, None, :]].max(axis=(1, 2)).tolist())
         if diam > worst:
             worst = diam
     separated_ok = space.lt(worst, R)

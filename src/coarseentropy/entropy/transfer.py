@@ -134,15 +134,10 @@ def transfer_orbits(space: MetricSpace, f: MapFn, orbits: OrbitSet,
 def _orbit_distances(space: MetricSpace, family: PathFamily) -> np.ndarray:
     """The (m, m) table of orbit distances between the family's rows: the
     elementwise max over the columns of one gather from each column's
-    ``distance_table``.  It is int64 when every column table holds only
-    Python ints within 2**53 of 0, which numpy compares with a float
-    tolerance exactly as Python does, and object otherwise."""
-    tables = [(space.distance_table(points), inverse) for points, inverse in _columns(family)]
-    values = [v for t, _ in tables for v in t.ravel().tolist()]
-    exact = set(map(type, values)) <= {int} and all(-2 ** 53 <= v <= 2 ** 53 for v in values)
-    table = np.zeros((len(family), len(family)), dtype=np.int64 if exact else object)
-    for t, inverse in tables:
-        table = np.maximum(table, t.astype(table.dtype, copy=False)[inverse[:, None], inverse])
+    ``distance_table``, int64 while every column table is."""
+    table = np.zeros((len(family), len(family)), dtype=np.int64)
+    for points, inverse in _columns(family):
+        table = np.maximum(table, space.distance_table(points)[inverse[:, None], inverse])
     return table
 
 

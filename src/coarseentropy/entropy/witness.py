@@ -201,16 +201,15 @@ def build_witness(space: MetricSpace, base: DeltaPath, arms: Sequence[DeltaPath]
             raise InvalidInputError(f"arm {k} is not a valid delta-path")
     # one table per arm position; the last holds the endpoint distances
     tables = [space.distance_table(column) for column in zip(*(arm.points for arm in arms))]
-    for i in range(len(arms)):
-        for j in range(i + 1, len(arms)):
-            d = tables[-1][i, j]
-            if not space.ge(d, R):
-                raise InvalidInputError(
-                    f"arm endpoints {i} and {j} are only {d} apart, below R={R}")
+    low = np.argwhere(np.triu(~space.ge(tables[-1], R), 1)).tolist()
+    if low:
+        i, j = low[0]  # the first pair i < j in row order
+        raise InvalidInputError(
+            f"arm endpoints {i} and {j} are only {tables[-1][i, j]} apart, below R={R}")
     # the orbit distance is the sup over positions
     prof = np.maximum.reduce(tables)
     fam = WitnessFamily(space=space, base=base, arms=tuple(arms), p=p, R=R,
-                        profile=tuple(map(tuple, prof)))
+                        profile=tuple(map(tuple, prof.tolist())))
     object.__setattr__(fam, "validated", True)
     return fam
 

@@ -23,8 +23,8 @@ lowest index first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import BudgetExceededError, InvalidInputError
 from .numbers import Dist
 from .paths import OrbitSet, PathFamily
-from .spaces.base import MetricSpace, PointRef, pair_table
+from .spaces.base import _INT_TABLE_BOUND, MetricSpace, PointRef, pair_table
 
 __all__ = [
     "MetricItems",
@@ -86,10 +86,10 @@ class MetricItems:
     sequence ``vectors[i]``, and two items are as far apart as their
     farthest aligned points (the orbit sup distance).  For the plain
     constructor, w = 1 and the points are the items.  ``dmat`` is the exact
-    point-distance table (ints, Fractions or floats), built on first use
-    for plain families, and ``close(R)`` the boolean table
-    ``dmat < R - tol``, compared exactly once per scale.  Every distance,
-    packing, covering and verify query reads them.
+    point-distance table, int64 or object, built on first use for plain
+    families, and ``close(R)`` the boolean table ``dmat < R - tol``,
+    compared once per scale by ``_below``.  Every distance, packing,
+    covering and verify query reads them.
     """
 
     def __init__(self, items: Sequence, dist_fn: Callable[[int, int], Dist], tol: Dist = 0):
@@ -119,7 +119,7 @@ class MetricItems:
         threshold = R - self.tol
         table = self._close.get(threshold)
         if table is None:
-            table = self._close[threshold] = np.less(self.dmat, threshold)
+            table = self._close[threshold] = _below(self.dmat, threshold)
         return table
 
     @classmethod
@@ -542,13 +542,14 @@ def verify_dense(items: MetricItems, R: Dist, selected: Sequence[int]) -> None:
 # greedy nets on spaces and band cliques (geometry support)
 
 
-def _below(row: np.ndarray, bound: Dist) -> np.ndarray:
-    """``row < bound`` entry by entry, exactly.  Against a Fraction num/den,
-    a row of Python ints and Fractions is compared as ``row * den < num``,
-    which needs no Fraction comparison per entry."""
-    if isinstance(bound, Fraction) and set(map(type, row.tolist())) <= {int, Fraction}:
-        return row * bound.denominator < bound.numerator
-    return row < bound
+def _below(table: np.ndarray, bound: Dist) -> np.ndarray:
+    """``table < bound`` entry by entry, exactly.  An object table, or a bound
+    of ±inf or NaN, is compared plainly; an int64 table, within 2**53 of 0,
+    with ``ceil(bound)`` clamped to ±(2**53 + 1), an int any numpy compares in int64."""
+    if table.dtype == object or isinstance(bound, float) and not math.isfinite(bound):
+        return table < bound
+    top = _INT_TABLE_BOUND + 1
+    return table < min(top, max(-top, math.ceil(bound)))
 
 
 def _net_cells(space: MetricSpace, window: Sequence[PointRef],

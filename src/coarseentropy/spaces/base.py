@@ -51,9 +51,12 @@ __all__ = [
 
 PointRef = Hashable
 
-# cells of one row block of a closed-form distance table: each block goes
-# through an int64 array of this many entries on its way into the table
+# cells of one row block of a closed-form distance table, which bounds the
+# temporaries a block's rows are computed through
 _TABLE_BLOCK_CELLS = 1 << 20
+
+# an int64 distance table holds values within this of 0, which float64 holds exactly
+_INT_TABLE_BOUND = 2 ** 53
 
 # a pair table of up to this many points is one gather from its values;
 # its pair positions, at most 255 * 256 / 2, fit int16
@@ -102,15 +105,30 @@ def pair_table(size: int, dist: Callable[[int, int], Dist]) -> np.ndarray:
     return table
 
 
+def _number_type(table: np.ndarray) -> np.ndarray:
+    """A distance table in its one number type: int64 when every value is an
+    int within ``_INT_TABLE_BOUND`` of 0, else the values as objects."""
+    if table.dtype == object:
+        if not set(map(type, table.flat)) <= {int}:
+            return table
+        try:
+            table = table.astype(np.int64)
+        except OverflowError:  # an int past int64 is past the bound too
+            return table
+    if max(-table.min(initial=0), table.max(initial=0)) <= _INT_TABLE_BOUND:
+        return table
+    return table.astype(object)
+
+
 def block_table(size: int, rows: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """Object table filled in row blocks: ``rows(lo, hi)`` is the integer
-    array of table rows lo..hi-1, and each entry becomes a Python int."""
-    table = np.empty((size, size), dtype=object)
+    """Distance table filled in row blocks, in the dtype of ``rows(lo, hi)``,
+    the integer array (int64 or of Python ints) of table rows lo..hi-1."""
+    table = np.empty((size, size), dtype=rows(0, 0).dtype)
     step = max(1, _TABLE_BLOCK_CELLS // max(size, 1))
     for lo in range(0, size, step):
         hi = min(size, lo + step)
         table[lo:hi] = rows(lo, hi)
-    return table
+    return _number_type(table)
 
 
 def check_scale(delta: Dist) -> None:
@@ -198,14 +216,14 @@ class MetricSpace:
         return self.distance(a, b)
 
     def distance_table(self, points: Sequence[PointRef]) -> np.ndarray:
-        """Symmetric object table of ``distance`` between the given points,
-        with the same values and types and int 0 on the diagonal.
+        """Symmetric table of ``distance`` between the given points, int 0
+        on the diagonal, in the number type ``_number_type`` gives it.
 
         This default makes one ``distance`` call per pair.  Spaces with a
         closed form override it and check each point once.
         """
         pts = list(points)
-        return pair_table(len(pts), lambda a, b: self.distance(pts[a], pts[b]))
+        return _number_type(pair_table(len(pts), lambda a, b: self.distance(pts[a], pts[b])))
 
     def _checked(self, points: Iterable[PointRef]) -> List[PointRef]:
         """The points as a list, each passed through ``check_point``."""
@@ -343,7 +361,7 @@ class FiniteMetricSpace(_FiniteSpace):
         return {p: as_dist(self._dist_fn(source, p)) for p in self._points if p != source}
 
     def diameter(self) -> Dist:
-        return self.distance_table(self._points).max()
+        return max(self.distance_table(self._points).max(axis=0).tolist())
 
 
 class Graph(_FiniteSpace):

@@ -296,10 +296,8 @@ class IntLine(_IntegerLine):
         return abs(a - b)
 
     def distance_table(self, points):
-        pts = self._checked(points)
-        if self.max_abs >= 2 ** 62:  # |a - b| might not fit in int64
-            return super().distance_table(pts)
-        x = np.array(pts, dtype=np.int64)
+        # |a - b| fits int64 below 2**62, and is a Python int past it
+        x = np.array(self._checked(points), dtype=np.int64 if self.max_abs < 2 ** 62 else object)
         return block_table(len(x), lambda lo, hi: np.abs(x[lo:hi, None] - x[None, :]))
 
     def max_step(self, delta):
@@ -1008,7 +1006,7 @@ class CoarseUnion(_FiniteSpace):
             pts = getattr(part, "points", None)
             if pts is None:
                 raise InvalidInputError("coarse union parts must be finite spaces")
-            diam = part.distance_table(pts).max()
+            diam = max(part.distance_table(pts).max(axis=0).tolist())
             if not diam < INF:
                 raise InvalidInputError(f"part {idx} is unbounded (disconnected?)")
             self._diams.append(diam)

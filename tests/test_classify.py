@@ -98,12 +98,14 @@ class TestFiniteSpaces:
         assert rep.evidence["source"] == "finite-space"
         assert rep.evidence["points"] == 6
         assert rep.evidence["max_component_diameter"] == 5
+        assert type(rep.evidence["max_component_diameter"]) is int
 
     def test_disconnected_finite_graph_uses_component_diameter(self):
         g = build_graph([(0, 1), (1, 2), (10, 11)])
         rep = classify(g)
         assert rep.verdict == "zero"
         assert rep.evidence["max_component_diameter"] == 2
+        assert type(rep.evidence["max_component_diameter"]) is int
 
     def test_finite_ultrametric_detected_exhaustively(self):
         pts = ("a", "b", "c")

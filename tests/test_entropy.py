@@ -328,7 +328,7 @@ class TestCoding:
                     worst = max(worst, d)
         assert rep["paths"] == 27
         assert rep["codes"] == len(groups)
-        assert rep["max_fiber_diameter"] == worst
+        assert rep["max_fiber_diameter"] == worst and type(rep["max_fiber_diameter"]) is int
         assert rep["fibers_below_R"] is (worst < 8)
         assert rep["scheme"]["q"] == 2
 
@@ -336,6 +336,7 @@ class TestCoding:
         sp = PrimeCycle(max_line=64)
         rep = coding_injectivity_check(sp, ("line", 0), 2, 2, 17)
         assert rep["fibers_below_R"] is True
+        assert type(rep["max_fiber_diameter"]) is int
         assert rep["codes"] <= rep["paths"]
 
 

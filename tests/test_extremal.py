@@ -1176,21 +1176,34 @@ class TestBelowTheScale:
     VALUES = [0, 1, 4, 5, 2 ** 70, Fraction(17, 4), Fraction(16, 4), Fraction(35, 8),
               Fraction(1, 3), 4.25, 0.3, 4.249999999999999, math.inf]
 
-    @pytest.mark.parametrize("bound", [4, Fraction(17, 4), Fraction(3, 10), 4.25, 0.3,
-                                       Fraction(2 ** 70 + 1, 3)])
+    # what an int64 table may hold: ints within 2**53 of 0
+    INTS = [0, 1, 4, 5, 17, 2 ** 53, 2 ** 53 - 1, -1, -2 ** 53]
+
+    @pytest.mark.parametrize("bound", [
+        4, Fraction(17, 4), Fraction(3, 10), 4.25, 0.3, Fraction(2 ** 70 + 1, 3),
+        -Fraction(2 ** 70 + 1, 3), 2 ** 53, 2 ** 53 + 1, -2 ** 53, 2 ** 70, -2 ** 70,
+        2.0 ** 60, -Fraction(1, 2), math.inf, -math.inf])
     def test_matches_the_entrywise_comparison(self, rng, bound):
-        # rows of ints, of ints and Fractions, and with floats or inf among them
-        pools = [self.VALUES[:5], self.VALUES[:9], self.VALUES]
+        # object rows of ints, of ints and Fractions, and with floats or inf
+        # among them; int64 rows, also as a two-row table
+        pools = [self.VALUES[:5], self.VALUES[:9], self.VALUES, self.INTS]
         for pool in pools:
             for _ in range(20):
-                row = np.empty(rng.randint(1, 12), dtype=object)
-                row[:] = [rng.choice(pool) for _ in range(len(row))]
-                got = extremal._below(row, bound)
-                assert got.dtype == bool
-                assert got.tolist() == [x < bound for x in row.tolist()], (row, bound)
+                values = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+                if pool is self.INTS:
+                    rows = [np.array(values, dtype=np.int64),
+                            np.array(values * 2, dtype=np.int64).reshape(2, -1)]
+                else:
+                    rows = [np.empty(len(values), dtype=object)]
+                    rows[0][:] = values
+                for row in rows:
+                    got = extremal._below(row, bound)
+                    assert got.dtype == bool and got.shape == row.shape
+                    assert got.ravel().tolist() == [x < bound for x in row.ravel().tolist()], (
+                        row, bound)
 
     def test_an_int_row_needs_no_fraction_comparison(self, monkeypatch):
-        row = np.array([0, 3, 4, 5, 9], dtype=object)
+        row = np.array([0, 3, 4, 5, 9], dtype=np.int64)
 
         def refused(*args):
             raise AssertionError("Fraction compared")

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1130,6 +1131,7 @@ class TestCoarseUnion:
         assert cu.distance(("part", 1, 0), ("part", 2, 3)) == 2
         assert cu.distance(("part", 1, 0), ("part", 3, 1)) == 3
         assert cu.part_diameters == (2, 2, 1)
+        assert list(map(type, cu.part_diameters)) == [int, int, int]
 
     def test_points_and_neighbors(self):
         cu = CoarseUnion([path_graph(2), path_graph(3)])
@@ -1183,6 +1185,7 @@ class TestCoarseUnion:
         cu = CoarseUnion(parts)
         diams = [2, 2, Fraction(1, 2), 1, 3]
         assert cu.part_diameters == tuple(diams)
+        assert list(map(type, cu.part_diameters)) == list(map(type, diams))
         pts = [("part", i, p) for i, part in enumerate(parts, start=1) for p in part.points]
         assert cu.points == tuple(pts)
 
@@ -1370,7 +1373,7 @@ class TestFiniteSpaces:
         sub = subspace(sp, [0, 3, 10])
         assert sub.points == (0, 3, 10)
         assert sub.distance(3, 10) == 7
-        assert sub.diameter() == 10
+        assert sub.diameter() == 10 and type(sub.diameter()) is int
 
     def test_ball_is_sorted_and_contains_center(self):
         sp = IntLine(max_abs=50)
@@ -1406,7 +1409,7 @@ class TestFiniteSpaces:
 
     def test_finite_space_diameter(self):
         sub = subspace(path_graph(4), [0, 1, 2, 3])
-        assert sub.diameter() == 3
+        assert sub.diameter() == 3 and type(sub.diameter()) is int
         # points on a line at 1/3, 0, 5/4: the diameter is the Fraction 5/4,
         # between the second and the third point
         coords = {"a": Fraction(1, 3), "b": Fraction(0), "c": Fraction(5, 4)}
@@ -1865,30 +1868,56 @@ TABLE_SPACES = table_spaces()
 TABLE_IDS = [label for label, _, _ in TABLE_SPACES]
 
 
+def assert_follows_the_rule(table, expected):
+    """``table`` holds the rows ``expected`` with their types, as ``.tolist()``
+    reads them, and is int64 exactly when every value is an int within 2**53
+    of 0, object otherwise."""
+    cells = table.tolist()
+    assert cells == expected
+    assert [list(map(type, row)) for row in cells] == [list(map(type, row)) for row in expected]
+    exact = all(type(d) is int and abs(d) <= 2 ** 53 for row in expected for d in row)
+    assert table.dtype == (np.int64 if exact else object)
+
+
 class TestDistanceTable:
     @pytest.mark.parametrize("label, sp, points", TABLE_SPACES, ids=TABLE_IDS)
     def test_matches_distance_entry_by_entry(self, label, sp, points):
         table = sp.distance_table(points)
-        assert table.shape == (len(points), len(points)) and table.dtype == object
-        for i, a in enumerate(points):
-            for j, b in enumerate(points):
-                # the diagonal is int 0, also where distance(a, a) is 0.0
-                d = 0 if i == j else sp.distance(a, b)
-                assert table[i, j] == d and type(table[i, j]) is type(d), (label, a, b)
+        assert table.shape == (len(points), len(points))
+        # the diagonal is int 0, also where distance(a, a) is 0.0
+        assert_follows_the_rule(table, pairwise_table(sp, points))
 
     def test_types_cover_int_fraction_float_and_inf(self):
         seen = {type(d) for _, sp, points in TABLE_SPACES
-                for d in sp.distance_table(points).flat}
+                for d in sp.distance_table(points).ravel().tolist()}
         assert seen == {int, Fraction, float}
         two = dict((label, (sp, pts)) for label, sp, pts in TABLE_SPACES)["two_components"]
         assert two[0].distance_table(two[1])[0, 1] == math.inf  # 11 and 0
 
+    def test_only_the_fraction_float_and_inf_tables_stay_objects(self):
+        objects = {label for label, sp, points in TABLE_SPACES
+                   if sp.distance_table(points).dtype == object}
+        assert objects == {"log_line", "fraction_cycle", "two_components"}
+
     @pytest.mark.parametrize("label, sp, points", TABLE_SPACES, ids=TABLE_IDS)
     def test_one_point_and_no_points(self, label, sp, points):
         empty = sp.distance_table([])
-        assert empty.shape == (0, 0) and empty.dtype == object
+        # no value breaks the rule
+        assert empty.shape == (0, 0) and empty.dtype == np.int64
         one = sp.distance_table(points[:1])
-        assert one.shape == (1, 1) and one[0, 0] == 0 and type(one[0, 0]) is int
+        assert one.shape == (1, 1) and one.dtype == np.int64
+        assert_follows_the_rule(one, [[0]])
+
+    @pytest.mark.parametrize("max_abs", [2 ** 53, 2 ** 61, 2 ** 70])
+    def test_the_rule_at_2_to_the_53(self, max_abs):
+        # computed in int64 below 2**62, in Python ints past it: a pair at
+        # 2**53 is int64 either way, and a pair at 2**53 + 1 is object
+        sp = IntLine(max_abs=max_abs)
+        for points, dtype in [([0, 2 ** 53], np.int64), ([-7, 2 ** 53 - 7, 0], np.int64),
+                              ([2 ** 53, -1], object), ([0, -2 ** 53 + 1, 2], object)]:
+            table = sp.distance_table(points)
+            assert table.dtype == dtype, points
+            assert_follows_the_rule(table, pairwise_table(sp, points))
 
     @pytest.mark.parametrize("sp, bad", [
         (IntLine(), 10 ** 6 + 1),
@@ -1941,10 +1970,10 @@ class TestPrimeCycleTable:
     @staticmethod
     def assert_matches(sp, points):
         table = sp.distance_table(points)
-        assert table.shape == (len(points), len(points)) and table.dtype == object
-        got = table.tolist()
-        assert got == pairwise_table(sp, points)
-        assert all(type(d) is int for row in got for d in row)
+        assert table.shape == (len(points), len(points))
+        expected = pairwise_table(sp, points)
+        assert all(type(d) is int for row in expected for d in row)
+        assert_follows_the_rule(table, expected)
 
     @pytest.mark.parametrize("x0, radius", [(("line", 0), 12), (("cyc", 5, 2, 7), 9),
                                             (("cyc", 2, 5, 4), 11)])

@@ -202,6 +202,15 @@ class TestBuildWitnessValidation:
         with pytest.raises(InvalidInputError, match="arm endpoints"):
             build_witness(self.sp, self.base, self.arms, 1, 11)
 
+    @pytest.mark.parametrize("R, text", [(9, "9"), (Fraction(17, 2), "17/2")])
+    def test_names_the_first_close_endpoint_pair_in_row_order(self, R, text):
+        # endpoints 5, -5, -4, 4: pairs (0,3) and (1,2) are 1 apart and (2,3)
+        # 8; row order meets (0,3) first, column order (1,2)
+        arms = [DeltaPath((0, end), 5) for end in (5, -5, -4, 4)]
+        with pytest.raises(InvalidInputError) as err:
+            build_witness(self.sp, self.base, arms, 1, R)
+        assert str(err.value) == f"arm endpoints 0 and 3 are only 1 apart, below R={text}"
+
     def test_rejects_invalid_arm_step(self):
         arms = [DeltaPath((0, 5), 5), DeltaPath((0, -40), 5)]
         with pytest.raises(InvalidInputError, match="arm 1"):
